@@ -1,7 +1,8 @@
-// Ablation study for the design choices DESIGN.md calls out (not a paper
-// figure; complements Section 5's optimization analysis): recall-
+// Ablation study for the design choices docs/DESIGN.md calls out (not a
+// paper figure; complements Section 5's optimization analysis): recall-
 // monotonicity pruning (Prop. 3.1), diversity re-ranking, join-graph cost
-// pruning, and PK-coverage pruning, each toggled off against the default.
+// pruning, PK-coverage pruning, and feature selection, each toggled off
+// against the default.
 //
 // Expected shape: disabling recall pruning or cost pruning inflates runtime
 // with little quality gain; disabling diversity collapses the top-k to
@@ -44,7 +45,7 @@ int main() {
        [](CajadeConfig* c) { c->enable_feature_selection = false; }},
   };
 
-  std::printf("== Ablations (NBA Q1, lambda_#edges=%d) ==\n", EnvEdges(2));
+  std::printf("== Ablations (NBA Qnba4, lambda_#edges=%d) ==\n", EnvEdges(2));
   std::printf("%-20s %10s %8s %8s %10s %14s\n", "variant", "runtime", "mined",
               "top1-F", "#expl", "distinct-attrs");
   for (const auto& v : variants) {

@@ -7,8 +7,8 @@
 //
 // `--json <path>` additionally writes the results as JSON (see
 // BENCH_join.json / BENCH_mining.json at the repo root). The binary also
-// counts global heap allocations so the refinement-loop benchmarks can
-// assert the zero-allocation steady state as a reported counter.
+// counts global heap allocations so the refinement and mining benchmarks
+// can report heap allocations per evaluated pattern as a counter.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 #include <malloc.h>
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -405,38 +406,40 @@ void BM_PatternKernelMatchMask(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternKernelMatchMask);
 
-/// The refinement inner loop in isolation — compile one numeric predicate,
-/// filter the parent match mask into a reused child mask, project it onto
-/// PT positions, score via bitmap popcounts — reporting heap allocations
-/// per pattern (0 in steady state).
+/// The refinement inner step in isolation: AND the parent's match mask with
+/// a numeric predicate's precomputed mask, project the child mask onto PT
+/// positions, score both primaries via bitmap popcounts — reporting heap
+/// allocations per pattern (0 in steady state).
 void BM_RefineStep(benchmark::State& state) {
   auto& fx = ExampleFixture::Get();
   int pts_col = fx.apt.table.schema().FindColumn("player_game_scoring.pts");
   PatternPredicate pred = PatternPredicate::Make(fx.apt.table, pts_col,
                                                  PredOp::kGe, Value(int64_t{10}));
+  const size_t rows = fx.apt.num_rows();
+  const size_t words = CoverageBitmap::NumWords(rows);
+  std::vector<uint64_t> pred_mask(words);
+  CompiledPredicate::Compile(pred, fx.apt.table).EvalMask(rows, pred_mask.data());
   MetricsView full = FullView(fx.apt, fx.classes);
   CoverageScorer scorer(fx.classes, full);
-  CoverageBitmap covered;
-  CoverageBitmap parent(fx.apt.num_rows());
+  CoverageBitmap covered(scorer.num_positions());
+  CoverageBitmap parent(rows);
   parent.SetAll();
-  CoverageBitmap child;
-  child.ResetForOverwrite(fx.apt.num_rows());
-  covered.Reset(scorer.num_positions());
+  std::vector<uint64_t> child(words);
 
   size_t allocs = 0;
   for (auto _ : state) {
     size_t before = g_heap_allocs.load(std::memory_order_relaxed);
-    CompiledPredicate cp = CompiledPredicate::Compile(pred, fx.apt.table);
-    cp.FilterMask(fx.apt.num_rows(), parent.words().data(), fx.apt.num_rows(),
-                  child.MutableWords());
+    size_t matched = AndPopcountInto(parent.words().data(), pred_mask.data(),
+                                     words, child.data());
     covered.Reset(scorer.num_positions());
-    CoverageScorer::CoverageFromMask(child, fx.apt.pt_row, &covered);
+    CoverageScorer::CoverageFromMask(child.data(), words, fx.apt.pt_row,
+                                     &covered);
     PatternScores s0 = scorer.Score(covered, 0);
     PatternScores s1 = scorer.Score(covered, 1);
-    benchmark::DoNotOptimize(s0.fscore + s1.fscore);
+    benchmark::DoNotOptimize(s0.fscore + s1.fscore + static_cast<double>(matched));
     allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
   }
-  state.SetItemsProcessed(state.iterations() * fx.apt.num_rows());
+  state.SetItemsProcessed(state.iterations() * rows);
   state.counters["heap_allocs_per_pattern"] =
       static_cast<double>(allocs) / static_cast<double>(state.iterations());
 }
@@ -469,6 +472,82 @@ void BM_MineApt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MineApt);
+
+/// One APT of the nba_refine end-to-end workload (NBA sf 0.2, one-edge join
+/// graphs): Qnba1's first graph joining player_game_stats, 447 APT rows
+/// over 28 PT rows. Mining it evaluates about 15k patterns without hitting
+/// the refinement budget, so the row times the whole back half — fragment
+/// boundaries, predicate masks, refinement, ranking — at the APT sizes the
+/// NBA workload spends its time on.
+struct NbaAptFixture {
+  Database db;
+  SchemaGraph sg;
+  Apt apt;
+  PtClasses classes;
+
+  static NbaAptFixture& Get() {
+    static NbaAptFixture* f = [] {
+      auto* fx = new NbaAptFixture();
+      NbaOptions opt;
+      opt.scale_factor = 0.2;
+      fx->db = MakeNbaDatabase(opt).ValueOrDie();
+      fx->sg = MakeNbaSchemaGraph(fx->db).ValueOrDie();
+      CajadeConfig config;
+      Explainer explainer(&fx->db, &fx->sg, config);
+      PreparedExplain prepared =
+          explainer.Prepare(NbaQuerySql(1), bench::NbaQuestion(1)).ValueOrDie();
+      JoinGraphEnumerator::Options options;
+      options.max_edges = 1;
+      JoinGraphEnumerator enumerator(&fx->sg, &fx->db, prepared.pt.relations,
+                                     options);
+      std::vector<JoinGraph> graphs =
+          enumerator
+              .EnumerateAll(static_cast<double>(prepared.pt_rows.size()),
+                            prepared.pt.table.schema().num_columns())
+              .ValueOrDie();
+      auto graph = std::find_if(graphs.begin(), graphs.end(), [](const JoinGraph& g) {
+        return g.Describe() == "PT - player_game_stats";
+      });
+      fx->apt = MaterializeApt(prepared.pt, prepared.pt_rows, *graph, fx->sg,
+                               fx->db)
+                    .ValueOrDie();
+      fx->classes = prepared.classes;
+      return fx;
+    }();
+    return *f;
+  }
+};
+
+/// PatternMiner::Mine on NbaAptFixture's APT with the default config and a
+/// profiler attached, as the explainer runs it. Every iteration mines with
+/// the same seed, so each does the same work; `heap_allocs_per_pattern`
+/// divides the heap allocations of whole Mine() calls by the patterns they
+/// evaluated.
+void BM_MineNbaApt(benchmark::State& state) {
+  auto& fx = NbaAptFixture::Get();
+  CajadeConfig config;
+  StepProfiler profiler;
+  PatternMiner miner(&config, &profiler);
+  size_t allocs = 0;
+  size_t patterns = 0;
+  for (auto _ : state) {
+    Rng rng(config.seed);
+    size_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    auto result = miner.Mine(fx.apt, fx.classes, &rng);
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    patterns += result->patterns_evaluated;
+    benchmark::DoNotOptimize(result->top_k.data());
+  }
+  state.counters["patterns_evaluated"] =
+      static_cast<double>(patterns) / static_cast<double>(state.iterations());
+  state.counters["heap_allocs_per_pattern"] =
+      static_cast<double>(allocs) / static_cast<double>(patterns);
+}
+BENCHMARK(BM_MineNbaApt);
 
 /// End-to-end Explain() on the scaling (synthetic full-schema NBA) dataset
 /// at 1/2/4/8 worker threads. The /1 run records its per-iteration time so

@@ -32,6 +32,7 @@ void RunWorkload(const char* name, MakeDb make_db, MakeSg make_sg,
   double first_runtime = -1;
   double first_scale = scales.front();
   std::vector<StepProfiler> breakdowns;
+  std::vector<double> walls;
   std::vector<std::string> headers;
   for (double scale : scales) {
     Database db = make_db(scale);
@@ -53,13 +54,14 @@ void RunWorkload(const char* name, MakeDb make_db, MakeSg make_sg,
       if (rate == rates.back()) {
         headers.push_back(Format("sf %.2f", scale));
         breakdowns.push_back(result->profile);
+        walls.push_back(runtime);
       }
     }
     std::printf("   %8.2fs\n", first_runtime * scale / first_scale);
   }
   std::printf("\nPer-step breakdown at fs=%.1f (Figure 9c/9d analogue):\n",
               rates.back());
-  PrintBreakdownMatrix(headers, breakdowns);
+  PrintBreakdownMatrix(headers, breakdowns, walls);
   std::printf("\n");
 }
 
@@ -67,7 +69,7 @@ void RunWorkload(const char* name, MakeDb make_db, MakeSg make_sg,
 
 int main() {
   RunWorkload(
-      "NBA Q1",
+      "NBA Qnba4, GSW wins 2012-13 vs 2016-17",
       [](double sf) {
         NbaOptions opt;
         opt.scale_factor = sf;

@@ -1,10 +1,10 @@
 // Reproduces the analysis pipeline of the user study (Tables 7/8/9) with
 // SIMULATED raters — human judgment is not reproducible offline; see
-// DESIGN.md's substitution table. 20 raters (5 with domain knowledge) score
-// the top-5 provenance-only explanations and the top-5 CaJaDE explanations
-// for UQ1 (GSW 2015-16 vs 2012-13 on Q1). A rater's score is a noisy
-// monotone function of the explanation's quality (F-score/precision mix),
-// domain-knowledge raters having less noise. We then compute the paper's
+// docs/DESIGN.md's substitution table. 20 raters (5 with domain knowledge)
+// score the top-5 provenance-only explanations and the top-5 CaJaDE
+// explanations for UQ1 (GSW 2015-16 vs 2012-13 on Q1). A rater's score is
+// a noisy monotone function of the explanation's quality (F-score/precision
+// mix), domain-knowledge raters having less noise. We then compute the paper's
 // agreement metrics: average ratings, Kendall-tau rank distance and NDCG of
 // the metric rankings against the (simulated) rating ranking, with the
 // drop-most-controversial ablation.
@@ -140,7 +140,7 @@ int main() {
   std::printf("== Simulated user study (UQ1; %d raters, %d with domain "
               "knowledge) ==\n",
               kRaters, kDomainRaters);
-  std::printf("NOTE: ratings are simulated (see DESIGN.md); the table mirrors "
+  std::printf("NOTE: ratings are simulated (see docs/DESIGN.md); the table mirrors "
               "the paper's analysis pipeline, not human judgments.\n\n");
 
   auto print_set = [&](const char* name, const std::vector<RatedExplanation>& set) {

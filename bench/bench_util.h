@@ -207,13 +207,17 @@ inline void PrintBreakdown(const StepProfiler& profile) {
   std::printf("  %-20s %8.2fs\n", "total", total);
 }
 
-/// One row of a breakdown matrix (several configurations side by side).
+/// A breakdown matrix: one column per configuration, one row per step,
+/// then the sum of every step the profiler recorded and the measured wall
+/// time of the same calls (`wall_seconds`, one per column). Under
+/// num_threads > 1 the steps hold summed worker time and can exceed wall.
 inline void PrintBreakdownMatrix(const std::vector<std::string>& headers,
-                                 const std::vector<StepProfiler>& profiles) {
+                                 const std::vector<StepProfiler>& profiles,
+                                 const std::vector<double>& wall_seconds) {
   static const char* kRows[] = {"Feature Selection", "Gen. Pat. Cand.",
                                 "F-score Calc.",     "Materialize APTs",
                                 "Refine Patterns",   "Sampling for F1",
-                                "JG Enum."};
+                                "JG Enum.",          "Compute Provenance"};
   std::printf("%-20s", "Step");
   for (const auto& h : headers) std::printf(" %12s", h.c_str());
   std::printf("\n");
@@ -222,8 +226,11 @@ inline void PrintBreakdownMatrix(const std::vector<std::string>& headers,
     for (const auto& p : profiles) std::printf(" %12.2f", p.Get(row));
     std::printf("\n");
   }
-  std::printf("%-20s", "total");
+  std::printf("%-20s", "sum of steps");
   for (const auto& p : profiles) std::printf(" %12.2f", p.Total());
+  std::printf("\n");
+  std::printf("%-20s", "wall time");
+  for (double s : wall_seconds) std::printf(" %12.2f", s);
   std::printf("\n");
 }
 

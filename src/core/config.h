@@ -121,7 +121,7 @@ struct CajadeConfig {
   /// forced-sharding leg); 0 when unset.
   size_t apt_shard_rows = DefaultAptShardRows();
 
-  // ---- Safety bounds (implementation guards, documented in DESIGN.md) -----
+  // ---- Safety bounds (implementation guards; docs/DESIGN.md, Section 3) ---
   /// Cap on refinement-pattern evaluations per APT.
   size_t refinement_budget = 20000;
   /// Cap on row-filter work (rows scanned while generating refinements) per

@@ -2,11 +2,12 @@
 // patients, admissions, patients_admit_info, diagnoses, procedures,
 // icustays.
 //
-// Substitution note (DESIGN.md Section 1): MIMIC-III requires credentialed
-// access and cannot be redistributed; we generate a seeded synthetic
-// instance preserving the schema topology, cardinality ratios (multiple
-// admissions per patient, several diagnoses/procedures per admission), and
-// the correlations the paper's case-study explanations surface:
+// Substitution note (docs/DESIGN.md, Section 1): MIMIC-III requires
+// credentialed access and cannot be redistributed; we generate a seeded
+// synthetic instance preserving the schema topology, cardinality ratios
+// (multiple admissions per patient, several diagnoses/procedures per
+// admission), and the correlations the paper's case-study explanations
+// surface:
 //   * Medicare admissions skew old, male, emergency, and have the higher
 //     death rate (Qmimic2/Qmimic4's findings),
 //   * ICU length-of-stay groups track hospital stay length, with chapter-16

@@ -2,10 +2,11 @@
 // team, player, game, player_salary, play_for, lineup, lineup_player,
 // team_game_stats (wide), player_game_stats (wide), lineup_game_stats.
 //
-// Substitution note (DESIGN.md Section 1): the paper scrapes nba.com; we
-// generate a seeded synthetic instance that preserves the schema topology,
-// relative cardinalities, join fan-outs, attribute mix, and — crucially for
-// the case studies — the signals the paper's explanations recover:
+// Substitution note (docs/DESIGN.md, Section 1): the paper scrapes nba.com;
+// we generate a seeded synthetic instance that preserves the schema
+// topology, relative cardinalities, join fan-outs, attribute mix, and —
+// crucially for the case studies — the signals the paper's explanations
+// recover:
 //   * GSW's win counts per season (26, 36, 23, 47, 51, 67, 73, 67, 58, 57),
 //   * GSW's average assists jump from 2013-14 to 2014-15 (with assistpoints
 //     causally derived from assists),

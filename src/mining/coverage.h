@@ -83,14 +83,7 @@ class CoverageBitmap {
   }
 
   /// popcount(this & other); both bitmaps must be the same size.
-  size_t AndPopcount(const CoverageBitmap& other) const {
-    assert(num_bits_ == other.num_bits_);
-    size_t n = 0;
-    for (size_t i = 0; i < words_.size(); ++i) {
-      n += static_cast<size_t>(__builtin_popcountll(words_[i] & other.words_[i]));
-    }
-    return n;
-  }
+  size_t AndPopcount(const CoverageBitmap& other) const;
 
   /// this |= other; both bitmaps must be the same size. The cross-shard
   /// coverage merge: per-shard coverage sets OR into one global set. The
@@ -116,6 +109,35 @@ class CoverageBitmap {
   std::vector<uint64_t> words_;
   size_t num_bits_ = 0;
 };
+
+/// popcount(a AND b) over `num_words` words.
+inline size_t AndPopcount(const uint64_t* a, const uint64_t* b,
+                          size_t num_words) {
+  size_t n = 0;
+  for (size_t i = 0; i < num_words; ++i) {
+    n += static_cast<size_t>(__builtin_popcountll(a[i] & b[i]));
+  }
+  return n;
+}
+
+inline size_t CoverageBitmap::AndPopcount(const CoverageBitmap& other) const {
+  assert(num_bits_ == other.num_bits_);
+  return cajade::AndPopcount(words_.data(), other.words_.data(),
+                             words_.size());
+}
+
+/// out = a AND b over `num_words` words; returns popcount(out). `out` may
+/// alias `a` or `b`. The refinement step: a child pattern's match mask is
+/// its parent's mask AND the precomputed mask of the predicate it adds.
+inline size_t AndPopcountInto(const uint64_t* a, const uint64_t* b,
+                              size_t num_words, uint64_t* out) {
+  size_t n = 0;
+  for (size_t i = 0; i < num_words; ++i) {
+    out[i] = a[i] & b[i];
+    n += static_cast<size_t>(__builtin_popcountll(out[i]));
+  }
+  return n;
+}
 
 /// Calls `fn(bit_index)` for every set bit of `words` (ascending). Zero
 /// words are skipped, so cost tracks the popcount, not the span. The shared

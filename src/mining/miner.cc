@@ -1,9 +1,9 @@
 #include "src/mining/miner.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
-#include <set>
-#include <unordered_set>
+#include <type_traits>
 
 #include "src/mining/coverage.h"
 #include "src/mining/lca.h"
@@ -86,28 +86,41 @@ FeatureMatrix BuildFeatureMatrix(const AptSliceSet& ss,
 }
 
 /// Distinct fragment boundaries of a numeric column: lambda_#frag quantiles
-/// over the view's APT rows (Section 3.4). Values are collected slice by
-/// slice in order and sorted, so the quantiles match the unsharded scan.
-std::vector<double> FragmentBoundaries(const AptSliceSet& ss,
-                                       const MetricsView& view, int col,
-                                       int num_fragments) {
-  std::vector<double> values;
+/// over the view's non-NULL values (Section 3.4), in the column's own type.
+/// INT64 quantiles are taken on the int64 values themselves, so every
+/// boundary is a column value (a round trip through double collapses values
+/// beyond 2^53 and overflows at INT64_MAX). NaN satisfies neither <= nor >=
+/// and would break the sort's strict weak ordering, so it is dropped.
+/// Values are collected slice by slice in order and sorted, so the
+/// quantiles match the unsharded scan.
+template <typename T>
+std::vector<T> FragmentBoundaries(const AptSliceSet& ss,
+                                  const MetricsView& view, int col,
+                                  int num_fragments) {
+  std::vector<T> values;
   values.reserve(view.sampled_rows);
+  auto collect = [&](const Column& column, size_t r) {
+    if (column.IsNull(r)) return;
+    if constexpr (std::is_same_v<T, int64_t>) {
+      values.push_back(column.GetInt(r));
+    } else {
+      const double v = column.GetDouble(r);
+      if (!std::isnan(v)) values.push_back(v);
+    }
+  };
   for (size_t si = 0; si < ss.slices.size(); ++si) {
     const Column& column = ss.slices[si].table->column(col);
     if (view.all_rows) {
-      for (size_t r = 0; r < ss.slices[si].num_rows(); ++r) {
-        if (!column.IsNull(r)) values.push_back(column.GetNumeric(r));
-      }
+      for (size_t r = 0; r < ss.slices[si].num_rows(); ++r) collect(column, r);
     } else {
       for (int32_t r : view.slice_rows[si]) {
-        if (!column.IsNull(r)) values.push_back(column.GetNumeric(r));
+        collect(column, static_cast<size_t>(r));
       }
     }
   }
   if (values.empty()) return {};
   std::sort(values.begin(), values.end());
-  std::vector<double> bounds;
+  std::vector<T> bounds;
   int q = std::max(2, num_fragments);
   for (int i = 0; i < q; ++i) {
     size_t idx = static_cast<size_t>(
@@ -118,79 +131,147 @@ std::vector<double> FragmentBoundaries(const AptSliceSet& ss,
   return bounds;
 }
 
-/// Recursive-refinement driver state. The coverage bitmap and the per-depth
-/// per-slice mask buffers are owned here and reused across every pattern
-/// evaluated, so the refinement loop itself performs no per-pattern heap
-/// allocation for scoring or row filtering.
+/// Exclusive self times of refinement's two phases — scoring a pattern
+/// ("F-score Calc.") and generating its refinements ("Refine Patterns") —
+/// kept in locals and charged to the profiler once per Mine() call. The
+/// clock is read once per phase switch, and never without a profiler.
+class RefineTimer {
+ public:
+  enum Phase { kScore = 0, kRefine = 1 };
+
+  /// Starts timing in kRefine.
+  explicit RefineTimer(bool enabled) : enabled_(enabled) {
+    if (enabled_) mark_ = Clock::now();
+  }
+
+  void Enter(Phase phase) {
+    if (!enabled_ || phase == phase_) return;
+    const Clock::time_point now = Clock::now();
+    seconds_[phase_] += std::chrono::duration<double>(now - mark_).count();
+    mark_ = now;
+    phase_ = phase;
+  }
+
+  /// Closes the current phase and adds both totals to `profiler`.
+  void Charge(StepProfiler* profiler) {
+    if (!enabled_) return;
+    Enter(phase_ == kScore ? kRefine : kScore);
+    profiler->Add("F-score Calc.", seconds_[kScore]);
+    profiler->Add("Refine Patterns", seconds_[kRefine]);
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+  bool enabled_;
+  Phase phase_ = kRefine;
+  Clock::time_point mark_;
+  double seconds_[2] = {0.0, 0.0};
+};
+
+/// State of the recursive refinement (step iv). Masks are flat: slice si's
+/// rows occupy words [slice_word[si], slice_word[si + 1]) of every mask,
+/// bit r = slice row r, tail bits zero, so one word-AND over `num_words`
+/// refines all slices at once. Every buffer is sized before the recursion
+/// starts, so evaluating a pattern allocates nothing beyond the pool's
+/// amortized growth.
 struct RefineContext {
-  const AptSliceSet* slices;
-  const PtClasses* classes;
-  const MetricsView* view;
-  const CajadeConfig* config;
-  StepProfiler* profiler;
-  std::vector<int> numeric_attrs;                 // A_num (APT columns)
-  std::vector<std::vector<double>> boundaries;    // per numeric attr
-  std::vector<MinedPattern>* pool;
-  CoverageScorer scorer;                          // built once per Mine()
-  CoverageBitmap covered;                         // reusable scratch
-  /// Child match masks / popcounts: [depth][slice]. Pre-sized in
-  /// MineSlices to the maximum recursion depth so references stay stable
-  /// across recursive calls.
-  std::vector<std::vector<CoverageBitmap>> mask_arena;
-  std::vector<std::vector<size_t>> count_arena;
+  const AptSliceSet* slices = nullptr;
+  const CajadeConfig* config = nullptr;
+  std::vector<size_t> slice_word;
+  size_t num_words = 0;
+  /// Refinement candidates: every non-trivial (numeric attribute, op,
+  /// fragment boundary) predicate, as its pool predicate id and its rows
+  /// (NULL rows 0) in cand_masks words [c * num_words, (c + 1) * num_words).
+  /// Attribute a's candidates are [attr_begin[a], attr_begin[a + 1]), in
+  /// evaluation order.
+  std::vector<uint32_t> cand_pred;
+  std::vector<uint64_t> cand_masks;
+  std::vector<size_t> attr_begin;
+  /// Child masks: one num_words block per recursion depth, so a parent's
+  /// mask stays untouched while its children recurse.
+  std::vector<uint64_t> arena;
+  /// Pool predicate ids of the pattern being expanded: its seed's, then one
+  /// per refinement.
+  std::vector<uint32_t> pattern;
+  CandidatePool* pool = nullptr;
+  CoverageScorer scorer;  // built once per Mine()
+  CoverageBitmap covered;  // reused coverage buffer
   bool pt_identity = false;  // single identity slice: mask == coverage
   size_t evaluated = 0;
   size_t row_work = 0;
   bool budget_exhausted = false;
+  RefineTimer timer{false};
 };
 
-/// Scores `pattern` from its per-slice match masks (bit r of masks[si] =
-/// slice si row r matches; `total_count` sums the per-slice popcounts in
-/// `matched_counts`), appends qualifying pool entries, and recursively
-/// refines with numeric predicates on attributes after `next_attr` (the
-/// ordering removes duplicate generation). `depth` indexes the arena masks
-/// children of this call filter into; the caller's `matched_masks` live at
-/// depth-1 (or in the seed) and stay untouched. Coverage merging is the
-/// shard-native core: per-slice masks project (global pt_row values) into
-/// ONE PT-wide coverage bitmap, so scores are independent of the slicing.
-void ExpandPattern(RefineContext& ctx, const Pattern& pattern,
-                   const std::vector<CoverageBitmap>& matched_masks,
-                   const std::vector<size_t>& matched_counts,
-                   size_t total_count, size_t next_attr, size_t depth) {
+/// Adds attribute `col`'s refinement candidates to `ctx`: each
+/// (op, boundary) predicate with its pool id and its per-slice
+/// CompiledPredicate::EvalMask. "<= max" and ">= min" match every non-NULL
+/// row and are skipped.
+template <typename T>
+void AddRefinementCandidates(const AptSliceSet& ss, int col,
+                             const std::vector<T>& bounds,
+                             RefineContext* ctx) {
+  for (int op_i = 0; op_i < 2; ++op_i) {
+    const PredOp op = op_i == 0 ? PredOp::kLe : PredOp::kGe;
+    for (size_t b = 0; b < bounds.size(); ++b) {
+      if (op == PredOp::kLe && b + 1 == bounds.size()) continue;
+      if (op == PredOp::kGe && b == 0) continue;
+      PatternPredicate pred = PatternPredicate::Make(ss.schema_table(), col,
+                                                     op, Value(bounds[b]));
+      const size_t c = ctx->cand_pred.size();
+      ctx->cand_masks.resize((c + 1) * ctx->num_words);
+      uint64_t* mask = ctx->cand_masks.data() + c * ctx->num_words;
+      for (size_t si = 0; si < ss.slices.size(); ++si) {
+        CompiledPredicate::Compile(pred, *ss.slices[si].table)
+            .EvalMask(ss.slices[si].num_rows(), mask + ctx->slice_word[si]);
+      }
+      ctx->cand_pred.push_back(ctx->pool->AddPredicate(std::move(pred)));
+    }
+  }
+}
+
+constexpr uint32_t kNotPooled = UINT32_MAX;
+
+/// Scores ctx.pattern from its flat match mask (`count` set bits), pools it
+/// for each primary whose recall passes the threshold, and recursively
+/// refines it with the candidates of attributes from `next_attr` on (the
+/// ordering removes duplicate generation). A child's mask is `mask` AND the
+/// candidate's mask, written to the arena block of `depth`. Coverage merging
+/// is the shard-native core: per-slice masks project (global pt_row values)
+/// into ONE PT-wide coverage bitmap, so scores are independent of the
+/// slicing.
+void ExpandPattern(RefineContext& ctx, const uint64_t* mask, size_t count,
+                   size_t next_attr, size_t depth) {
   if (ctx.evaluated >= ctx.config->refinement_budget ||
       ctx.row_work >= ctx.config->refinement_row_budget) {
     ctx.budget_exhausted = true;
     return;
   }
   ++ctx.evaluated;
+  ctx.timer.Enter(RefineTimer::kScore);
 
-  const std::vector<AptSlice>& slices = ctx.slices->slices;
-
-  // Coverage from the match masks (reused buffer, popcount scoring). With a
-  // single identity slice the match mask IS the coverage set and scores
-  // directly.
-  double recall[2];
-  {
-    ScopedStep step(ctx.profiler, "F-score Calc.");
-    const CoverageBitmap* cov = &matched_masks[0];
-    if (!ctx.pt_identity) {
-      ctx.covered.Reset(ctx.scorer.num_positions());
-      for (size_t si = 0; si < slices.size(); ++si) {
-        CoverageScorer::CoverageFromMask(matched_masks[si],
-                                         *slices[si].pt_row, &ctx.covered);
-      }
-      cov = &ctx.covered;
+  // With a single identity slice the match mask IS the coverage set.
+  const uint64_t* cov = mask;
+  if (!ctx.pt_identity) {
+    const std::vector<AptSlice>& slices = ctx.slices->slices;
+    ctx.covered.Reset(ctx.scorer.num_positions());
+    for (size_t si = 0; si < slices.size(); ++si) {
+      CoverageScorer::CoverageFromMask(
+          mask + ctx.slice_word[si], ctx.slice_word[si + 1] - ctx.slice_word[si],
+          *slices[si].pt_row, &ctx.covered);
     }
-    for (int primary = 0; primary < 2; ++primary) {
-      PatternScores s = ctx.scorer.Score(*cov, primary);
-      recall[primary] = s.recall;
-      if (!pattern.empty() && s.recall > ctx.config->recall_threshold) {
-        MinedPattern mp;
-        mp.pattern = pattern;
-        mp.primary = primary;
-        mp.scores = s;
-        ctx.pool->push_back(std::move(mp));
+    cov = ctx.covered.words().data();
+  }
+  double recall[2];
+  uint32_t pooled = kNotPooled;
+  for (int primary = 0; primary < 2; ++primary) {
+    PatternScores s = ctx.scorer.Score(cov, primary);
+    recall[primary] = s.recall;
+    if (!ctx.pattern.empty() && s.recall > ctx.config->recall_threshold) {
+      if (pooled == kNotPooled) {
+        pooled = ctx.pool->AddPattern(ctx.pattern.data(), ctx.pattern.size());
       }
+      ctx.pool->AddEntry(pooled, primary, s);
     }
   }
 
@@ -199,93 +280,114 @@ void ExpandPattern(RefineContext& ctx, const Pattern& pattern,
       std::max(recall[0], recall[1]) <= ctx.config->recall_threshold) {
     return;
   }
-  if (pattern.NumNumericPreds(ctx.slices->schema_table()) >=
-      ctx.config->max_numeric_attrs) {
-    return;
-  }
+  // Seeds bind categorical attributes only, so `depth` is the pattern's
+  // number of numeric predicates.
+  if (static_cast<int64_t>(depth) >= ctx.config->max_numeric_attrs) return;
 
-  // The arena is pre-sized in MineSlices() to the maximum recursion depth,
-  // so these references (and the `matched_masks` references held by callers
-  // above) stay valid across the recursive calls below.
-  std::vector<CoverageBitmap>& child_masks = ctx.mask_arena[depth];
-  std::vector<size_t>& child_counts = ctx.count_arena[depth];
-
-  ScopedStep step(ctx.profiler, "Refine Patterns");
-  for (size_t a = next_attr; a < ctx.numeric_attrs.size(); ++a) {
-    int col = ctx.numeric_attrs[a];
-    if (!pattern.IsFree(col)) continue;
-    const auto& bounds = ctx.boundaries[a];
-    if (bounds.empty()) continue;
-    for (int op_i = 0; op_i < 2; ++op_i) {
-      PredOp op = op_i == 0 ? PredOp::kLe : PredOp::kGe;
-      for (size_t b = 0; b < bounds.size(); ++b) {
-        // Skip trivial predicates: <= max or >= min match everything.
-        if (op == PredOp::kLe && b + 1 == bounds.size()) continue;
-        if (op == PredOp::kGe && b == 0) continue;
-        double c = bounds[b];
-        Value constant =
-            ctx.slices->schema_table().column(col).type() == DataType::kInt64
-                ? Value(static_cast<int64_t>(c))
-                : Value(c);
-        PatternPredicate pred = PatternPredicate::Make(
-            ctx.slices->schema_table(), col, op, constant);
-        // Charged once per candidate (the same rows the unsharded filter
-        // scans, summed over slices) so the row budget trips at the same
-        // evaluation count at any shard size.
-        ctx.row_work += total_count;
-        size_t child_total = 0;
-        for (size_t si = 0; si < slices.size(); ++si) {
-          child_masks[si].ResetForOverwrite(slices[si].num_rows());
-          child_counts[si] = static_cast<size_t>(
-              CompiledPredicate::Compile(pred, *slices[si].table)
-                  .FilterMask(slices[si].num_rows(),
-                              matched_masks[si].words().data(),
-                              matched_counts[si],
-                              child_masks[si].MutableWords()));
-          child_total += child_counts[si];
-        }
-        if (child_total == 0) continue;
-        Pattern child = pattern.Refine(std::move(pred));
-        ExpandPattern(ctx, child, child_masks, child_counts, child_total,
-                      a + 1, depth + 1);
-        if (ctx.budget_exhausted) return;
-      }
+  ctx.timer.Enter(RefineTimer::kRefine);
+  uint64_t* child = ctx.arena.data() + depth * ctx.num_words;
+  for (size_t a = next_attr; a + 1 < ctx.attr_begin.size(); ++a) {
+    for (size_t c = ctx.attr_begin[a]; c < ctx.attr_begin[a + 1]; ++c) {
+      // Charged once per candidate by the parent's in-view rows (summed
+      // over slices) so the row budget trips at the same evaluation count
+      // at any shard size.
+      ctx.row_work += count;
+      const size_t child_count = AndPopcountInto(
+          mask, ctx.cand_masks.data() + c * ctx.num_words, ctx.num_words,
+          child);
+      if (child_count == 0) continue;
+      ctx.pattern.push_back(ctx.cand_pred[c]);
+      ExpandPattern(ctx, child, child_count, a + 1, depth + 1);
+      ctx.pattern.pop_back();
+      ctx.timer.Enter(RefineTimer::kRefine);
+      if (ctx.budget_exhausted) return;
     }
   }
 }
 
 }  // namespace
 
-double DiversityScore(const Pattern& a, const Pattern& b) {
-  if (a.preds.empty()) return 1.0;
+uint32_t CandidatePool::AddPredicate(PatternPredicate pred) {
+  tokens_.push_back(pred.KeyToken());
+  preds_.push_back(std::move(pred));
+  return static_cast<uint32_t>(preds_.size() - 1);
+}
+
+uint32_t CandidatePool::AddPattern(const uint32_t* ids, size_t n) {
+  const size_t begin = pattern_ids_.size();
+  pattern_ids_.insert(pattern_ids_.end(), ids, ids + n);
+  // Pattern's predicate order (see Pattern::Refine).
+  std::sort(pattern_ids_.begin() + static_cast<std::ptrdiff_t>(begin),
+            pattern_ids_.end(), [&](uint32_t a, uint32_t b) {
+              if (preds_[a].col != preds_[b].col) {
+                return preds_[a].col < preds_[b].col;
+              }
+              return static_cast<int>(preds_[a].op) <
+                     static_cast<int>(preds_[b].op);
+            });
+  ids_end_.push_back(pattern_ids_.size());
+  for (size_t i = begin; i < pattern_ids_.size(); ++i) {
+    if (i != begin) keys_ += '&';
+    keys_ += tokens_[pattern_ids_[i]];
+  }
+  key_end_.push_back(keys_.size());
+  return static_cast<uint32_t>(key_end_.size() - 1);
+}
+
+Pattern CandidatePool::MakePattern(uint32_t i) const {
+  const size_t begin = i == 0 ? 0 : ids_end_[i - 1];
+  Pattern p;
+  p.preds.reserve(ids_end_[i] - begin);
+  for (size_t j = begin; j < ids_end_[i]; ++j) {
+    p.preds.push_back(preds_[pattern_ids_[j]]);
+  }
+  return p;
+}
+
+double CandidatePool::Diversity(uint32_t a, uint32_t b) const {
+  const uint32_t* pa = pattern_ids_.data() + (a == 0 ? 0 : ids_end_[a - 1]);
+  const uint32_t* pa_end = pattern_ids_.data() + ids_end_[a];
+  const uint32_t* pb = pattern_ids_.data() + (b == 0 ? 0 : ids_end_[b - 1]);
+  const uint32_t* pb_end = pattern_ids_.data() + ids_end_[b];
+  if (pa == pa_end) return 1.0;
   double sum = 0.0;
-  for (const auto& pa : a.preds) {
-    const PatternPredicate* pb = b.Find(pa.col);
-    if (pb == nullptr) {
+  // Both runs are sorted by column, one predicate per column, so a single
+  // merge pass finds b's predicate on each of a's columns.
+  for (const uint32_t* i = pa; i != pa_end; ++i) {
+    const PatternPredicate& pred = preds_[*i];
+    while (pb != pb_end && preds_[*pb].col < pred.col) ++pb;
+    if (pb == pb_end || preds_[*pb].col != pred.col) {
       sum += 1.0;
-    } else if (pa.value == pb->value) {
+    } else if (pred.value == preds_[*pb].value) {
       sum += -2.0;
     } else {
       sum += -0.3;
     }
   }
-  return sum / static_cast<double>(a.preds.size());
+  return sum / static_cast<double>(pa_end - pa);
 }
 
-std::vector<size_t> SelectTopKDiverse(const std::vector<MinedPattern>& pool,
-                                      size_t k, bool use_diversity) {
-  // Precompute tie-breaker keys once; building them inside the sort
-  // comparator would allocate strings on every comparison.
-  std::vector<std::string> keys(pool.size());
-  for (size_t i = 0; i < pool.size(); ++i) keys[i] = pool[i].pattern.Key();
-  std::vector<size_t> order(pool.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (pool[a].scores.fscore != pool[b].scores.fscore) {
-      return pool[a].scores.fscore > pool[b].scores.fscore;
-    }
-    return keys[a] < keys[b];
-  });
+std::vector<size_t> SelectTopKDiverse(const CandidatePool& pool, size_t k,
+                                      bool use_diversity) {
+  const std::vector<CandidatePool::Entry>& entries = pool.entries();
+  // Each record carries its comparison inputs inline (the F-score and the
+  // Key() tie-break), so the sort never chases an entry or pattern index.
+  struct SortRecord {
+    double fscore;
+    std::string_view key;
+    size_t entry;
+  };
+  std::vector<SortRecord> records(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    records[i] = {entries[i].scores.fscore, pool.Key(entries[i].pattern), i};
+  }
+  std::sort(records.begin(), records.end(),
+            [](const SortRecord& a, const SortRecord& b) {
+              if (a.fscore != b.fscore) return a.fscore > b.fscore;
+              return a.key < b.key;
+            });
+  std::vector<size_t> order(records.size());
+  for (size_t i = 0; i < records.size(); ++i) order[i] = records[i].entry;
   if (!use_diversity) {
     if (order.size() > k) order.resize(k);
     return order;
@@ -294,22 +396,19 @@ std::vector<size_t> SelectTopKDiverse(const std::vector<MinedPattern>& pool,
   const size_t kDiversityWindow = 2000;
   if (order.size() > kDiversityWindow) order.resize(kDiversityWindow);
 
-  std::vector<size_t> selected;
+  // min_d[pos]: min over the picks so far of D(candidate, pick). min is
+  // exact, so folding in only the newest pick after each round gives the
+  // value a rescan of every pick would: O(k * window) diversity scores.
+  std::vector<double> min_d(order.size(), 1e18);
   std::vector<bool> used(order.size(), false);
+  std::vector<size_t> selected;
   while (selected.size() < k) {
     double best_score = -1e18;
     size_t best_pos = SIZE_MAX;
     for (size_t pos = 0; pos < order.size(); ++pos) {
       if (used[pos]) continue;
-      const MinedPattern& cand = pool[order[pos]];
-      double wscore = cand.scores.fscore;
-      if (!selected.empty()) {
-        double min_d = 1e18;
-        for (size_t s : selected) {
-          min_d = std::min(min_d, DiversityScore(cand.pattern, pool[s].pattern));
-        }
-        wscore += min_d;
-      }
+      double wscore = entries[order[pos]].scores.fscore;
+      if (!selected.empty()) wscore += min_d[pos];
       if (wscore > best_score) {
         best_score = wscore;
         best_pos = pos;
@@ -318,6 +417,13 @@ std::vector<size_t> SelectTopKDiverse(const std::vector<MinedPattern>& pool,
     if (best_pos == SIZE_MAX) break;
     used[best_pos] = true;
     selected.push_back(order[best_pos]);
+    if (selected.size() == k) break;
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      if (used[pos]) continue;
+      min_d[pos] = std::min(
+          min_d[pos], pool.Diversity(entries[order[pos]].pattern,
+                                     entries[order[best_pos]].pattern));
+    }
   }
   return selected;
 }
@@ -447,16 +553,29 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   }
   result.lca_candidates = candidates.size();
 
+  // Flat mask layout shared by the seeds and refinement: slice si's rows
+  // occupy words [slice_word[si], slice_word[si + 1]).
+  std::vector<size_t> slice_word(num_slices + 1, 0);
+  for (size_t si = 0; si < num_slices; ++si) {
+    slice_word[si + 1] =
+        slice_word[si] + CoverageBitmap::NumWords(slices[si].num_rows());
+  }
+  const size_t num_words = slice_word.back();
+  // Copies slice si's mask into its words of a flat mask.
+  auto store = [&](const CoverageBitmap& slice_mask, size_t si,
+                   std::vector<uint64_t>* flat) {
+    std::copy(slice_mask.words().begin(), slice_mask.words().end(),
+              flat->begin() + static_cast<std::ptrdiff_t>(slice_word[si]));
+  };
+
   // (iii) Recall-filter candidates; keep top k_cat by recall as seeds.
   // Matching is mask-native and per slice: each slice's kernel match mask
   // projects into one PT-wide coverage bitmap, so scores merge across
   // shards by bit-OR of coverage, never by concatenating rows.
   struct Seed {
-    Pattern pattern;
-    std::vector<CoverageBitmap> masks;  // per slice
-    std::vector<size_t> counts;         // per-slice popcounts
-    size_t total = 0;
-    double recall;
+    const Pattern* pattern = nullptr;  // null: the empty pattern
+    std::vector<uint64_t> mask;        // flat, in-view matching rows
+    size_t count = 0;
   };
   const bool pt_identity = ss.pt_identity;
   std::vector<Seed> seeds;
@@ -519,77 +638,82 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
     seeds.reserve(kept.size() + 1);
     for (const ScoredCandidate& sc : kept) {
       Seed seed;
-      seed.pattern = *sc.pattern;
-      seed.recall = sc.recall;
-      seed.masks.resize(num_slices);
-      seed.counts.resize(num_slices);
+      seed.pattern = sc.pattern;
+      seed.mask.resize(num_words);
       for (size_t si = 0; si < num_slices; ++si) {
-        kernel.Compile(seed.pattern, *slices[si].table);
-        seed.counts[si] =
+        kernel.Compile(*seed.pattern, *slices[si].table);
+        seed.count +=
             view.all_rows
-                ? kernel.MatchMask(slices[si].num_rows(), &seed.masks[si])
+                ? kernel.MatchMask(slices[si].num_rows(), &masks[si])
                 : kernel.MatchMask(view.slice_masks[si],
-                                   view.slice_rows[si].size(),
-                                   &seed.masks[si]);
-        seed.total += seed.counts[si];
+                                   view.slice_rows[si].size(), &masks[si]);
+        store(masks[si], si, &seed.mask);
       }
       seeds.push_back(std::move(seed));
     }
   }
-  // The empty pattern seeds numeric-only refinements.
+  // The empty pattern seeds numeric-only refinements: it matches every
+  // in-view row.
   {
     Seed empty;
-    empty.recall = 1.0;
-    empty.masks.resize(num_slices);
-    empty.counts.resize(num_slices);
+    empty.mask.resize(num_words);
     for (size_t si = 0; si < num_slices; ++si) {
       if (view.all_rows) {
-        empty.masks[si].Reset(slices[si].num_rows());
-        empty.masks[si].SetAll();
-        empty.counts[si] = slices[si].num_rows();
+        CoverageBitmap all(slices[si].num_rows());
+        all.SetAll();
+        store(all, si, &empty.mask);
+        empty.count += slices[si].num_rows();
       } else {
-        empty.masks[si] = view.slice_masks[si];
-        empty.counts[si] = view.slice_rows[si].size();
+        store(view.slice_masks[si], si, &empty.mask);
+        empty.count += view.slice_rows[si].size();
       }
-      empty.total += empty.counts[si];
     }
     seeds.push_back(std::move(empty));
   }
 
-  // (iv) Numeric refinement.
-  std::vector<MinedPattern> pool;
+  // (iv) Numeric refinement: the candidate predicates and their masks are
+  // built once, so a refinement costs a word-AND + popcount.
+  CandidatePool pool;
   RefineContext ctx;
+  ctx.timer = RefineTimer(profiler_ != nullptr);
   ctx.slices = &ss;
-  ctx.classes = &classes;
-  ctx.view = &view;
   ctx.config = config_;
-  ctx.profiler = profiler_;
-  ctx.numeric_attrs = num_attrs;
+  ctx.slice_word = std::move(slice_word);
+  ctx.num_words = num_words;
   ctx.pool = &pool;
   ctx.scorer = std::move(scorer);
   ctx.pt_identity = pt_identity;
-  // One mask/count buffer set per recursion level; each level adds one
-  // numeric predicate, so numeric_attrs.size() + 1 covers the deepest
-  // chain. Sizing up front keeps buffer references stable across recursive
-  // calls.
-  ctx.mask_arena.resize(num_attrs.size() + 1);
-  ctx.count_arena.resize(num_attrs.size() + 1);
-  for (size_t d = 0; d <= num_attrs.size(); ++d) {
-    ctx.mask_arena[d].resize(num_slices);
-    ctx.count_arena[d].resize(num_slices);
-  }
-  {
-    ScopedStep step(profiler_, "Refine Patterns");
-    for (size_t a = 0; a < num_attrs.size(); ++a) {
-      ctx.boundaries.push_back(
-          FragmentBoundaries(ss, view, num_attrs[a], config_->num_fragments));
+  for (int col : num_attrs) {
+    ctx.attr_begin.push_back(ctx.cand_pred.size());
+    const DataType type = ss.schema_table().column(col).type();
+    if (type == DataType::kInt64) {
+      AddRefinementCandidates(
+          ss, col,
+          FragmentBoundaries<int64_t>(ss, view, col, config_->num_fragments),
+          &ctx);
+    } else if (type == DataType::kDouble) {
+      AddRefinementCandidates(
+          ss, col,
+          FragmentBoundaries<double>(ss, view, col, config_->num_fragments),
+          &ctx);
     }
   }
-  for (const auto& seed : seeds) {
-    ExpandPattern(ctx, seed.pattern, seed.masks, seed.counts, seed.total, 0,
-                  0);
+  ctx.attr_begin.push_back(ctx.cand_pred.size());
+  // Each recursion level adds one numeric predicate, so numeric_attrs + 1
+  // blocks cover the deepest chain.
+  ctx.arena.resize((num_attrs.size() + 1) * num_words);
+  ctx.pattern.reserve(num_attrs.size() + cat_attrs.size());
+  for (const Seed& seed : seeds) {
+    ctx.pattern.clear();
+    if (seed.pattern != nullptr) {
+      for (const PatternPredicate& pred : seed.pattern->preds) {
+        ctx.pattern.push_back(pool.AddPredicate(pred));
+      }
+    }
+    ExpandPattern(ctx, seed.mask.data(), seed.count, 0, 0);
     if (ctx.budget_exhausted) break;
   }
+  ctx.timer.Charge(profiler_);
   result.patterns_evaluated = ctx.evaluated;
   result.budget_exhausted = ctx.budget_exhausted;
 
@@ -607,7 +731,11 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   CoverageBitmap covered;
   CoverageBitmap slice_covered;
   for (size_t idx : picked) {
-    MinedPattern mp = pool[idx];
+    const CandidatePool::Entry& entry = pool.entries()[idx];
+    MinedPattern mp;
+    mp.pattern = pool.MakePattern(entry.pattern);
+    mp.primary = entry.primary;
+    mp.scores = entry.scores;
     const CoverageBitmap* cov = nullptr;
     if (pt_identity) {
       kernel.Compile(mp.pattern, *slices[0].table);

@@ -15,6 +15,9 @@
 #ifndef CAJADE_MINING_MINER_H_
 #define CAJADE_MINING_MINER_H_
 
+#include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -57,14 +60,75 @@ struct MineResult {
   bool budget_exhausted = false;
 };
 
+/// \brief The patterns refinement pools for ranking (SelectTopKDiverse).
+///
+/// Compact, so pooling a pattern allocates nothing once the buffers have
+/// grown: each predicate is interned once (with its KeyToken()), a pattern
+/// is a run of predicate ids sorted by column, and its Pattern::Key() is
+/// assembled from the tokens into one shared byte arena. A pattern is
+/// stored once however many primaries it qualifies for; entries() holds
+/// one row per qualifying (pattern, primary), in insertion order.
+class CandidatePool {
+ public:
+  struct Entry {
+    uint32_t pattern = 0;  ///< AddPattern's return value
+    int primary = 0;
+    PatternScores scores;
+  };
+
+  /// Interns `pred`; returns its id for AddPattern.
+  uint32_t AddPredicate(PatternPredicate pred);
+
+  /// Adds the pattern whose predicates are `ids[0, n)` (interned ids, in
+  /// any order, at most one per column); returns its index.
+  uint32_t AddPattern(const uint32_t* ids, size_t n);
+
+  void AddEntry(uint32_t pattern, int primary, const PatternScores& scores) {
+    entries_.push_back(Entry{pattern, primary, scores});
+  }
+
+  const std::vector<Entry>& entries() const { return entries_; }
+  size_t num_patterns() const { return key_end_.size(); }
+
+  /// Pattern::Key() of pattern `i`, byte for byte.
+  std::string_view Key(uint32_t i) const {
+    const size_t begin = i == 0 ? 0 : key_end_[i - 1];
+    return std::string_view(keys_).substr(begin, key_end_[i] - begin);
+  }
+
+  /// Materializes pattern `i` (predicates sorted by column).
+  Pattern MakePattern(uint32_t i) const;
+
+  /// Diversity score D(phi_a, phi_b) of patterns `a` and `b` (Section 3.5):
+  /// per predicate of phi_a, +1 when phi_b leaves its attribute free, -0.3
+  /// when phi_b binds it to a different constant, -2 to the same constant;
+  /// averaged over |phi_a| (1 for the empty pattern).
+  double Diversity(uint32_t a, uint32_t b) const;
+
+ private:
+  std::vector<PatternPredicate> preds_;
+  std::vector<std::string> tokens_;    ///< KeyToken() per interned predicate
+  std::vector<uint32_t> pattern_ids_;  ///< every pattern's sorted id run
+  std::vector<size_t> ids_end_;        ///< end of pattern i's run
+  std::string keys_;                   ///< every pattern's Key()
+  std::vector<size_t> key_end_;        ///< end of pattern i's key
+  std::vector<Entry> entries_;
+};
+
 /// \brief Mines top-k explanation patterns from an APT.
 ///
 /// Step timings are charged to the profiler under the paper's breakdown-row
-/// names: "Feature Selection", "Gen. Pat. Cand.", "Sampling for F1",
-/// "F-score Calc.", "Refine Patterns".
+/// names, each as exclusive self time (no step contains another, so the
+/// steps sum to at most the Mine() wall time): "Feature Selection",
+/// "Sampling for F1", "Gen. Pat. Cand.", "F-score Calc." (recall-filtering
+/// the LCA candidates, then scoring every refinement and pooling the
+/// qualifiers), "Refine Patterns" (fragment boundaries, the per-predicate
+/// masks, and the mask ANDs that generate refinements). Refinement keeps
+/// its two self times in locals and charges them once per call. Ranking
+/// and the exact re-scoring of the winners are charged to no step.
 ///
 /// Mine() is const and keeps all scratch state (RefineContext, kernels,
-/// coverage bitmaps, selection arenas) on its own stack, so distinct
+/// masks, the candidate pool) on its own stack, so distinct
 /// miners — or one miner with distinct profilers/RNGs — may run
 /// concurrently on different APTs. The parallel explainer constructs one
 /// PatternMiner + StepProfiler per join-graph task and relies on this.
@@ -100,16 +164,13 @@ class PatternMiner {
   StepProfiler* profiler_;
 };
 
-/// Diversity score D(phi, phi') from Section 3.5: per attribute of phi, +1
-/// when phi' leaves it free, -0.3 when both bind it with different
-/// constants, -2 with the same constant; averaged over |phi|.
-double DiversityScore(const Pattern& a, const Pattern& b);
-
-/// Greedy diversity-aware selection: repeatedly picks the candidate with the
-/// highest wscore = F-score + min over selected D(phi, phi'). Returns indexes
-/// into `pool`. With `use_diversity` false, returns the top-k by F-score.
-std::vector<size_t> SelectTopKDiverse(const std::vector<MinedPattern>& pool,
-                                      size_t k, bool use_diversity);
+/// Greedy diversity-aware selection (Section 3.5): sorts the entries by
+/// F-score (ties by Key()), then over the best 2000 repeatedly picks the
+/// candidate with the highest wscore = F-score + min over selected
+/// CandidatePool::Diversity. Returns indexes into pool.entries(). With
+/// `use_diversity` false, returns the top-k by F-score.
+std::vector<size_t> SelectTopKDiverse(const CandidatePool& pool, size_t k,
+                                      bool use_diversity);
 
 }  // namespace cajade
 

@@ -31,6 +31,10 @@ PatternPredicate PatternPredicate::Make(const Table& apt_table, int col,
   return p;
 }
 
+std::string PatternPredicate::KeyToken() const {
+  return Format("%d%s%s", col, PredOpToString(op), value.ToString().c_str());
+}
+
 bool Pattern::IsFree(int col) const { return Find(col) == nullptr; }
 
 const PatternPredicate* Pattern::Find(int col) const {
@@ -97,10 +101,7 @@ bool Pattern::Matches(const Table& apt_table, size_t row) const {
 std::string Pattern::Key() const {
   std::vector<std::string> parts;
   parts.reserve(preds.size());
-  for (const auto& p : preds) {
-    parts.push_back(Format("%d%s%s", p.col, PredOpToString(p.op),
-                           p.value.ToString().c_str()));
-  }
+  for (const auto& p : preds) parts.push_back(p.KeyToken());
   return Join(parts, "&");
 }
 

@@ -37,6 +37,9 @@ struct PatternPredicate {
   /// Builds a predicate with caches resolved against `apt_table`.
   static PatternPredicate Make(const Table& apt_table, int col, PredOp op,
                                Value value);
+
+  /// This predicate's part of Pattern::Key(): column, operator, constant.
+  std::string KeyToken() const;
 };
 
 /// \brief A summarization pattern.
@@ -63,7 +66,8 @@ struct Pattern {
   /// never match.
   bool Matches(const Table& apt_table, size_t row) const;
 
-  /// Canonical identity string (deduplication).
+  /// Canonical identity string (deduplication, ranking tie-breaks): the
+  /// predicates' KeyToken()s joined by '&'.
   std::string Key() const;
 
   /// Human-readable rendering, e.g. "player=S.Curry AND pts>=23".

@@ -1,5 +1,7 @@
 #include "src/mining/quality.h"
 
+#include <cassert>
+
 namespace cajade {
 
 MetricsView FullView(const AptSliceSet& ss, const PtClasses& classes) {
@@ -157,20 +159,27 @@ void CoverageScorer::Build(const PtClasses& classes, const MetricsView& view) {
   n_class_[1] = view.n2;
 }
 
-void CoverageScorer::CoverageFromMask(const CoverageBitmap& rows,
+void CoverageScorer::CoverageFromMask(const uint64_t* rows, size_t num_words,
                                       const std::vector<int32_t>& pt_row,
                                       CoverageBitmap* covered) {
-  ForEachSetBit(rows.words().data(), rows.num_words(), [&](size_t r) {
+  ForEachSetBit(rows, num_words, [&](size_t r) {
     covered->Set(static_cast<size_t>(pt_row[r]));
   });
 }
 
 PatternScores CoverageScorer::Score(const CoverageBitmap& covered,
                                     int primary) const {
-  int64_t covered_primary =
-      static_cast<int64_t>(covered.AndPopcount(class_mask_[primary]));
-  int64_t covered_other =
-      static_cast<int64_t>(covered.AndPopcount(class_mask_[1 - primary]));
+  assert(covered.num_bits() == num_positions());
+  return Score(covered.words().data(), primary);
+}
+
+PatternScores CoverageScorer::Score(const uint64_t* covered_words,
+                                    int primary) const {
+  const size_t words = class_mask_[0].num_words();
+  int64_t covered_primary = static_cast<int64_t>(AndPopcount(
+      covered_words, class_mask_[primary].words().data(), words));
+  int64_t covered_other = static_cast<int64_t>(AndPopcount(
+      covered_words, class_mask_[1 - primary].words().data(), words));
   return ScoresFromCounts(covered_primary, covered_other,
                           static_cast<int64_t>(n_class_[primary]));
 }

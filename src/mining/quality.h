@@ -100,6 +100,9 @@ class CoverageScorer {
   size_t num_positions() const { return class_mask_[0].num_bits(); }
 
   PatternScores Score(const CoverageBitmap& covered, int primary) const;
+  /// The same over raw words: `covered_words` holds
+  /// CoverageBitmap::NumWords(num_positions()) words.
+  PatternScores Score(const uint64_t* covered_words, int primary) const;
 
   /// Fills `*covered` (Reset to num_positions()) from matched APT rows:
   /// covered bit apt.pt_row[r] set for every r in rows.
@@ -115,6 +118,12 @@ class CoverageScorer {
   /// pt_row is the identity (Apt::PtRowIsIdentity), skip this entirely and
   /// Score the match mask itself — the mask *is* the coverage set.
   static void CoverageFromMask(const CoverageBitmap& rows,
+                               const std::vector<int32_t>& pt_row,
+                               CoverageBitmap* covered) {
+    CoverageFromMask(rows.words().data(), rows.num_words(), pt_row, covered);
+  }
+  /// The same over a raw mask of `num_words` words.
+  static void CoverageFromMask(const uint64_t* rows, size_t num_words,
                                const std::vector<int32_t>& pt_row,
                                CoverageBitmap* covered);
 

@@ -1,9 +1,16 @@
 // Tests for src/mining: patterns (matching, refinement), quality metrics
-// (Definition 7), LCA candidate generation, the miner (Algorithm 1), and
-// the recall-monotonicity property (Proposition 3.1) as a parameterized
+// (Definition 7), LCA candidate generation, the miner (Algorithm 1) —
+// including its ranking against the first implementation and its
+// refinement across shard sizes, samples and budgets — and the
+// recall-monotonicity property (Proposition 3.1) as a parameterized
 // property sweep.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <set>
+#include <string>
 
 #include "src/core/config.h"
 #include "src/mining/lca.h"
@@ -332,6 +339,34 @@ TEST(MinerTest, FindsDiscriminativePattern) {
   }
 }
 
+/// Every observable of two Mine() results must agree: counters, the ranked
+/// patterns and primaries, sampled and exact scores, supports.
+void ExpectSameMineResult(const MineResult& a, const MineResult& b) {
+  EXPECT_EQ(a.apt_rows, b.apt_rows);
+  EXPECT_EQ(a.num_attributes, b.num_attributes);
+  EXPECT_EQ(a.selected_attributes, b.selected_attributes);
+  EXPECT_EQ(a.lca_candidates, b.lca_candidates);
+  EXPECT_EQ(a.patterns_evaluated, b.patterns_evaluated);
+  EXPECT_EQ(a.budget_exhausted, b.budget_exhausted);
+  ASSERT_EQ(a.top_k.size(), b.top_k.size());
+  for (size_t i = 0; i < a.top_k.size(); ++i) {
+    const MinedPattern& x = a.top_k[i];
+    const MinedPattern& y = b.top_k[i];
+    EXPECT_EQ(x.pattern.Key(), y.pattern.Key()) << "rank " << i;
+    EXPECT_EQ(x.primary, y.primary) << "rank " << i;
+    EXPECT_EQ(x.scores.tp, y.scores.tp);
+    EXPECT_EQ(x.scores.fp, y.scores.fp);
+    EXPECT_EQ(x.scores.fscore, y.scores.fscore);
+    EXPECT_EQ(x.exact.tp, y.exact.tp);
+    EXPECT_EQ(x.exact.fp, y.exact.fp);
+    EXPECT_EQ(x.exact.fscore, y.exact.fscore);
+    EXPECT_EQ(x.support_primary, y.support_primary);
+    EXPECT_EQ(x.total_primary, y.total_primary);
+    EXPECT_EQ(x.support_other, y.support_other);
+    EXPECT_EQ(x.total_other, y.total_other);
+  }
+}
+
 TEST(MinerTest, ShardedMineBitIdentical) {
   // The shard-native miner must reproduce the unsharded result exactly —
   // same patterns, same order, same scores, same counters — at any shard
@@ -350,28 +385,7 @@ TEST(MinerTest, ShardedMineBitIdentical) {
       MineResult split = miner.Mine(sa, fx.classes, &rng2).ValueOrDie();
       SCOPED_TRACE("shard_pts=" + std::to_string(shard_pts) +
                    " rate=" + std::to_string(sample_rate));
-      EXPECT_EQ(split.apt_rows, whole.apt_rows);
-      EXPECT_EQ(split.num_attributes, whole.num_attributes);
-      EXPECT_EQ(split.selected_attributes, whole.selected_attributes);
-      EXPECT_EQ(split.lca_candidates, whole.lca_candidates);
-      EXPECT_EQ(split.patterns_evaluated, whole.patterns_evaluated);
-      EXPECT_EQ(split.budget_exhausted, whole.budget_exhausted);
-      ASSERT_EQ(split.top_k.size(), whole.top_k.size());
-      for (size_t i = 0; i < whole.top_k.size(); ++i) {
-        const MinedPattern& w = whole.top_k[i];
-        const MinedPattern& s = split.top_k[i];
-        EXPECT_EQ(s.pattern.Key(), w.pattern.Key());
-        EXPECT_EQ(s.primary, w.primary);
-        EXPECT_EQ(s.scores.tp, w.scores.tp);
-        EXPECT_EQ(s.scores.fp, w.scores.fp);
-        EXPECT_EQ(s.exact.tp, w.exact.tp);
-        EXPECT_EQ(s.exact.fp, w.exact.fp);
-        EXPECT_DOUBLE_EQ(s.exact.fscore, w.exact.fscore);
-        EXPECT_EQ(s.support_primary, w.support_primary);
-        EXPECT_EQ(s.total_primary, w.total_primary);
-        EXPECT_EQ(s.support_other, w.support_other);
-        EXPECT_EQ(s.total_other, w.total_other);
-      }
+      ExpectSameMineResult(split, whole);
     }
   }
 }
@@ -413,21 +427,377 @@ TEST(MinerTest, DiversityChangesSelection) {
   EXPECT_GE(distinct_shapes(with), distinct_shapes(without));
 }
 
-TEST(DiversityScoreTest, MatchesPaperFormula) {
+TEST(DiversityTest, MatchesPaperFormula) {
   AptFixture fx;
   auto eq = [&](int col, const char* v) {
     return PatternPredicate::Make(fx.apt.table, col, PredOp::kEq, Value(v));
   };
-  Pattern a;
-  a.preds = {eq(0, "a")};
-  Pattern b_free;  // attribute not used: +1
-  EXPECT_DOUBLE_EQ(DiversityScore(a, b_free), 1.0);
-  Pattern b_same;
-  b_same.preds = {eq(0, "a")};  // same constant: -2
-  EXPECT_DOUBLE_EQ(DiversityScore(a, b_same), -2.0);
-  Pattern b_diff;
-  b_diff.preds = {eq(0, "b")};  // different constant: -0.3
-  EXPECT_DOUBLE_EQ(DiversityScore(a, b_diff), -0.3);
+  auto le = [&](int col, int64_t v) {
+    return PatternPredicate::Make(fx.apt.table, col, PredOp::kLe, Value(v));
+  };
+  CandidatePool pool;
+  auto add = [&](std::vector<PatternPredicate> preds) {
+    std::vector<uint32_t> ids;
+    for (PatternPredicate& p : preds) ids.push_back(pool.AddPredicate(p));
+    return pool.AddPattern(ids.data(), ids.size());
+  };
+  uint32_t a = add({eq(0, "a")});
+  uint32_t b_free = add({});          // attribute not used: +1
+  uint32_t b_same = add({eq(0, "a")});  // same constant: -2
+  uint32_t b_diff = add({eq(0, "b")});  // different constant: -0.3
+  EXPECT_DOUBLE_EQ(pool.Diversity(a, b_free), 1.0);
+  EXPECT_DOUBLE_EQ(pool.Diversity(a, b_same), -2.0);
+  EXPECT_DOUBLE_EQ(pool.Diversity(a, b_diff), -0.3);
+  EXPECT_DOUBLE_EQ(pool.Diversity(b_free, a), 1.0);
+  // Averaged over the first pattern's predicates.
+  uint32_t two = add({eq(0, "a"), le(1, 50)});
+  EXPECT_DOUBLE_EQ(pool.Diversity(two, a), (-2.0 + 1.0) / 2);
+  EXPECT_DOUBLE_EQ(pool.Diversity(a, two), -2.0);
+}
+
+// ---- Ranking (Section 3.5) against the first implementation ----------------
+
+/// The diversity score as first written, over materialized patterns.
+double ReferenceDiversityScore(const Pattern& a, const Pattern& b) {
+  if (a.preds.empty()) return 1.0;
+  double sum = 0.0;
+  for (const auto& pa : a.preds) {
+    const PatternPredicate* pb = b.Find(pa.col);
+    if (pb == nullptr) {
+      sum += 1.0;
+    } else if (pa.value == pb->value) {
+      sum += -2.0;
+    } else {
+      sum += -0.3;
+    }
+  }
+  return sum / static_cast<double>(a.preds.size());
+}
+
+/// SelectTopKDiverse as first written, kept as the oracle: Key() strings
+/// formatted per entry for the tie-breaks, and every candidate's diversity
+/// recomputed against every pick in every round (O(k^2 * window)).
+std::vector<size_t> ReferenceSelectTopKDiverse(
+    const std::vector<MinedPattern>& pool, size_t k, bool use_diversity) {
+  std::vector<std::string> keys(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) keys[i] = pool[i].pattern.Key();
+  std::vector<size_t> order(pool.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (pool[a].scores.fscore != pool[b].scores.fscore) {
+      return pool[a].scores.fscore > pool[b].scores.fscore;
+    }
+    return keys[a] < keys[b];
+  });
+  if (!use_diversity) {
+    if (order.size() > k) order.resize(k);
+    return order;
+  }
+  const size_t kDiversityWindow = 2000;
+  if (order.size() > kDiversityWindow) order.resize(kDiversityWindow);
+  std::vector<size_t> selected;
+  std::vector<bool> used(order.size(), false);
+  while (selected.size() < k) {
+    double best_score = -1e18;
+    size_t best_pos = SIZE_MAX;
+    for (size_t pos = 0; pos < order.size(); ++pos) {
+      if (used[pos]) continue;
+      const MinedPattern& cand = pool[order[pos]];
+      double wscore = cand.scores.fscore;
+      if (!selected.empty()) {
+        double min_d = 1e18;
+        for (size_t s : selected) {
+          min_d = std::min(min_d,
+                           ReferenceDiversityScore(cand.pattern, pool[s].pattern));
+        }
+        wscore += min_d;
+      }
+      if (wscore > best_score) {
+        best_score = wscore;
+        best_pos = pos;
+      }
+    }
+    if (best_pos == SIZE_MAX) break;
+    used[best_pos] = true;
+    selected.push_back(order[best_pos]);
+  }
+  return selected;
+}
+
+/// A random pattern over columns 0..5 with tiny domains, so keys and
+/// diversity scores collide often: equality on "string" columns 0-2 (values
+/// with spaces and '&'), <=/>= on numeric columns 3-5 (negative ints,
+/// integral and fractional doubles). At least one predicate; sorted by
+/// column like every Pattern.
+Pattern RandomPattern(Rng* rng) {
+  static const char* kWords[] = {"a", "a b", "a&b", "b", "a b&c", "-3"};
+  Pattern p;
+  while (p.empty()) {
+    for (int col = 0; col < 6; ++col) {
+      if (!rng->Bernoulli(0.4)) continue;
+      PatternPredicate pred;
+      pred.col = col;
+      if (col < 3) {
+        pred.op = PredOp::kEq;
+        pred.value = Value(kWords[rng->NextBounded(6)]);
+      } else {
+        pred.op = rng->Bernoulli(0.5) ? PredOp::kLe : PredOp::kGe;
+        switch (rng->NextBounded(3)) {
+          case 0:
+            pred.value = Value(rng->UniformInt(-12, 12));
+            break;
+          case 1:
+            pred.value = Value(static_cast<double>(rng->UniformInt(-3, 3)));
+            break;
+          default:
+            pred.value = Value(rng->UniformInt(-30, 30) / 8.0);
+        }
+      }
+      p.preds.push_back(pred);
+    }
+  }
+  return p;
+}
+
+/// Adds `p` to `pool` through interned predicates handed over in a shuffled
+/// order (AddPattern must restore Pattern's column order).
+uint32_t AddToPool(const Pattern& p, Rng* rng, CandidatePool* pool) {
+  std::vector<uint32_t> ids;
+  for (const PatternPredicate& pred : p.preds) {
+    ids.push_back(pool->AddPredicate(pred));
+  }
+  rng->Shuffle(&ids);
+  return pool->AddPattern(ids.data(), ids.size());
+}
+
+TEST(CandidatePoolTest, TokenBuiltKeysEqualPatternKey) {
+  Rng rng(11);
+  CandidatePool pool;
+  for (int i = 0; i < 2000; ++i) {
+    Pattern p = RandomPattern(&rng);
+    uint32_t id = AddToPool(p, &rng, &pool);
+    ASSERT_EQ(pool.Key(id), p.Key());
+    Pattern made = pool.MakePattern(id);
+    ASSERT_EQ(made.Key(), p.Key());
+    ASSERT_EQ(made.size(), p.size());
+  }
+  // The token format itself, on the cases the random patterns mix.
+  auto pred = [](int col, PredOp op, Value v) {
+    PatternPredicate p;
+    p.col = col;
+    p.op = op;
+    p.value = std::move(v);
+    return p;
+  };
+  Pattern p;
+  p.preds = {pred(0, PredOp::kEq, Value("a b&c")),
+             pred(3, PredOp::kLe, Value(int64_t{-7})),
+             pred(4, PredOp::kGe, Value(2.0)),
+             pred(5, PredOp::kLe, Value(-0.375))};
+  EXPECT_EQ(p.Key(), "0=a b&c&3<=-7&4>=2.0&5<=-0.375");
+  CandidatePool one;
+  EXPECT_EQ(one.Key(AddToPool(p, &rng, &one)), p.Key());
+}
+
+TEST(SelectTopKDiverseTest, MatchesReferenceOnTieHeavyPools) {
+  // <= 5 distinct F-scores, every pattern pooled for both primaries, pools
+  // below and above the 2000-entry diversity window.
+  const double kScores[] = {0.25, 0.5, 0.6, 0.75, 1.0};
+  for (size_t num_patterns : {300u, 1500u}) {
+    for (uint64_t seed : {1u, 2u}) {
+      Rng rng(seed * 1000 + num_patterns);
+      CandidatePool pool;
+      std::vector<MinedPattern> flat;
+      for (size_t i = 0; i < num_patterns; ++i) {
+        Pattern p = RandomPattern(&rng);
+        uint32_t id = AddToPool(p, &rng, &pool);
+        for (int primary = 0; primary < 2; ++primary) {
+          MinedPattern mp;
+          mp.pattern = p;
+          mp.primary = primary;
+          mp.scores.fscore = kScores[rng.NextBounded(5)];
+          pool.AddEntry(id, primary, mp.scores);
+          flat.push_back(std::move(mp));
+        }
+      }
+      for (size_t k : {1u, 10u, 50u}) {
+        for (bool diversity : {true, false}) {
+          SCOPED_TRACE("patterns=" + std::to_string(num_patterns) +
+                       " seed=" + std::to_string(seed) +
+                       " k=" + std::to_string(k) +
+                       " diversity=" + std::to_string(diversity));
+          EXPECT_EQ(SelectTopKDiverse(pool, k, diversity),
+                    ReferenceSelectTopKDiverse(flat, k, diversity));
+        }
+      }
+    }
+  }
+}
+
+// ---- Refinement: shard-, sample- and budget-stable, scored as defined -----
+
+/// A NULL-heavy random APT: PT positions with 1-3 APT rows each, string,
+/// INT64 and DOUBLE columns whose values lean on the class, and about a
+/// third of all cells NULL.
+struct RandomAptFixture {
+  Apt apt;
+  PtClasses classes;
+
+  explicit RandomAptFixture(uint64_t seed) {
+    Rng rng(seed);
+    Schema schema({{"s1", DataType::kString},
+                   {"i1", DataType::kInt64},
+                   {"d1", DataType::kDouble},
+                   {"s2", DataType::kString},
+                   {"i2", DataType::kInt64},
+                   {"d2", DataType::kDouble}});
+    Table t("APT", std::move(schema));
+    static const char* kWords[] = {"a", "b b", "c&d", "e", "f"};
+    const size_t n = 60 + rng.NextBounded(90);
+    for (size_t p = 0; p < n; ++p) {
+      const int cls = rng.Bernoulli(0.45) ? 1 : 0;
+      const size_t copies = 1 + rng.NextBounded(3);
+      for (size_t c = 0; c < copies; ++c) {
+        auto maybe = [&](Value v) {
+          return rng.Bernoulli(0.35) ? Value::Null() : std::move(v);
+        };
+        (void)t.AppendRow(
+            {maybe(Value(kWords[cls * 2 + rng.NextBounded(3)])),
+             maybe(Value(rng.UniformInt(-20, 40) + cls * 15)),
+             maybe(Value(rng.UniformDouble() * 10 + cls * 3)),
+             maybe(Value(kWords[rng.NextBounded(5)])),
+             maybe(Value(static_cast<int64_t>(rng.NextBounded(4)))),
+             maybe(Value(static_cast<double>(rng.NextBounded(5)) / 2 - 1))});
+        apt.pt_row.push_back(static_cast<int32_t>(p));
+      }
+      apt.pt_rows_used.push_back(static_cast<int64_t>(p));
+      classes.push_back(static_cast<int8_t>(cls));
+    }
+    apt.table = std::move(t);
+    apt.num_pt_columns = 0;
+    apt.pattern_cols = {0, 1, 2, 3, 4, 5};
+  }
+};
+
+TEST(MinerTest, RefinementStableAcrossShardsSamplesAndBudgets) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    RandomAptFixture fx(seed);
+    const size_t n = fx.apt.pt_rows_used.size();
+    for (double rate : {1.0, 0.3}) {
+      for (int budget = 0; budget < 3; ++budget) {
+        CajadeConfig config;
+        config.sel_attr = 1.0;
+        config.f1_sample_rate = rate;
+        if (budget == 1) config.refinement_budget = 10;
+        // Every candidate off the first seed charges about the APT's row
+        // count, so this trips inside the first seed's refinement tree.
+        if (budget == 2) config.refinement_row_budget = fx.apt.num_rows() * 5;
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " rate=" + std::to_string(rate) +
+                     " budget=" + std::to_string(budget));
+        PatternMiner miner(&config, nullptr);
+        Rng rng(seed);
+        MineResult whole = miner.Mine(fx.apt, fx.classes, &rng).ValueOrDie();
+        ASSERT_FALSE(whole.top_k.empty());
+        EXPECT_EQ(whole.budget_exhausted, budget > 0);
+        if (budget == 1) {
+          EXPECT_EQ(whole.patterns_evaluated, 10u);
+        }
+        for (size_t shard_pts : {size_t{1}, size_t{7}, size_t{64}, n}) {
+          SCOPED_TRACE("shard_pts=" + std::to_string(shard_pts));
+          ShardedApt sa = SplitApt(fx.apt, shard_pts);
+          Rng rng2(seed);
+          ExpectSameMineResult(
+              miner.Mine(sa, fx.classes, &rng2).ValueOrDie(), whole);
+        }
+        // Exact scores are Definition 7 evaluated row by row.
+        MetricsView full = FullView(fx.apt, fx.classes);
+        for (const MinedPattern& mp : whole.top_k) {
+          PatternScores s =
+              ScorePattern(mp.pattern, fx.apt, fx.classes, full, mp.primary);
+          EXPECT_EQ(mp.exact.tp, s.tp) << mp.pattern.Key();
+          EXPECT_EQ(mp.exact.fp, s.fp) << mp.pattern.Key();
+          EXPECT_EQ(mp.exact.fn, s.fn) << mp.pattern.Key();
+          EXPECT_EQ(mp.exact.fscore, s.fscore) << mp.pattern.Key();
+        }
+      }
+    }
+  }
+}
+
+TEST(MinerTest, Int64BoundariesAreColumnValues) {
+  // Values near INT64_MAX and beyond 2^53, where a double cannot tell
+  // neighbours apart: class 0 sits at the top of the range, class 1 just
+  // above 2^53.
+  Schema schema({{"big", DataType::kInt64}, {"small", DataType::kInt64}});
+  Table t("APT", std::move(schema));
+  Apt apt;
+  PtClasses classes;
+  std::set<int64_t> values;
+  const int64_t kTwo53 = int64_t{1} << 53;
+  for (int p = 0; p < 40; ++p) {
+    const bool class0 = p < 22;
+    const int64_t big = class0 ? INT64_MAX - 3 * (p % 7) : kTwo53 + 1 + 2 * p;
+    values.insert(big);
+    (void)t.AppendRow({Value(big), Value(int64_t{p % 5})});
+    apt.pt_row.push_back(p);
+    apt.pt_rows_used.push_back(p);
+    classes.push_back(class0 ? 0 : 1);
+  }
+  apt.table = std::move(t);
+  apt.pattern_cols = {0, 1};
+  CajadeConfig config;
+  config.num_fragments = 5;
+  PatternMiner miner(&config, nullptr);
+  Rng rng(3);
+  MineResult result = miner.Mine(apt, classes, &rng).ValueOrDie();
+  ASSERT_FALSE(result.top_k.empty());
+  size_t quoted = 0;
+  for (const MinedPattern& mp : result.top_k) {
+    const PatternPredicate* pred = mp.pattern.Find(0);
+    if (pred == nullptr) continue;
+    ++quoted;
+    ASSERT_TRUE(pred->value.is_int()) << mp.pattern.Key();
+    EXPECT_EQ(values.count(pred->value.AsInt()), 1u) << mp.pattern.Key();
+  }
+  EXPECT_GT(quoted, 0u);
+  // The split between the classes is exact at int64 precision.
+  EXPECT_EQ(result.top_k[0].exact.fscore, 1.0);
+}
+
+TEST(MinerTest, DoubleColumnWithNaNsMines) {
+  Schema schema({{"d", DataType::kDouble}, {"i", DataType::kInt64}});
+  Table t("APT", std::move(schema));
+  Apt apt;
+  PtClasses classes;
+  for (int p = 0; p < 50; ++p) {
+    const bool class0 = p < 25;
+    const double d = p % 3 == 0 ? std::nan("") : (class0 ? 10.0 + p : -p / 4.0);
+    (void)t.AppendRow({Value(d), Value(int64_t{p % 4})});
+    apt.pt_row.push_back(p);
+    apt.pt_rows_used.push_back(p);
+    classes.push_back(class0 ? 0 : 1);
+  }
+  apt.table = std::move(t);
+  apt.pattern_cols = {0, 1};
+  CajadeConfig config;
+  PatternMiner miner(&config, nullptr);
+  Rng rng(5);
+  Result<MineResult> result = miner.Mine(apt, classes, &rng);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_FALSE(result->top_k.empty());
+  MetricsView full = FullView(apt, classes);
+  size_t quoted = 0;
+  for (const MinedPattern& mp : result->top_k) {
+    if (const PatternPredicate* pred = mp.pattern.Find(0)) {
+      ++quoted;
+      EXPECT_FALSE(std::isnan(pred->value.AsDouble())) << mp.pattern.Key();
+    }
+    PatternScores s = ScorePattern(mp.pattern, apt, classes, full, mp.primary);
+    EXPECT_EQ(mp.exact.tp, s.tp) << mp.pattern.Key();
+    EXPECT_EQ(mp.exact.fp, s.fp) << mp.pattern.Key();
+  }
+  EXPECT_GT(quoted, 0u);
 }
 
 // ---- Proposition 3.1 as a property sweep ----------------------------------

@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
-"""Docs link checker: fails on dead relative links in README.md and docs/.
+"""Docs link checker: fails on dead relative links in README.md and docs/,
+and on markdown files cited in source comments that do not exist.
 
 Scans markdown inline links [text](target) and bare reference definitions
 [label]: target. External targets (http/https/mailto) are skipped;
 everything else is resolved relative to the containing file and must exist
 in the working tree. Directory targets are allowed (e.g. a link to docs/).
+
+Source comments (// and /* */ in .h/.cc/.cpp files under src/, bench/,
+tests/ and examples/) that name a markdown file, such as
+"see docs/SERVING.md", must name one that exists relative to the repo root
+or to the source file's directory. A doc renamed or never written otherwise
+leaves comments pointing nowhere. URLs in comments are skipped.
 
 Fragments are validated, not stripped: a target like FILE.md#some-section
 (or a pure in-page #some-section) must name a heading that actually exists
@@ -34,6 +41,12 @@ REF_DEF = re.compile(r"^\s*\[[^\]]+\]:\s+<?(\S+?)>?\s*$", re.MULTILINE)
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
+
+SOURCE_DIRS = ("src", "bench", "tests", "examples")
+SOURCE_EXTS = (".h", ".cc", ".cpp")
+COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+URL = re.compile(r"\w+://\S+")
+MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def strip_code(text):
@@ -114,6 +127,33 @@ def check_file(md_path, root):
     return dead
 
 
+def source_files(root):
+    files = []
+    for sub in SOURCE_DIRS:
+        for dirpath, _, names in os.walk(os.path.join(root, sub)):
+            files += [os.path.join(dirpath, n) for n in names
+                      if n.endswith(SOURCE_EXTS)]
+    return sorted(files)
+
+
+def dead_md_names(path, root):
+    """(line, name) for every markdown file a comment in `path` cites that
+    exists neither under the repo root nor beside `path`."""
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    dead = []
+    for comment in COMMENT.finditer(text):
+        body = URL.sub(lambda m: " " * len(m.group(0)), comment.group(0))
+        for m in MD_NAME.finditer(body):
+            name = m.group(0)
+            if any(os.path.exists(os.path.join(base, name))
+                   for base in (root, os.path.dirname(path))):
+                continue
+            line = text.count("\n", 0, comment.start() + m.start()) + 1
+            dead.append((line, name))
+    return dead
+
+
 def run(root):
     files = [os.path.join(root, "README.md")]
     docs_dir = os.path.join(root, "docs")
@@ -135,10 +175,18 @@ def run(root):
             print(f"DEAD LINK {rel}: ({target}) -> {why}")
             failures += 1
 
+    sources = source_files(root)
+    for path in sources:
+        for line, name in dead_md_names(path, root):
+            rel = os.path.relpath(path, root)
+            print(f"DEAD DOC REFERENCE {rel}:{line}: {name} -> no such file")
+            failures += 1
+
     if failures:
         print(f"{failures} dead link(s)")
         return 1
-    print(f"checked {len(files)} file(s): all links and anchors resolve")
+    print(f"checked {len(files)} doc(s) and {len(sources)} source file(s): "
+          f"all links, anchors and cited docs resolve")
     return 0
 
 
@@ -183,6 +231,18 @@ def self_test():
          ("README.md", "[x](docs/GUIDE.md#renamed-section)\n"), True),
         ("out-of-range duplicate anchor caught",
          ("README.md", "[x](docs/GUIDE.md#details-2)\n"), True),
+        ("source comment citing an existing doc passes",
+         ("src/widget.h", "// Widgets; see docs/GUIDE.md.\nint w;\n"), False),
+        ("source comment citing a missing doc caught",
+         ("src/widget.h", "// Widgets; see DESIGN.md Section 1.\nint w;\n"),
+         True),
+        ("missing doc in a bench block comment caught",
+         ("bench/bench_w.cc", "/* Compares widgets\n   (docs/NOPE.md). */\n"),
+         True),
+        (".md in a string literal or a URL NOT flagged",
+         ("tests/w_test.cc",
+          "const char* k = \"NOPE.md\";  // https://example.com/NOPE.md\n"),
+         False),
     ]
     misses = 0
     for name, patch, expect_fail in cases:
@@ -193,7 +253,9 @@ def self_test():
             with open(os.path.join(root, "docs", "GUIDE.md"), "w") as f:
                 f.write(GOOD_GUIDE)
             if patch:
-                with open(os.path.join(root, patch[0]), "w") as f:
+                path = os.path.join(root, patch[0])
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w") as f:
                     f.write(patch[1])
             # anchors_in caches by path; temp dirs are unique per case, so
             # the cache cannot leak stale fixture state between cases.
