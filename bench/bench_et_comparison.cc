@@ -29,7 +29,7 @@ int main() {
       BuildPathJoinGraph(sg, "game", {"player_game_stats", "player"})
           .ValueOrDie();
   Explainer explainer(&db, &sg);
-  Apt apt = explainer.BuildApt(query, question, graph).ValueOrDie();
+  ShardedApt apt = explainer.BuildApt(query, question, graph).ValueOrDie();
   std::printf("APT: %zu rows, %zu pattern attributes (%s)\n", apt.num_rows(),
               apt.pattern_cols.size(), graph.Describe().c_str());
 
@@ -49,15 +49,16 @@ int main() {
       outcome[i] = t1_rows.count(apt.pt_rows_used[i]) > 0 ? 1 : 0;
     }
   }
-  std::vector<int8_t> row_outcome(apt.num_rows());
-  for (size_t r = 0; r < apt.num_rows(); ++r) {
-    row_outcome[r] = outcome[apt.pt_row[r]];
+  std::vector<int8_t> row_outcome;  // per global APT row
+  row_outcome.reserve(apt.num_rows());
+  for (const AptShard& shard : apt.shards) {
+    for (int32_t p : shard.pt_row) row_outcome.push_back(outcome[p]);
   }
 
   // ET operates on categorical data: bin the numeric columns (Appendix A.1's
   // preprocessing), and apply CaJaDE's feature selection for fairness as the
   // paper does.
-  Apt binned = BinNumericColumns(apt);
+  ShardedApt binned = BinNumericColumns(apt);
 
   std::vector<size_t> sizes =
       FullRuns() ? std::vector<size_t>{16, 64, 256, 512}
@@ -97,7 +98,7 @@ int main() {
   auto table = et.Build(binned, row_outcome, &rng);
   for (size_t i = 0; i < table.size(); ++i) {
     std::printf("%2zu. %s  (rate=%.2f, count=%lld, gain=%.3f)\n", i + 1,
-                table[i].pattern.Describe(binned.table).c_str(),
+                table[i].pattern.Describe(binned.schema_table()).c_str(),
                 table[i].outcome_rate,
                 static_cast<long long>(table[i].count), table[i].gain);
   }

@@ -265,7 +265,7 @@ struct ExampleFixture {
   Database db;
   SchemaGraph sg;
   ProvenanceTable pt;
-  Apt apt;
+  ShardedApt apt;  // one shard
   PtClasses classes;
 
   static ExampleFixture& Get() {
@@ -303,23 +303,11 @@ struct ExampleFixture {
       }
       int node = g.AddNode("player_game_scoring");
       g.AddEdge({0, node, edge, cond, false, "game"});
-      fx->apt =
-          MaterializeApt(fx->pt, rows, g, fx->sg, fx->db).ValueOrDie();
+      fx->apt = MaterializeAptSharded(fx->pt, rows, g, fx->sg, fx->db, {}, 0)
+                    .ValueOrDie();
       return fx;
     }();
     return *f;
-  }
-
-  Pattern CurryPattern() const {
-    int player_col = apt.table.schema().FindColumn("player_game_scoring.player");
-    int pts_col = apt.table.schema().FindColumn("player_game_scoring.pts");
-    Pattern p;
-    p.preds.push_back(
-        PatternPredicate::Make(apt.table, player_col, PredOp::kEq,
-                               Value("S. Curry")));
-    p.preds.push_back(PatternPredicate::Make(apt.table, pts_col, PredOp::kGe,
-                                             Value(int64_t{23})));
-    return p;
   }
 };
 
@@ -412,13 +400,14 @@ BENCHMARK(BM_PatternKernelMatchMask);
 /// allocations per pattern (0 in steady state).
 void BM_RefineStep(benchmark::State& state) {
   auto& fx = ExampleFixture::Get();
-  int pts_col = fx.apt.table.schema().FindColumn("player_game_scoring.pts");
-  PatternPredicate pred = PatternPredicate::Make(fx.apt.table, pts_col,
+  const AptShard& shard = fx.apt.shards[0];
+  int pts_col = shard.table.schema().FindColumn("player_game_scoring.pts");
+  PatternPredicate pred = PatternPredicate::Make(shard.table, pts_col,
                                                  PredOp::kGe, Value(int64_t{10}));
-  const size_t rows = fx.apt.num_rows();
+  const size_t rows = shard.num_rows();
   const size_t words = CoverageBitmap::NumWords(rows);
   std::vector<uint64_t> pred_mask(words);
-  CompiledPredicate::Compile(pred, fx.apt.table).EvalMask(rows, pred_mask.data());
+  CompiledPredicate::Compile(pred, shard.table).EvalMask(rows, pred_mask.data());
   MetricsView full = FullView(fx.apt, fx.classes);
   CoverageScorer scorer(fx.classes, full);
   CoverageBitmap covered(scorer.num_positions());
@@ -432,7 +421,7 @@ void BM_RefineStep(benchmark::State& state) {
     size_t matched = AndPopcountInto(parent.words().data(), pred_mask.data(),
                                      words, child.data());
     covered.Reset(scorer.num_positions());
-    CoverageScorer::CoverageFromMask(child.data(), words, fx.apt.pt_row,
+    CoverageScorer::CoverageFromMask(child.data(), words, shard.pt_row,
                                      &covered);
     PatternScores s0 = scorer.Score(covered, 0);
     PatternScores s1 = scorer.Score(covered, 1);
@@ -449,7 +438,9 @@ void BM_LcaCandidates(benchmark::State& state) {
   auto& fx = ExampleFixture::Get();
   std::vector<int> cat_cols;
   for (int c : fx.apt.pattern_cols) {
-    if (fx.apt.table.column(c).type() == DataType::kString) cat_cols.push_back(c);
+    if (fx.apt.schema_table().column(c).type() == DataType::kString) {
+      cat_cols.push_back(c);
+    }
   }
   Rng rng(3);
   for (auto _ : state) {
@@ -482,7 +473,7 @@ BENCHMARK(BM_MineApt);
 struct NbaAptFixture {
   Database db;
   SchemaGraph sg;
-  Apt apt;
+  ShardedApt apt;  // one shard
   PtClasses classes;
 
   static NbaAptFixture& Get() {
@@ -508,8 +499,8 @@ struct NbaAptFixture {
       auto graph = std::find_if(graphs.begin(), graphs.end(), [](const JoinGraph& g) {
         return g.Describe() == "PT - player_game_stats";
       });
-      fx->apt = MaterializeApt(prepared.pt, prepared.pt_rows, *graph, fx->sg,
-                               fx->db)
+      fx->apt = MaterializeAptSharded(prepared.pt, prepared.pt_rows, *graph,
+                                      fx->sg, fx->db, {}, 0)
                     .ValueOrDie();
       fx->classes = prepared.classes;
       return fx;
@@ -739,8 +730,9 @@ void BM_MaterializeAptSeed(benchmark::State& state) {
 }
 BENCHMARK(BM_MaterializeAptSeed);
 
-/// The kernel path on the same graph: typed cached indexes + stats-fed
-/// sizing, prefix cache off (its effect is measured separately below).
+/// The kernel path on the same graph as one full-range shard: typed cached
+/// indexes + stats-fed sizing, prefix cache off (its effect is measured
+/// separately below).
 void BM_MaterializeAptKernel(benchmark::State& state) {
   auto& fx = AptBenchFixture::Get();
   AptIndexCache index_cache;
@@ -750,7 +742,8 @@ void BM_MaterializeAptKernel(benchmark::State& state) {
   options.stats = &stats;
   size_t apt_rows = 0;
   for (auto _ : state) {
-    auto apt = MaterializeApt(fx.pt, fx.rows, fx.g_ab, fx.sg, fx.db, options);
+    auto apt =
+        MaterializeAptSharded(fx.pt, fx.rows, fx.g_ab, fx.sg, fx.db, options, 0);
     apt_rows = apt.ValueOrDie().num_rows();
     benchmark::DoNotOptimize(apt_rows);
   }
@@ -763,8 +756,8 @@ BENCHMARK(BM_MaterializeAptKernel);
 /// kRows/8), serial shard loop — the honest configuration for the 1-core
 /// container. Wall time must stay close to BM_MaterializeAptKernel (the
 /// bench_diff gate allows 25%); the headline is `peak_state_bytes`, the
-/// high-water resident join-state footprint, reported next to the unsharded
-/// path's peak for the same graph.
+/// high-water resident join-state footprint, reported next to the one-shard
+/// peak for the same graph (counter `unsharded_peak_bytes`).
 void BM_MaterializeAptSharded(benchmark::State& state) {
   auto& fx = AptBenchFixture::Get();
   AptIndexCache index_cache;
@@ -772,11 +765,11 @@ void BM_MaterializeAptSharded(benchmark::State& state) {
   AptMaterializeOptions options;
   options.index_cache = &index_cache;
   options.stats = &stats;
-  size_t unsharded_peak = [&] {
+  size_t one_shard_peak = [&] {
     AptMaterializeMetrics m;
     AptMaterializeOptions o = options;
     o.metrics = &m;
-    (void)MaterializeApt(fx.pt, fx.rows, fx.g_ab, fx.sg, fx.db, o);
+    (void)MaterializeAptSharded(fx.pt, fx.rows, fx.g_ab, fx.sg, fx.db, o, 0);
     return m.peak_state_bytes.load();
   }();
   const size_t shard_rows = (fx.rows.size() + 7) / 8;
@@ -798,7 +791,7 @@ void BM_MaterializeAptSharded(benchmark::State& state) {
   state.counters["num_shards"] = static_cast<double>(num_shards);
   state.counters["peak_state_bytes"] =
       static_cast<double>(metrics.peak_state_bytes.load());
-  state.counters["unsharded_peak_bytes"] = static_cast<double>(unsharded_peak);
+  state.counters["unsharded_peak_bytes"] = static_cast<double>(one_shard_peak);
 }
 BENCHMARK(BM_MaterializeAptSharded);
 
@@ -819,7 +812,7 @@ void BM_MaterializeAptSharedPrefix(benchmark::State& state) {
       options.index_cache = index_cache;
       options.stats = stats;
       options.prefix_cache = prefix_cache;
-      rows += MaterializeApt(fx.pt, fx.rows, g, fx.sg, fx.db, options)
+      rows += MaterializeAptSharded(fx.pt, fx.rows, g, fx.sg, fx.db, options, 0)
                   .ValueOrDie()
                   .num_rows();
     }

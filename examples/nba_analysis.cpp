@@ -37,10 +37,10 @@ int main(int argc, char** argv) {
   std::printf("Question: why %s vs %s?\n", result.t1_description.c_str(),
               result.t2_description.c_str());
   std::printf("Join graphs: %d unique / %d mined (pk-pruned %d, cost-pruned "
-              "%d, oversize-skipped %zu)\n\n",
+              "%d, oversize-skipped %zu, budget-truncated %zu)\n\n",
               result.enumeration.unique, result.enumeration.valid,
               result.enumeration.pruned_pk, result.enumeration.pruned_cost,
-              result.apts_skipped_oversize);
+              result.apts_skipped_oversize, result.apts_truncated);
 
   auto top = DeduplicateExplanations(result.explanations);
   for (size_t i = 0; i < top.size() && i < 8; ++i) {

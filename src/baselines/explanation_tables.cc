@@ -22,66 +22,100 @@ double Kl(double p, double q) {
 
 }  // namespace
 
-Apt BinNumericColumns(const Apt& apt, int num_bins) {
-  Apt out;
-  out.pt_row = apt.pt_row;
-  out.pt_rows_used = apt.pt_rows_used;
-  out.num_pt_columns = apt.num_pt_columns;
-  out.pattern_cols = apt.pattern_cols;
-
+ShardedApt BinNumericColumns(const ShardedApt& apt, int num_bins) {
+  const Table& schema_table = apt.schema_table();
+  const size_t num_shards = apt.shards.size();
   Schema schema;
-  std::vector<Column> columns;
-  for (size_t c = 0; c < apt.table.num_columns(); ++c) {
-    const ColumnDef& def = apt.table.schema().column(c);
-    const Column& src = apt.table.column(c);
+  std::vector<std::vector<Column>> columns(num_shards);  // per shard
+  for (size_t c = 0; c < schema_table.num_columns(); ++c) {
+    const ColumnDef& def = schema_table.schema().column(c);
     if (!IsNumeric(def.type)) {
       (void)schema.AddColumn(def.name, def.type, def.mining_excluded);
-      columns.push_back(src);
+      for (size_t s = 0; s < num_shards; ++s) {
+        columns[s].push_back(apt.shards[s].table.column(c));
+      }
       continue;
     }
-    // Equi-width bins over the observed range.
+    // Equi-width bins over the range observed across all shards.
     double lo = 0, hi = 0;
     bool first = true;
-    for (size_t r = 0; r < apt.table.num_rows(); ++r) {
-      if (src.IsNull(r)) continue;
-      double v = src.GetNumeric(r);
-      if (first || v < lo) lo = v;
-      if (first || v > hi) hi = v;
-      first = false;
+    for (const AptShard& shard : apt.shards) {
+      const Column& src = shard.table.column(c);
+      for (size_t r = 0; r < src.size(); ++r) {
+        if (src.IsNull(r)) continue;
+        double v = src.GetNumeric(r);
+        if (first || v < lo) lo = v;
+        if (first || v > hi) hi = v;
+        first = false;
+      }
     }
     double width = (hi - lo) / std::max(1, num_bins);
     if (width <= 0) width = 1;
-    Column binned(DataType::kString);
-    binned.Reserve(apt.table.num_rows());
-    for (size_t r = 0; r < apt.table.num_rows(); ++r) {
-      if (src.IsNull(r)) {
-        binned.AppendNull();
-        continue;
+    // Labels are interned in global row order into one dictionary that
+    // every shard's column adopts, so codes compare across shards.
+    Column labels(DataType::kString);
+    std::vector<std::vector<int32_t>> codes(num_shards);  // -1 = NULL
+    for (size_t s = 0; s < num_shards; ++s) {
+      const Column& src = apt.shards[s].table.column(c);
+      codes[s].reserve(src.size());
+      for (size_t r = 0; r < src.size(); ++r) {
+        if (src.IsNull(r)) {
+          codes[s].push_back(-1);
+          continue;
+        }
+        int b = std::min(num_bins - 1,
+                         static_cast<int>((src.GetNumeric(r) - lo) / width));
+        codes[s].push_back(labels.InternString(
+            Format("[%.4g,%.4g]", lo + b * width, lo + (b + 1) * width)));
       }
-      int b = std::min(num_bins - 1,
-                       static_cast<int>((src.GetNumeric(r) - lo) / width));
-      binned.AppendString(Format("[%.4g,%.4g]", lo + b * width,
-                                 lo + (b + 1) * width));
+    }
+    for (size_t s = 0; s < num_shards; ++s) {
+      Column binned(DataType::kString);
+      binned.AdoptDictionary(labels);
+      binned.Reserve(codes[s].size());
+      for (int32_t code : codes[s]) {
+        if (code < 0) {
+          binned.AppendNull();
+        } else {
+          binned.AppendCode(code);
+        }
+      }
+      columns[s].push_back(std::move(binned));
     }
     (void)schema.AddColumn(def.name, DataType::kString, def.mining_excluded);
-    columns.push_back(std::move(binned));
   }
-  out.table = Table("APT-binned", std::move(schema), std::move(columns),
-                    apt.table.num_rows());
+
+  ShardedApt out;
+  out.pt_rows_used = apt.pt_rows_used;
+  out.num_pt_columns = apt.num_pt_columns;
+  out.pattern_cols = apt.pattern_cols;
+  out.total_rows = apt.total_rows;
+  for (size_t s = 0; s < num_shards; ++s) {
+    const AptShard& in = apt.shards[s];
+    AptShard shard;
+    shard.table = Table("APT-binned", schema, std::move(columns[s]),
+                        in.table.num_rows());
+    shard.pt_row = in.pt_row;
+    shard.pt_begin = in.pt_begin;
+    shard.pt_end = in.pt_end;
+    out.shards.push_back(std::move(shard));
+  }
   return out;
 }
 
-std::vector<EtPattern> ExplanationTables::Build(const Apt& apt,
-                                                const std::vector<int8_t>& outcome,
-                                                Rng* rng) const {
+std::vector<EtPattern> ExplanationTables::Build(
+    const ShardedApt& apt, const std::vector<int8_t>& outcome,
+    Rng* rng) const {
   std::vector<EtPattern> table;
-  const size_t n = apt.table.num_rows();
+  const size_t n = apt.num_rows();
   if (n == 0) return table;
 
   // Categorical pattern-eligible columns.
   std::vector<int> cat_cols;
   for (int c : apt.pattern_cols) {
-    if (apt.table.column(c).type() == DataType::kString) cat_cols.push_back(c);
+    if (apt.schema_table().column(c).type() == DataType::kString) {
+      cat_cols.push_back(c);
+    }
   }
   if (cat_cols.empty()) return table;
 
@@ -93,6 +127,16 @@ std::vector<EtPattern> ExplanationTables::Build(const Apt& apt,
   if (options_.max_candidates > 0 && candidates.size() > options_.max_candidates) {
     candidates.resize(options_.max_candidates);
   }
+
+  // Calls fn(r) for every global row r that `p` matches, in row order.
+  auto for_each_match = [&apt](const Pattern& p, auto&& fn) {
+    size_t r = 0;
+    for (const AptShard& shard : apt.shards) {
+      for (size_t local = 0; local < shard.num_rows(); ++local, ++r) {
+        if (p.Matches(shard.table, local)) fn(r);
+      }
+    }
+  };
 
   // Precompute per-candidate match bitmap lazily during gain scans; the
   // estimate vector carries the current model.
@@ -115,19 +159,15 @@ std::vector<EtPattern> ExplanationTables::Build(const Apt& apt,
       int64_t count = 0;
       double sum_outcome = 0;
       double kl_before = 0;
-      for (size_t r = 0; r < n; ++r) {
-        if (!p.Matches(apt.table, r)) continue;
+      for_each_match(p, [&](size_t r) {
         ++count;
         sum_outcome += outcome[r];
         kl_before += Kl(outcome[r], estimate[r]);
-      }
+      });
       if (count == 0) continue;
       double rate = sum_outcome / static_cast<double>(count);
       double kl_after = 0;
-      for (size_t r = 0; r < n; ++r) {
-        if (!p.Matches(apt.table, r)) continue;
-        kl_after += Kl(outcome[r], rate);
-      }
+      for_each_match(p, [&](size_t r) { kl_after += Kl(outcome[r], rate); });
       double gain = kl_before - kl_after;
       if (gain > best_gain) {
         best_gain = gain;
@@ -139,9 +179,7 @@ std::vector<EtPattern> ExplanationTables::Build(const Apt& apt,
     if (best < 0) break;
     used[best] = true;
     const Pattern& p = candidates[best].pattern;
-    for (size_t r = 0; r < n; ++r) {
-      if (p.Matches(apt.table, r)) estimate[r] = best_rate;
-    }
+    for_each_match(p, [&](size_t r) { estimate[r] = best_rate; });
     table.push_back({p, best_rate, best_count, best_gain});
   }
   return table;

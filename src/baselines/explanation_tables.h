@@ -40,15 +40,17 @@ struct EtPattern {
 
 /// \brief Greedy explanation-table construction.
 ///
-/// `outcome[r]` is the binary outcome of APT row r (CaJaDE comparisons use
-/// "row belongs to t1's provenance"). Only categorical attributes among
-/// `apt.pattern_cols` participate (the published algorithm is categorical;
-/// the paper pre-bins numeric columns when feeding ET).
+/// `outcome[r]` is the binary outcome of global APT row r (shard rows in
+/// shard order; CaJaDE comparisons use "row belongs to t1's provenance").
+/// Only categorical attributes among `apt.pattern_cols` participate (the
+/// published algorithm is categorical; the paper pre-bins numeric columns
+/// when feeding ET).
 class ExplanationTables {
  public:
   explicit ExplanationTables(EtOptions options) : options_(options) {}
 
-  std::vector<EtPattern> Build(const Apt& apt, const std::vector<int8_t>& outcome,
+  std::vector<EtPattern> Build(const ShardedApt& apt,
+                               const std::vector<int8_t>& outcome,
                                Rng* rng) const;
 
  private:
@@ -57,8 +59,9 @@ class ExplanationTables {
 
 /// Equi-width binning helper: rewrites numeric pattern-eligible columns of
 /// `apt` into categorical bucket labels (the preprocessing step the paper
-/// applies before running ET, Appendix A.1).
-Apt BinNumericColumns(const Apt& apt, int num_bins = 8);
+/// applies before running ET, Appendix A.1). Bins span the range over all
+/// shards, and every shard's label column shares one dictionary.
+ShardedApt BinNumericColumns(const ShardedApt& apt, int num_bins = 8);
 
 }  // namespace cajade
 

@@ -14,11 +14,11 @@
 namespace cajade {
 
 /// Default of CajadeConfig::apt_shard_rows: the CAJADE_APT_SHARD_ROWS
-/// environment variable when set and positive, else 0 (unsharded). The env
-/// hook exists for the CI forced-sharding leg, which runs the whole tier-1
-/// suite over the sharded pipeline without editing every test; code that
-/// assigns the field explicitly (e.g. a differential test pinning the
-/// unsharded oracle with `= 0`) overrides it as usual.
+/// environment variable when set and positive, else 0 (one full-range
+/// shard). The env hook exists for the CI forced-sharding leg, which runs
+/// the whole tier-1 suite over many-shard APTs without editing every test;
+/// code that assigns the field explicitly (e.g. a differential test pinning
+/// one shard with `= 0`) overrides it as usual.
 inline size_t DefaultAptShardRows() {
   const char* env = std::getenv("CAJADE_APT_SHARD_ROWS");
   if (env == nullptr || *env == '\0') return 0;
@@ -109,14 +109,14 @@ struct CajadeConfig {
   size_t apt_index_cache_bytes = size_t{256} << 20;  // 256 MiB
 
   // ---- Sharded APT pipeline ------------------------------------------------
-  /// Rows of the PT selection materialized per APT shard. 0 = unsharded
-  /// legacy path (one contiguous APT per join graph — the differential
-  /// oracle). Positive values split every materialization into
-  /// ceil(|pt_rows| / apt_shard_rows) row-range shards that fan out across
-  /// the worker pool and are mined without ever being concatenated, so the
-  /// largest single join state resident at once is bounded by the shard's
-  /// fan-out instead of the full APT's. Purely a performance/memory knob:
-  /// explanations are bit-identical at any shard size and thread count.
+  /// Rows of the PT selection materialized per APT shard. 0 = one
+  /// full-range shard per join graph. Positive values split every
+  /// materialization into ceil(|pt_rows| / apt_shard_rows) row-range shards
+  /// that fan out across the worker pool and are mined without ever being
+  /// concatenated, so the largest single join state resident at once is
+  /// bounded by the shard's fan-out instead of the full APT's. Purely a
+  /// performance/memory knob: explanations are bit-identical at any shard
+  /// size and thread count.
   /// Defaults from the CAJADE_APT_SHARD_ROWS environment variable (CI's
   /// forced-sharding leg); 0 when unset.
   size_t apt_shard_rows = DefaultAptShardRows();

@@ -168,6 +168,7 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     std::vector<Explanation> explanations;
     size_t patterns_evaluated = 0;
     bool mined = false;
+    bool truncated = false;
     bool skipped_oversize = false;
     /// Whether the graph's work actually ran (false when the abort flag
     /// short-circuited it); the deterministic error pass below re-runs
@@ -196,14 +197,13 @@ Result<ExplainResult> Explainer::ExplainPrepared(
   // The pool serves two fan-outs: graphs here, and — with apt_shard_rows
   // > 0 — shards inside each graph's materialization (ParallelFor nests
   // safely). Hoisted so a single-graph sharded request still parallelizes.
-  const bool sharded = config_.apt_shard_rows > 0;
   size_t threads = WorkerPool::ResolveThreads(config_.num_threads);
   std::unique_ptr<WorkerPool> local_pool;
   WorkerPool* pool = nullptr;
   if (threads > 1) {
     if (shared_pool_ != nullptr) {
       pool = shared_pool_;
-    } else if (graphs.size() > 1 || sharded) {
+    } else if (graphs.size() > 1 || config_.apt_shard_rows > 0) {
       local_pool = std::make_unique<WorkerPool>(threads);
       pool = local_pool.get();
     }
@@ -221,51 +221,30 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     const JoinGraph& graph = graphs[gi];
     GraphOutcome& oc = outcomes[gi];
     oc.ran = true;
-    // Sharded and unsharded paths differ only in APT representation; the
-    // miner consumes either through AptSliceSet and returns bit-identical
-    // results (the diff tests pin this).
-    Apt apt;
-    ShardedApt sapt;
+    ShardedApt apt;
     {
       ScopedStep step(&oc.profile, "Materialize APTs");
-      Status mat_status = Status::OK();
-      if (sharded) {
-        Result<ShardedApt> r =
-            MaterializeAptSharded(pt, pt_rows, graph, *schema_graph_, *db_,
-                                  apt_options, config_.apt_shard_rows);
-        if (r.ok()) {
-          sapt = std::move(r).MoveValue();
-        } else {
-          mat_status = r.status();
-        }
-      } else {
-        Result<Apt> r =
-            MaterializeApt(pt, pt_rows, graph, *schema_graph_, *db_, apt_options);
-        if (r.ok()) {
-          apt = std::move(r).MoveValue();
-        } else {
-          mat_status = r.status();
-        }
-      }
-      if (!mat_status.ok()) {
-        if (mat_status.code() == StatusCode::kOutOfRange) {
+      Result<ShardedApt> r =
+          MaterializeAptSharded(pt, pt_rows, graph, *schema_graph_, *db_,
+                                apt_options, config_.apt_shard_rows);
+      if (!r.ok()) {
+        if (r.status().code() == StatusCode::kOutOfRange) {
           // Cost-estimate miss: the APT blew past the hard cap.
           oc.skipped_oversize = true;
         } else {
-          oc.status = mat_status;
+          oc.status = r.status();
           abort_remaining.store(true, std::memory_order_relaxed);
         }
         return;
       }
+      apt = std::move(r).MoveValue();
     }
-    if ((sharded ? sapt.num_rows() : apt.num_rows()) == 0) {
+    if (apt.num_rows() == 0) {
       return;  // context join eliminated all provenance
     }
     Rng graph_rng = graph_rngs[gi];
     PatternMiner miner(&config_, &oc.profile);
-    Result<MineResult> mine_result = sharded
-                                         ? miner.Mine(sapt, classes, &graph_rng)
-                                         : miner.Mine(apt, classes, &graph_rng);
+    Result<MineResult> mine_result = miner.Mine(apt, classes, &graph_rng);
     if (!mine_result.ok()) {
       oc.status = mine_result.status();
       abort_remaining.store(true, std::memory_order_relaxed);
@@ -273,8 +252,9 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     }
     MineResult mined = std::move(mine_result).MoveValue();
     oc.mined = true;
+    oc.truncated = mined.budget_exhausted;
     oc.patterns_evaluated = mined.patterns_evaluated;
-    const Table& describe_table = sharded ? sapt.schema_table() : apt.table;
+    const Table& describe_table = apt.schema_table();
     for (const auto& mp : mined.top_k) {
       Explanation e;
       e.join_graph = graph.Describe();
@@ -362,6 +342,7 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     RETURN_NOT_OK(oc.status);
     if (oc.skipped_oversize) ++out.apts_skipped_oversize;
     if (oc.mined) ++out.apts_mined;
+    if (oc.truncated) ++out.apts_truncated;
     out.patterns_evaluated += oc.patterns_evaluated;
     for (const auto& [step, seconds] : oc.profile.totals()) {
       out.profile.Add(step, seconds);
@@ -404,16 +385,16 @@ AptMaterializeOptions Explainer::MakeAptOptions() const {
   return options;
 }
 
-Result<Apt> Explainer::BuildApt(const ParsedQuery& query,
-                                const UserQuestion& question,
-                                const JoinGraph& graph) const {
+Result<ShardedApt> Explainer::BuildApt(const ParsedQuery& query,
+                                       const UserQuestion& question,
+                                       const JoinGraph& graph) const {
   ASSIGN_OR_RETURN(ProvenanceTable pt, ComputeProvenance(executor_, query));
   std::vector<int64_t> pt_rows;
   PtClasses classes;
   std::string d1, d2;
   RETURN_NOT_OK(ResolveQuestion(pt, question, &pt_rows, &classes, &d1, &d2));
-  return MaterializeApt(pt, pt_rows, graph, *schema_graph_, *db_,
-                        MakeAptOptions());
+  return MaterializeAptSharded(pt, pt_rows, graph, *schema_graph_, *db_,
+                               MakeAptOptions(), config_.apt_shard_rows);
 }
 
 Result<MineResult> Explainer::MineJoinGraph(const ParsedQuery& query,
@@ -427,11 +408,13 @@ Result<MineResult> Explainer::MineJoinGraph(const ParsedQuery& query,
   RETURN_NOT_OK(ResolveQuestion(pt, question, &pt_rows, &classes, &d1, &d2));
   StepProfiler local;
   StepProfiler* prof = profiler != nullptr ? profiler : &local;
-  Apt apt;
+  ShardedApt apt;
   {
     ScopedStep step(prof, "Materialize APTs");
-    ASSIGN_OR_RETURN(apt, MaterializeApt(pt, pt_rows, graph, *schema_graph_,
-                                         *db_, MakeAptOptions()));
+    ASSIGN_OR_RETURN(apt, MaterializeAptSharded(pt, pt_rows, graph,
+                                                *schema_graph_, *db_,
+                                                MakeAptOptions(),
+                                                config_.apt_shard_rows));
   }
   PatternMiner miner(&config_, prof);
   Rng rng(config_.seed);

@@ -76,6 +76,11 @@ struct ExplainResult {
   StepProfiler profile;
   EnumeratorStats enumeration;
   size_t apts_mined = 0;
+  /// Mined join graphs whose ranking was cut short by
+  /// CajadeConfig::refinement_budget or refinement_row_budget
+  /// (MineResult::budget_exhausted): their explanations come from the
+  /// patterns evaluated before the budget ran out.
+  size_t apts_truncated = 0;
   size_t apts_skipped_oversize = 0;
   size_t patterns_evaluated = 0;
   /// High-water mark of any single resident APT join state's approximate
@@ -84,8 +89,8 @@ struct ExplainResult {
   /// caps: shards replace whole-APT states, so the peak shrinks with the
   /// shard size instead of growing with the largest APT.
   size_t peak_apt_bytes = 0;
-  /// Total APT shards materialized across all mined join graphs (1 per
-  /// graph on the unsharded path).
+  /// Total APT shards materialized across all join graphs that materialized
+  /// successfully (1 per graph with apt_shard_rows = 0).
   size_t apt_shards = 0;
   std::string t1_description;
   std::string t2_description;
@@ -184,9 +189,10 @@ class Explainer {
                                    StepProfiler* profiler = nullptr) const;
 
   /// Materializes the APT of one join graph (exposes Figure 10a's
-  /// rows/attributes reporting).
-  Result<Apt> BuildApt(const ParsedQuery& query, const UserQuestion& question,
-                       const JoinGraph& graph) const;
+  /// rows/attributes reporting), sharded by CajadeConfig::apt_shard_rows.
+  Result<ShardedApt> BuildApt(const ParsedQuery& query,
+                              const UserQuestion& question,
+                              const JoinGraph& graph) const;
 
   const CajadeConfig& config() const { return config_; }
   CajadeConfig* mutable_config() { return &config_; }

@@ -55,51 +55,33 @@ Result<int> ResolvePtColumn(const ProvenanceTable& pt, const std::string& relati
                                   attribute.c_str()));
 }
 
-/// True when `pt_row` maps row r to PT position r for all of
-/// `num_positions` positions — shared by Apt::PtRowIsIdentity and the
-/// single-slice check in MakeSliceSet.
-bool PtRowIdentity(const std::vector<int32_t>& pt_row, size_t num_positions) {
-  if (pt_row.size() != num_positions) return false;
+}  // namespace
+
+bool ShardedApt::PtRowIsIdentity() const {
+  if (shards.size() != 1) return false;
+  const std::vector<int32_t>& pt_row = shards.front().pt_row;
+  if (pt_row.size() != pt_rows_used.size()) return false;
   for (size_t r = 0; r < pt_row.size(); ++r) {
     if (pt_row[r] != static_cast<int32_t>(r)) return false;
   }
   return true;
 }
 
-}  // namespace
-
-bool Apt::PtRowIsIdentity() const {
-  return PtRowIdentity(pt_row, pt_rows_used.size());
-}
-
-AptSliceSet MakeSliceSet(const Apt& apt) {
-  AptSliceSet ss;
-  ss.slices.push_back(AptSlice{&apt.table, &apt.pt_row});
-  ss.pt_rows_used = &apt.pt_rows_used;
-  ss.pattern_cols = &apt.pattern_cols;
-  ss.num_pt_columns = apt.num_pt_columns;
-  ss.total_rows = apt.num_rows();
-  ss.pt_identity = apt.PtRowIsIdentity();
-  return ss;
-}
-
-AptSliceSet MakeSliceSet(const ShardedApt& apt) {
-  AptSliceSet ss;
-  ss.slices.reserve(apt.shards.size());
-  for (const AptShard& s : apt.shards) {
-    ss.slices.push_back(AptSlice{&s.table, &s.pt_row});
+void LocateAptRows(const ShardedApt& apt, const std::vector<size_t>& rows,
+                   std::vector<size_t>* shard, std::vector<size_t>* local) {
+  // offsets[si] = first global row of shard si.
+  std::vector<size_t> offsets(apt.shards.size() + 1, 0);
+  for (size_t si = 0; si < apt.shards.size(); ++si) {
+    offsets[si + 1] = offsets[si] + apt.shards[si].num_rows();
   }
-  ss.pt_rows_used = &apt.pt_rows_used;
-  ss.pattern_cols = &apt.pattern_cols;
-  ss.num_pt_columns = apt.num_pt_columns;
-  ss.total_rows = apt.total_rows;
-  // The identity shortcut only applies to a single slice: multi-shard
-  // pt_rows are global, but the miner's shortcut scores one slice's row
-  // mask directly as the coverage set.
-  ss.pt_identity = apt.shards.size() == 1 &&
-                   PtRowIdentity(apt.shards.front().pt_row,
-                                 apt.pt_rows_used.size());
-  return ss;
+  shard->resize(rows.size());
+  local->resize(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto next = std::upper_bound(offsets.begin(), offsets.end(), rows[i]);
+    const size_t si = static_cast<size_t>(next - offsets.begin()) - 1;
+    (*shard)[i] = si;
+    (*local)[i] = rows[i] - offsets[si];
+  }
 }
 
 // Hashes the PT's shape (schema, relations, group-by attributes), its cell
@@ -142,9 +124,15 @@ std::string AptPtFingerprint(const ProvenanceTable& pt,
 
 namespace {
 
-/// The initial state: PT restricted to the requested rows.
+/// The initial state of the shard covering positions [begin, end) of
+/// pt_rows: the PT restricted to those rows. pt_row entries are GLOBAL
+/// positions, so states propagate global coverage positions through every
+/// step and per-shard coverage sets OR directly into one PT-wide bitmap.
 Result<AptJoinState> BuildBaseState(const ProvenanceTable& pt,
-                                    const std::vector<int64_t>& pt_rows) {
+                                    const std::vector<int64_t>& pt_rows,
+                                    size_t begin, size_t end) {
+  const std::vector<int64_t> rows(pt_rows.begin() + begin,
+                                  pt_rows.begin() + end);
   AptJoinState state;
   Schema cur_schema;
   for (const auto& c : pt.table.schema().columns()) {
@@ -153,12 +141,13 @@ Result<AptJoinState> BuildBaseState(const ProvenanceTable& pt,
   std::vector<Column> cur_cols;
   cur_cols.reserve(pt.table.num_columns());
   for (size_t c = 0; c < pt.table.num_columns(); ++c) {
-    cur_cols.push_back(CopyColumnSubset(pt.table.column(c), pt_rows));
+    cur_cols.push_back(CopyColumnSubset(pt.table.column(c), rows));
   }
   state.table = Table("APT", std::move(cur_schema), std::move(cur_cols),
-                      pt_rows.size());
-  state.pt_row.resize(pt_rows.size());
-  std::iota(state.pt_row.begin(), state.pt_row.end(), 0);
+                      rows.size());
+  state.pt_row.resize(rows.size());
+  std::iota(state.pt_row.begin(), state.pt_row.end(),
+            static_cast<int32_t>(begin));
   return state;
 }
 
@@ -572,178 +561,20 @@ Result<AptPrefixCache::StatePtr> AptPrefixCache::GetOrBuild(
   return state;
 }
 
-// ---- MaterializeApt ---------------------------------------------------------
-
-Result<Apt> MaterializeApt(const ProvenanceTable& pt,
-                           const std::vector<int64_t>& pt_rows,
-                           const JoinGraph& graph,
-                           const SchemaGraph& schema_graph, const Database& db,
-                           const AptMaterializeOptions& options) {
-  AptIndexCache local_cache;
-  AptIndexCache* index_cache =
-      options.index_cache != nullptr ? options.index_cache : &local_cache;
-  AptPrefixCache* prefix_cache = options.prefix_cache;
-
-  ASSIGN_OR_RETURN(AptPlan plan, PlanAptSteps(graph));
-
-  Apt apt;
-  apt.pt_rows_used = pt_rows;
-  apt.num_pt_columns = pt.table.schema().num_columns();
-
-  std::vector<int> node_offset(graph.nodes().size(), -1);
-  StepContext ctx{&pt,         &graph,        &schema_graph, &db,
-                  index_cache, options.stats, options.row_limit, &node_offset};
-
-  // Current state: shared when it came from the prefix cache, local when
-  // built fresh. Steps never mutate their input, so a shared state feeds
-  // the next step exactly like a local one.
-  AptPrefixCache::StatePtr shared_cur;
-  AptJoinState local_cur;
-  bool cur_is_local = false;
-  const AptJoinState* cur = nullptr;
-
-  std::string prefix_key;
-  if (prefix_cache != nullptr) {
-    prefix_key = options.pt_fingerprint.empty()
-                     ? AptPtFingerprint(pt, pt_rows)
-                     : options.pt_fingerprint;
-    ASSIGN_OR_RETURN(shared_cur,
-                     prefix_cache->GetOrBuild(prefix_key, [&] {
-                       return BuildBaseState(pt, pt_rows);
-                     }));
-    cur = shared_cur.get();
-  } else {
-    ASSIGN_OR_RETURN(local_cur, BuildBaseState(pt, pt_rows));
-    cur_is_local = true;
-    cur = &local_cur;
-  }
-  // Peak-resident observability, recorded identically by the sharded path
-  // so the two are comparable: every resident join state (base and each
-  // step output, built or cache-hit) bumps the high-water mark.
-  if (options.metrics != nullptr) {
-    options.metrics->RecordStateBytes(AptPrefixCache::ApproxStateBytes(*cur));
-  }
-
-  size_t running_cols = pt.table.num_columns();
-  for (size_t si = 0; si < plan.steps.size(); ++si) {
-    const AptStep& step = plan.steps[si];
-    const bool last = si + 1 == plan.steps.size();
-    if (prefix_cache != nullptr && !last) {
-      // Proper prefixes go through the cache: siblings that share this
-      // graph's leading steps reuse the state instead of re-joining.
-      prefix_key += '|';
-      prefix_key += AptStepSignature(graph, schema_graph, step);
-      const AptJoinState* prev = cur;
-      ASSIGN_OR_RETURN(
-          shared_cur,
-          prefix_cache->GetOrBuild(prefix_key, [&]() -> Result<AptJoinState> {
-            return ApplyAptStep(*prev, step, ctx);
-          }));
-      cur = shared_cur.get();
-      cur_is_local = false;
-      // A cached tree-step state may exceed THIS call's cap even though its
-      // builder ran under a larger (or no) one; the abort must not depend
-      // on who built the state.
-      if (!step.cycle && ctx.row_limit > 0 &&
-          cur->table.num_rows() > ctx.row_limit) {
-        return Status::OutOfRange(
-            Format("APT exceeds row limit %zu for join graph %s",
-                   ctx.row_limit, graph.Describe().c_str()));
-      }
-    } else {
-      // The final step's state belongs to this graph alone — build it into
-      // a local so it can move into the Apt without a copy.
-      ASSIGN_OR_RETURN(AptJoinState next, ApplyAptStep(*cur, step, ctx));
-      local_cur = std::move(next);
-      cur_is_local = true;
-      cur = &local_cur;
-    }
-    if (options.metrics != nullptr) {
-      options.metrics->RecordStateBytes(
-          AptPrefixCache::ApproxStateBytes(*cur));
-    }
-    if (!step.cycle) {
-      node_offset[step.new_node] = static_cast<int>(running_cols);
-      running_cols = cur->table.num_columns();
-    }
-  }
-
-  for (size_t v = 0; v < graph.nodes().size(); ++v) {
-    if (!plan.joined[v]) {
-      return Status::InvalidArgument(
-          "join graph is disconnected: node '" + graph.nodes()[v].label +
-          "' unreachable from PT");
-    }
-  }
-
-  if (cur_is_local) {
-    apt.table = std::move(local_cur.table);
-    apt.pt_row = std::move(local_cur.pt_row);
-  } else {
-    // Final state shared with the cache (the edgeless PT-only graph):
-    // deep-copy out so the Apt owns its table.
-    apt.table = cur->table;
-    apt.pt_row = cur->pt_row;
-  }
-
-  // Pattern-eligible columns: all except the query's group-by attributes and
-  // columns flagged mining_excluded (dates, surrogate keys).
-  for (size_t c = 0; c < apt.table.num_columns(); ++c) {
-    if (apt.table.schema().column(c).mining_excluded) continue;
-    bool excluded = false;
-    for (int g : pt.group_by_pt_cols) {
-      if (static_cast<size_t>(g) == c) {
-        excluded = true;
-        break;
-      }
-    }
-    if (!excluded) apt.pattern_cols.push_back(static_cast<int>(c));
-  }
-  if (options.metrics != nullptr) {
-    options.metrics->shards.fetch_add(1, std::memory_order_relaxed);
-  }
-  return apt;
-}
-
-Result<Apt> MaterializeApt(const ProvenanceTable& pt,
-                           const std::vector<int64_t>& pt_rows,
-                           const JoinGraph& graph,
-                           const SchemaGraph& schema_graph, const Database& db,
-                           AptIndexCache* cache, size_t row_limit) {
-  AptMaterializeOptions options;
-  options.index_cache = cache;
-  options.row_limit = row_limit;
-  return MaterializeApt(pt, pt_rows, graph, schema_graph, db, options);
-}
-
 // ---- MaterializeAptSharded --------------------------------------------------
 
 namespace {
 
-/// Base state of the shard covering positions [begin, end) of pt_rows.
-/// pt_row entries are offset to GLOBAL positions, so states propagate
-/// global coverage positions through every step and per-shard coverage
-/// sets OR directly into one PT-wide bitmap.
-Result<AptJoinState> BuildShardBaseState(const ProvenanceTable& pt,
-                                         const std::vector<int64_t>& pt_rows,
-                                         size_t begin, size_t end) {
-  const std::vector<int64_t> sub(pt_rows.begin() + begin,
-                                 pt_rows.begin() + end);
-  ASSIGN_OR_RETURN(AptJoinState state, BuildBaseState(pt, sub));
-  for (int32_t& v : state.pt_row) v += static_cast<int32_t>(begin);
-  return state;
-}
-
-/// Re-runs a failed sharded materialization serially, STEP-major and
-/// uncached, to surface the exact error the unsharded path would have:
-/// shard-major schedules can pass a later step on one shard before an
-/// earlier step's cross-shard row total has tripped the limit, making the
-/// first-recorded error (OutOfRange vs. a bind error) schedule-dependent.
-/// Step-major order restores the unsharded precedence — a step's
-/// resolution errors fire before its probes, and the row limit trips when
-/// the step's output summed across shards (== the unsharded step output,
-/// in row order) first exceeds the cap. Only runs on the error path, so
-/// its serial cost is irrelevant.
+/// Re-runs a failed multi-shard materialization serially, STEP-major and
+/// uncached, to surface the error a serial run over all rows reports
+/// (ReferenceMaterializeApt's): shard-major schedules can pass a later step
+/// on one shard before an earlier step's cross-shard row total has tripped
+/// the limit, making the first-recorded error (OutOfRange vs. a bind error)
+/// schedule-dependent. Step-major order restores the serial precedence — a
+/// step's resolution errors fire before its probes, and the row limit trips
+/// when the step's output summed across shards (== the full step output, in
+/// row order) first exceeds the cap. Only runs on the error path, so its
+/// serial cost is irrelevant.
 Status DeterministicShardedError(const ProvenanceTable& pt,
                                  const std::vector<int64_t>& pt_rows,
                                  const JoinGraph& graph,
@@ -761,7 +592,7 @@ Status DeterministicShardedError(const ProvenanceTable& pt,
   for (size_t s = 0; s < num_shards; ++s) {
     const size_t b = s * per;
     const size_t e = std::min(n, b + per);
-    auto built = BuildShardBaseState(pt, pt_rows, b, e);
+    auto built = BuildBaseState(pt, pt_rows, b, e);
     if (!built.ok()) return built.status();
     states[s] = std::move(built).MoveValue();
   }
@@ -831,7 +662,7 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
   std::vector<Status> shard_status(num_shards, Status::OK());
   std::vector<std::exception_ptr> shard_exception(num_shards);
   // Cross-shard step-output totals: sum over shards of a tree step's rows
-  // equals the unsharded step's output, so the limit check composes.
+  // equals the full step's output, so the limit check composes.
   std::vector<std::atomic<size_t>> step_total(plan.steps.size());
   for (auto& t : step_total) t.store(0, std::memory_order_relaxed);
   std::atomic<bool> abort{false};
@@ -852,8 +683,9 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
         abort.store(true, std::memory_order_relaxed);
       };
 
-      // Current state handling mirrors MaterializeApt: shared when from
-      // the prefix cache, local otherwise; steps never mutate inputs.
+      // Current state: shared when it came from the prefix cache, local
+      // when built fresh. Steps never mutate their input, so a shared state
+      // feeds the next step exactly like a local one.
       AptPrefixCache::StatePtr shared_cur;
       AptJoinState local_cur;
       bool cur_is_local = false;
@@ -863,20 +695,18 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
       if (prefix_cache != nullptr) {
         prefix_key = base_key;
         if (!(b == 0 && e == n)) {
-          // Partial-range states must never alias the unsharded states (or
-          // other shard sizes'). The full-range shard shares the plain key
-          // on purpose: its states are byte-identical to the unsharded
-          // ones, so sharded and unsharded callers warm each other.
+          // Partial-range states must never alias full-range states (or
+          // other shard sizes'). The full-range shard uses the plain key,
+          // so every caller materializing all rows warms the same entries.
           prefix_key += Format("|shard:%zu-%zu", b, e);
         }
-        auto got = prefix_cache->GetOrBuild(prefix_key, [&] {
-          return BuildShardBaseState(pt, pt_rows, b, e);
-        });
+        auto got = prefix_cache->GetOrBuild(
+            prefix_key, [&] { return BuildBaseState(pt, pt_rows, b, e); });
         if (!got.ok()) return fail(got.status());
         shared_cur = std::move(got).MoveValue();
         cur = shared_cur.get();
       } else {
-        auto built = BuildShardBaseState(pt, pt_rows, b, e);
+        auto built = BuildBaseState(pt, pt_rows, b, e);
         if (!built.ok()) return fail(built.status());
         local_cur = std::move(built).MoveValue();
         cur_is_local = true;
@@ -916,10 +746,10 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
               AptPrefixCache::ApproxStateBytes(*cur));
         }
         if (!step.cycle) {
-          // Covers both fresh builds and cache hits (a cached state may
-          // have been built under a larger cap — the unsharded path
-          // rechecks those too, and shard rows count toward the total
-          // either way).
+          // Covers both fresh builds and cache hits: a cached state may
+          // have been built under a larger (or no) cap, and the abort must
+          // not depend on who built it. Shard rows count toward the total
+          // either way.
           const size_t rows = cur->table.num_rows();
           const size_t total =
               step_total[si].fetch_add(rows, std::memory_order_relaxed) +
@@ -960,21 +790,19 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
     for (size_t s = 0; s < num_shards; ++s) run_shard(s);
   }
 
-  bool failed = false;
   for (size_t s = 0; s < num_shards; ++s) {
-    if (!shard_status[s].ok() || shard_exception[s]) failed = true;
-  }
-  if (failed) {
-    Status st = DeterministicShardedError(pt, pt_rows, graph, schema_graph,
-                                          db, options, plan, per, num_shards);
-    if (!st.ok()) return st;
-    // Backstop for failures the deterministic re-run does not reproduce
-    // (transient exceptions): surface the lowest shard's record.
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (shard_exception[s]) std::rethrow_exception(shard_exception[s]);
-      if (!shard_status[s].ok()) return shard_status[s];
+    if (shard_status[s].ok() && !shard_exception[s]) continue;
+    // A single shard ran serially, so its first error already is the
+    // serial one; only several shards need the step-major re-run.
+    if (num_shards > 1) {
+      Status st = DeterministicShardedError(
+          pt, pt_rows, graph, schema_graph, db, options, plan, per, num_shards);
+      if (!st.ok()) return st;
     }
-    return Status::Internal("sharded APT materialization failed");
+    // A lone shard's record, or the backstop for failures the re-run does
+    // not reproduce (transient exceptions): the lowest failed shard's.
+    if (shard_exception[s]) std::rethrow_exception(shard_exception[s]);
+    return shard_status[s];
   }
 
   for (size_t v = 0; v < graph.nodes().size(); ++v) {
@@ -992,7 +820,8 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
   for (const AptShard& s : apt.shards) apt.total_rows += s.table.num_rows();
 
   // Pattern-eligible columns from shard 0's (identical-across-shards)
-  // schema, with the same exclusions as the unsharded path.
+  // schema: all except the query's group-by attributes and columns flagged
+  // mining_excluded (dates, surrogate keys).
   const Table& schema_table = apt.shards.front().table;
   for (size_t c = 0; c < schema_table.num_columns(); ++c) {
     if (schema_table.schema().column(c).mining_excluded) continue;
@@ -1016,12 +845,13 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
 // bench baseline: per-edge flat indexes of canonical row-key hashes, scalar
 // HashRowKey/RowKeysEqual probes, breadth-first edge order.
 
-Result<Apt> ReferenceMaterializeApt(const ProvenanceTable& pt,
-                                    const std::vector<int64_t>& pt_rows,
-                                    const JoinGraph& graph,
-                                    const SchemaGraph& schema_graph,
-                                    const Database& db, size_t row_limit) {
-  Apt apt;
+Result<ShardedApt> ReferenceMaterializeApt(const ProvenanceTable& pt,
+                                           const std::vector<int64_t>& pt_rows,
+                                           const JoinGraph& graph,
+                                           const SchemaGraph& schema_graph,
+                                           const Database& db,
+                                           size_t row_limit) {
+  ShardedApt apt;
   apt.pt_rows_used = pt_rows;
   apt.num_pt_columns = pt.table.schema().num_columns();
 
@@ -1217,8 +1047,12 @@ Result<Apt> ReferenceMaterializeApt(const ProvenanceTable& pt,
     if (!excluded) apt.pattern_cols.push_back(static_cast<int>(c));
   }
 
-  apt.table = std::move(cur);
-  apt.pt_row = std::move(cur_pt);
+  apt.total_rows = cur.num_rows();
+  AptShard shard;
+  shard.table = std::move(cur);
+  shard.pt_row = std::move(cur_pt);
+  shard.pt_end = pt_rows.size();
+  apt.shards.push_back(std::move(shard));
   return apt;
 }
 

@@ -1,7 +1,11 @@
 // Augmented provenance tables (paper Definition 4): the provenance table
-// joined with the context relations of a join graph. Rows keep a pointer to
-// the provenance row they extend, which is what coverage (Definition 7a) is
-// computed over.
+// joined with the context relations of a join graph. Rows keep the position
+// of the provenance row they extend, which is what coverage (Definition 7a)
+// is computed over.
+//
+// An APT is always a ShardedApt: a sequence of row-range shards that are
+// never concatenated. MaterializeAptSharded is the one materializer; with
+// shard_rows = 0 it produces a single full-range shard.
 //
 // Materialization runs every tree-edge join through the typed kernel layer
 // (JoinBuildIndex in src/exec/join.h) and shares work at two granularities:
@@ -12,13 +16,9 @@
 //    instead of re-joining from the PT.
 // The seed's scalar implementation survives as ReferenceMaterializeApt, the
 // differential-testing oracle and bench baseline (mirroring
-// ReferenceHashEquiJoin / ReferenceExecuteSpj).
-//
-// MaterializeAptSharded materializes the same APT as a sequence of
-// row-range shards (ShardedApt) that are never concatenated; the miner
-// consumes either representation through the borrowed AptSliceSet view.
-// The unsharded path stays the differential oracle: concat(shards) is
-// byte-identical to it, and errors (row-limit trips included) match.
+// ReferenceHashEquiJoin / ReferenceExecuteSpj): concat(shards) is
+// byte-identical to its single shard at any shard size, and errors (row-limit
+// trips included) match.
 //
 // Ownership and thread-safety: APT values own their column storage and
 // belong to the caller. The caches below own their entries and hand out
@@ -251,96 +251,56 @@ class AptPrefixCache {
   std::atomic<size_t> evictions_{0};
 };
 
-/// \brief A materialized APT.
-struct Apt {
+/// \brief One row-range shard of an APT: the materialization of the PT
+/// positions [pt_begin, pt_end) of the full selection. pt_row entries are
+/// GLOBAL positions into ShardedApt::pt_rows_used (not shard-local), so
+/// per-shard coverage sets OR straight into one global CoverageBitmap.
+struct AptShard {
   /// PT columns (prov_ names) followed by context columns ("<label>.<attr>").
   Table table;
-  /// APT row -> position in `pt_rows_used` (NOT the original PT row id).
+  /// Shard row -> position in ShardedApt::pt_rows_used.
   std::vector<int32_t> pt_row;
-  /// The PT rows the APT was built over (typically PT(t1) u PT(t2)),
-  /// as original PT row ids, in ascending order.
+  size_t pt_begin = 0;
+  size_t pt_end = 0;
+
+  size_t num_rows() const { return pt_row.size(); }
+};
+
+/// \brief A materialized APT as a sequence of row-range shards.
+///
+/// Global APT row ids are the shards' rows concatenated in shard order; every
+/// consumer (miner, quality views, LCA, the ET baseline) iterates shards in
+/// that order, so results do not depend on the shard size. Shard tables are
+/// never concatenated. Every shard has the identical schema, and string
+/// columns adopt the dictionary of the same source column, so dictionary
+/// codes compare across shards and with schema_table(). There is always at
+/// least one shard (possibly empty) so schema_table() is well defined.
+struct ShardedApt {
+  std::vector<AptShard> shards;
+  /// The PT rows the APT was built over (typically PT(t1) u PT(t2)), as
+  /// original PT row ids, in ascending order.
   std::vector<int64_t> pt_rows_used;
   /// Number of leading columns that came from PT.
   size_t num_pt_columns = 0;
   /// Columns eligible for patterns (group-by attributes excluded).
   std::vector<int> pattern_cols;
-
-  size_t num_rows() const { return pt_row.size(); }
-
-  /// True when every APT row extends a distinct PT position in order
-  /// (pt_row is the identity map) — the case for 1:1 context joins. The
-  /// mask-native miner then scores a row match mask directly as the
-  /// coverage set, skipping the row→position projection.
-  bool PtRowIsIdentity() const;
-};
-
-/// \brief One row-range shard of a sharded APT: the materialization of the
-/// PT positions [pt_begin, pt_end) of the full selection. pt_row entries
-/// are GLOBAL positions into ShardedApt::pt_rows_used (not shard-local), so
-/// per-shard coverage sets OR straight into one global CoverageBitmap.
-struct AptShard {
-  Table table;
-  std::vector<int32_t> pt_row;
-  size_t pt_begin = 0;
-  size_t pt_end = 0;
-};
-
-/// \brief A materialized APT as a sequence of row-range shards. The shard
-/// tables are never concatenated: concat(shards[i].table for all i) would
-/// be byte-identical to the unsharded Apt::table (same rows, same order,
-/// same dictionaries — every shard column adopts the dictionary of the same
-/// source column), and the miner exploits exactly that equivalence to mine
-/// per-shard masks and merge counts. There is always at least one shard
-/// (possibly empty) so schema_table() is well defined.
-struct ShardedApt {
-  std::vector<AptShard> shards;
-  /// As Apt::pt_rows_used: the PT rows materialized, original ids, ascending.
-  std::vector<int64_t> pt_rows_used;
-  size_t num_pt_columns = 0;
-  std::vector<int> pattern_cols;
-  /// Sum of shard row counts == the unsharded APT's row count.
+  /// Sum of shard row counts.
   size_t total_rows = 0;
 
   size_t num_rows() const { return total_rows; }
-  /// Schema/dictionary carrier: every shard has the identical schema and
-  /// shares its dictionaries, so shard 0 answers all schema questions.
+  /// Schema/dictionary carrier: shard 0 answers all schema questions.
   const Table& schema_table() const { return shards.front().table; }
+
+  /// True for a single shard whose pt_row maps row r to PT position r for
+  /// every position — the case for 1:1 context joins. The miner then scores
+  /// a row match mask directly as the coverage set.
+  bool PtRowIsIdentity() const;
 };
 
-/// \brief A borrowed view of one shard (or of a whole unsharded APT, which
-/// is just the single-slice case).
-struct AptSlice {
-  const Table* table = nullptr;
-  /// Slice row -> GLOBAL position in the owning set's pt_rows_used.
-  const std::vector<int32_t>* pt_row = nullptr;
-  size_t num_rows() const { return pt_row->size(); }
-};
-
-/// \brief The miner's uniform input: an APT as an ordered list of borrowed
-/// slices. MakeSliceSet adapts both Apt (one slice) and ShardedApt (one
-/// slice per shard), so every mining stage is written once against slices
-/// and is trivially bit-identical across the two representations.
-///
-/// Dictionary invariant: all slices' columns adopt their dictionaries from
-/// the same source columns, so dictionary codes are comparable across
-/// slices and consistent with schema_table() — the LCA generator and the
-/// pattern kernels rely on this.
-struct AptSliceSet {
-  std::vector<AptSlice> slices;
-  const std::vector<int64_t>* pt_rows_used = nullptr;
-  const std::vector<int>* pattern_cols = nullptr;
-  size_t num_pt_columns = 0;
-  size_t total_rows = 0;
-  /// True when the set is a single slice whose pt_row is the identity map
-  /// (Apt::PtRowIsIdentity): row masks double as coverage sets.
-  bool pt_identity = false;
-
-  const Table& schema_table() const { return *slices.front().table; }
-};
-
-/// Borrowing adapters; the source APT must outlive the returned set.
-AptSliceSet MakeSliceSet(const Apt& apt);
-AptSliceSet MakeSliceSet(const ShardedApt& apt);
+/// Locates global APT row ids: (*shard)[i] and (*local)[i] are the shard and
+/// shard-local row of rows[i].
+void LocateAptRows(const ShardedApt& apt, const std::vector<size_t>& rows,
+                   std::vector<size_t>* shard, std::vector<size_t>* local);
 
 /// \brief Observability counters for APT materialization, shared across the
 /// per-graph (and per-shard) fan-out of one Explain call. Thread-safe.
@@ -350,7 +310,7 @@ struct AptMaterializeMetrics {
   /// built or cache-hit). Under sharding this is bounded by the largest
   /// shard's fan-out rather than the full APT — the memory headline.
   std::atomic<size_t> peak_state_bytes{0};
-  /// Total shards materialized (unsharded materializations count 1).
+  /// Total shards materialized.
   std::atomic<size_t> shards{0};
 
   void RecordStateBytes(size_t bytes) {
@@ -362,7 +322,7 @@ struct AptMaterializeMetrics {
   }
 };
 
-/// Caches and statistics threaded through MaterializeApt.
+/// Caches and statistics threaded through MaterializeAptSharded.
 struct AptMaterializeOptions {
   /// Build-side index cache; nullptr uses a per-call local cache.
   AptIndexCache* index_cache = nullptr;
@@ -386,8 +346,7 @@ struct AptMaterializeOptions {
   /// nullptr disables recording. Shared across threads — it is atomic.
   AptMaterializeMetrics* metrics = nullptr;
   /// Worker pool that MaterializeAptSharded fans shards across; nullptr (or
-  /// a single shard) runs them serially on the caller. Ignored by the
-  /// unsharded MaterializeApt.
+  /// a single shard) runs them serially on the caller.
   WorkerPool* pool = nullptr;
 };
 
@@ -398,7 +357,10 @@ struct AptMaterializeOptions {
 std::string AptPtFingerprint(const ProvenanceTable& pt,
                              const std::vector<int64_t>& pt_rows);
 
-/// Materializes APT(Q, D, Omega) restricted to the given PT rows.
+/// Materializes APT(Q, D, Omega) restricted to the given PT rows, as
+/// contiguous row ranges of at most `shard_rows` PT rows each (0 or
+/// >= |pt_rows| gives a single full-range shard). Shards fan out across
+/// `options.pool` when one is provided.
 ///
 /// Joins proceed breadth-first from the PT node (the deterministic step
 /// order of PlanAptSteps); edges that close a cycle become post-join
@@ -406,28 +368,19 @@ std::string AptPtFingerprint(const ProvenanceTable& pt,
 /// through the query relation recorded on the edge. Null join keys never
 /// match — including null vs null and middle columns of composite keys — on
 /// tree edges and cycle-closing filters alike, matching the executor's
-/// contract. Output is bit-identical to ReferenceMaterializeApt.
-Result<Apt> MaterializeApt(const ProvenanceTable& pt,
-                           const std::vector<int64_t>& pt_rows,
-                           const JoinGraph& graph, const SchemaGraph& schema_graph,
-                           const Database& db,
-                           const AptMaterializeOptions& options);
-
-/// Sharded materialization: splits `pt_rows` into contiguous row ranges of
-/// at most `shard_rows` rows (0 or >= |pt_rows| collapses to a single
-/// full-range shard) and materializes each range independently, fanning
-/// shards across `options.pool` when one is provided.
+/// contract.
 ///
 /// Equivalence contract (the differential tests' anchor):
-///  - concat(shards) is byte-identical to MaterializeApt's output — same
-///    rows in the same order, same dictionaries, same pattern_cols;
+///  - concat(shards) is byte-identical to ReferenceMaterializeApt's single
+///    shard — same rows in the same order, same dictionaries, same
+///    pattern_cols;
 ///  - errors are identical too: the per-step row totals summed across
-///    shards hit `options.row_limit` exactly when the unsharded step output
-///    does, and the surfaced Status (message included) matches, regardless
-///    of shard size, thread count, or scheduling;
+///    shards hit `options.row_limit` exactly when the reference's step
+///    output does, and the surfaced Status (message included) matches,
+///    regardless of shard size, thread count, or scheduling;
 ///  - prefix-cache states for partial ranges are keyed with a `|shard:b-e`
-///    suffix so they never alias unsharded states; the full-range single
-///    shard shares the unsharded keys (its states are byte-identical).
+///    suffix so they never alias full-range states; the full-range single
+///    shard uses the plain key.
 Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
                                          const std::vector<int64_t>& pt_rows,
                                          const JoinGraph& graph,
@@ -436,23 +389,15 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
                                          const AptMaterializeOptions& options,
                                          size_t shard_rows);
 
-/// Convenience overload matching the historical signature; `cache` and
-/// `row_limit` map onto AptMaterializeOptions (no prefix cache, no stats).
-Result<Apt> MaterializeApt(const ProvenanceTable& pt,
-                           const std::vector<int64_t>& pt_rows,
-                           const JoinGraph& graph, const SchemaGraph& schema_graph,
-                           const Database& db, AptIndexCache* cache = nullptr,
-                           size_t row_limit = 0);
-
 /// Differential-testing oracle and bench baseline: the scalar
 /// implementation (per-row HashRowKey/RowKeysEqual probes against a local
-/// flat index per tree edge), kept verbatim. Same results, same errors,
-/// same row order as MaterializeApt.
-Result<Apt> ReferenceMaterializeApt(const ProvenanceTable& pt,
-                                    const std::vector<int64_t>& pt_rows,
-                                    const JoinGraph& graph,
-                                    const SchemaGraph& schema_graph,
-                                    const Database& db, size_t row_limit = 0);
+/// flat index per tree edge), kept verbatim. Returns one full-range shard.
+Result<ShardedApt> ReferenceMaterializeApt(const ProvenanceTable& pt,
+                                           const std::vector<int64_t>& pt_rows,
+                                           const JoinGraph& graph,
+                                           const SchemaGraph& schema_graph,
+                                           const Database& db,
+                                           size_t row_limit = 0);
 
 }  // namespace cajade
 

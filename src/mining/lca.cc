@@ -83,39 +83,27 @@ void CountPairMeetsScalar(const std::vector<std::vector<int32_t>>& codes,
 
 }  // namespace
 
-std::vector<LcaCandidate> GenerateLcaCandidates(const AptSliceSet& ss,
+std::vector<LcaCandidate> GenerateLcaCandidates(const ShardedApt& apt,
                                                 const std::vector<int>& cat_cols,
                                                 size_t sample_size, Rng* rng) {
   std::vector<LcaCandidate> out;
-  if (cat_cols.empty() || ss.total_rows == 0) return out;
+  if (cat_cols.empty() || apt.num_rows() == 0) return out;
 
   // Global row ids: the same draws, hitting the same logical rows, at any
   // shard size.
-  std::vector<size_t> sample = rng->SampleIndices(ss.total_rows, sample_size);
-  std::vector<size_t> offsets(ss.slices.size() + 1, 0);
-  for (size_t si = 0; si < ss.slices.size(); ++si) {
-    offsets[si + 1] = offsets[si] + ss.slices[si].num_rows();
-  }
+  std::vector<size_t> sample = rng->SampleIndices(apt.num_rows(), sample_size);
+  std::vector<size_t> s_shard, s_local;
+  LocateAptRows(apt, sample, &s_shard, &s_local);
 
   // Pre-extract the categorical codes of the sampled rows (column-major),
-  // -1 for null. Codes are comparable across slices (the AptSliceSet
-  // dictionary invariant), so the meet never consults the tables again.
+  // -1 for null. Codes compare across shards (the ShardedApt dictionary
+  // invariant), so the meet never consults the tables again.
   const size_t s = sample.size();
   const size_t k = cat_cols.size();
-  std::vector<size_t> s_slice(s), s_local(s);
-  for (size_t i = 0; i < s; ++i) {
-    const size_t si = static_cast<size_t>(
-                          std::upper_bound(offsets.begin(), offsets.end(),
-                                           sample[i]) -
-                          offsets.begin()) -
-                      1;
-    s_slice[i] = si;
-    s_local[i] = sample[i] - offsets[si];
-  }
   std::vector<std::vector<int32_t>> codes(k, std::vector<int32_t>(s));
   for (size_t c = 0; c < k; ++c) {
     for (size_t i = 0; i < s; ++i) {
-      const Column& col = ss.slices[s_slice[i]].table->column(cat_cols[c]);
+      const Column& col = apt.shards[s_shard[i]].table.column(cat_cols[c]);
       codes[c][i] = col.IsNull(s_local[i]) ? -1 : col.GetCode(s_local[i]);
     }
   }
@@ -134,9 +122,9 @@ std::vector<LcaCandidate> GenerateLcaCandidates(const AptSliceSet& ss,
     cand.pair_count = count;
     for (size_t c = 0; c < k; ++c) {
       if (signature[c] < 0) continue;
-      const Column& col = ss.schema_table().column(cat_cols[c]);
+      const Column& col = apt.schema_table().column(cat_cols[c]);
       cand.pattern.preds.push_back(PatternPredicate::Make(
-          ss.schema_table(), cat_cols[c], PredOp::kEq,
+          apt.schema_table(), cat_cols[c], PredOp::kEq,
           Value(col.DictEntry(signature[c]))));
     }
     out.push_back(std::move(cand));
@@ -145,12 +133,6 @@ std::vector<LcaCandidate> GenerateLcaCandidates(const AptSliceSet& ss,
     return a.pair_count > b.pair_count;
   });
   return out;
-}
-
-std::vector<LcaCandidate> GenerateLcaCandidates(const Apt& apt,
-                                                const std::vector<int>& cat_cols,
-                                                size_t sample_size, Rng* rng) {
-  return GenerateLcaCandidates(MakeSliceSet(apt), cat_cols, sample_size, rng);
 }
 
 }  // namespace cajade

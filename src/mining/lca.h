@@ -35,14 +35,9 @@ struct LcaCandidate {
 /// `sample_size` APT rows (pairs of identical rows yield the full-equality
 /// meet; pairs agreeing nowhere are skipped). Candidates are returned in
 /// descending pair_count order. Sampling is over global row ids and
-/// dictionary codes are slice-independent, so results are bit-identical at
+/// dictionary codes compare across shards, so results are bit-identical at
 /// any shard size.
-std::vector<LcaCandidate> GenerateLcaCandidates(const AptSliceSet& ss,
-                                                const std::vector<int>& cat_cols,
-                                                size_t sample_size, Rng* rng);
-
-/// Unsharded convenience overload (single borrowed slice).
-std::vector<LcaCandidate> GenerateLcaCandidates(const Apt& apt,
+std::vector<LcaCandidate> GenerateLcaCandidates(const ShardedApt& apt,
                                                 const std::vector<int>& cat_cols,
                                                 size_t sample_size, Rng* rng);
 

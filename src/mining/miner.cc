@@ -16,61 +16,32 @@ namespace cajade {
 
 namespace {
 
-/// Routing of global APT row ids to (slice, slice-local row): the global id
-/// space is the concatenation of the slices in order, so samples drawn over
-/// ss.total_rows hit the same logical rows at any shard size.
-struct SliceRouter {
-  std::vector<size_t> offsets;  // offsets[si] = first global row of slice si
-
-  explicit SliceRouter(const AptSliceSet& ss) {
-    offsets.resize(ss.slices.size() + 1, 0);
-    for (size_t si = 0; si < ss.slices.size(); ++si) {
-      offsets[si + 1] = offsets[si] + ss.slices[si].num_rows();
-    }
-  }
-
-  size_t SliceOf(size_t global_row) const {
-    return static_cast<size_t>(std::upper_bound(offsets.begin(), offsets.end(),
-                                                global_row) -
-                               offsets.begin()) -
-           1;
-  }
-  size_t LocalOf(size_t global_row, size_t slice) const {
-    return global_row - offsets[slice];
-  }
-};
-
 /// Builds an ML feature matrix from (a row sample of) the APT. The sample
 /// is drawn over global row ids, so the matrix — and everything the forest
-/// learns from it — is independent of the slicing.
-FeatureMatrix BuildFeatureMatrix(const AptSliceSet& ss,
+/// learns from it — is independent of the sharding.
+FeatureMatrix BuildFeatureMatrix(const ShardedApt& apt,
                                  const std::vector<int>& cols,
                                  const PtClasses& classes, size_t row_cap,
                                  Rng* rng) {
   FeatureMatrix m;
-  std::vector<size_t> rows = rng->SampleIndices(ss.total_rows, row_cap);
-  const SliceRouter router(ss);
-  std::vector<size_t> r_slice(rows.size()), r_local(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    r_slice[i] = router.SliceOf(rows[i]);
-    r_local[i] = router.LocalOf(rows[i], r_slice[i]);
-  }
+  std::vector<size_t> rows = rng->SampleIndices(apt.num_rows(), row_cap);
+  std::vector<size_t> r_shard, r_local;
+  LocateAptRows(apt, rows, &r_shard, &r_local);
   m.labels.reserve(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    m.labels.push_back(classes[(*ss.slices[r_slice[i]].pt_row)[r_local[i]]]);
+    m.labels.push_back(classes[apt.shards[r_shard[i]].pt_row[r_local[i]]]);
   }
   m.columns.reserve(cols.size());
   for (int c : cols) {
-    m.names.push_back(ss.schema_table().schema().column(c).name);
-    m.is_categorical.push_back(ss.schema_table().column(c).type() ==
+    m.names.push_back(apt.schema_table().schema().column(c).name);
+    m.is_categorical.push_back(apt.schema_table().column(c).type() ==
                                DataType::kString);
     std::vector<double> values;
     values.reserve(rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
-      // Dictionary codes are comparable across slices (the AptSliceSet
-      // dictionary invariant), so categorical features agree with the
-      // unsharded matrix code for code.
-      const Column& col = ss.slices[r_slice[i]].table->column(c);
+      // Dictionary codes compare across shards (the ShardedApt dictionary
+      // invariant), so categorical features do not depend on the sharding.
+      const Column& col = apt.shards[r_shard[i]].table.column(c);
       const size_t r = r_local[i];
       if (col.IsNull(r)) {
         values.push_back(std::nan(""));
@@ -91,10 +62,10 @@ FeatureMatrix BuildFeatureMatrix(const AptSliceSet& ss,
 /// boundary is a column value (a round trip through double collapses values
 /// beyond 2^53 and overflows at INT64_MAX). NaN satisfies neither <= nor >=
 /// and would break the sort's strict weak ordering, so it is dropped.
-/// Values are collected slice by slice in order and sorted, so the
-/// quantiles match the unsharded scan.
+/// Values are collected shard by shard and sorted, so the quantiles do not
+/// depend on the sharding.
 template <typename T>
-std::vector<T> FragmentBoundaries(const AptSliceSet& ss,
+std::vector<T> FragmentBoundaries(const ShardedApt& apt,
                                   const MetricsView& view, int col,
                                   int num_fragments) {
   std::vector<T> values;
@@ -108,14 +79,12 @@ std::vector<T> FragmentBoundaries(const AptSliceSet& ss,
       if (!std::isnan(v)) values.push_back(v);
     }
   };
-  for (size_t si = 0; si < ss.slices.size(); ++si) {
-    const Column& column = ss.slices[si].table->column(col);
+  for (size_t si = 0; si < apt.shards.size(); ++si) {
+    const Column& column = apt.shards[si].table.column(col);
     if (view.all_rows) {
-      for (size_t r = 0; r < ss.slices[si].num_rows(); ++r) collect(column, r);
+      for (size_t r = 0; r < apt.shards[si].num_rows(); ++r) collect(column, r);
     } else {
-      for (int32_t r : view.slice_rows[si]) {
-        collect(column, static_cast<size_t>(r));
-      }
+      for (int32_t r : view.rows[si]) collect(column, static_cast<size_t>(r));
     }
   }
   if (values.empty()) return {};
@@ -168,16 +137,16 @@ class RefineTimer {
   double seconds_[2] = {0.0, 0.0};
 };
 
-/// State of the recursive refinement (step iv). Masks are flat: slice si's
-/// rows occupy words [slice_word[si], slice_word[si + 1]) of every mask,
-/// bit r = slice row r, tail bits zero, so one word-AND over `num_words`
-/// refines all slices at once. Every buffer is sized before the recursion
+/// State of the recursive refinement (step iv). Masks are flat: shard si's
+/// rows occupy words [shard_word[si], shard_word[si + 1]) of every mask,
+/// bit r = shard row r, tail bits zero, so one word-AND over `num_words`
+/// refines all shards at once. Every buffer is sized before the recursion
 /// starts, so evaluating a pattern allocates nothing beyond the pool's
 /// amortized growth.
 struct RefineContext {
-  const AptSliceSet* slices = nullptr;
+  const ShardedApt* apt = nullptr;
   const CajadeConfig* config = nullptr;
-  std::vector<size_t> slice_word;
+  std::vector<size_t> shard_word;
   size_t num_words = 0;
   /// Refinement candidates: every non-trivial (numeric attribute, op,
   /// fragment boundary) predicate, as its pool predicate id and its rows
@@ -196,7 +165,7 @@ struct RefineContext {
   CandidatePool* pool = nullptr;
   CoverageScorer scorer;  // built once per Mine()
   CoverageBitmap covered;  // reused coverage buffer
-  bool pt_identity = false;  // single identity slice: mask == coverage
+  bool pt_identity = false;  // single identity shard: mask == coverage
   size_t evaluated = 0;
   size_t row_work = 0;
   bool budget_exhausted = false;
@@ -204,11 +173,11 @@ struct RefineContext {
 };
 
 /// Adds attribute `col`'s refinement candidates to `ctx`: each
-/// (op, boundary) predicate with its pool id and its per-slice
+/// (op, boundary) predicate with its pool id and its per-shard
 /// CompiledPredicate::EvalMask. "<= max" and ">= min" match every non-NULL
 /// row and are skipped.
 template <typename T>
-void AddRefinementCandidates(const AptSliceSet& ss, int col,
+void AddRefinementCandidates(const ShardedApt& apt, int col,
                              const std::vector<T>& bounds,
                              RefineContext* ctx) {
   for (int op_i = 0; op_i < 2; ++op_i) {
@@ -216,14 +185,14 @@ void AddRefinementCandidates(const AptSliceSet& ss, int col,
     for (size_t b = 0; b < bounds.size(); ++b) {
       if (op == PredOp::kLe && b + 1 == bounds.size()) continue;
       if (op == PredOp::kGe && b == 0) continue;
-      PatternPredicate pred = PatternPredicate::Make(ss.schema_table(), col,
+      PatternPredicate pred = PatternPredicate::Make(apt.schema_table(), col,
                                                      op, Value(bounds[b]));
       const size_t c = ctx->cand_pred.size();
       ctx->cand_masks.resize((c + 1) * ctx->num_words);
       uint64_t* mask = ctx->cand_masks.data() + c * ctx->num_words;
-      for (size_t si = 0; si < ss.slices.size(); ++si) {
-        CompiledPredicate::Compile(pred, *ss.slices[si].table)
-            .EvalMask(ss.slices[si].num_rows(), mask + ctx->slice_word[si]);
+      for (size_t si = 0; si < apt.shards.size(); ++si) {
+        CompiledPredicate::Compile(pred, apt.shards[si].table)
+            .EvalMask(apt.shards[si].num_rows(), mask + ctx->shard_word[si]);
       }
       ctx->cand_pred.push_back(ctx->pool->AddPredicate(std::move(pred)));
     }
@@ -237,9 +206,9 @@ constexpr uint32_t kNotPooled = UINT32_MAX;
 /// refines it with the candidates of attributes from `next_attr` on (the
 /// ordering removes duplicate generation). A child's mask is `mask` AND the
 /// candidate's mask, written to the arena block of `depth`. Coverage merging
-/// is the shard-native core: per-slice masks project (global pt_row values)
+/// is the shard-native core: per-shard masks project (global pt_row values)
 /// into ONE PT-wide coverage bitmap, so scores are independent of the
-/// slicing.
+/// sharding.
 void ExpandPattern(RefineContext& ctx, const uint64_t* mask, size_t count,
                    size_t next_attr, size_t depth) {
   if (ctx.evaluated >= ctx.config->refinement_budget ||
@@ -250,15 +219,15 @@ void ExpandPattern(RefineContext& ctx, const uint64_t* mask, size_t count,
   ++ctx.evaluated;
   ctx.timer.Enter(RefineTimer::kScore);
 
-  // With a single identity slice the match mask IS the coverage set.
+  // With a single identity shard the match mask IS the coverage set.
   const uint64_t* cov = mask;
   if (!ctx.pt_identity) {
-    const std::vector<AptSlice>& slices = ctx.slices->slices;
+    const std::vector<AptShard>& shards = ctx.apt->shards;
     ctx.covered.Reset(ctx.scorer.num_positions());
-    for (size_t si = 0; si < slices.size(); ++si) {
+    for (size_t si = 0; si < shards.size(); ++si) {
       CoverageScorer::CoverageFromMask(
-          mask + ctx.slice_word[si], ctx.slice_word[si + 1] - ctx.slice_word[si],
-          *slices[si].pt_row, &ctx.covered);
+          mask + ctx.shard_word[si], ctx.shard_word[si + 1] - ctx.shard_word[si],
+          shards[si].pt_row, &ctx.covered);
     }
     cov = ctx.covered.words().data();
   }
@@ -289,7 +258,7 @@ void ExpandPattern(RefineContext& ctx, const uint64_t* mask, size_t count,
   for (size_t a = next_attr; a + 1 < ctx.attr_begin.size(); ++a) {
     for (size_t c = ctx.attr_begin[a]; c < ctx.attr_begin[a + 1]; ++c) {
       // Charged once per candidate by the parent's in-view rows (summed
-      // over slices) so the row budget trips at the same evaluation count
+      // over shards) so the row budget trips at the same evaluation count
       // at any shard size.
       ctx.row_work += count;
       const size_t child_count = AndPopcountInto(
@@ -428,18 +397,18 @@ std::vector<size_t> SelectTopKDiverse(const CandidatePool& pool, size_t k,
   return selected;
 }
 
-std::vector<int> PatternMiner::SelectAttributes(const AptSliceSet& ss,
+std::vector<int> PatternMiner::SelectAttributes(const ShardedApt& apt,
                                                 const PtClasses& classes,
                                                 Rng* rng) const {
-  const std::vector<int>& eligible = *ss.pattern_cols;
+  const std::vector<int>& eligible = apt.pattern_cols;
   if (!config_->enable_feature_selection || eligible.size() <= 2) {
     return eligible;
   }
   ScopedStep step(profiler_, "Feature Selection");
 
   FeatureMatrix matrix = BuildFeatureMatrix(
-      ss, eligible, classes, std::max(config_->forest_row_cap * 2, size_t{256}),
-      rng);
+      apt, eligible, classes,
+      std::max(config_->forest_row_cap * 2, size_t{256}), rng);
   // Degenerate labels: nothing to learn, keep everything.
   bool has0 = false, has1 = false;
   for (int l : matrix.labels) (l == 0 ? has0 : has1) = true;
@@ -498,35 +467,24 @@ std::vector<int> PatternMiner::SelectAttributes(const AptSliceSet& ss,
   return out;
 }
 
-Result<MineResult> PatternMiner::Mine(const Apt& apt, const PtClasses& classes,
-                                      Rng* rng) const {
-  return MineSlices(MakeSliceSet(apt), classes, rng);
-}
-
 Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
                                       const PtClasses& classes,
                                       Rng* rng) const {
-  return MineSlices(MakeSliceSet(apt), classes, rng);
-}
-
-Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
-                                            const PtClasses& classes,
-                                            Rng* rng) const {
   MineResult result;
-  result.apt_rows = ss.total_rows;
-  result.num_attributes = ss.pattern_cols->size();
-  if (ss.pt_rows_used->empty()) {
+  result.apt_rows = apt.num_rows();
+  result.num_attributes = apt.pattern_cols.size();
+  if (apt.pt_rows_used.empty()) {
     return Status::InvalidArgument("APT covers no provenance rows");
   }
-  const std::vector<AptSlice>& slices = ss.slices;
-  const size_t num_slices = slices.size();
+  const std::vector<AptShard>& shards = apt.shards;
+  const size_t num_shards = shards.size();
 
   // (i) Attribute filtering + clustering.
-  std::vector<int> attrs = SelectAttributes(ss, classes, rng);
+  std::vector<int> attrs = SelectAttributes(apt, classes, rng);
   result.selected_attributes = attrs.size();
   std::vector<int> cat_attrs, num_attrs;
   for (int c : attrs) {
-    if (ss.schema_table().column(c).type() == DataType::kString) {
+    if (apt.schema_table().column(c).type() == DataType::kString) {
       cat_attrs.push_back(c);
     } else {
       num_attrs.push_back(c);
@@ -538,8 +496,8 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   {
     ScopedStep step(profiler_, "Sampling for F1");
     view = config_->f1_sample_rate >= 1.0
-               ? FullView(ss, classes)
-               : SampledView(ss, classes, config_->f1_sample_rate, rng);
+               ? FullView(apt, classes)
+               : SampledView(apt, classes, config_->f1_sample_rate, rng);
   }
 
   // (ii) LCA candidates over categorical attributes.
@@ -547,29 +505,29 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   {
     ScopedStep step(profiler_, "Gen. Pat. Cand.");
     size_t sample = static_cast<size_t>(config_->pat_sample_rate *
-                                        static_cast<double>(ss.total_rows));
+                                        static_cast<double>(apt.num_rows()));
     sample = std::min(std::max<size_t>(sample, 16), config_->pat_sample_cap);
-    candidates = GenerateLcaCandidates(ss, cat_attrs, sample, rng);
+    candidates = GenerateLcaCandidates(apt, cat_attrs, sample, rng);
   }
   result.lca_candidates = candidates.size();
 
-  // Flat mask layout shared by the seeds and refinement: slice si's rows
-  // occupy words [slice_word[si], slice_word[si + 1]).
-  std::vector<size_t> slice_word(num_slices + 1, 0);
-  for (size_t si = 0; si < num_slices; ++si) {
-    slice_word[si + 1] =
-        slice_word[si] + CoverageBitmap::NumWords(slices[si].num_rows());
+  // Flat mask layout shared by the seeds and refinement: shard si's rows
+  // occupy words [shard_word[si], shard_word[si + 1]).
+  std::vector<size_t> shard_word(num_shards + 1, 0);
+  for (size_t si = 0; si < num_shards; ++si) {
+    shard_word[si + 1] =
+        shard_word[si] + CoverageBitmap::NumWords(shards[si].num_rows());
   }
-  const size_t num_words = slice_word.back();
-  // Copies slice si's mask into its words of a flat mask.
-  auto store = [&](const CoverageBitmap& slice_mask, size_t si,
+  const size_t num_words = shard_word.back();
+  // Copies shard si's mask into its words of a flat mask.
+  auto store = [&](const CoverageBitmap& shard_mask, size_t si,
                    std::vector<uint64_t>* flat) {
-    std::copy(slice_mask.words().begin(), slice_mask.words().end(),
-              flat->begin() + static_cast<std::ptrdiff_t>(slice_word[si]));
+    std::copy(shard_mask.words().begin(), shard_mask.words().end(),
+              flat->begin() + static_cast<std::ptrdiff_t>(shard_word[si]));
   };
 
   // (iii) Recall-filter candidates; keep top k_cat by recall as seeds.
-  // Matching is mask-native and per slice: each slice's kernel match mask
+  // Matching is mask-native and per shard: each shard's kernel match mask
   // projects into one PT-wide coverage bitmap, so scores merge across
   // shards by bit-OR of coverage, never by concatenating rows.
   struct Seed {
@@ -577,7 +535,7 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
     std::vector<uint64_t> mask;        // flat, in-view matching rows
     size_t count = 0;
   };
-  const bool pt_identity = ss.pt_identity;
+  const bool pt_identity = apt.PtRowIsIdentity();
   std::vector<Seed> seeds;
   CoverageScorer scorer(classes, view);
   {
@@ -587,7 +545,7 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
     const size_t kMaxScored = 500;
     size_t scored = 0;
     PatternKernel kernel;
-    std::vector<CoverageBitmap> masks(num_slices);
+    std::vector<CoverageBitmap> masks(num_shards);
     CoverageBitmap covered;
     // Two passes so only the <= k_cat winners ever hold mask copies: first
     // score every candidate in the reused buffers, then re-match just the
@@ -601,20 +559,19 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
     for (const auto& cand : candidates) {
       if (scored >= kMaxScored) break;
       ++scored;
-      for (size_t si = 0; si < num_slices; ++si) {
-        kernel.Compile(cand.pattern, *slices[si].table);
+      for (size_t si = 0; si < num_shards; ++si) {
+        kernel.Compile(cand.pattern, shards[si].table);
         if (view.all_rows) {
-          kernel.MatchMask(slices[si].num_rows(), &masks[si]);
+          kernel.MatchMask(shards[si].num_rows(), &masks[si]);
         } else {
-          kernel.MatchMask(view.slice_masks[si], view.slice_rows[si].size(),
-                           &masks[si]);
+          kernel.MatchMask(view.masks[si], view.rows[si].size(), &masks[si]);
         }
       }
       const CoverageBitmap* cov = &masks[0];
       if (!pt_identity) {
         covered.Reset(scorer.num_positions());
-        for (size_t si = 0; si < num_slices; ++si) {
-          CoverageScorer::CoverageFromMask(masks[si], *slices[si].pt_row,
+        for (size_t si = 0; si < num_shards; ++si) {
+          CoverageScorer::CoverageFromMask(masks[si], shards[si].pt_row,
                                            &covered);
         }
         cov = &covered;
@@ -640,13 +597,13 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
       Seed seed;
       seed.pattern = sc.pattern;
       seed.mask.resize(num_words);
-      for (size_t si = 0; si < num_slices; ++si) {
-        kernel.Compile(*seed.pattern, *slices[si].table);
+      for (size_t si = 0; si < num_shards; ++si) {
+        kernel.Compile(*seed.pattern, shards[si].table);
         seed.count +=
             view.all_rows
-                ? kernel.MatchMask(slices[si].num_rows(), &masks[si])
-                : kernel.MatchMask(view.slice_masks[si],
-                                   view.slice_rows[si].size(), &masks[si]);
+                ? kernel.MatchMask(shards[si].num_rows(), &masks[si])
+                : kernel.MatchMask(view.masks[si], view.rows[si].size(),
+                                   &masks[si]);
         store(masks[si], si, &seed.mask);
       }
       seeds.push_back(std::move(seed));
@@ -657,15 +614,15 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   {
     Seed empty;
     empty.mask.resize(num_words);
-    for (size_t si = 0; si < num_slices; ++si) {
+    for (size_t si = 0; si < num_shards; ++si) {
       if (view.all_rows) {
-        CoverageBitmap all(slices[si].num_rows());
+        CoverageBitmap all(shards[si].num_rows());
         all.SetAll();
         store(all, si, &empty.mask);
-        empty.count += slices[si].num_rows();
+        empty.count += shards[si].num_rows();
       } else {
-        store(view.slice_masks[si], si, &empty.mask);
-        empty.count += view.slice_rows[si].size();
+        store(view.masks[si], si, &empty.mask);
+        empty.count += view.rows[si].size();
       }
     }
     seeds.push_back(std::move(empty));
@@ -676,25 +633,25 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
   CandidatePool pool;
   RefineContext ctx;
   ctx.timer = RefineTimer(profiler_ != nullptr);
-  ctx.slices = &ss;
+  ctx.apt = &apt;
   ctx.config = config_;
-  ctx.slice_word = std::move(slice_word);
+  ctx.shard_word = std::move(shard_word);
   ctx.num_words = num_words;
   ctx.pool = &pool;
   ctx.scorer = std::move(scorer);
   ctx.pt_identity = pt_identity;
   for (int col : num_attrs) {
     ctx.attr_begin.push_back(ctx.cand_pred.size());
-    const DataType type = ss.schema_table().column(col).type();
+    const DataType type = apt.schema_table().column(col).type();
     if (type == DataType::kInt64) {
       AddRefinementCandidates(
-          ss, col,
-          FragmentBoundaries<int64_t>(ss, view, col, config_->num_fragments),
+          apt, col,
+          FragmentBoundaries<int64_t>(apt, view, col, config_->num_fragments),
           &ctx);
     } else if (type == DataType::kDouble) {
       AddRefinementCandidates(
-          ss, col,
-          FragmentBoundaries<double>(ss, view, col, config_->num_fragments),
+          apt, col,
+          FragmentBoundaries<double>(apt, view, col, config_->num_fragments),
           &ctx);
     }
   }
@@ -722,14 +679,14 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
       pool, static_cast<size_t>(config_->top_k), config_->enable_diversity);
 
   // Exact relative supports (Definition 6) on the full APT for the winners.
-  // Multi-slice merging goes through CoverageBitmap::Or so the cross-shard
+  // Multi-shard merging goes through CoverageBitmap::Or so the cross-shard
   // merge path (and its width assert) is exercised even on this cold path.
-  MetricsView full = FullView(ss, classes);
+  MetricsView full = FullView(apt, classes);
   CoverageScorer full_scorer(classes, full);
   PatternKernel kernel;
   CoverageBitmap match_mask;
   CoverageBitmap covered;
-  CoverageBitmap slice_covered;
+  CoverageBitmap shard_covered;
   for (size_t idx : picked) {
     const CandidatePool::Entry& entry = pool.entries()[idx];
     MinedPattern mp;
@@ -738,25 +695,24 @@ Result<MineResult> PatternMiner::MineSlices(const AptSliceSet& ss,
     mp.scores = entry.scores;
     const CoverageBitmap* cov = nullptr;
     if (pt_identity) {
-      kernel.Compile(mp.pattern, *slices[0].table);
-      kernel.MatchMask(slices[0].num_rows(), &match_mask);
+      kernel.Compile(mp.pattern, shards[0].table);
+      kernel.MatchMask(shards[0].num_rows(), &match_mask);
       cov = &match_mask;
-    } else if (num_slices == 1) {
-      kernel.Compile(mp.pattern, *slices[0].table);
-      kernel.MatchMask(slices[0].num_rows(), &match_mask);
+    } else if (num_shards == 1) {
+      kernel.Compile(mp.pattern, shards[0].table);
+      kernel.MatchMask(shards[0].num_rows(), &match_mask);
       covered.Reset(full_scorer.num_positions());
-      CoverageScorer::CoverageFromMask(match_mask, *slices[0].pt_row,
-                                       &covered);
+      CoverageScorer::CoverageFromMask(match_mask, shards[0].pt_row, &covered);
       cov = &covered;
     } else {
       covered.Reset(full_scorer.num_positions());
-      for (size_t si = 0; si < num_slices; ++si) {
-        kernel.Compile(mp.pattern, *slices[si].table);
-        kernel.MatchMask(slices[si].num_rows(), &match_mask);
-        slice_covered.Reset(full_scorer.num_positions());
-        CoverageScorer::CoverageFromMask(match_mask, *slices[si].pt_row,
-                                         &slice_covered);
-        covered.Or(slice_covered);
+      for (size_t si = 0; si < num_shards; ++si) {
+        kernel.Compile(mp.pattern, shards[si].table);
+        kernel.MatchMask(shards[si].num_rows(), &match_mask);
+        shard_covered.Reset(full_scorer.num_positions());
+        CoverageScorer::CoverageFromMask(match_mask, shards[si].pt_row,
+                                         &shard_covered);
+        covered.Or(shard_covered);
       }
       cov = &covered;
     }

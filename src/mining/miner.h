@@ -137,27 +137,17 @@ class PatternMiner {
   PatternMiner(const CajadeConfig* config, StepProfiler* profiler)
       : config_(config), profiler_(profiler) {}
 
-  Result<MineResult> Mine(const Apt& apt, const PtClasses& classes,
-                          Rng* rng) const;
-
-  /// Shard-native entry point: mines a sharded APT without ever
-  /// concatenating its shard tables — predicate masks are evaluated per
-  /// shard and coverage/F-score popcounts merged. Bit-identical to Mine()
-  /// over the equivalent unsharded APT at any shard size (every stage
-  /// consumes rows in global row order and every RNG draw is
-  /// slicing-independent).
+  /// Mines an APT shard by shard, never concatenating its shard tables:
+  /// predicate masks are evaluated per shard and coverage/F-score popcounts
+  /// merged. Bit-identical at any shard size (every stage consumes rows in
+  /// global row order and every RNG draw is sharding-independent).
   Result<MineResult> Mine(const ShardedApt& apt, const PtClasses& classes,
                           Rng* rng) const;
 
  private:
-  /// Shared implementation over the borrowed slice view (one slice for an
-  /// unsharded APT, one per shard otherwise).
-  Result<MineResult> MineSlices(const AptSliceSet& ss,
-                                const PtClasses& classes, Rng* rng) const;
-
   /// filterAttrs (Algorithm 1): relevance filtering + clustering; returns
   /// selected pattern-eligible column indexes.
-  std::vector<int> SelectAttributes(const AptSliceSet& ss,
+  std::vector<int> SelectAttributes(const ShardedApt& apt,
                                     const PtClasses& classes, Rng* rng) const;
 
   const CajadeConfig* config_;

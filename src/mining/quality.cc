@@ -4,22 +4,7 @@
 
 namespace cajade {
 
-MetricsView FullView(const AptSliceSet& ss, const PtClasses& classes) {
-  MetricsView view;
-  view.all_rows = true;
-  view.pt_sampled.assign(ss.pt_rows_used->size(), 1);
-  for (size_t p = 0; p < classes.size(); ++p) {
-    if (classes[p] == 0) {
-      ++view.n1;
-    } else {
-      ++view.n2;
-    }
-  }
-  view.sampled_rows = ss.total_rows;
-  return view;
-}
-
-MetricsView FullView(const Apt& apt, const PtClasses& classes) {
+MetricsView FullView(const ShardedApt& apt, const PtClasses& classes) {
   MetricsView view;
   view.all_rows = true;
   view.pt_sampled.assign(apt.pt_rows_used.size(), 1);
@@ -34,14 +19,14 @@ MetricsView FullView(const Apt& apt, const PtClasses& classes) {
   return view;
 }
 
-MetricsView SampledView(const AptSliceSet& ss, const PtClasses& classes,
+MetricsView SampledView(const ShardedApt& apt, const PtClasses& classes,
                         double rate, Rng* rng) {
-  if (rate >= 1.0) return FullView(ss, classes);
+  if (rate >= 1.0) return FullView(apt, classes);
   MetricsView view;
   view.all_rows = false;
-  size_t m = ss.pt_rows_used->size();
+  size_t m = apt.pt_rows_used.size();
   // PT positions are drawn first, in position order: the RNG consumption is
-  // independent of the slicing, which is what keeps sampled scores
+  // independent of the sharding, which is what keeps sampled scores
   // bit-identical at any shard size.
   view.pt_sampled.assign(m, 0);
   for (size_t p = 0; p < m; ++p) {
@@ -69,44 +54,38 @@ MetricsView SampledView(const AptSliceSet& ss, const PtClasses& classes,
       ++view.n2;
     }
   }
-  view.slice_rows.resize(ss.slices.size());
-  view.slice_masks.resize(ss.slices.size());
-  for (size_t si = 0; si < ss.slices.size(); ++si) {
-    const AptSlice& slice = ss.slices[si];
-    view.slice_rows[si].reserve(slice.num_rows() / 2);
-    view.slice_masks[si].Reset(slice.num_rows());
-    for (size_t r = 0; r < slice.num_rows(); ++r) {
-      if (view.pt_sampled[(*slice.pt_row)[r]]) {
-        view.slice_rows[si].push_back(static_cast<int32_t>(r));
-        view.slice_masks[si].Set(r);
+  view.rows.resize(apt.shards.size());
+  view.masks.resize(apt.shards.size());
+  for (size_t si = 0; si < apt.shards.size(); ++si) {
+    const AptShard& shard = apt.shards[si];
+    view.rows[si].reserve(shard.num_rows() / 2);
+    view.masks[si].Reset(shard.num_rows());
+    for (size_t r = 0; r < shard.num_rows(); ++r) {
+      if (view.pt_sampled[shard.pt_row[r]]) {
+        view.rows[si].push_back(static_cast<int32_t>(r));
+        view.masks[si].Set(r);
       }
     }
-    view.sampled_rows += view.slice_rows[si].size();
+    view.sampled_rows += view.rows[si].size();
   }
   return view;
 }
 
-MetricsView SampledView(const Apt& apt, const PtClasses& classes, double rate,
-                        Rng* rng) {
-  AptSliceSet ss = MakeSliceSet(apt);
-  return SampledView(ss, classes, rate, rng);
-}
-
-void ComputeCoverage(const Pattern& pattern, const Apt& apt,
+void ComputeCoverage(const Pattern& pattern, const ShardedApt& apt,
                      const MetricsView& view, std::vector<uint8_t>* covered) {
   covered->assign(apt.pt_rows_used.size(), 0);
-  if (view.all_rows) {
-    for (size_t r = 0; r < apt.num_rows(); ++r) {
-      int32_t p = apt.pt_row[r];
-      if ((*covered)[p]) continue;  // a PT row is covered once
-      if (pattern.Matches(apt.table, r)) (*covered)[p] = 1;
+  for (size_t si = 0; si < apt.shards.size(); ++si) {
+    const AptShard& shard = apt.shards[si];
+    auto visit = [&](size_t r) {
+      const int32_t p = shard.pt_row[r];
+      if ((*covered)[p]) return;  // a PT row is covered once
+      if (pattern.Matches(shard.table, r)) (*covered)[p] = 1;
+    };
+    if (view.all_rows) {
+      for (size_t r = 0; r < shard.num_rows(); ++r) visit(r);
+    } else {
+      for (int32_t r : view.rows[si]) visit(static_cast<size_t>(r));
     }
-    return;
-  }
-  for (int32_t r : view.slice_rows.front()) {
-    int32_t p = apt.pt_row[r];
-    if ((*covered)[p]) continue;
-    if (pattern.Matches(apt.table, static_cast<size_t>(r))) (*covered)[p] = 1;
   }
 }
 
@@ -184,7 +163,7 @@ PatternScores CoverageScorer::Score(const uint64_t* covered_words,
                           static_cast<int64_t>(n_class_[primary]));
 }
 
-PatternScores ScorePattern(const Pattern& pattern, const Apt& apt,
+PatternScores ScorePattern(const Pattern& pattern, const ShardedApt& apt,
                            const PtClasses& classes, const MetricsView& view,
                            int primary) {
   std::vector<uint8_t> covered;

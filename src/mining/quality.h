@@ -20,50 +20,47 @@
 namespace cajade {
 
 /// Class labels for PT rows: which user-question output a PT row belongs to.
-/// Indexed by position in Apt::pt_rows_used; 0 = t1, 1 = t2.
+/// Indexed by position in ShardedApt::pt_rows_used; 0 = t1, 1 = t2.
 using PtClasses = std::vector<int8_t>;
 
 /// \brief A (possibly sampled) view of the APT over which metrics are
-/// computed. Shard-native: row selections are held per slice (slice-local
+/// computed. Shard-native: row selections are held per shard (shard-local
 /// row ids), so the miner restricts each shard's kernel to its own mask and
-/// merges only coverage popcounts. A single-slice view over an unsharded
-/// APT is exactly the old whole-table view.
+/// merges only coverage popcounts.
 struct MetricsView {
-  /// Per slice: sampled rows to scan (slice-local ids, ascending). Empty
-  /// when `all_rows` (every row of every slice is in view).
-  std::vector<std::vector<int32_t>> slice_rows;
-  /// The same row sets as bitmasks over [0, slice.num_rows()), the base
+  /// Per shard: sampled rows to scan (shard-local ids, ascending). Empty
+  /// when `all_rows` (every row of every shard is in view).
+  std::vector<std::vector<int32_t>> rows;
+  /// The same row sets as bitmasks over [0, shard.num_rows()), the base
   /// masks of the kernels' view-restricted MatchMask path. Empty when
   /// `all_rows` (full masks are implicit).
-  std::vector<CoverageBitmap> slice_masks;
+  std::vector<CoverageBitmap> masks;
   bool all_rows = true;
   /// Per PT position: whether it is in the sample.
   std::vector<uint8_t> pt_sampled;
   /// Sampled class sizes |PT(t1)|, |PT(t2)| (full sizes when not sampling).
   size_t n1 = 0;
   size_t n2 = 0;
-  /// Total in-view rows across slices (== total APT rows when `all_rows`).
+  /// Total in-view rows across shards (== total APT rows when `all_rows`).
   size_t sampled_rows = 0;
 };
 
 /// Builds the exact (no sampling) view.
-MetricsView FullView(const AptSliceSet& ss, const PtClasses& classes);
-MetricsView FullView(const Apt& apt, const PtClasses& classes);
+MetricsView FullView(const ShardedApt& apt, const PtClasses& classes);
 
 /// Builds a sampled view: PT positions are sampled at `rate` (at least one
 /// from each class kept when available), and APT rows restricted to sampled
 /// positions (the paper's "Sampling for F1" step). The Bernoulli draws are
-/// per PT position — independent of how the APT is sliced — so the sampled
+/// per PT position — independent of how the APT is sharded — so the sampled
 /// view (and everything scored on it) is bit-identical at any shard size.
-MetricsView SampledView(const AptSliceSet& ss, const PtClasses& classes,
+MetricsView SampledView(const ShardedApt& apt, const PtClasses& classes,
                         double rate, Rng* rng);
-MetricsView SampledView(const Apt& apt, const PtClasses& classes, double rate,
-                        Rng* rng);
 
 /// Coverage bitmap (Definition 7a): out[p] = 1 iff some APT row of PT
-/// position p (within the view) matches the pattern. Scalar oracle over an
-/// unsharded APT; `view` must have been built from it (single slice).
-void ComputeCoverage(const Pattern& pattern, const Apt& apt,
+/// position p (within the view) matches the pattern. Scalar oracle: every
+/// shard row is tested with Pattern::Matches, shards in order; `view` must
+/// have been built from `apt`.
+void ComputeCoverage(const Pattern& pattern, const ShardedApt& apt,
                      const MetricsView& view, std::vector<uint8_t>* covered);
 
 /// Metric values of a pattern for one primary tuple.
@@ -115,7 +112,7 @@ class CoverageScorer {
   /// Mask-native companion: for every set bit r of `rows` (a match mask
   /// over APT rows), sets covered bit pt_row[r]. Zero words are skipped, so
   /// cost tracks the number of matching rows, not the APT size. When
-  /// pt_row is the identity (Apt::PtRowIsIdentity), skip this entirely and
+  /// pt_row is the identity (ShardedApt::PtRowIsIdentity), skip this and
   /// Score the match mask itself — the mask *is* the coverage set.
   static void CoverageFromMask(const CoverageBitmap& rows,
                                const std::vector<int32_t>& pt_row,
@@ -135,7 +132,7 @@ class CoverageScorer {
 };
 
 /// Convenience: coverage + scoring in one call.
-PatternScores ScorePattern(const Pattern& pattern, const Apt& apt,
+PatternScores ScorePattern(const Pattern& pattern, const ShardedApt& apt,
                            const PtClasses& classes, const MetricsView& view,
                            int primary);
 

@@ -1,11 +1,13 @@
-// Differential tests for the kernel-backed APT materialization against the
-// scalar ReferenceMaterializeApt oracle: shared-prefix graph families,
+// Differential tests for MaterializeAptSharded against the scalar
+// ReferenceMaterializeApt oracle: shared-prefix graph families,
 // cycle-closing graphs, NULL-heavy columns, composite and DOUBLE keys,
-// caches on/off, and the parallel explainer at threads in {1, 4, 8} — all
-// bit-identical. Also pins the NULL-never-matches contract on tree and
-// cycle edges, the prefix cache's counters and memory bound, and the
-// deterministic lowest-index error report under forced multi-graph failure.
-// The ASan/UBSan and TSan CI legs run this binary.
+// caches on/off, shard sizes from one row to one full-range shard, and the
+// parallel explainer at threads in {1, 4, 8} — all bit-identical, errors
+// included. Also pins the NULL-never-matches contract on tree and cycle
+// edges, the prefix cache's counters and memory bound, the single pass of a
+// failing one-shard materialization, and the deterministic lowest-index
+// error report under forced multi-graph failure. The ASan/UBSan and TSan CI
+// legs run this binary.
 
 #include <gtest/gtest.h>
 
@@ -245,36 +247,72 @@ std::vector<std::pair<std::string, JoinGraph>> MakeGraphFamily(
   return graphs;
 }
 
-void ExpectAptsEqual(const Apt& ref, const Apt& got) {
-  ASSERT_EQ(ref.table.num_rows(), got.table.num_rows());
-  ASSERT_EQ(ref.table.num_columns(), got.table.num_columns());
-  EXPECT_EQ(ref.num_pt_columns, got.num_pt_columns);
-  EXPECT_EQ(ref.pattern_cols, got.pattern_cols);
-  EXPECT_EQ(ref.pt_rows_used, got.pt_rows_used);
-  EXPECT_EQ(ref.pt_row, got.pt_row);
-  for (size_t c = 0; c < ref.table.num_columns(); ++c) {
-    EXPECT_EQ(ref.table.schema().column(c).name, got.table.schema().column(c).name);
-    EXPECT_EQ(ref.table.schema().column(c).type, got.table.schema().column(c).type);
-    EXPECT_EQ(ref.table.schema().column(c).mining_excluded,
-              got.table.schema().column(c).mining_excluded);
-    for (size_t r = 0; r < ref.table.num_rows(); ++r) {
-      const Value a = ref.table.GetValue(r, c);
-      const Value b = got.table.GetValue(r, c);
-      ASSERT_TRUE(a == b) << "cell (" << r << ", " << c << "): "
-                          << a.ToString() << " vs " << b.ToString();
+/// `got`, its shards concatenated, equals the reference's single shard:
+/// same metadata and schema, the same rows in the same order with GLOBAL
+/// pt_row positions, and shards that tile [0, |pt_rows_used|) in order.
+void ExpectMatchesReference(const ShardedApt& ref, const ShardedApt& got) {
+  ASSERT_EQ(ref.shards.size(), 1u);
+  const Table& ref_table = ref.shards[0].table;
+  const std::vector<int32_t>& ref_pt_row = ref.shards[0].pt_row;
+  EXPECT_EQ(got.pt_rows_used, ref.pt_rows_used);
+  EXPECT_EQ(got.num_pt_columns, ref.num_pt_columns);
+  EXPECT_EQ(got.pattern_cols, ref.pattern_cols);
+  ASSERT_EQ(got.num_rows(), ref.num_rows());
+  size_t global = 0;
+  size_t prev_end = 0;
+  for (size_t si = 0; si < got.shards.size(); ++si) {
+    SCOPED_TRACE("shard " + std::to_string(si));
+    const AptShard& shard = got.shards[si];
+    EXPECT_EQ(shard.pt_begin, prev_end);
+    EXPECT_LE(shard.pt_end, ref.pt_rows_used.size());
+    prev_end = shard.pt_end;
+    ASSERT_EQ(shard.table.num_rows(), shard.pt_row.size());
+    ASSERT_EQ(shard.table.num_columns(), ref_table.num_columns());
+    for (size_t c = 0; c < ref_table.num_columns(); ++c) {
+      const ColumnDef& a = ref_table.schema().column(c);
+      const ColumnDef& b = shard.table.schema().column(c);
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.type, b.type);
+      EXPECT_EQ(a.mining_excluded, b.mining_excluded);
+    }
+    for (size_t r = 0; r < shard.table.num_rows(); ++r, ++global) {
+      ASSERT_LT(global, ref.num_rows());
+      EXPECT_EQ(shard.pt_row[r], ref_pt_row[global]);
+      for (size_t c = 0; c < ref_table.num_columns(); ++c) {
+        const Value a = ref_table.GetValue(global, c);
+        const Value b = shard.table.GetValue(r, c);
+        ASSERT_TRUE(a == b) << "shard " << si << " row " << r << " col " << c
+                            << ": " << a.ToString() << " vs " << b.ToString();
+      }
     }
   }
+  EXPECT_EQ(prev_end, ref.pt_rows_used.size());
+  EXPECT_EQ(global, ref.num_rows());
 }
 
-/// Runs one graph through the reference and every kernel-path cache
-/// configuration, expecting identical APTs (or identical errors).
+/// Both succeed with equal APTs, or both fail with the same Status (code
+/// and message).
+void ExpectSameOutcome(const Result<ShardedApt>& ref,
+                       const Result<ShardedApt>& got) {
+  ASSERT_EQ(ref.ok(), got.ok())
+      << (ref.ok() ? got.status() : ref.status()).ToString();
+  if (!ref.ok()) {
+    EXPECT_EQ(ref.status().code(), got.status().code());
+    EXPECT_EQ(ref.status().message(), got.status().message());
+    return;
+  }
+  ExpectMatchesReference(*ref, *got);
+}
+
+/// Runs one graph through the reference and every cache configuration of
+/// a one-shard materialization, expecting identical APTs (or errors).
 void DiffOneGraph(const DiffFixture& fx, const std::string& label,
                   const JoinGraph& graph, size_t row_limit,
                   AptIndexCache* index_cache, AptPrefixCache* prefix_cache,
                   StatsCatalog* stats) {
   SCOPED_TRACE(label);
-  Result<Apt> ref = ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg,
-                                            fx.db, row_limit);
+  Result<ShardedApt> ref = ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph,
+                                                   fx.sg, fx.db, row_limit);
 
   struct Variant {
     const char* name;
@@ -298,16 +336,9 @@ void DiffOneGraph(const DiffFixture& fx, const std::string& label,
 
   for (auto& v : variants) {
     SCOPED_TRACE(v.name);
-    Result<Apt> got =
-        MaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db, v.options);
-    ASSERT_EQ(ref.ok(), got.ok())
-        << (ref.ok() ? got.status() : ref.status()).ToString();
-    if (!ref.ok()) {
-      EXPECT_EQ(ref.status().code(), got.status().code());
-      EXPECT_EQ(ref.status().message(), got.status().message());
-      continue;
-    }
-    ExpectAptsEqual(*ref, *got);
+    ExpectSameOutcome(ref, MaterializeAptSharded(fx.pt, fx.pt_rows, graph,
+                                                 fx.sg, fx.db, v.options,
+                                                 /*shard_rows=*/0));
   }
 }
 
@@ -360,8 +391,8 @@ TEST(AptDiffTest, AllNullBuildKeysProduceEmptyApt) {
   DiffFixture fx = MakeFixture(p);
   auto family = MakeGraphFamily(fx);
   const JoinGraph& pt_a = family[1].second;
-  Result<Apt> got = MaterializeApt(fx.pt, fx.pt_rows, pt_a, fx.sg, fx.db,
-                                   AptMaterializeOptions{});
+  Result<ShardedApt> got = MaterializeAptSharded(
+      fx.pt, fx.pt_rows, pt_a, fx.sg, fx.db, AptMaterializeOptions{}, 0);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->num_rows(), 0u)
       << "NULL build keys must never match (including NULL = NULL)";
@@ -413,8 +444,9 @@ TEST(AptNullSemanticsTest, NullNeverSurvivesTreeOrCycleEdges) {
     AptPrefixCache prefix_cache;
     AptMaterializeOptions options;
     if (with_cache) options.prefix_cache = &prefix_cache;
-    Apt apt = MaterializeApt(fx.pt, fx.pt_rows, tree, fx.sg, fx.db, options)
-                  .ValueOrDie();
+    ShardedApt apt =
+        MaterializeAptSharded(fx.pt, fx.pt_rows, tree, fx.sg, fx.db, options, 0)
+            .ValueOrDie();
     EXPECT_EQ(apt.num_rows(), 4u);
 
     // Close the parallel composite edge (k = ak AND s = as) as a cycle
@@ -423,27 +455,31 @@ TEST(AptNullSemanticsTest, NullNeverSurvivesTreeOrCycleEdges) {
     // (s="a", as="a") pairing.
     JoinGraph cycle = tree;
     cycle.AddEdge({0, a, 0, 1, true, "fact"});
-    Apt closed = MaterializeApt(fx.pt, fx.pt_rows, cycle, fx.sg, fx.db, options)
-                     .ValueOrDie();
+    ShardedApt closed =
+        MaterializeAptSharded(fx.pt, fx.pt_rows, cycle, fx.sg, fx.db, options,
+                              0)
+            .ValueOrDie();
+    ASSERT_EQ(closed.shards.size(), 1u);
+    const Table& closed_table = closed.shards[0].table;
     EXPECT_EQ(closed.num_rows(), 1u);
-    int s_col = closed.table.schema().FindColumn("prov_fact_s");
-    int as_col = closed.table.schema().FindColumn("dima.as");
+    int s_col = closed_table.schema().FindColumn("prov_fact_s");
+    int as_col = closed_table.schema().FindColumn("dima.as");
     ASSERT_GE(s_col, 0);
     ASSERT_GE(as_col, 0);
     for (size_t r = 0; r < closed.num_rows(); ++r) {
-      EXPECT_FALSE(closed.table.column(s_col).IsNull(r));
-      EXPECT_FALSE(closed.table.column(as_col).IsNull(r));
+      EXPECT_FALSE(closed_table.column(s_col).IsNull(r));
+      EXPECT_FALSE(closed_table.column(as_col).IsNull(r));
     }
 
     // The oracle agrees cell for cell.
-    Apt ref_tree =
+    ExpectMatchesReference(
         ReferenceMaterializeApt(fx.pt, fx.pt_rows, tree, fx.sg, fx.db)
-            .ValueOrDie();
-    ExpectAptsEqual(ref_tree, apt);
-    Apt ref_cycle =
+            .ValueOrDie(),
+        apt);
+    ExpectMatchesReference(
         ReferenceMaterializeApt(fx.pt, fx.pt_rows, cycle, fx.sg, fx.db)
-            .ValueOrDie();
-    ExpectAptsEqual(ref_cycle, closed);
+            .ValueOrDie(),
+        closed);
   }
 }
 
@@ -464,25 +500,27 @@ TEST(AptPrefixSharingTest, SiblingGraphsHitTheSharedPrefixOnce) {
   options.stats = &stats;
 
   // First sibling builds the base state and the shared PT-A state.
-  Apt apt_b = MaterializeApt(fx.pt, fx.pt_rows, pt_a_b, fx.sg, fx.db, options)
-                  .ValueOrDie();
+  ShardedApt apt_b =
+      MaterializeAptSharded(fx.pt, fx.pt_rows, pt_a_b, fx.sg, fx.db, options, 0)
+          .ValueOrDie();
   EXPECT_EQ(prefix_cache.builds(), 2u);
   EXPECT_EQ(prefix_cache.hits(), 0u);
 
   // The sibling hits both shared states exactly once and builds nothing.
-  Apt apt_c = MaterializeApt(fx.pt, fx.pt_rows, pt_a_c, fx.sg, fx.db, options)
-                  .ValueOrDie();
+  ShardedApt apt_c =
+      MaterializeAptSharded(fx.pt, fx.pt_rows, pt_a_c, fx.sg, fx.db, options, 0)
+          .ValueOrDie();
   EXPECT_EQ(prefix_cache.builds(), 2u);
   EXPECT_EQ(prefix_cache.hits(), 2u);
   EXPECT_EQ(prefix_cache.evictions(), 0u);
   EXPECT_GT(prefix_cache.bytes_in_use(), 0u);
 
   // Cached-prefix results are bit-identical to the oracle.
-  ExpectAptsEqual(
+  ExpectMatchesReference(
       ReferenceMaterializeApt(fx.pt, fx.pt_rows, pt_a_b, fx.sg, fx.db)
           .ValueOrDie(),
       apt_b);
-  ExpectAptsEqual(
+  ExpectMatchesReference(
       ReferenceMaterializeApt(fx.pt, fx.pt_rows, pt_a_c, fx.sg, fx.db)
           .ValueOrDie(),
       apt_c);
@@ -515,11 +553,10 @@ TEST(AptPrefixSharingTest, SignaturesDistinguishRepeatedRelationLabels) {
        {std::pair<const char*, const JoinGraph*>{"repeated-dima", &g1},
         std::pair<const char*, const JoinGraph*>{"plain-dima", &g2}}) {
     SCOPED_TRACE(label);
-    Apt got = MaterializeApt(fx.pt, fx.pt_rows, *graph, fx.sg, fx.db, options)
-                  .ValueOrDie();
-    Apt ref = ReferenceMaterializeApt(fx.pt, fx.pt_rows, *graph, fx.sg, fx.db)
-                  .ValueOrDie();
-    ExpectAptsEqual(ref, got);
+    ExpectSameOutcome(
+        ReferenceMaterializeApt(fx.pt, fx.pt_rows, *graph, fx.sg, fx.db),
+        MaterializeAptSharded(fx.pt, fx.pt_rows, *graph, fx.sg, fx.db, options,
+                              0));
   }
 }
 
@@ -567,11 +604,9 @@ TEST(AptPrefixSharingTest, DifferentQueriesNeverAliasCachedStates) {
     }
     std::sort(rows.begin(), rows.end());
     ASSERT_EQ(rows.size(), 2u);  // both PTs select positional rows {0, 1}
-    Apt got = MaterializeApt(pt, rows, graph, fx.sg, fx.db, options)
-                  .ValueOrDie();
-    Apt ref = ReferenceMaterializeApt(pt, rows, graph, fx.sg, fx.db)
-                  .ValueOrDie();
-    ExpectAptsEqual(ref, got);
+    ExpectSameOutcome(
+        ReferenceMaterializeApt(pt, rows, graph, fx.sg, fx.db),
+        MaterializeAptSharded(pt, rows, graph, fx.sg, fx.db, options, 0));
   }
 }
 
@@ -591,12 +626,10 @@ TEST(AptPrefixSharingTest, MemoryBoundIsRespectedUnderMaterialization) {
 
   for (const auto& [label, graph] : MakeGraphFamily(fx)) {
     SCOPED_TRACE(label);
-    Result<Apt> got =
-        MaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db, options);
-    Result<Apt> ref =
-        ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db);
-    ASSERT_EQ(ref.ok(), got.ok());
-    if (ref.ok()) ExpectAptsEqual(*ref, *got);
+    ExpectSameOutcome(
+        ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db),
+        MaterializeAptSharded(fx.pt, fx.pt_rows, graph, fx.sg, fx.db, options,
+                              0));
     EXPECT_LE(prefix_cache.bytes_in_use(), prefix_cache.max_bytes());
   }
   EXPECT_GT(prefix_cache.evictions(), 0u);
@@ -605,51 +638,11 @@ TEST(AptPrefixSharingTest, MemoryBoundIsRespectedUnderMaterialization) {
 
 // ---- Sharded materialization differential ----------------------------------
 
-/// concat(shards) must be byte-identical to the unsharded APT: same rows in
-/// the same order, same metadata, and GLOBAL pt_row positions.
-void ExpectShardedEqualsApt(const Apt& ref, const ShardedApt& got) {
-  EXPECT_EQ(got.pt_rows_used, ref.pt_rows_used);
-  EXPECT_EQ(got.num_pt_columns, ref.num_pt_columns);
-  EXPECT_EQ(got.pattern_cols, ref.pattern_cols);
-  ASSERT_EQ(got.num_rows(), ref.num_rows());
-  size_t global = 0;
-  size_t prev_end = 0;
-  for (size_t si = 0; si < got.shards.size(); ++si) {
-    SCOPED_TRACE("shard " + std::to_string(si));
-    const AptShard& shard = got.shards[si];
-    // Shards tile [0, |pt_rows_used|) in order without gaps or overlaps.
-    EXPECT_EQ(shard.pt_begin, prev_end);
-    EXPECT_LE(shard.pt_end, ref.pt_rows_used.size());
-    prev_end = shard.pt_end;
-    ASSERT_EQ(shard.table.num_rows(), shard.pt_row.size());
-    ASSERT_EQ(shard.table.num_columns(), ref.table.num_columns());
-    for (size_t c = 0; c < ref.table.num_columns(); ++c) {
-      EXPECT_EQ(shard.table.schema().column(c).name,
-                ref.table.schema().column(c).name);
-      EXPECT_EQ(shard.table.schema().column(c).mining_excluded,
-                ref.table.schema().column(c).mining_excluded);
-    }
-    for (size_t r = 0; r < shard.table.num_rows(); ++r, ++global) {
-      ASSERT_LT(global, ref.num_rows());
-      EXPECT_EQ(shard.pt_row[r], ref.pt_row[global]);
-      for (size_t c = 0; c < ref.table.num_columns(); ++c) {
-        const Value a = ref.table.GetValue(global, c);
-        const Value b = shard.table.GetValue(r, c);
-        ASSERT_TRUE(a == b)
-            << "shard " << si << " row " << r << " col " << c << ": "
-            << a.ToString() << " vs " << b.ToString();
-      }
-    }
-  }
-  EXPECT_EQ(prev_end, ref.pt_rows_used.size());
-  EXPECT_EQ(global, ref.num_rows());
-}
-
-/// Shard sizes that pin the boundary math: 1, the word boundary 63/64/65, a
-/// random non-divisor of |pt_rows|, and one past the whole range
-/// (collapsing to a single shard).
+/// Shard sizes that pin the boundary math: 0 (one full-range shard), 1, the
+/// word boundary 63/64/65, a random non-divisor of |pt_rows|, and one past
+/// the whole range (also a single shard).
 std::vector<size_t> ShardSizeSweep(size_t n, Rng* rng) {
-  std::vector<size_t> sizes = {1, 63, 64, 65};
+  std::vector<size_t> sizes = {0, 1, 63, 64, 65};
   size_t nd = 2 + rng->NextBounded(n > 4 ? n - 3 : 2);
   while (n % nd == 0) ++nd;  // force a ragged final shard
   sizes.push_back(nd);
@@ -657,10 +650,11 @@ std::vector<size_t> ShardSizeSweep(size_t n, Rng* rng) {
   return sizes;
 }
 
-TEST(AptShardDiffTest, ShardSweepMatchesUnshardedAtAnyThreadCount) {
+TEST(AptShardDiffTest, ShardSweepMatchesReferenceAtAnyThreadCount) {
   DiffFixture fx = MakeFixture({});
+  const size_t n = fx.pt_rows.size();
   Rng rng(99);
-  std::vector<size_t> sizes = ShardSizeSweep(fx.pt_rows.size(), &rng);
+  std::vector<size_t> sizes = ShardSizeSweep(n, &rng);
   for (int threads : {1, 4, 8}) {
     std::unique_ptr<WorkerPool> pool;
     if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
@@ -669,9 +663,8 @@ TEST(AptShardDiffTest, ShardSweepMatchesUnshardedAtAnyThreadCount) {
       AptPrefixCache prefix_cache;
       StatsCatalog stats;
       for (const auto& [label, graph] : MakeGraphFamily(fx)) {
-        Result<Apt> ref = MaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg,
-                                         fx.db, AptMaterializeOptions{});
-        ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+        Result<ShardedApt> ref =
+            ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db);
         for (size_t shard_rows : sizes) {
           SCOPED_TRACE(label + " shard_rows=" + std::to_string(shard_rows) +
                        " threads=" + std::to_string(threads) +
@@ -685,12 +678,11 @@ TEST(AptShardDiffTest, ShardSweepMatchesUnshardedAtAnyThreadCount) {
           options.metrics = &metrics;
           Result<ShardedApt> got = MaterializeAptSharded(
               fx.pt, fx.pt_rows, graph, fx.sg, fx.db, options, shard_rows);
-          ASSERT_TRUE(got.ok()) << got.status().ToString();
-          ExpectShardedEqualsApt(*ref, *got);
-          size_t expect_shards =
-              shard_rows >= fx.pt_rows.size()
-                  ? 1
-                  : (fx.pt_rows.size() + shard_rows - 1) / shard_rows;
+          ExpectSameOutcome(ref, got);
+          if (!got.ok()) continue;
+          size_t expect_shards = shard_rows == 0 || shard_rows >= n
+                                     ? 1
+                                     : (n + shard_rows - 1) / shard_rows;
           EXPECT_EQ(got->shards.size(), expect_shards);
           EXPECT_EQ(metrics.shards.load(), expect_shards);
           EXPECT_GT(metrics.peak_state_bytes.load(), 0u);
@@ -720,8 +712,8 @@ TEST(AptShardDiffTest, RandomizedShardBoundariesMatchReference) {
     options.stats = &stats;
     options.pool = &pool;
     for (const auto& [label, graph] : MakeGraphFamily(fx)) {
-      Result<Apt> ref = ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph,
-                                                fx.sg, fx.db);
+      Result<ShardedApt> ref =
+          ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
       for (int rep = 0; rep < 3; ++rep) {
         size_t shard_rows = 1 + rng.NextBounded(fx.pt_rows.size() + 8);
@@ -729,45 +721,41 @@ TEST(AptShardDiffTest, RandomizedShardBoundariesMatchReference) {
         Result<ShardedApt> got = MaterializeAptSharded(
             fx.pt, fx.pt_rows, graph, fx.sg, fx.db, options, shard_rows);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectShardedEqualsApt(*ref, *got);
+        ExpectMatchesReference(*ref, *got);
       }
     }
   }
 }
 
-TEST(AptShardDiffTest, RowLimitErrorsIdenticalToUnsharded) {
+TEST(AptShardDiffTest, RowLimitErrorsIdenticalToReference) {
   DiffFixture fx = MakeFixture({});
-  // Low enough that multi-edge graphs trip it: the sharded path must
-  // surface the same Status — code AND message — at every shard size and
-  // thread count, even though per-shard step totals trip the cumulative
+  // Low enough that multi-edge graphs trip it: every shard size, thread
+  // count and prefix-cache mode must surface the reference's Status — code
+  // AND message — even though per-shard step totals trip the cumulative
   // limit at schedule-dependent points.
   const size_t row_limit = 40;
   Rng rng(7);
   std::vector<size_t> sizes = ShardSizeSweep(fx.pt_rows.size(), &rng);
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 4, 8}) {
     std::unique_ptr<WorkerPool> pool;
     if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
-    for (const auto& [label, graph] : MakeGraphFamily(fx)) {
-      AptMaterializeOptions unsharded;
-      unsharded.row_limit = row_limit;
-      Result<Apt> ref =
-          MaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db, unsharded);
-      for (size_t shard_rows : sizes) {
-        SCOPED_TRACE(label + " shard_rows=" + std::to_string(shard_rows) +
-                     " threads=" + std::to_string(threads));
-        AptMaterializeOptions options;
-        options.row_limit = row_limit;
-        options.pool = pool.get();
-        for (int rep = 0; rep < (threads > 1 ? 3 : 1); ++rep) {
-          Result<ShardedApt> got = MaterializeAptSharded(
-              fx.pt, fx.pt_rows, graph, fx.sg, fx.db, options, shard_rows);
-          ASSERT_EQ(ref.ok(), got.ok())
-              << (ref.ok() ? got.status() : ref.status()).ToString();
-          if (!ref.ok()) {
-            EXPECT_EQ(ref.status().code(), got.status().code());
-            EXPECT_EQ(ref.status().message(), got.status().message());
-          } else {
-            ExpectShardedEqualsApt(*ref, *got);
+    for (bool with_prefix : {false, true}) {
+      AptPrefixCache prefix_cache;
+      for (const auto& [label, graph] : MakeGraphFamily(fx)) {
+        Result<ShardedApt> ref = ReferenceMaterializeApt(
+            fx.pt, fx.pt_rows, graph, fx.sg, fx.db, row_limit);
+        for (size_t shard_rows : sizes) {
+          SCOPED_TRACE(label + " shard_rows=" + std::to_string(shard_rows) +
+                       " threads=" + std::to_string(threads) +
+                       (with_prefix ? " prefix=on" : " prefix=off"));
+          AptMaterializeOptions options;
+          options.row_limit = row_limit;
+          options.pool = pool.get();
+          if (with_prefix) options.prefix_cache = &prefix_cache;
+          for (int rep = 0; rep < (threads > 1 ? 3 : 1); ++rep) {
+            ExpectSameOutcome(
+                ref, MaterializeAptSharded(fx.pt, fx.pt_rows, graph, fx.sg,
+                                           fx.db, options, shard_rows));
           }
         }
       }
@@ -775,31 +763,79 @@ TEST(AptShardDiffTest, RowLimitErrorsIdenticalToUnsharded) {
   }
 }
 
+TEST(AptShardDiffTest, OneShardRowLimitTripFailsInOnePass) {
+  // A single shard runs serially, so its first error is already the serial
+  // one: a trip at the last step must not re-run the materialization. The
+  // index cache counts lookups — one per tree step per pass.
+  DiffFixture fx = MakeFixture({});
+  auto family = MakeGraphFamily(fx);
+  const JoinGraph& pt_a = family[1].second;
+  const JoinGraph& pt_a_b = family[3].second;  // two tree steps
+  const size_t first_step_rows =
+      ReferenceMaterializeApt(fx.pt, fx.pt_rows, pt_a, fx.sg, fx.db)
+          .ValueOrDie()
+          .num_rows();
+  const size_t last_step_rows =
+      ReferenceMaterializeApt(fx.pt, fx.pt_rows, pt_a_b, fx.sg, fx.db)
+          .ValueOrDie()
+          .num_rows();
+  ASSERT_LT(first_step_rows, last_step_rows);  // only the last step trips
+  const size_t row_limit = last_step_rows - 1;
+  auto lookups = [](const AptIndexCache& c) { return c.hits() + c.num_builds(); };
+
+  AptIndexCache ok_cache;
+  AptMaterializeOptions options;
+  options.index_cache = &ok_cache;
+  ASSERT_TRUE(MaterializeAptSharded(fx.pt, fx.pt_rows, pt_a_b, fx.sg, fx.db,
+                                    options, 0)
+                  .ok());
+  Result<ShardedApt> ref = ReferenceMaterializeApt(fx.pt, fx.pt_rows, pt_a_b,
+                                                   fx.sg, fx.db, row_limit);
+  ASSERT_FALSE(ref.ok());
+  EXPECT_EQ(ref.status().code(), StatusCode::kOutOfRange);
+  // Both ways of asking for one shard: 0, and a size covering every row.
+  for (size_t shard_rows : {size_t{0}, fx.pt_rows.size()}) {
+    SCOPED_TRACE("shard_rows=" + std::to_string(shard_rows));
+    AptIndexCache cache;
+    options.index_cache = &cache;
+    options.row_limit = row_limit;
+    ExpectSameOutcome(ref, MaterializeAptSharded(fx.pt, fx.pt_rows, pt_a_b,
+                                                 fx.sg, fx.db, options,
+                                                 shard_rows));
+    EXPECT_EQ(lookups(cache), lookups(ok_cache));
+  }
+}
+
 TEST(AptShardDiffTest, ShardingBoundsPeakStateBytes) {
   // The memory contract: every resident state is a shard-range state, so
-  // the recorded high-water mark never exceeds the unsharded peak, and
-  // shrinks once the APT spans several shards.
+  // the recorded high-water mark never exceeds the one-shard peak, and
+  // shrinks once the APT spans several shards. Both match the reference.
   DiffFixture fx = MakeFixture({});
   auto family = MakeGraphFamily(fx);
   const JoinGraph& graph = family[3].second;  // PT-A-B, multi-step
+  Result<ShardedApt> ref =
+      ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
   AptMaterializeOptions options;
-  AptMaterializeMetrics unsharded_metrics;
-  options.metrics = &unsharded_metrics;
-  ASSERT_TRUE(MaterializeApt(fx.pt, fx.pt_rows, graph, fx.sg, fx.db, options)
-                  .ok());
-  size_t unsharded_peak = unsharded_metrics.peak_state_bytes.load();
-  ASSERT_GT(unsharded_peak, 0u);
+  AptMaterializeMetrics one_shard_metrics;
+  options.metrics = &one_shard_metrics;
+  ExpectSameOutcome(ref, MaterializeAptSharded(fx.pt, fx.pt_rows, graph,
+                                               fx.sg, fx.db, options, 0));
+  size_t one_shard_peak = one_shard_metrics.peak_state_bytes.load();
+  ASSERT_GT(one_shard_peak, 0u);
 
   size_t quarter = (fx.pt_rows.size() + 3) / 4;  // >= 4 shards
   AptMaterializeMetrics sharded_metrics;
   options.metrics = &sharded_metrics;
   Result<ShardedApt> got = MaterializeAptSharded(fx.pt, fx.pt_rows, graph,
                                                  fx.sg, fx.db, options, quarter);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameOutcome(ref, got);
+  ASSERT_TRUE(got.ok());
   ASSERT_GE(got->shards.size(), 4u);
   size_t sharded_peak = sharded_metrics.peak_state_bytes.load();
   EXPECT_GT(sharded_peak, 0u);
-  EXPECT_LT(sharded_peak, unsharded_peak);
+  EXPECT_LT(sharded_peak, one_shard_peak);
 }
 
 // ---- Explainer-level differential ------------------------------------------
@@ -808,6 +844,7 @@ void ExpectIdenticalExplanations(const ExplainResult& a,
                                  const ExplainResult& b) {
   ASSERT_EQ(a.explanations.size(), b.explanations.size());
   EXPECT_EQ(a.apts_mined, b.apts_mined);
+  EXPECT_EQ(a.apts_truncated, b.apts_truncated);
   EXPECT_EQ(a.apts_skipped_oversize, b.apts_skipped_oversize);
   EXPECT_EQ(a.patterns_evaluated, b.patterns_evaluated);
   for (size_t i = 0; i < a.explanations.size(); ++i) {
@@ -859,10 +896,10 @@ TEST(AptDiffTest, ExplainerBitIdenticalAcrossThreadsAndCacheModes) {
 
 TEST(AptShardDiffTest, ExplainerShardedBitIdenticalAcrossThreadsAndCaches) {
   // End-to-end invariant of the sharded pipeline: explanations are
-  // bit-identical to the unsharded path at any shard size, thread count,
-  // and prefix-cache mode. (Peak-byte counters are intentionally NOT part
-  // of the comparison — they are observability, not results, and vary with
-  // the schedule.)
+  // bit-identical to one full-range shard per graph at any shard size,
+  // thread count, and prefix-cache mode. (Peak-byte counters are
+  // intentionally NOT part of the comparison — they are observability, not
+  // results, and vary with the schedule.)
   DiffFixture fx = MakeFixture({});
   auto query =
       ParseQuery("SELECT g, count(*) AS n FROM fact GROUP BY g").ValueOrDie();
@@ -881,7 +918,7 @@ TEST(AptShardDiffTest, ExplainerShardedBitIdenticalAcrossThreadsAndCaches) {
   ExplainResult baseline = run(/*shard_rows=*/0, /*threads=*/1, false);
   ASSERT_FALSE(baseline.explanations.empty());
   EXPECT_GT(baseline.peak_apt_bytes, 0u);
-  // Unsharded: one "shard" per mined/attempted graph.
+  // One shard per materialized graph.
   EXPECT_GT(baseline.apt_shards, 0u);
 
   size_t quarter = (fx.pt_rows.size() + 3) / 4;
@@ -893,7 +930,7 @@ TEST(AptShardDiffTest, ExplainerShardedBitIdenticalAcrossThreadsAndCaches) {
                      " prefix_cache=" + (cache ? std::string("on") : "off"));
         ExplainResult result = run(shard_rows, threads, cache);
         ExpectIdenticalExplanations(baseline, result);
-        // More shards than graphs, and a peak no worse than unsharded
+        // More shards than graphs, and a peak no worse than one shard's
         // (every resident state covers a shard range, not the whole APT).
         EXPECT_GT(result.apt_shards, baseline.apt_shards);
         EXPECT_LE(result.peak_apt_bytes, baseline.peak_apt_bytes);

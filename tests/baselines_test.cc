@@ -5,13 +5,14 @@
 #include "src/baselines/cape.h"
 #include "src/baselines/explanation_tables.h"
 #include "src/common/timer.h"
+#include "tests/apt_test_util.h"
 
 namespace cajade {
 namespace {
 
-/// APT with a binary outcome strongly linked to cat="hot".
+/// One-shard APT with a binary outcome strongly linked to cat="hot".
 struct EtFixture {
-  Apt apt;
+  ShardedApt apt;
   std::vector<int8_t> outcome;
 
   EtFixture() {
@@ -19,6 +20,7 @@ struct EtFixture {
                    {"other", DataType::kString},
                    {"num", DataType::kInt64}});
     Table t("APT", std::move(schema));
+    std::vector<int32_t> pt_row;
     Rng rng(21);
     for (int i = 0; i < 400; ++i) {
       bool hot = rng.Bernoulli(0.4);
@@ -26,12 +28,10 @@ struct EtFixture {
       std::string other = rng.Bernoulli(0.5) ? "x" : "y";
       (void)t.AppendRow({Value(cat), Value(other),
                          Value(rng.UniformInt(0, 100))});
-      apt.pt_row.push_back(i);
-      apt.pt_rows_used.push_back(i);
+      pt_row.push_back(i);
       outcome.push_back(hot && rng.Bernoulli(0.9) ? 1 : (rng.Bernoulli(0.1) ? 1 : 0));
     }
-    apt.table = std::move(t);
-    apt.pattern_cols = {0, 1, 2};
+    apt = OneShardApt(std::move(t), std::move(pt_row), 400, {0, 1, 2});
   }
 };
 
@@ -46,7 +46,7 @@ TEST(ExplanationTablesTest, FindsHighGainPatternFirst) {
   ASSERT_FALSE(table.empty());
   // The first pattern must involve the cat column and have a rate far from
   // the base rate.
-  EXPECT_NE(table[0].pattern.Describe(fx.apt.table).find("cat"),
+  EXPECT_NE(table[0].pattern.Describe(fx.apt.schema_table()).find("cat"),
             std::string::npos);
   EXPECT_GT(table[0].gain, 0.0);
   // Gains weakly decrease (greedy).
@@ -75,14 +75,10 @@ TEST(ExplanationTablesTest, RuntimeGrowsWithSampleSize) {
 }
 
 TEST(ExplanationTablesTest, NoCategoricalColumnsYieldsEmpty) {
-  Apt apt;
   Schema schema({{"num", DataType::kInt64}});
   Table t("APT", std::move(schema));
   (void)t.AppendRow({Value(int64_t{1})});
-  apt.table = std::move(t);
-  apt.pt_row = {0};
-  apt.pt_rows_used = {0};
-  apt.pattern_cols = {0};
+  ShardedApt apt = OneShardApt(std::move(t), {0}, 1, {0});
   ExplanationTables et(EtOptions{});
   Rng rng(1);
   EXPECT_TRUE(et.Build(apt, {1}, &rng).empty());
@@ -90,12 +86,41 @@ TEST(ExplanationTablesTest, NoCategoricalColumnsYieldsEmpty) {
 
 TEST(BinNumericTest, ConvertsNumericToCategorical) {
   EtFixture fx;
-  Apt binned = BinNumericColumns(fx.apt, 4);
-  int num_col = binned.table.schema().FindColumn("num");
+  ShardedApt binned = BinNumericColumns(fx.apt, 4);
+  const Table& table = binned.schema_table();
+  int num_col = table.schema().FindColumn("num");
   ASSERT_GE(num_col, 0);
-  EXPECT_EQ(binned.table.schema().column(num_col).type, DataType::kString);
-  EXPECT_LE(binned.table.column(num_col).dict_size(), 4u);
-  EXPECT_EQ(binned.table.num_rows(), fx.apt.table.num_rows());
+  EXPECT_EQ(table.schema().column(num_col).type, DataType::kString);
+  EXPECT_LE(table.column(num_col).dict_size(), 4u);
+  EXPECT_EQ(binned.num_rows(), fx.apt.num_rows());
+}
+
+TEST(ExplanationTablesTest, ShardedAptBuildsTheSameTable) {
+  // Binning and the greedy table read shards in global row order: every
+  // shard size yields the one-shard result, labels and gains included.
+  EtFixture fx;
+  EtOptions options;
+  options.table_size = 8;
+  ExplanationTables et(options);
+  ShardedApt binned = BinNumericColumns(fx.apt, 4);
+  Rng rng(3);
+  auto whole = et.Build(binned, fx.outcome, &rng);
+  ASSERT_FALSE(whole.empty());
+  for (size_t shard_pts : {1u, 7u, 64u, 400u}) {
+    SCOPED_TRACE("shard_pts=" + std::to_string(shard_pts));
+    ShardedApt split = BinNumericColumns(SplitApt(fx.apt, shard_pts), 4);
+    ASSERT_EQ(split.shards.size(), (400 + shard_pts - 1) / shard_pts);
+    Rng rng2(3);
+    auto table = et.Build(split, fx.outcome, &rng2);
+    ASSERT_EQ(table.size(), whole.size());
+    for (size_t i = 0; i < whole.size(); ++i) {
+      EXPECT_EQ(table[i].pattern.Describe(split.schema_table()),
+                whole[i].pattern.Describe(binned.schema_table()));
+      EXPECT_EQ(table[i].count, whole[i].count);
+      EXPECT_EQ(table[i].outcome_rate, whole[i].outcome_rate);
+      EXPECT_EQ(table[i].gain, whole[i].gain);
+    }
+  }
 }
 
 Table MakeSeries() {

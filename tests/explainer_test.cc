@@ -141,6 +141,20 @@ TEST_F(ExplainerTest, EnumerationStatsPopulated) {
   EXPECT_GT(result.profile.Get("Materialize APTs"), 0.0);
 }
 
+TEST_F(ExplainerTest, RefinementBudgetReportsTruncatedRankings) {
+  Explainer explainer(&db_, &schema_graph_);
+  auto complete = explainer.Explain(kQ1, Uq1()).ValueOrDie();
+  // Ten evaluations per APT cut nearly every graph's ranking short; each
+  // truncated graph stopped at exactly the budget.
+  explainer.mutable_config()->refinement_budget = 10;
+  auto cut = explainer.Explain(kQ1, Uq1()).ValueOrDie();
+  EXPECT_GT(cut.apts_truncated, 0u);
+  EXPECT_LE(cut.apts_truncated, cut.apts_mined);
+  EXPECT_GE(cut.patterns_evaluated, 10 * cut.apts_truncated);
+  EXPECT_LE(cut.patterns_evaluated, 10 * cut.apts_mined);
+  EXPECT_LT(complete.apts_truncated, cut.apts_truncated);
+}
+
 TEST_F(ExplainerTest, QuestionSelectorErrors) {
   Explainer explainer(&db_, &schema_graph_);
   // Unknown season.
@@ -188,19 +202,20 @@ TEST_F(ExplainerTest, BuildAptForStarPlayerGraph) {
   g.AddEdge(edge);
 
   Explainer explainer(&db_, &schema_graph_);
-  Apt apt = explainer.BuildApt(query, Uq1(), g).ValueOrDie();
+  ShardedApt apt = explainer.BuildApt(query, Uq1(), g).ValueOrDie();
   // 36 won games x 6 scorers.
   EXPECT_EQ(apt.num_rows(), 36u * 6);
   EXPECT_EQ(apt.pt_rows_used.size(), 36u);
   // Context columns carry the node label prefix.
-  EXPECT_GE(apt.table.schema().FindColumn("player_game_scoring.player"), 0);
-  EXPECT_GE(apt.table.schema().FindColumn("player_game_scoring.pts"), 0);
+  const Schema& schema = apt.schema_table().schema();
+  EXPECT_GE(schema.FindColumn("player_game_scoring.player"), 0);
+  EXPECT_GE(schema.FindColumn("player_game_scoring.pts"), 0);
   // Excluded from patterns: group-by columns (winner, season) plus the
   // date/key columns flagged mining_excluded (game year/month/day and the
   // scoring table's year/month/day/home).
-  EXPECT_EQ(apt.pattern_cols.size(), apt.table.schema().num_columns() - 2 - 7);
+  EXPECT_EQ(apt.pattern_cols.size(), schema.num_columns() - 2 - 7);
   for (int c : apt.pattern_cols) {
-    EXPECT_FALSE(apt.table.schema().column(c).mining_excluded);
+    EXPECT_FALSE(schema.column(c).mining_excluded);
   }
 }
 

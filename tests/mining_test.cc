@@ -16,69 +16,21 @@
 #include "src/mining/lca.h"
 #include "src/mining/miner.h"
 #include "src/mining/quality.h"
+#include "tests/apt_test_util.h"
 
 namespace cajade {
 namespace {
 
-/// Hand-splits an unsharded APT into a ShardedApt by PT-position ranges of
-/// `shard_pts` positions each. Shard tables adopt the source dictionaries so
-/// codes stay comparable across shards — the same invariant the real sharded
-/// materializer provides via CopyColumnSubset. The fixture's APT rows are in
-/// PT-position order, so shard concatenation reproduces the original rows.
-ShardedApt SplitApt(const Apt& apt, size_t shard_pts) {
-  ShardedApt sa;
-  sa.pt_rows_used = apt.pt_rows_used;
-  sa.num_pt_columns = apt.num_pt_columns;
-  sa.pattern_cols = apt.pattern_cols;
-  size_t n = apt.pt_rows_used.size();
-  for (size_t b = 0; b < n; b += shard_pts) {
-    size_t e = std::min(n, b + shard_pts);
-    AptShard shard;
-    shard.pt_begin = b;
-    shard.pt_end = e;
-    std::vector<Column> cols;
-    for (size_t c = 0; c < apt.table.num_columns(); ++c) {
-      const Column& src = apt.table.column(c);
-      Column dst(src.type());
-      if (src.type() == DataType::kString) dst.AdoptDictionary(src);
-      cols.push_back(std::move(dst));
-    }
-    size_t rows = 0;
-    for (size_t r = 0; r < apt.num_rows(); ++r) {
-      size_t p = static_cast<size_t>(apt.pt_row[r]);
-      if (p < b || p >= e) continue;
-      for (size_t c = 0; c < apt.table.num_columns(); ++c) {
-        const Column& src = apt.table.column(c);
-        if (src.IsNull(r)) {
-          cols[c].AppendNull();
-        } else if (src.type() == DataType::kString) {
-          cols[c].AppendCode(src.GetCode(r));
-        } else if (src.type() == DataType::kInt64) {
-          cols[c].AppendInt(src.GetInt(r));
-        } else {
-          cols[c].AppendDouble(src.GetDouble(r));
-        }
-      }
-      shard.pt_row.push_back(apt.pt_row[r]);
-      ++rows;
-    }
-    shard.table =
-        Table(apt.table.name(), apt.table.schema(), std::move(cols), rows);
-    sa.total_rows += rows;
-    sa.shards.push_back(std::move(shard));
-  }
-  return sa;
-}
-
 /// A small synthetic APT: 40 PT rows (first 24 class 0, rest class 1), two
-/// APT rows per PT row. Columns: cat (string), num (int64).
+/// APT rows per PT row, as one shard. Columns: cat (string), num (int64).
 struct AptFixture {
-  Apt apt;
+  ShardedApt apt;
   PtClasses classes;
 
   AptFixture() {
     Schema schema({{"cat", DataType::kString}, {"num", DataType::kInt64}});
     Table t("APT", std::move(schema));
+    std::vector<int32_t> pt_row;
     Rng rng(13);
     for (int p = 0; p < 40; ++p) {
       bool class0 = p < 24;
@@ -89,29 +41,29 @@ struct AptFixture {
                               : "b";
         int64_t num = class0 ? rng.UniformInt(40, 100) : rng.UniformInt(0, 60);
         (void)t.AppendRow({Value(cat), Value(num)});
-        apt.pt_row.push_back(p);
+        pt_row.push_back(p);
       }
-      apt.pt_rows_used.push_back(p);
       classes.push_back(class0 ? 0 : 1);
     }
-    apt.table = std::move(t);
-    apt.num_pt_columns = 0;
-    apt.pattern_cols = {0, 1};
+    apt = OneShardApt(std::move(t), std::move(pt_row), 40, {0, 1});
   }
+
+  const Table& table() const { return apt.schema_table(); }
+  const std::vector<int32_t>& pt_row() const { return apt.shards[0].pt_row; }
 };
 
 TEST(PatternTest, MatchingSemantics) {
   AptFixture fx;
   Pattern p;
   p.preds.push_back(
-      PatternPredicate::Make(fx.apt.table, 0, PredOp::kEq, Value("a")));
-  p.preds.push_back(PatternPredicate::Make(fx.apt.table, 1, PredOp::kGe,
+      PatternPredicate::Make(fx.table(), 0, PredOp::kEq, Value("a")));
+  p.preds.push_back(PatternPredicate::Make(fx.table(), 1, PredOp::kGe,
                                            Value(int64_t{50})));
   size_t matches = 0;
   for (size_t r = 0; r < fx.apt.num_rows(); ++r) {
-    bool expected = fx.apt.table.GetValue(r, 0) == Value("a") &&
-                    fx.apt.table.GetValue(r, 1).AsInt() >= 50;
-    EXPECT_EQ(p.Matches(fx.apt.table, r), expected);
+    bool expected = fx.table().GetValue(r, 0) == Value("a") &&
+                    fx.table().GetValue(r, 1).AsInt() >= 50;
+    EXPECT_EQ(p.Matches(fx.table(), r), expected);
     matches += expected;
   }
   EXPECT_GT(matches, 0u);
@@ -121,36 +73,36 @@ TEST(PatternTest, UnknownDictValueNeverMatches) {
   AptFixture fx;
   Pattern p;
   p.preds.push_back(
-      PatternPredicate::Make(fx.apt.table, 0, PredOp::kEq, Value("zz")));
+      PatternPredicate::Make(fx.table(), 0, PredOp::kEq, Value("zz")));
   for (size_t r = 0; r < std::min<size_t>(fx.apt.num_rows(), 10); ++r) {
-    EXPECT_FALSE(p.Matches(fx.apt.table, r));
+    EXPECT_FALSE(p.Matches(fx.table(), r));
   }
 }
 
 TEST(PatternTest, RefineKeepsSortedAndFind) {
   AptFixture fx;
   Pattern p;
-  p = p.Refine(PatternPredicate::Make(fx.apt.table, 1, PredOp::kLe,
+  p = p.Refine(PatternPredicate::Make(fx.table(), 1, PredOp::kLe,
                                       Value(int64_t{70})));
-  p = p.Refine(PatternPredicate::Make(fx.apt.table, 0, PredOp::kEq, Value("a")));
+  p = p.Refine(PatternPredicate::Make(fx.table(), 0, PredOp::kEq, Value("a")));
   ASSERT_EQ(p.size(), 2u);
   EXPECT_EQ(p.preds[0].col, 0);
   EXPECT_EQ(p.preds[1].col, 1);
   EXPECT_FALSE(p.IsFree(0));
   EXPECT_TRUE(p.IsFree(5));
   EXPECT_NE(p.Find(1), nullptr);
-  EXPECT_EQ(p.NumNumericPreds(fx.apt.table), 1);
+  EXPECT_EQ(p.NumNumericPreds(fx.table()), 1);
 }
 
 TEST(PatternTest, KeyAndDescribeStable) {
   AptFixture fx;
   Pattern p;
   p.preds.push_back(
-      PatternPredicate::Make(fx.apt.table, 0, PredOp::kEq, Value("a")));
+      PatternPredicate::Make(fx.table(), 0, PredOp::kEq, Value("a")));
   EXPECT_EQ(p.Key(), "0=a");
-  EXPECT_EQ(p.Describe(fx.apt.table), "cat=a");
+  EXPECT_EQ(p.Describe(fx.table()), "cat=a");
   Pattern empty;
-  EXPECT_EQ(empty.Describe(fx.apt.table), "(*)");
+  EXPECT_EQ(empty.Describe(fx.table()), "(*)");
 }
 
 TEST(QualityTest, FullViewCountsClasses) {
@@ -179,14 +131,14 @@ TEST(QualityTest, CoverageIsExistentialOverAptRows) {
   MetricsView view = FullView(fx.apt, fx.classes);
   Pattern p;
   p.preds.push_back(
-      PatternPredicate::Make(fx.apt.table, 0, PredOp::kEq, Value("a")));
+      PatternPredicate::Make(fx.table(), 0, PredOp::kEq, Value("a")));
   std::vector<uint8_t> covered;
   ComputeCoverage(p, fx.apt, view, &covered);
   for (size_t pt = 0; pt < covered.size(); ++pt) {
     bool any = false;
     for (size_t r = 0; r < fx.apt.num_rows(); ++r) {
-      if (fx.apt.pt_row[r] == static_cast<int32_t>(pt) &&
-          p.Matches(fx.apt.table, r)) {
+      if (fx.pt_row()[r] == static_cast<int32_t>(pt) &&
+          p.Matches(fx.table(), r)) {
         any = true;
       }
     }
@@ -199,7 +151,7 @@ TEST(QualityTest, PrimarySwapsSides) {
   MetricsView view = FullView(fx.apt, fx.classes);
   Pattern p;
   p.preds.push_back(
-      PatternPredicate::Make(fx.apt.table, 0, PredOp::kEq, Value("a")));
+      PatternPredicate::Make(fx.table(), 0, PredOp::kEq, Value("a")));
   PatternScores s0 = ScorePattern(p, fx.apt, fx.classes, view, 0);
   PatternScores s1 = ScorePattern(p, fx.apt, fx.classes, view, 1);
   EXPECT_EQ(s0.tp, s1.fp);
@@ -214,46 +166,45 @@ TEST(QualityTest, SampledViewShrinksCountsButKeepsBothClasses) {
   EXPECT_GT(view.n1, 0u);
   EXPECT_GT(view.n2, 0u);
   EXPECT_LT(view.n1 + view.n2, 40u);
-  // APT rows restricted to sampled PT positions (one slice: the full APT).
-  ASSERT_EQ(view.slice_rows.size(), 1u);
-  for (int32_t r : view.slice_rows.front()) {
-    EXPECT_TRUE(view.pt_sampled[fx.apt.pt_row[r]]);
+  // APT rows restricted to sampled PT positions (one shard: the full APT).
+  ASSERT_EQ(view.rows.size(), 1u);
+  for (int32_t r : view.rows.front()) {
+    EXPECT_TRUE(view.pt_sampled[fx.pt_row()[r]]);
   }
   // The mask mirrors the row list.
   size_t mask_count = 0;
-  for (int32_t r : view.slice_rows.front()) {
-    EXPECT_TRUE(view.slice_masks.front().Test(static_cast<size_t>(r)));
+  for (int32_t r : view.rows.front()) {
+    EXPECT_TRUE(view.masks.front().Test(static_cast<size_t>(r)));
     ++mask_count;
   }
-  EXPECT_EQ(view.slice_masks.front().Popcount(), mask_count);
-  EXPECT_EQ(view.sampled_rows, view.slice_rows.front().size());
+  EXPECT_EQ(view.masks.front().Popcount(), mask_count);
+  EXPECT_EQ(view.sampled_rows, view.rows.front().size());
 }
 
 TEST(QualityTest, SampledViewIsShardIndependent) {
-  // The PT-position sample must not depend on how the APT is sliced.
+  // The PT-position sample must not depend on how the APT is sharded.
   AptFixture fx;
   Rng rng_a(3);
   MetricsView whole = SampledView(fx.apt, fx.classes, 0.3, &rng_a);
   for (size_t shard_pts : {1u, 7u, 13u, 40u, 100u}) {
     ShardedApt sa = SplitApt(fx.apt, shard_pts);
     Rng rng_b(3);
-    AptSliceSet ss = MakeSliceSet(sa);
-    MetricsView split = SampledView(ss, fx.classes, 0.3, &rng_b);
+    MetricsView split = SampledView(sa, fx.classes, 0.3, &rng_b);
     EXPECT_EQ(split.pt_sampled, whole.pt_sampled) << "shard_pts=" << shard_pts;
     EXPECT_EQ(split.n1, whole.n1);
     EXPECT_EQ(split.n2, whole.n2);
     EXPECT_EQ(split.sampled_rows, whole.sampled_rows);
-    // Concatenating slice row lists (offset to global ids) reproduces the
-    // unsharded row list.
+    // Concatenating shard row lists (offset to global ids) reproduces the
+    // one-shard row list.
     std::vector<int32_t> merged;
     size_t offset = 0;
-    for (size_t si = 0; si < ss.slices.size(); ++si) {
-      for (int32_t r : split.slice_rows[si]) {
+    for (size_t si = 0; si < sa.shards.size(); ++si) {
+      for (int32_t r : split.rows[si]) {
         merged.push_back(static_cast<int32_t>(offset + r));
       }
-      offset += ss.slices[si].num_rows();
+      offset += sa.shards[si].num_rows();
     }
-    EXPECT_EQ(merged, whole.slice_rows.front()) << "shard_pts=" << shard_pts;
+    EXPECT_EQ(merged, whole.rows.front()) << "shard_pts=" << shard_pts;
   }
 }
 
@@ -304,14 +255,14 @@ TEST(LcaTest, EmptyInputsProduceNoCandidates) {
   EXPECT_TRUE(GenerateLcaCandidates(fx.apt, {}, 40, &rng).empty());
 }
 
-TEST(LcaTest, SlicedCandidatesBitIdentical) {
+TEST(LcaTest, ShardedCandidatesBitIdentical) {
   AptFixture fx;
   Rng rng_a(5);
   auto whole = GenerateLcaCandidates(fx.apt, {0}, 40, &rng_a);
   for (size_t shard_pts : {1u, 7u, 13u, 40u}) {
     ShardedApt sa = SplitApt(fx.apt, shard_pts);
     Rng rng_b(5);
-    auto split = GenerateLcaCandidates(MakeSliceSet(sa), {0}, 40, &rng_b);
+    auto split = GenerateLcaCandidates(sa, {0}, 40, &rng_b);
     ASSERT_EQ(split.size(), whole.size()) << "shard_pts=" << shard_pts;
     for (size_t i = 0; i < whole.size(); ++i) {
       EXPECT_EQ(split[i].pair_count, whole[i].pair_count);
@@ -368,7 +319,7 @@ void ExpectSameMineResult(const MineResult& a, const MineResult& b) {
 }
 
 TEST(MinerTest, ShardedMineBitIdentical) {
-  // The shard-native miner must reproduce the unsharded result exactly —
+  // The shard-native miner must reproduce the one-shard result exactly —
   // same patterns, same order, same scores, same counters — at any shard
   // size, including sampled (f1_sample_rate < 1) configurations.
   AptFixture fx;
@@ -399,7 +350,7 @@ TEST(MinerTest, MaxNumericAttrsRespected) {
   Rng rng(7);
   MineResult result = miner.Mine(fx.apt, fx.classes, &rng).ValueOrDie();
   for (const auto& mp : result.top_k) {
-    EXPECT_EQ(mp.pattern.NumNumericPreds(fx.apt.table), 0);
+    EXPECT_EQ(mp.pattern.NumNumericPreds(fx.table()), 0);
   }
 }
 
@@ -430,10 +381,10 @@ TEST(MinerTest, DiversityChangesSelection) {
 TEST(DiversityTest, MatchesPaperFormula) {
   AptFixture fx;
   auto eq = [&](int col, const char* v) {
-    return PatternPredicate::Make(fx.apt.table, col, PredOp::kEq, Value(v));
+    return PatternPredicate::Make(fx.table(), col, PredOp::kEq, Value(v));
   };
   auto le = [&](int col, int64_t v) {
-    return PatternPredicate::Make(fx.apt.table, col, PredOp::kLe, Value(v));
+    return PatternPredicate::Make(fx.table(), col, PredOp::kLe, Value(v));
   };
   CandidatePool pool;
   auto add = [&](std::vector<PatternPredicate> preds) {
@@ -640,7 +591,7 @@ TEST(SelectTopKDiverseTest, MatchesReferenceOnTieHeavyPools) {
 /// INT64 and DOUBLE columns whose values lean on the class, and about a
 /// third of all cells NULL.
 struct RandomAptFixture {
-  Apt apt;
+  ShardedApt apt;
   PtClasses classes;
 
   explicit RandomAptFixture(uint64_t seed) {
@@ -652,6 +603,7 @@ struct RandomAptFixture {
                    {"i2", DataType::kInt64},
                    {"d2", DataType::kDouble}});
     Table t("APT", std::move(schema));
+    std::vector<int32_t> pt_row;
     static const char* kWords[] = {"a", "b b", "c&d", "e", "f"};
     const size_t n = 60 + rng.NextBounded(90);
     for (size_t p = 0; p < n; ++p) {
@@ -668,14 +620,11 @@ struct RandomAptFixture {
              maybe(Value(kWords[rng.NextBounded(5)])),
              maybe(Value(static_cast<int64_t>(rng.NextBounded(4)))),
              maybe(Value(static_cast<double>(rng.NextBounded(5)) / 2 - 1))});
-        apt.pt_row.push_back(static_cast<int32_t>(p));
+        pt_row.push_back(static_cast<int32_t>(p));
       }
-      apt.pt_rows_used.push_back(static_cast<int64_t>(p));
       classes.push_back(static_cast<int8_t>(cls));
     }
-    apt.table = std::move(t);
-    apt.num_pt_columns = 0;
-    apt.pattern_cols = {0, 1, 2, 3, 4, 5};
+    apt = OneShardApt(std::move(t), std::move(pt_row), n, {0, 1, 2, 3, 4, 5});
   }
 };
 
@@ -707,18 +656,19 @@ TEST(MinerTest, RefinementStableAcrossShardsSamplesAndBudgets) {
           SCOPED_TRACE("shard_pts=" + std::to_string(shard_pts));
           ShardedApt sa = SplitApt(fx.apt, shard_pts);
           Rng rng2(seed);
-          ExpectSameMineResult(
-              miner.Mine(sa, fx.classes, &rng2).ValueOrDie(), whole);
-        }
-        // Exact scores are Definition 7 evaluated row by row.
-        MetricsView full = FullView(fx.apt, fx.classes);
-        for (const MinedPattern& mp : whole.top_k) {
-          PatternScores s =
-              ScorePattern(mp.pattern, fx.apt, fx.classes, full, mp.primary);
-          EXPECT_EQ(mp.exact.tp, s.tp) << mp.pattern.Key();
-          EXPECT_EQ(mp.exact.fp, s.fp) << mp.pattern.Key();
-          EXPECT_EQ(mp.exact.fn, s.fn) << mp.pattern.Key();
-          EXPECT_EQ(mp.exact.fscore, s.fscore) << mp.pattern.Key();
+          MineResult split = miner.Mine(sa, fx.classes, &rng2).ValueOrDie();
+          ExpectSameMineResult(split, whole);
+          // Exact scores are Definition 7 evaluated row by row, shard by
+          // shard, on the APT that was mined.
+          MetricsView full = FullView(sa, fx.classes);
+          for (const MinedPattern& mp : split.top_k) {
+            PatternScores s =
+                ScorePattern(mp.pattern, sa, fx.classes, full, mp.primary);
+            EXPECT_EQ(mp.exact.tp, s.tp) << mp.pattern.Key();
+            EXPECT_EQ(mp.exact.fp, s.fp) << mp.pattern.Key();
+            EXPECT_EQ(mp.exact.fn, s.fn) << mp.pattern.Key();
+            EXPECT_EQ(mp.exact.fscore, s.fscore) << mp.pattern.Key();
+          }
         }
       }
     }
@@ -731,7 +681,7 @@ TEST(MinerTest, Int64BoundariesAreColumnValues) {
   // above 2^53.
   Schema schema({{"big", DataType::kInt64}, {"small", DataType::kInt64}});
   Table t("APT", std::move(schema));
-  Apt apt;
+  std::vector<int32_t> pt_row;
   PtClasses classes;
   std::set<int64_t> values;
   const int64_t kTwo53 = int64_t{1} << 53;
@@ -740,12 +690,10 @@ TEST(MinerTest, Int64BoundariesAreColumnValues) {
     const int64_t big = class0 ? INT64_MAX - 3 * (p % 7) : kTwo53 + 1 + 2 * p;
     values.insert(big);
     (void)t.AppendRow({Value(big), Value(int64_t{p % 5})});
-    apt.pt_row.push_back(p);
-    apt.pt_rows_used.push_back(p);
+    pt_row.push_back(p);
     classes.push_back(class0 ? 0 : 1);
   }
-  apt.table = std::move(t);
-  apt.pattern_cols = {0, 1};
+  ShardedApt apt = OneShardApt(std::move(t), std::move(pt_row), 40, {0, 1});
   CajadeConfig config;
   config.num_fragments = 5;
   PatternMiner miner(&config, nullptr);
@@ -768,18 +716,16 @@ TEST(MinerTest, Int64BoundariesAreColumnValues) {
 TEST(MinerTest, DoubleColumnWithNaNsMines) {
   Schema schema({{"d", DataType::kDouble}, {"i", DataType::kInt64}});
   Table t("APT", std::move(schema));
-  Apt apt;
+  std::vector<int32_t> pt_row;
   PtClasses classes;
   for (int p = 0; p < 50; ++p) {
     const bool class0 = p < 25;
     const double d = p % 3 == 0 ? std::nan("") : (class0 ? 10.0 + p : -p / 4.0);
     (void)t.AppendRow({Value(d), Value(int64_t{p % 4})});
-    apt.pt_row.push_back(p);
-    apt.pt_rows_used.push_back(p);
+    pt_row.push_back(p);
     classes.push_back(class0 ? 0 : 1);
   }
-  apt.table = std::move(t);
-  apt.pattern_cols = {0, 1};
+  ShardedApt apt = OneShardApt(std::move(t), std::move(pt_row), 50, {0, 1});
   CajadeConfig config;
   PatternMiner miner(&config, nullptr);
   Rng rng(5);
@@ -813,19 +759,19 @@ TEST_P(RecallMonotonicityTest, RefinementNeverIncreasesRecall) {
   Pattern base;
   if (rng.Bernoulli(0.5)) {
     base.preds.push_back(PatternPredicate::Make(
-        fx.apt.table, 0, PredOp::kEq, Value(rng.Bernoulli(0.5) ? "a" : "b")));
+        fx.table(), 0, PredOp::kEq, Value(rng.Bernoulli(0.5) ? "a" : "b")));
   }
   // Random numeric refinement.
   PredOp op = rng.Bernoulli(0.5) ? PredOp::kLe : PredOp::kGe;
   Pattern refined = base.Refine(PatternPredicate::Make(
-      fx.apt.table, 1, op, Value(rng.UniformInt(0, 100))));
+      fx.table(), 1, op, Value(rng.UniformInt(0, 100))));
   for (int primary = 0; primary < 2; ++primary) {
     PatternScores s_base = ScorePattern(base, fx.apt, fx.classes, view, primary);
     PatternScores s_ref =
         ScorePattern(refined, fx.apt, fx.classes, view, primary);
     EXPECT_LE(s_ref.recall, s_base.recall + 1e-12)
-        << "primary=" << primary << " base=" << base.Describe(fx.apt.table)
-        << " refined=" << refined.Describe(fx.apt.table);
+        << "primary=" << primary << " base=" << base.Describe(fx.table())
+        << " refined=" << refined.Describe(fx.table());
     // TP monotone too (Definition 7b).
     EXPECT_LE(s_ref.tp, s_base.tp);
   }

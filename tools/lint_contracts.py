@@ -27,6 +27,13 @@ Three checks, each meant to stop a specific silent-rot failure mode:
    bit the sharded-APT work (`apt_shard_rows` gates a whole pipeline), so
    the contract is enforced for all knobs.
 
+5. oracle-calls — no file under src/ may call a differential-testing oracle
+   (ReferenceMaterializeApt, ReferenceExecuteSpj, ReferenceHashEquiJoin,
+   ReferenceMatchInto, ReferenceMatchAll) outside the header/source pair
+   that declares and defines it. The oracles are compiled into the library
+   only so tests and bench_micro can reach them; a production caller would
+   silently put the slow scalar path back into the engine.
+
 Usage:
   python3 tools/lint_contracts.py [root]     lint the tree (root defaults to
                                              the repo containing this script)
@@ -269,11 +276,44 @@ def check_config_knobs(root):
     return errors
 
 
+# Each oracle and the src/ path stem of the header/source pair that
+# declares and defines it.
+ORACLES = {
+    "ReferenceMaterializeApt": os.path.join("src", "mining", "apt"),
+    "ReferenceExecuteSpj": os.path.join("src", "exec", "executor"),
+    "ReferenceHashEquiJoin": os.path.join("src", "exec", "join"),
+    "ReferenceMatchInto": os.path.join("src", "mining", "pattern_kernel"),
+    "ReferenceMatchAll": os.path.join("src", "mining", "pattern_kernel"),
+}
+
+ORACLE_CALL = re.compile(r"\b(" + "|".join(ORACLES) + r")\s*\(")
+
+
+def check_oracle_calls(root):
+    """src/ never calls a Reference* oracle outside its own .h/.cc pair."""
+    errors = []
+    for path in cxx_files(root, ["src"]):
+        rel = os.path.relpath(path, root)
+        stem = os.path.splitext(rel)[0]
+        with open(path, encoding="utf-8") as f:
+            code = strip_comments_and_strings(f.read())
+        for lineno, line in enumerate(code.splitlines(), start=1):
+            for name in ORACLE_CALL.findall(line):
+                if stem == ORACLES[name]:
+                    continue
+                errors.append(
+                    f"{rel}:{lineno}: calls the test oracle {name} — "
+                    f"production code must use the kernel path; oracles "
+                    f"are for tests and bench_micro only")
+    return errors
+
+
 CHECKS = [
     ("naked-primitives", check_naked_primitives),
     ("bench-names", check_bench_names),
     ("header-contracts", check_header_contracts),
     ("config-knobs", check_config_knobs),
+    ("oracle-calls", check_oracle_calls),
 ]
 
 
@@ -344,7 +384,32 @@ CLEAN_SERVING = """\
 | Knob | Default | Meaning |
 | --- | --- | --- |
 | `widget_count` | 3 | widgets per request |
-| `shard_rows` | 0 | rows per shard (0 = unsharded) |
+| `shard_rows` | 0 | rows per shard (0 = one full-range shard) |
+"""
+
+# An oracle's own header/source pair: the declaration, the definition, and
+# an internal call all stay legal; a mention in a comment or string is not a
+# call.
+CLEAN_ORACLE_HEADER = """\
+// Widget materializer.
+//
+// Ownership and thread-safety: stateless free functions.
+#ifndef MINI_SRC_MINING_APT_H_
+#define MINI_SRC_MINING_APT_H_
+int ReferenceMaterializeApt(int rows);
+#endif
+"""
+
+CLEAN_ORACLE_SOURCE = """\
+#include "src/mining/apt.h"
+int ReferenceMaterializeApt(int rows) { return rows; }
+int Twice(int rows) { return 2 * ReferenceMaterializeApt(rows); }
+"""
+
+CLEAN_CALLER = """\
+// Unlike ReferenceMaterializeApt(rows), the kernel path is production code.
+const char* kNote = "ReferenceExecuteSpj(query) is test-only";
+int Explain(int rows) { return rows; }
 """
 
 
@@ -363,6 +428,12 @@ def make_clean_tree(root):
     write_fixture(root, "BENCH_widget.json", CLEAN_JSON)
     write_fixture(root, CONFIG_HEADER, CLEAN_CONFIG)
     write_fixture(root, KNOBS_DOC, CLEAN_SERVING)
+    write_fixture(root, os.path.join("src", "mining", "apt.h"),
+                  CLEAN_ORACLE_HEADER)
+    write_fixture(root, os.path.join("src", "mining", "apt.cc"),
+                  CLEAN_ORACLE_SOURCE)
+    write_fixture(root, os.path.join("src", "core", "explainer.cc"),
+                  CLEAN_CALLER)
 
 
 def self_test():
@@ -433,6 +504,17 @@ def self_test():
          True)
     case("missing knobs doc caught when config exists",
          lambda root: os.remove(os.path.join(root, KNOBS_DOC)),
+         True)
+    case("oracle called from tests/ NOT flagged",
+         lambda root: write_fixture(
+             root, os.path.join("tests", "apt_diff_test.cc"),
+             "int Diff(int rows) { return ReferenceMaterializeApt(rows); }\n"),
+         False)
+    case("oracle called from production code caught",
+         lambda root: write_fixture(
+             root, os.path.join("src", "core", "explainer.cc"),
+             CLEAN_CALLER + "int Build(int rows) {\n"
+             "  return ReferenceMaterializeApt (rows);  // seeded\n}\n"),
          True)
 
     misses = 0
