@@ -100,12 +100,14 @@ struct CajadeConfig {
   bool enable_apt_prefix_cache = true;
   /// Memory bound of the prefix cache in bytes (LRU-evicted above it). The
   /// cache outlives a single Explain call, so this bounds resident state
-  /// across requests, not per call.
+  /// across requests, not per call. Also the default of AptPrefixCache and
+  /// the bound of an ExplainServer's shared prefix cache.
   size_t apt_prefix_cache_bytes = size_t{256} << 20;  // 256 MiB
   /// Memory bound of the APT join-index cache in bytes (build-side join
   /// indexes keyed by table content version; LRU-evicted above it). Like
   /// the prefix cache this is process-lifetime state under the serving
-  /// layer, bounded across requests.
+  /// layer, bounded across requests. Also the default of AptIndexCache and
+  /// the bound of an ExplainServer's shared index cache.
   size_t apt_index_cache_bytes = size_t{256} << 20;  // 256 MiB
 
   // ---- Sharded APT pipeline ------------------------------------------------

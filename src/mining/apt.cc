@@ -335,40 +335,6 @@ FlatMultiMap BuildReferenceIndex(const Table& base, const std::vector<int>& cols
 
 }  // namespace
 
-void AptIndexCache::EvictOverLimitLocked() {
-  while (bytes_ > max_bytes_ && !lru_.empty()) {
-    const std::string& victim = lru_.back();
-    auto it = map_.find(victim);
-    // Only Ready entries live in the LRU list, so the lookup always hits.
-    bytes_ -= it->second->bytes;
-    it->second->in_lru = false;
-    map_.erase(it);
-    lru_.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void AptIndexCache::set_max_bytes(size_t max_bytes) {
-  MutexLock lock(mu_);
-  max_bytes_ = max_bytes;
-  EvictOverLimitLocked();
-}
-
-size_t AptIndexCache::max_bytes() const {
-  MutexLock lock(mu_);
-  return max_bytes_;
-}
-
-size_t AptIndexCache::bytes_in_use() const {
-  MutexLock lock(mu_);
-  return bytes_;
-}
-
-size_t AptIndexCache::peak_bytes() const {
-  MutexLock lock(mu_);
-  return peak_bytes_;
-}
-
 AptIndexCache::IndexPtr AptIndexCache::Get(const Table& base,
                                            const std::vector<int>& cols,
                                            const TableStats* stats) {
@@ -382,183 +348,17 @@ AptIndexCache::IndexPtr AptIndexCache::Get(const Table& base,
     key += '|';
     key += std::to_string(c);
   }
-
-  std::shared_ptr<Entry> entry;
-  bool builder = false;
-  {
-    MutexLock lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      entry = it->second;
-    } else {
-      entry = std::make_shared<Entry>();
-      entry->ready = entry->ready_promise.get_future().share();
-      map_.emplace(key, entry);
-      builder = true;
-    }
-  }
-  if (!builder) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    // Built already or being built by another thread; the future's
-    // release/acquire pair orders the build's writes before our reads.
-    // get() (not wait()) rethrows a builder failure instead of returning
-    // a half-built index.
-    entry->ready.get();
-    MutexLock lock(mu_);
-    if (entry->in_lru) lru_.splice(lru_.begin(), lru_, entry->lru_it);
-    return entry->index;
-  }
-
-  try {
-    entry->index = std::make_shared<const Index>(base, cols, stats);
-  } catch (...) {
-    // Drop the entry so a later call retries, then release waiters with
-    // the same exception (without this they would block forever — the
-    // promise would never be fulfilled).
-    {
-      MutexLock lock(mu_);
-      map_.erase(key);
-    }
-    entry->ready_promise.set_exception(std::current_exception());
-    throw;
-  }
-  entry->bytes = entry->index->ApproxBytes() + key.size();
-  builds_.fetch_add(1, std::memory_order_relaxed);
-  {
-    MutexLock lock(mu_);
-    lru_.push_front(key);
-    entry->lru_it = lru_.begin();
-    entry->in_lru = true;
-    bytes_ += entry->bytes;
-    if (bytes_ > peak_bytes_) peak_bytes_ = bytes_;
-    // May evict the entry just inserted when it alone exceeds the bound;
-    // the returned shared_ptr keeps the index alive for this caller.
-    EvictOverLimitLocked();
-  }
-  entry->ready_promise.set_value();
-  return entry->index;
+  // An index build reports failure only by exception, which GetOrBuild
+  // rethrows, so the result is always a value.
+  return GetOrBuild(key, [&]() -> Result<Index> {
+           return Index(base, cols, stats);
+         }).ValueOrDie();
 }
 
 // ---- AptPrefixCache ---------------------------------------------------------
 
 size_t AptPrefixCache::ApproxStateBytes(const AptJoinState& state) {
   return state.pt_row.size() * sizeof(int32_t) + state.table.ApproxBytes();
-}
-
-void AptPrefixCache::EvictOverLimitLocked() {
-  while (bytes_ > max_bytes_ && !lru_.empty()) {
-    const std::string& victim = lru_.back();
-    auto it = map_.find(victim);
-    // Only Ready entries live in the LRU list, so the lookup always hits.
-    bytes_ -= it->second->bytes;
-    it->second->in_lru = false;
-    map_.erase(it);
-    lru_.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void AptPrefixCache::set_max_bytes(size_t max_bytes) {
-  MutexLock lock(mu_);
-  max_bytes_ = max_bytes;
-  EvictOverLimitLocked();
-}
-
-size_t AptPrefixCache::max_bytes() const {
-  MutexLock lock(mu_);
-  return max_bytes_;
-}
-
-size_t AptPrefixCache::bytes_in_use() const {
-  MutexLock lock(mu_);
-  return bytes_;
-}
-
-size_t AptPrefixCache::peak_bytes() const {
-  MutexLock lock(mu_);
-  return peak_bytes_;
-}
-
-Result<AptPrefixCache::StatePtr> AptPrefixCache::GetOrBuild(
-    const std::string& key,
-    const std::function<Result<AptJoinState>()>& build) {
-  std::shared_ptr<Entry> entry;
-  bool builder = false;
-  {
-    MutexLock lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      entry = it->second;
-    } else {
-      entry = std::make_shared<Entry>();
-      entry->ready = entry->ready_promise.get_future().share();
-      map_.emplace(key, entry);
-      builder = true;
-    }
-  }
-
-  if (!builder) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    // The future's release/acquire pair orders the builder's writes to
-    // entry->state/status before our reads.
-    entry->ready.wait();
-    // A builder exception resumes in every waiter, so each caller's own
-    // wrapper (the explainer's per-graph catch) formats it as if the
-    // waiter had built the state itself — identical at every schedule.
-    if (entry->exception) std::rethrow_exception(entry->exception);
-    if (!entry->status.ok()) return entry->status;
-    MutexLock lock(mu_);
-    if (entry->in_lru) lru_.splice(lru_.begin(), lru_, entry->lru_it);
-    return entry->state;
-  }
-
-  // Build outside the lock: builders of different prefixes proceed in
-  // parallel, and a builder may recursively GetOrBuild its own prefix.
-  Result<AptJoinState> built = Status::Internal("APT prefix build not run");
-  try {
-    built = build();
-  } catch (...) {
-    // Release waiters with the original exception (they rethrow it) and
-    // rethrow to the builder's caller; the entry is dropped so a later
-    // call retries.
-    {
-      MutexLock lock(mu_);
-      map_.erase(key);
-    }
-    entry->exception = std::current_exception();
-    entry->ready_promise.set_value();
-    throw;
-  }
-  if (!built.ok()) {
-    // Failures are not cached (a row-limit abort under one caller's cap
-    // must not poison a caller with a larger one); waiters see this
-    // failure, later calls rebuild.
-    {
-      MutexLock lock(mu_);
-      map_.erase(key);
-    }
-    entry->status = built.status();
-    entry->ready_promise.set_value();
-    return built.status();
-  }
-
-  auto state = std::make_shared<const AptJoinState>(std::move(built).MoveValue());
-  entry->state = state;
-  entry->bytes = ApproxStateBytes(*state);
-  builds_.fetch_add(1, std::memory_order_relaxed);
-  {
-    MutexLock lock(mu_);
-    lru_.push_front(key);
-    entry->lru_it = lru_.begin();
-    entry->in_lru = true;
-    bytes_ += entry->bytes;
-    if (bytes_ > peak_bytes_) peak_bytes_ = bytes_;
-    // May evict the entry just inserted when it alone exceeds the bound;
-    // the returned shared_ptr keeps the state alive for this caller.
-    EvictOverLimitLocked();
-  }
-  entry->ready_promise.set_value();
-  return state;
 }
 
 // ---- MaterializeAptSharded --------------------------------------------------

@@ -21,25 +21,21 @@
 // trips included) match.
 //
 // Ownership and thread-safety: APT values own their column storage and
-// belong to the caller. The caches below own their entries and hand out
-// shared handles (shared_ptr / shared_future); their locking is annotated
-// in-line (Mutex / GUARDED_BY) and checked by the thread-safety CI leg.
+// belong to the caller. The caches below are adapters over OnceLruCache
+// (src/common/once_lru_cache.h), which owns their entries, hands out
+// shared_ptr handles and is safe for concurrent use.
 
 #ifndef CAJADE_MINING_APT_H_
 #define CAJADE_MINING_APT_H_
 
 #include <atomic>
-#include <exception>
-#include <functional>
-#include <future>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/common/once_lru_cache.h"
 #include "src/common/status.h"
-#include "src/common/thread_annotations.h"
+#include "src/core/config.h"
 #include "src/exec/join.h"
 #include "src/graph/join_graph.h"
 #include "src/provenance/provenance.h"
@@ -60,29 +56,20 @@ class WorkerPool;
 /// one is threaded through Get, so index builds never rescan key ranges.
 ///
 /// Designed to live process-wide under the serving layer (one cache shared
-/// by every request, like AptPrefixCache):
-///  - keys embed Table::content_version(), so a mutated or replaced base
-///    table can never be served a stale index — old-version entries simply
-///    age out of the LRU;
-///  - resident bytes are bounded (ApproxBytes-accounted, LRU-evicted above
-///    `max_bytes`), mirroring the prefix cache's accounting. Eviction only
-///    drops the cache's reference — Get returns shared_ptr, so a caller
-///    probing an index keeps it alive regardless.
-///
-/// Safe for concurrent use: each entry is built exactly once behind a
-/// std::shared_future — two join graphs sharing a build side neither race
-/// nor duplicate the build (the second caller blocks until the first
-/// finishes); a failed build is propagated to all waiters and dropped so a
-/// later call retries.
-class AptIndexCache {
+/// by every request, like AptPrefixCache). Keys embed
+/// Table::content_version(), so a mutated or replaced base table can never
+/// be served a stale index — old-version entries simply age out of the
+/// LRU. Build-once, failure propagation, the byte bound (charged
+/// JoinBuildIndex::ApproxBytes + key) and the counters are OnceLruCache's.
+class AptIndexCache : public OnceLruCache<JoinBuildIndex> {
  public:
   using Index = JoinBuildIndex;
-  using IndexPtr = std::shared_ptr<const Index>;
+  using IndexPtr = ValuePtr;
 
-  static constexpr size_t kDefaultMaxBytes = size_t{256} << 20;  // 256 MiB
-
-  explicit AptIndexCache(size_t max_bytes = kDefaultMaxBytes)
-      : max_bytes_(max_bytes) {}
+  explicit AptIndexCache(
+      size_t max_bytes = CajadeConfig().apt_index_cache_bytes)
+      : OnceLruCache(max_bytes,
+                     [](const Index& index) { return index.ApproxBytes(); }) {}
 
   /// Index of `base` (at its current content version) on `cols`, built on
   /// first use. The base table must outlive the returned index and must not
@@ -93,56 +80,10 @@ class AptIndexCache {
   /// needs to stay valid for the duration of the call, and does not affect
   /// probe results (only build cost).
   IndexPtr Get(const Table& base, const std::vector<int>& cols,
-               const TableStats* stats = nullptr) EXCLUDES(mu_);
+               const TableStats* stats = nullptr);
 
-  /// Number of indexes actually built (not lookups); a concurrent stress
-  /// test asserts this equals the number of distinct keys requested.
-  size_t num_builds() const {
-    return builds_.load(std::memory_order_relaxed);
-  }
-
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  size_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-
-  /// Adjusts the memory bound, evicting LRU entries if now over it.
-  void set_max_bytes(size_t max_bytes) EXCLUDES(mu_);
-  size_t max_bytes() const EXCLUDES(mu_);
-  /// Bytes held by cached indexes (JoinBuildIndex::ApproxBytes accounting).
-  size_t bytes_in_use() const EXCLUDES(mu_);
-  /// High-water mark of bytes_in_use() since construction: the observable
-  /// peak-resident-bytes bound the serving layer reports.
-  size_t peak_bytes() const EXCLUDES(mu_);
-
- private:
-  /// Entry fields are protected by the shared_future protocol, not mu_:
-  /// only the building thread writes index/bytes, before fulfilling
-  /// ready_promise; waiters read them after ready. in_lru/lru_it are the
-  /// exception — touched only inside mu_ critical sections with lru_.
-  struct Entry {
-    /// Published before ready is fulfilled; null when the build failed.
-    IndexPtr index;
-    std::promise<void> ready_promise;
-    std::shared_future<void> ready;
-    size_t bytes = 0;
-    bool in_lru = false;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  void EvictOverLimitLocked() REQUIRES(mu_);
-
-  mutable Mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> map_
-      GUARDED_BY(mu_);
-  /// Most-recently-used first; holds only Ready entries.
-  std::list<std::string> lru_ GUARDED_BY(mu_);
-  size_t max_bytes_ GUARDED_BY(mu_);
-  size_t bytes_ GUARDED_BY(mu_) = 0;
-  size_t peak_bytes_ GUARDED_BY(mu_) = 0;
-  std::atomic<size_t> hits_{0};
-  std::atomic<size_t> builds_{0};
-  std::atomic<size_t> evictions_{0};
+  /// Lookups that built an index (or received a failed build).
+  size_t num_builds() const { return misses(); }
 };
 
 /// \brief One materialization state: the partial (or final) APT after some
@@ -168,87 +109,29 @@ struct AptJoinState {
 /// state built for one graph is picked up by any sibling whose leading
 /// steps match.
 ///
-/// Concurrency-safe under the per-graph WorkerPool fan-out: each key is
-/// built exactly once behind a std::shared_future (waiters block on the
-/// builder, as in AptIndexCache); build failures are reported to all
-/// waiters and not cached. Cached states are deterministic, so explanations
-/// stay bit-identical to the serial/uncached path at every thread count.
-///
-/// The cache is designed to outlive one Explain call (the serving-layer
-/// road): it carries a byte-accounted memory bound with LRU eviction.
-/// Evicting an entry only drops the cache's reference — readers holding the
-/// shared_ptr keep their state alive. Assumes an immutable database (like
-/// AptIndexCache): re-loading tables under a live cache invalidates it.
-class AptPrefixCache {
+/// GetOrBuild is OnceLruCache's: one build per key under the per-graph
+/// WorkerPool fan-out, failures reported to all waiters and not cached,
+/// states charged ApproxStateBytes + key against the byte bound. Cached
+/// states are deterministic, so explanations stay bit-identical to the
+/// serial/uncached path at every thread count. The cache outlives one
+/// Explain call; under the sharded pipeline its entries are per-shard
+/// states, so peak_bytes() bounds resident cache bytes at shard
+/// granularity. Assumes an immutable database (like AptIndexCache):
+/// re-loading tables under a live cache invalidates it.
+class AptPrefixCache : public OnceLruCache<AptJoinState> {
  public:
-  using StatePtr = std::shared_ptr<const AptJoinState>;
+  using StatePtr = ValuePtr;
 
-  static constexpr size_t kDefaultMaxBytes = size_t{256} << 20;  // 256 MiB
+  explicit AptPrefixCache(
+      size_t max_bytes = CajadeConfig().apt_prefix_cache_bytes)
+      : OnceLruCache(max_bytes, &ApproxStateBytes) {}
 
-  explicit AptPrefixCache(size_t max_bytes = kDefaultMaxBytes)
-      : max_bytes_(max_bytes) {}
-
-  /// Returns the state cached under `key`, building it via `build` on first
-  /// use (at most one builder per key across threads; concurrent callers
-  /// block until it finishes). A failed build is propagated to every waiter
-  /// and evicted immediately, so a later call retries.
-  Result<StatePtr> GetOrBuild(
-      const std::string& key,
-      const std::function<Result<AptJoinState>()>& build) EXCLUDES(mu_);
-
-  /// Adjusts the memory bound, evicting LRU entries if now over it.
-  void set_max_bytes(size_t max_bytes) EXCLUDES(mu_);
-  size_t max_bytes() const EXCLUDES(mu_);
-  /// Bytes held by cached states (approximate, column-buffer accounting).
-  size_t bytes_in_use() const EXCLUDES(mu_);
-  /// High-water mark of bytes_in_use() since construction. Under the
-  /// sharded pipeline entries are per-shard states, so this bounds peak
-  /// resident cache bytes at shard granularity, not final-APT size.
-  size_t peak_bytes() const EXCLUDES(mu_);
-
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  size_t builds() const { return builds_.load(std::memory_order_relaxed); }
-  size_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  /// Lookups that built a state (or received a failed build).
+  size_t builds() const { return misses(); }
 
   /// Approximate heap footprint of a state (column buffers + dictionaries +
   /// the pt-row map); the unit of the cache's byte accounting.
   static size_t ApproxStateBytes(const AptJoinState& state);
-
- private:
-  /// Entry fields follow the same split as AptIndexCache::Entry: the
-  /// builder alone writes state/status/exception/bytes before fulfilling
-  /// ready_promise (waiters read after ready — the future carries the
-  /// ordering); in_lru/lru_it only move inside mu_ critical sections.
-  struct Entry {
-    std::promise<void> ready_promise;
-    std::shared_future<void> ready;
-    /// Published before ready is fulfilled; null when the build failed.
-    StatePtr state;
-    Status status = Status::OK();
-    /// A builder exception, rethrown to waiters so they wrap it exactly as
-    /// they would had they built the state themselves — the surfaced error
-    /// text must not depend on which graph won the builder race.
-    std::exception_ptr exception;
-    size_t bytes = 0;
-    bool in_lru = false;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  void EvictOverLimitLocked() REQUIRES(mu_);
-
-  mutable Mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> map_
-      GUARDED_BY(mu_);
-  /// Most-recently-used first; holds only Ready entries.
-  std::list<std::string> lru_ GUARDED_BY(mu_);
-  size_t max_bytes_ GUARDED_BY(mu_);
-  size_t bytes_ GUARDED_BY(mu_) = 0;
-  size_t peak_bytes_ GUARDED_BY(mu_) = 0;
-  std::atomic<size_t> hits_{0};
-  std::atomic<size_t> builds_{0};
-  std::atomic<size_t> evictions_{0};
 };
 
 /// \brief One row-range shard of an APT: the materialization of the PT

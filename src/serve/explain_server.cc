@@ -120,8 +120,8 @@ ExplainServer::ExplainServer(const Database* db,
       config_hash_(std::to_string(
           std::hash<std::string>{}(SerializeResultConfig(options.config)))),
       pool_(WorkerPool::ResolveThreads(options.pool_threads)),
-      index_cache_(options.index_cache_bytes),
-      prefix_cache_(options.prefix_cache_bytes),
+      index_cache_(options.config.apt_index_cache_bytes),
+      prefix_cache_(options.config.apt_prefix_cache_bytes),
       result_cache_(options.result_cache_bytes) {
   if (options_.num_explainers < 1) options_.num_explainers = 1;
   explainers_.reserve(options_.num_explainers);
@@ -196,21 +196,26 @@ Result<std::shared_ptr<const ExplainResult>> ExplainServer::Explain(
 }
 
 ExplainServer::Counters ExplainServer::counters() const {
+  const ResultCache::Stats result = result_cache_.stats();
+  const AptIndexCache::Stats index = index_cache_.stats();
+  const AptPrefixCache::Stats prefix = prefix_cache_.stats();
   Counters c;
   c.requests = requests_.load(std::memory_order_relaxed);
-  c.result_hits = result_cache_.hits();
-  c.result_misses = result_cache_.misses();
-  c.result_invalidations = result_cache_.invalidations();
-  c.result_evictions = result_cache_.evictions();
-  c.index_hits = index_cache_.hits();
-  c.index_builds = index_cache_.num_builds();
-  c.index_evictions = index_cache_.evictions();
-  c.prefix_hits = prefix_cache_.hits();
-  c.prefix_builds = prefix_cache_.builds();
+  c.result_hits = result.hits;
+  c.result_misses = result.misses;
+  c.result_invalidations = result.invalidations;
+  c.result_evictions = result.evictions;
+  c.index_hits = index.hits;
+  c.index_builds = index.misses;
+  c.index_evictions = index.evictions;
+  c.prefix_hits = prefix.hits;
+  c.prefix_builds = prefix.misses;
+  c.prefix_evictions = prefix.evictions;
   c.peak_apt_bytes = peak_apt_bytes_.load(std::memory_order_relaxed);
   c.apt_shards = apt_shards_.load(std::memory_order_relaxed);
-  c.index_peak_bytes = index_cache_.peak_bytes();
-  c.prefix_peak_bytes = prefix_cache_.peak_bytes();
+  c.index_peak_bytes = index.peak_bytes;
+  c.prefix_peak_bytes = prefix.peak_bytes;
+  c.result_peak_bytes = result.peak_bytes;
   return c;
 }
 

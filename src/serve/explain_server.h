@@ -67,17 +67,15 @@ class ExplainServer {
     /// Engine configuration applied to every Explainer in the lease pool.
     /// `num_threads` sets the per-request fan-out width on the shared pool
     /// (1 keeps requests serial internally — usually right when
-    /// num_explainers already saturates the cores); the per-instance cache
-    /// byte bounds are superseded by the shared bounds below.
+    /// num_explainers already saturates the cores); apt_index_cache_bytes
+    /// and apt_prefix_cache_bytes bound the shared APT caches.
     CajadeConfig config;
     /// Maximum concurrently running requests (= Explainer instances).
     size_t num_explainers = 4;
     /// Shared WorkerPool width; 0 = hardware concurrency.
     int pool_threads = 0;
-    /// Byte bounds of the process-wide caches.
+    /// Byte bound of the result cache.
     size_t result_cache_bytes = ResultCache::kDefaultMaxBytes;
-    size_t index_cache_bytes = AptIndexCache::kDefaultMaxBytes;
-    size_t prefix_cache_bytes = AptPrefixCache::kDefaultMaxBytes;
     /// Serve repeated (query, question) pairs from the result cache
     /// (fingerprint-validated). Off = every request mines.
     bool enable_result_cache = true;
@@ -95,6 +93,7 @@ class ExplainServer {
     size_t index_evictions = 0;
     size_t prefix_hits = 0;
     size_t prefix_builds = 0;
+    size_t prefix_evictions = 0;
     /// High-water mark of any single resident APT join state's bytes across
     /// all computed (non-cache-hit) requests; with apt_shard_rows > 0 this
     /// is what the shard bound caps (see docs/SERVING.md, memory bounds).
@@ -105,6 +104,7 @@ class ExplainServer {
     /// bounds cap these; shard-sized states keep them low).
     size_t index_peak_bytes = 0;
     size_t prefix_peak_bytes = 0;
+    size_t result_peak_bytes = 0;
   };
 
   ExplainServer(const Database* db, const SchemaGraph* schema_graph,

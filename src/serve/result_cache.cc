@@ -1,7 +1,5 @@
 #include "src/serve/result_cache.h"
 
-#include <utility>
-
 namespace cajade {
 
 size_t ResultCache::ApproxResultBytes(const ExplainResult& result) {
@@ -13,137 +11,6 @@ size_t ResultCache::ApproxResultBytes(const ExplainResult& result) {
   }
   bytes += result.t1_description.size() + result.t2_description.size();
   return bytes;
-}
-
-void ResultCache::EvictOverLimitLocked() {
-  while (bytes_ > max_bytes_ && !lru_.empty()) {
-    const std::string& victim = lru_.back();
-    auto it = map_.find(victim);
-    // Only Ready entries live in the LRU list, so the lookup always hits.
-    bytes_ -= it->second->bytes;
-    it->second->in_lru = false;
-    map_.erase(it);
-    lru_.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void ResultCache::DetachIfCurrentLocked(const std::string& key,
-                                        const std::shared_ptr<Entry>& entry) {
-  auto it = map_.find(key);
-  if (it == map_.end() || it->second != entry) return;
-  if (entry->in_lru) {
-    bytes_ -= entry->bytes;
-    lru_.erase(entry->lru_it);
-    entry->in_lru = false;
-  }
-  map_.erase(it);
-}
-
-void ResultCache::set_max_bytes(size_t max_bytes) {
-  MutexLock lock(mu_);
-  max_bytes_ = max_bytes;
-  EvictOverLimitLocked();
-}
-
-size_t ResultCache::max_bytes() const {
-  MutexLock lock(mu_);
-  return max_bytes_;
-}
-
-size_t ResultCache::bytes_in_use() const {
-  MutexLock lock(mu_);
-  return bytes_;
-}
-
-Result<ResultCache::ResultPtr> ResultCache::GetOrCompute(
-    const std::string& key, const std::string& fingerprint,
-    const std::function<Result<ExplainResult>()>& compute) {
-  std::shared_ptr<Entry> entry;
-  bool computer = false;
-  {
-    MutexLock lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end() && it->second->fingerprint != fingerprint) {
-      // The base data moved under this entry (or under the computation
-      // that is still producing it): drop it and recompute. The old
-      // computation, if in flight, keeps running detached — its waiters
-      // validated against the old fingerprint and still get their answer.
-      DetachIfCurrentLocked(key, it->second);
-      invalidations_.fetch_add(1, std::memory_order_relaxed);
-      it = map_.end();
-    }
-    if (it != map_.end()) {
-      entry = it->second;
-    } else {
-      entry = std::make_shared<Entry>();
-      entry->ready = entry->ready_promise.get_future().share();
-      entry->fingerprint = fingerprint;
-      map_.emplace(key, entry);
-      computer = true;
-    }
-  }
-
-  if (!computer) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    // The future's release/acquire pair orders the computer's writes to
-    // entry->result/status before our reads.
-    entry->ready.wait();
-    if (entry->exception) std::rethrow_exception(entry->exception);
-    if (!entry->status.ok()) return entry->status;
-    MutexLock lock(mu_);
-    if (entry->in_lru) lru_.splice(lru_.begin(), lru_, entry->lru_it);
-    return entry->result;
-  }
-
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  // Compute outside the lock so distinct requests proceed in parallel.
-  Result<ExplainResult> computed = Status::Internal("explain compute not run");
-  try {
-    computed = compute();
-  } catch (...) {
-    // Release waiters with the original exception (they rethrow it) and
-    // rethrow to this caller; the entry is dropped so a later call retries.
-    {
-      MutexLock lock(mu_);
-      DetachIfCurrentLocked(key, entry);
-    }
-    entry->exception = std::current_exception();
-    entry->ready_promise.set_value();
-    throw;
-  }
-  if (!computed.ok()) {
-    // Failures are not cached; waiters see this failure, later calls retry.
-    {
-      MutexLock lock(mu_);
-      DetachIfCurrentLocked(key, entry);
-    }
-    entry->status = computed.status();
-    entry->ready_promise.set_value();
-    return computed.status();
-  }
-
-  auto result =
-      std::make_shared<const ExplainResult>(std::move(computed).MoveValue());
-  entry->result = result;
-  entry->bytes = ApproxResultBytes(*result) + key.size() + fingerprint.size();
-  {
-    MutexLock lock(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end() && it->second == entry) {
-      lru_.push_front(key);
-      entry->lru_it = lru_.begin();
-      entry->in_lru = true;
-      bytes_ += entry->bytes;
-      // May evict the entry just inserted when it alone exceeds the bound;
-      // the returned shared_ptr keeps the result alive for this caller.
-      EvictOverLimitLocked();
-    }
-    // else: invalidated while computing — serve this caller and its
-    // waiters, but do not retain the stale result.
-  }
-  entry->ready_promise.set_value();
-  return result;
 }
 
 }  // namespace cajade

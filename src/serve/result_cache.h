@@ -13,48 +13,42 @@
 // mismatch means some base-table change altered the selected provenance, and
 // the entry is invalidated on the spot.
 //
-// Ownership: the cache owns its entries and hands results to callers as
-// shared_ptr snapshots; entry payloads are written once by the computing
-// thread (see Entry) and read-only afterwards. Locking is annotated in-line
-// (Mutex / GUARDED_BY below) and checked by the thread-safety CI leg.
+// Ownership and thread-safety: the build-once protocol, the byte-bounded
+// LRU, the counters and their locking are OnceLruCache's
+// (src/common/once_lru_cache.h); results are handed out as shared_ptr
+// snapshots, immutable once computed.
 
 #ifndef CAJADE_SERVE_RESULT_CACHE_H_
 #define CAJADE_SERVE_RESULT_CACHE_H_
 
-#include <atomic>
-#include <exception>
 #include <functional>
-#include <future>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
+#include "src/common/once_lru_cache.h"
 #include "src/common/status.h"
-#include "src/common/thread_annotations.h"
 #include "src/core/explainer.h"
 
 namespace cajade {
 
 /// \brief Fingerprint-validated LRU cache of ExplainResults.
 ///
-/// Mirrors the engine caches (AptIndexCache, AptPrefixCache): each key is
-/// computed at most once concurrently behind a std::shared_future — N
-/// clients asking the same question at the same time produce one mining run
-/// and N-1 waiters — resident bytes are bounded (ApproxResultBytes-accounted,
-/// LRU-evicted above `max_bytes`), failures are propagated to all waiters
-/// and never cached, and eviction or invalidation only drops the cache's
+/// A OnceLruCache tagged with the provenance fingerprint: N clients asking
+/// the same question at the same time produce one mining run and N-1
+/// waiters; resident bytes are bounded (ApproxResultBytes + key +
+/// fingerprint, LRU-evicted above `max_bytes`); failures reach all waiters
+/// and are never cached; eviction or invalidation only drops the cache's
 /// reference (callers hold results by shared_ptr).
 ///
 /// Safe for concurrent use from any number of threads.
-class ResultCache {
+class ResultCache : public OnceLruCache<ExplainResult> {
  public:
-  using ResultPtr = std::shared_ptr<const ExplainResult>;
+  using ResultPtr = ValuePtr;
 
   static constexpr size_t kDefaultMaxBytes = size_t{64} << 20;  // 64 MiB
 
   explicit ResultCache(size_t max_bytes = kDefaultMaxBytes)
-      : max_bytes_(max_bytes) {}
+      : OnceLruCache(max_bytes, &ApproxResultBytes) {}
 
   /// Returns the result cached under `key`, computing it via `compute` on
   /// first use (at most one computation per key across threads; concurrent
@@ -67,77 +61,13 @@ class ResultCache {
   /// reported to every waiter and not cached, so a later call retries.
   Result<ResultPtr> GetOrCompute(
       const std::string& key, const std::string& fingerprint,
-      const std::function<Result<ExplainResult>()>& compute) EXCLUDES(mu_);
-
-  /// Adjusts the memory bound, evicting LRU entries if now over it.
-  void set_max_bytes(size_t max_bytes) EXCLUDES(mu_);
-  size_t max_bytes() const EXCLUDES(mu_);
-  /// Bytes held by cached results (ApproxResultBytes accounting).
-  size_t bytes_in_use() const EXCLUDES(mu_);
-
-  /// Lookups served from a valid entry (including waiters that latched onto
-  /// an in-flight computation).
-  size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  /// Lookups that ran `compute` (absent key, or invalidated entry).
-  size_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  /// Entries dropped because their fingerprint no longer matched — i.e.
-  /// base-table changes observed through the cache. Every invalidation is
-  /// also counted as a miss.
-  size_t invalidations() const {
-    return invalidations_.load(std::memory_order_relaxed);
-  }
-  size_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
+      const std::function<Result<ExplainResult>()>& compute) {
+    return GetOrBuild(key, fingerprint, compute);
   }
 
   /// Approximate heap footprint of a result (query-result column buffers +
   /// explanation strings); the unit of the cache's byte accounting.
   static size_t ApproxResultBytes(const ExplainResult& result);
-
- private:
-  /// Entry fields are NOT guarded by mu_ — they are protected by the
-  /// shared_future protocol instead: the computing thread alone writes
-  /// result/status/exception/bytes before fulfilling ready_promise, and
-  /// waiters read them only after ready.wait() returns (the promise/future
-  /// pair carries the release/acquire ordering). The LRU bookkeeping
-  /// fields (in_lru, lru_it) are the exception: they are touched only
-  /// inside mu_ critical sections alongside lru_ itself.
-  struct Entry {
-    std::promise<void> ready_promise;
-    std::shared_future<void> ready;
-    /// Fingerprint of the provenance the computation started from; fixed at
-    /// insertion so validation never waits on the computation.
-    std::string fingerprint;
-    /// Published before ready is fulfilled; null when the compute failed.
-    ResultPtr result;
-    Status status = Status::OK();
-    /// A compute exception, rethrown to waiters so the surfaced error never
-    /// depends on which request won the compute race.
-    std::exception_ptr exception;
-    size_t bytes = 0;
-    bool in_lru = false;
-    std::list<std::string>::iterator lru_it;
-  };
-
-  void EvictOverLimitLocked() REQUIRES(mu_);
-  /// Removes `entry` from the map (and LRU accounting, if present) iff it
-  /// is still the entry the map holds under `key`; a computation that was
-  /// invalidated mid-flight must not displace its replacement.
-  void DetachIfCurrentLocked(const std::string& key,
-                             const std::shared_ptr<Entry>& entry)
-      REQUIRES(mu_);
-
-  mutable Mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<Entry>> map_
-      GUARDED_BY(mu_);
-  /// Most-recently-used first; holds only Ready entries.
-  std::list<std::string> lru_ GUARDED_BY(mu_);
-  size_t max_bytes_ GUARDED_BY(mu_);
-  size_t bytes_ GUARDED_BY(mu_) = 0;
-  std::atomic<size_t> hits_{0};
-  std::atomic<size_t> misses_{0};
-  std::atomic<size_t> invalidations_{0};
-  std::atomic<size_t> evictions_{0};
 };
 
 }  // namespace cajade

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "src/datasets/nba.h"
 #include "src/exec/join.h"
 #include "src/mining/apt.h"
+#include "tests/cache_test_util.h"
 
 namespace cajade {
 namespace {
@@ -413,6 +416,33 @@ TEST(AptPrefixCacheTest, FailedBuildsPropagateAndAreNotCached) {
   });
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ((*r2)->table.num_rows(), 8u);
+}
+
+// ---- Lookup accounting: a lookup that receives a failure is a miss ----------
+
+TEST(AptPrefixCacheTest, WaiterOnAFailedBuildCountsAsMiss) {
+  AptPrefixCache cache;
+  LookUpWhileBuildFails<AptJoinState>(
+      [&](const std::function<Result<AptJoinState>()>& build) {
+        EXPECT_FALSE(cache.GetOrBuild("k", build).ok());
+      },
+      [] { return Result<AptJoinState>(Status::OutOfRange("too big")); });
+  // Neither lookup returned a state: two misses, no hit.
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.builds(), 2u);
+}
+
+TEST(AptIndexCacheTest, WaiterOnAFailedBuildCountsAsMiss) {
+  // An index build fails only by exception (e.g. bad_alloc); Get cannot be
+  // made to fail on demand, so drive the cache's GetOrBuild directly.
+  AptIndexCache cache;
+  LookUpWhileBuildFails<JoinBuildIndex>(
+      [&](const std::function<Result<JoinBuildIndex>()>& build) {
+        EXPECT_THROW((void)cache.GetOrBuild("k", build), std::bad_alloc);
+      },
+      []() -> Result<JoinBuildIndex> { throw std::bad_alloc(); });
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.num_builds(), 2u);
 }
 
 }  // namespace

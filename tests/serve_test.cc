@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "src/core/explainer.h"
 #include "src/datasets/example_nba.h"
 #include "src/serve/explain_server.h"
+#include "tests/cache_test_util.h"
 
 namespace cajade {
 
@@ -350,6 +352,18 @@ TEST_F(ServeTest, ReleaseHandsOffDirectlyToQueuedWaiter) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], "waiter");
   EXPECT_EQ(order[1], "main");
+}
+
+TEST(ResultCacheTest, WaiterOnAFailedComputeCountsAsMiss) {
+  // hits + misses = requests must hold when a compute fails under waiters.
+  ResultCache cache;
+  LookUpWhileBuildFails<ExplainResult>(
+      [&](const std::function<Result<ExplainResult>()>& compute) {
+        EXPECT_FALSE(cache.GetOrCompute("k", "fingerprint", compute).ok());
+      },
+      [] { return Result<ExplainResult>(Status::ExecutionError("failed")); });
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-contract lint: enforces conventions the compiler cannot see.
 
-Three checks, each meant to stop a specific silent-rot failure mode:
+Six checks, each meant to stop a specific silent-rot failure mode:
 
 1. naked-primitives — no `std::mutex` / `std::lock_guard` / `std::unique_lock`
    / `std::scoped_lock` / `std::shared_lock` / `std::condition_variable*` /
@@ -33,6 +33,11 @@ Three checks, each meant to stop a specific silent-rot failure mode:
    that declares and defines it. The oracles are compiled into the library
    only so tests and bench_micro can reach them; a production caller would
    silently put the slow scalar path back into the engine.
+
+6. once-protocol — `std::promise` / `std::shared_future` appear under src/
+   only in src/common/once_lru_cache.h. The build-once protocol (one build
+   per key behind a shared_future, failures to every waiter) is written and
+   tested once there; hand-rolled copies of it drift apart.
 
 Usage:
   python3 tools/lint_contracts.py [root]     lint the tree (root defaults to
@@ -308,12 +313,37 @@ def check_oracle_calls(root):
     return errors
 
 
+ONCE_PRIMITIVE = re.compile(r"\bstd\s*::\s*(promise|shared_future)\b")
+
+ONCE_HEADER = os.path.join("src", "common", "once_lru_cache.h")
+
+
+def check_once_protocol(root):
+    """src/ builds-once only through OnceLruCache."""
+    errors = []
+    for path in cxx_files(root, ["src"]):
+        rel = os.path.relpath(path, root)
+        if rel == ONCE_HEADER:
+            continue
+        with open(path, encoding="utf-8") as f:
+            code = strip_comments_and_strings(f.read())
+        for lineno, line in enumerate(code.splitlines(), start=1):
+            m = ONCE_PRIMITIVE.search(line)
+            if m:
+                errors.append(
+                    f"{rel}:{lineno}: std::{m.group(1)} outside "
+                    f"{ONCE_HEADER} — build-once caching goes through "
+                    f"OnceLruCache, not a new copy of its protocol")
+    return errors
+
+
 CHECKS = [
     ("naked-primitives", check_naked_primitives),
     ("bench-names", check_bench_names),
     ("header-contracts", check_header_contracts),
     ("config-knobs", check_config_knobs),
     ("oracle-calls", check_oracle_calls),
+    ("once-protocol", check_once_protocol),
 ]
 
 
@@ -412,6 +442,22 @@ const char* kNote = "ReferenceExecuteSpj(query) is test-only";
 int Explain(int rows) { return rows; }
 """
 
+# The one home of the build-once protocol: its promise/shared_future are
+# legal here and nowhere else under src/.
+CLEAN_ONCE_HEADER = """\
+// Build-once cache.
+//
+// Ownership and thread-safety: owns its entries; safe for concurrent use.
+#ifndef MINI_SRC_COMMON_ONCE_LRU_CACHE_H_
+#define MINI_SRC_COMMON_ONCE_LRU_CACHE_H_
+#include <future>
+struct Entry {
+  std::promise<int> promise;
+  std::shared_future<int> ready = promise.get_future();
+};
+#endif
+"""
+
 
 def write_fixture(root, rel, content):
     path = os.path.join(root, rel)
@@ -434,6 +480,7 @@ def make_clean_tree(root):
                   CLEAN_ORACLE_SOURCE)
     write_fixture(root, os.path.join("src", "core", "explainer.cc"),
                   CLEAN_CALLER)
+    write_fixture(root, ONCE_HEADER, CLEAN_ONCE_HEADER)
 
 
 def self_test():
@@ -515,6 +562,14 @@ def self_test():
              root, os.path.join("src", "core", "explainer.cc"),
              CLEAN_CALLER + "int Build(int rows) {\n"
              "  return ReferenceMaterializeApt (rows);  // seeded\n}\n"),
+         True)
+    case("once_lru_cache.h's own promise/shared_future NOT flagged",
+         lambda root: None, False)
+    case("shared_future outside once_lru_cache.h caught",
+         lambda root: write_fixture(
+             root, os.path.join("src", "serve", "result_cache.cc"),
+             "#include <future>\n"
+             "std::shared_future<int> ready;  // seeded\n"),
          True)
 
     misses = 0
