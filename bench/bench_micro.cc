@@ -27,6 +27,7 @@
 #include "src/common/rng.h"
 #include "src/common/timer.h"
 #include "src/datasets/example_nba.h"
+#include "src/datasets/mimic.h"
 #include "src/datasets/nba.h"
 #include "src/exec/executor.h"
 #include "src/exec/join.h"
@@ -464,63 +465,90 @@ void BM_MineApt(benchmark::State& state) {
 }
 BENCHMARK(BM_MineApt);
 
-/// One APT of the nba_refine end-to-end workload (NBA sf 0.2, one-edge join
-/// graphs): Qnba1's first graph joining player_game_stats, 447 APT rows
-/// over 28 PT rows. Mining it evaluates about 15k patterns without hitting
-/// the refinement budget, so the row times the whole back half — fragment
-/// boundaries, predicate masks, refinement, ranking — at the APT sizes the
-/// NBA workload spends its time on.
-struct NbaAptFixture {
+/// One APT of an end-to-end workload, as one shard, with its database.
+struct WorkloadApt {
   Database db;
   SchemaGraph sg;
-  ShardedApt apt;  // one shard
+  ShardedApt apt;
   PtClasses classes;
 
-  static NbaAptFixture& Get() {
-    static NbaAptFixture* f = [] {
-      auto* fx = new NbaAptFixture();
-      NbaOptions opt;
-      opt.scale_factor = 0.2;
-      fx->db = MakeNbaDatabase(opt).ValueOrDie();
-      fx->sg = MakeNbaSchemaGraph(fx->db).ValueOrDie();
-      CajadeConfig config;
-      Explainer explainer(&fx->db, &fx->sg, config);
-      PreparedExplain prepared =
-          explainer.Prepare(NbaQuerySql(1), bench::NbaQuestion(1)).ValueOrDie();
-      JoinGraphEnumerator::Options options;
-      options.max_edges = 1;
-      JoinGraphEnumerator enumerator(&fx->sg, &fx->db, prepared.pt.relations,
-                                     options);
-      std::vector<JoinGraph> graphs =
-          enumerator
-              .EnumerateAll(static_cast<double>(prepared.pt_rows.size()),
-                            prepared.pt.table.schema().num_columns())
+  /// Materializes the first join graph described as `graph` among those
+  /// of at most `max_edges` edges enumerated for the question's PT.
+  void Materialize(const std::string& sql, const UserQuestion& question,
+                   int max_edges, const std::string& graph) {
+    CajadeConfig config;
+    Explainer explainer(&db, &sg, config);
+    PreparedExplain prepared = explainer.Prepare(sql, question).ValueOrDie();
+    JoinGraphEnumerator::Options options;
+    options.max_edges = max_edges;
+    JoinGraphEnumerator enumerator(&sg, &db, prepared.pt.relations, options);
+    std::vector<JoinGraph> graphs =
+        enumerator
+            .EnumerateAll(static_cast<double>(prepared.pt_rows.size()),
+                          prepared.pt.table.schema().num_columns())
+            .ValueOrDie();
+    auto it = std::find_if(graphs.begin(), graphs.end(),
+                           [&](const JoinGraph& g) {
+                             return g.Describe() == graph;
+                           });
+    apt = MaterializeAptSharded(prepared.pt, prepared.pt_rows, *it, sg, db, {},
+                                0)
               .ValueOrDie();
-      auto graph = std::find_if(graphs.begin(), graphs.end(), [](const JoinGraph& g) {
-        return g.Describe() == "PT - player_game_stats";
-      });
-      fx->apt = MaterializeAptSharded(prepared.pt, prepared.pt_rows, *graph,
-                                      fx->sg, fx->db, {}, 0)
-                    .ValueOrDie();
-      fx->classes = prepared.classes;
-      return fx;
-    }();
-    return *f;
+    classes = prepared.classes;
   }
 };
 
-/// PatternMiner::Mine on NbaAptFixture's APT with the default config and a
-/// profiler attached, as the explainer runs it. Every iteration mines with
-/// the same seed, so each does the same work; `heap_allocs_per_pattern`
-/// divides the heap allocations of whole Mine() calls by the patterns they
-/// evaluated.
-void BM_MineNbaApt(benchmark::State& state) {
-  auto& fx = NbaAptFixture::Get();
+/// The nba_refine workload (NBA sf 0.2, one-edge join graphs): Qnba1's
+/// first graph joining player_game_stats, 447 APT rows over 28 PT rows.
+/// Mining it evaluates about 15k patterns without hitting the refinement
+/// budget, so the row times the whole back half — fragment boundaries,
+/// predicate masks, refinement, ranking — at the APT sizes the NBA workload
+/// spends its time on.
+const WorkloadApt& NbaApt() {
+  static WorkloadApt* fx = [] {
+    auto* f = new WorkloadApt();
+    NbaOptions opt;
+    opt.scale_factor = 0.2;
+    f->db = MakeNbaDatabase(opt).ValueOrDie();
+    f->sg = MakeNbaSchemaGraph(f->db).ValueOrDie();
+    f->Materialize(NbaQuerySql(1), bench::NbaQuestion(1), 1,
+                   "PT - player_game_stats");
+    return f;
+  }();
+  return *fx;
+}
+
+/// The mimic_lca workload (MIMIC sf 1.0, two-edge join graphs): Qmimic1's
+/// first graph joining procedures and then admissions, 14,833 APT rows.
+/// Its LCA sample is 1,000 rows over four categorical attributes, which
+/// yields 839 candidates, and LCA candidates plus F-score Calc. take about
+/// the share of this APT's Mine() time that they take of a traced
+/// mimic_lca call.
+const WorkloadApt& MimicApt() {
+  static WorkloadApt* fx = [] {
+    auto* f = new WorkloadApt();
+    MimicOptions opt;
+    opt.scale_factor = 1.0;
+    f->db = MakeMimicDatabase(opt).ValueOrDie();
+    f->sg = MakeMimicSchemaGraph(f->db).ValueOrDie();
+    f->Materialize(MimicQuerySql(1), bench::MimicQuestion(1), 2,
+                   "PT - procedures - admissions");
+    return f;
+  }();
+  return *fx;
+}
+
+/// PatternMiner::Mine on `fx`'s APT with the default config and a profiler
+/// attached, as the explainer runs it. Every iteration mines with the same
+/// seed, so each does the same work; `heap_allocs_per_pattern` divides the
+/// heap allocations of whole Mine() calls by the patterns they evaluated.
+void MineWorkloadApt(benchmark::State& state, const WorkloadApt& fx) {
   CajadeConfig config;
   StepProfiler profiler;
   PatternMiner miner(&config, &profiler);
   size_t allocs = 0;
   size_t patterns = 0;
+  size_t candidates = 0;
   for (auto _ : state) {
     Rng rng(config.seed);
     size_t before = g_heap_allocs.load(std::memory_order_relaxed);
@@ -531,14 +559,27 @@ void BM_MineNbaApt(benchmark::State& state) {
       return;
     }
     patterns += result->patterns_evaluated;
+    candidates += result->lca_candidates;
     benchmark::DoNotOptimize(result->top_k.data());
   }
+  const double iterations = static_cast<double>(state.iterations());
   state.counters["patterns_evaluated"] =
-      static_cast<double>(patterns) / static_cast<double>(state.iterations());
+      static_cast<double>(patterns) / iterations;
+  state.counters["lca_candidates"] =
+      static_cast<double>(candidates) / iterations;
   state.counters["heap_allocs_per_pattern"] =
       static_cast<double>(allocs) / static_cast<double>(patterns);
 }
+
+void BM_MineNbaApt(benchmark::State& state) {
+  MineWorkloadApt(state, NbaApt());
+}
 BENCHMARK(BM_MineNbaApt);
+
+void BM_MineMimicApt(benchmark::State& state) {
+  MineWorkloadApt(state, MimicApt());
+}
+BENCHMARK(BM_MineMimicApt);
 
 /// End-to-end Explain() on the scaling (synthetic full-schema NBA) dataset
 /// at 1/2/4/8 worker threads. The /1 run records its per-iteration time so

@@ -192,21 +192,6 @@ inline Result<JoinGraph> BuildPathJoinGraph(const SchemaGraph& sg,
   return g;
 }
 
-/// Prints the paper's runtime-breakdown rows from a profiler.
-inline void PrintBreakdown(const StepProfiler& profile) {
-  static const char* kRows[] = {"Feature Selection", "Gen. Pat. Cand.",
-                                "F-score Calc.",     "Materialize APTs",
-                                "Refine Patterns",   "Sampling for F1",
-                                "JG Enum.",          "Compute Provenance"};
-  double total = 0;
-  for (const char* row : kRows) {
-    double s = profile.Get(row);
-    total += s;
-    std::printf("  %-20s %8.2fs\n", row, s);
-  }
-  std::printf("  %-20s %8.2fs\n", "total", total);
-}
-
 /// A breakdown matrix: one column per configuration, one row per step,
 /// then the sum of every step the profiler recorded and the measured wall
 /// time of the same calls (`wall_seconds`, one per column). Under
@@ -216,8 +201,9 @@ inline void PrintBreakdownMatrix(const std::vector<std::string>& headers,
                                  const std::vector<double>& wall_seconds) {
   static const char* kRows[] = {"Feature Selection", "Gen. Pat. Cand.",
                                 "F-score Calc.",     "Materialize APTs",
-                                "Refine Patterns",   "Sampling for F1",
-                                "JG Enum.",          "Compute Provenance"};
+                                "Refine Patterns",   "Rank Top-k",
+                                "Sampling for F1",   "JG Enum.",
+                                "Compute Provenance"};
   std::printf("%-20s", "Step");
   for (const auto& h : headers) std::printf(" %12s", h.c_str());
   std::printf("\n");

@@ -1,7 +1,7 @@
 // Wall-clock timing helpers and the per-step profiler used to reproduce the
 // paper's runtime-breakdown tables (Feature Selection / Gen. Pat. Cand. /
-// F-score Calc. / Materialize APTs / Refine Patterns / Sampling for F1 /
-// JG Enum.).
+// F-score Calc. / Materialize APTs / Refine Patterns / Rank Top-k /
+// Sampling for F1 / JG Enum.).
 //
 // Ownership and thread-safety: timers and profilers are caller-owned,
 // single-stream objects — one thread starts/stops a given instance; they are

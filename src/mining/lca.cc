@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <unordered_map>
+
+#include "src/exec/flat_hash.h"
 
 namespace cajade {
 
 namespace {
 
-/// Candidate key hash over the (col, code) signature; shared by both pair
-/// loops so the map's insertion sequence — and therefore the pre-sort
-/// candidate order — is identical between them.
+/// Candidate key hash over the (col, code) signature. The output order
+/// depends on it: candidates leave the std::unordered_map below in its
+/// iteration order, and the pair-count sort does not order ties.
 struct SigHash {
   size_t operator()(const std::vector<int32_t>& v) const {
     size_t h = 0x3456;
@@ -21,65 +24,45 @@ struct SigHash {
   }
 };
 
-using SigCounts = std::unordered_map<std::vector<int32_t>, int64_t, SigHash>;
+/// \brief Interns fixed-width tuples of k dictionary codes (-1 = NULL or
+/// don't-care). Ids are dense and in first-insertion order; the tuples sit
+/// in one arena, so interning allocates only when a buffer grows.
+class CodeTupleSet {
+ public:
+  explicit CodeTupleSet(size_t k) : k_(k) {}
 
-/// Mask-native pair meet for k <= 64 categorical columns: per sampled row a
-/// word whose bit c = column c is non-null. A pair's candidate columns are
-/// one AND; the meet visits only those via ctz instead of scanning all k.
-/// Produces the exact ++counts[sig] sequence of the scalar loop (same pair
-/// order, same signatures), so the map iterates identically.
-void CountPairMeetsMasked(const std::vector<std::vector<int32_t>>& codes,
-                          size_t s, size_t k, SigCounts* counts) {
-  std::vector<uint64_t> nonnull(s, 0);
-  for (size_t c = 0; c < k; ++c) {
-    for (size_t i = 0; i < s; ++i) {
-      if (codes[c][i] >= 0) nonnull[i] |= uint64_t{1} << c;
+  /// Returns the id of `tuple` (k codes), adding it as id size() when new.
+  size_t Intern(const int32_t* tuple, bool* inserted) {
+    uint64_t h = 0;
+    for (size_t c = 0; c < k_; ++c) {
+      h = SplitMix64(h ^ static_cast<uint32_t>(tuple[c]));
     }
-  }
-  std::vector<int32_t> sig(k);
-  for (size_t i = 0; i < s; ++i) {
-    for (size_t j = i + 1; j < s; ++j) {
-      uint64_t nn = nonnull[i] & nonnull[j];
-      if (nn == 0) continue;
-      std::fill(sig.begin(), sig.end(), -1);
-      bool any = false;
-      uint64_t w = nn;
-      do {
-        const unsigned c = static_cast<unsigned>(__builtin_ctzll(w));
-        w &= w - 1;
-        if (codes[c][i] == codes[c][j]) {
-          sig[c] = codes[c][i];
-          any = true;
-        }
-      } while (w != 0);
-      if (!any) continue;
-      ++(*counts)[sig];
-    }
-  }
-}
-
-/// Scalar fallback for k > 64 (wider than one mask word; in practice
-/// lambda_#sel-attr keeps k far below this).
-void CountPairMeetsScalar(const std::vector<std::vector<int32_t>>& codes,
-                          size_t s, size_t k, SigCounts* counts) {
-  std::vector<int32_t> sig(k);
-  for (size_t i = 0; i < s; ++i) {
-    for (size_t j = i + 1; j < s; ++j) {
-      bool any = false;
-      for (size_t c = 0; c < k; ++c) {
-        int32_t a = codes[c][i];
-        if (a >= 0 && a == codes[c][j]) {
-          sig[c] = a;
-          any = true;
-        } else {
-          sig[c] = -1;
-        }
+    int64_t found = -1;
+    index_.ForEach(h, [&](int64_t id) {
+      if (found < 0 &&
+          std::memcmp(Get(static_cast<size_t>(id)), tuple,
+                      k_ * sizeof(int32_t)) == 0) {
+        found = id;
       }
-      if (!any) continue;
-      ++(*counts)[sig];
-    }
+    });
+    *inserted = found < 0;
+    if (found >= 0) return static_cast<size_t>(found);
+    const size_t id = size_;
+    index_.Insert(h, static_cast<int64_t>(id));
+    arena_.insert(arena_.end(), tuple, tuple + k_);
+    ++size_;
+    return id;
   }
-}
+
+  size_t size() const { return size_; }
+  const int32_t* Get(size_t id) const { return arena_.data() + id * k_; }
+
+ private:
+  size_t k_;
+  size_t size_ = 0;
+  std::vector<int32_t> arena_;
+  FlatMultiMap index_;  // tuple hash -> id
+};
 
 }  // namespace
 
@@ -95,31 +78,88 @@ std::vector<LcaCandidate> GenerateLcaCandidates(const ShardedApt& apt,
   std::vector<size_t> s_shard, s_local;
   LocateAptRows(apt, sample, &s_shard, &s_local);
 
-  // Pre-extract the categorical codes of the sampled rows (column-major),
-  // -1 for null. Codes compare across shards (the ShardedApt dictionary
-  // invariant), so the meet never consults the tables again.
-  const size_t s = sample.size();
+  // Group the sampled rows by their categorical codes (-1 for NULL). Codes
+  // compare across shards (the ShardedApt dictionary invariant), so the
+  // meet never consults the tables again. Tuple ids follow the sample
+  // position of their first row.
   const size_t k = cat_cols.size();
-  std::vector<std::vector<int32_t>> codes(k, std::vector<int32_t>(s));
-  for (size_t c = 0; c < k; ++c) {
-    for (size_t i = 0; i < s; ++i) {
+  CodeTupleSet tuples(k);
+  std::vector<int64_t> mult;
+  std::vector<size_t> first, second;
+  std::vector<int32_t> row(k);
+  for (size_t i = 0; i < sample.size(); ++i) {
+    for (size_t c = 0; c < k; ++c) {
       const Column& col = apt.shards[s_shard[i]].table.column(cat_cols[c]);
-      codes[c][i] = col.IsNull(s_local[i]) ? -1 : col.GetCode(s_local[i]);
+      row[c] = col.IsNull(s_local[i]) ? -1 : col.GetCode(s_local[i]);
+    }
+    bool inserted = false;
+    const size_t t = tuples.Intern(row.data(), &inserted);
+    if (inserted) {
+      mult.push_back(1);
+      first.push_back(i);
+      second.push_back(SIZE_MAX);
+    } else if (++mult[t] == 2) {
+      second[t] = i;
     }
   }
 
-  // Meet of every pair; key candidates by their (col, code) signature.
-  SigCounts counts;
-  if (k <= 64) {
-    CountPairMeetsMasked(codes, s, k, &counts);
-  } else {
-    CountPairMeetsScalar(codes, s, k, &counts);
+  // The candidates are the meets of every sample pair (i, j), i < j:
+  // attributes where both rows hold the same non-NULL code keep it, the
+  // rest become don't-cares (-1), and a meet with no kept attribute is
+  // dropped. Distinct tuples a < b stand for their m_a * m_b sample pairs,
+  // the first of which is (first[a], first[b]); a repeated tuple stands
+  // for its m_a (m_a - 1) / 2 pairs with itself, the first of which is
+  // (first[a], second[a]). Meeting a with itself just before the first b
+  // with first[b] > second[a] visits tuple pairs in the order of their
+  // first sample pairs, so signatures are interned in the order the
+  // all-pairs loop first meets them.
+  CodeTupleSet sigs(k);
+  std::vector<int64_t> count;
+  std::vector<int32_t> sig(k);
+  auto meet = [&](size_t a, size_t b, int64_t pairs) {
+    const int32_t* ta = tuples.Get(a);
+    const int32_t* tb = tuples.Get(b);
+    bool any = false;
+    for (size_t c = 0; c < k; ++c) {
+      sig[c] = ta[c] == tb[c] ? ta[c] : -1;
+      any |= sig[c] >= 0;
+    }
+    if (!any) return;
+    bool inserted = false;
+    const size_t id = sigs.Intern(sig.data(), &inserted);
+    if (inserted) {
+      count.push_back(pairs);
+    } else {
+      count[id] += pairs;
+    }
+  };
+  const size_t d = tuples.size();
+  for (size_t a = 0; a < d; ++a) {
+    bool self_pending = mult[a] >= 2;
+    const int64_t self_pairs = mult[a] * (mult[a] - 1) / 2;
+    for (size_t b = a + 1; b < d; ++b) {
+      if (self_pending && second[a] < first[b]) {
+        meet(a, a, self_pairs);
+        self_pending = false;
+      }
+      meet(a, b, mult[a] * mult[b]);
+    }
+    if (self_pending) meet(a, a, self_pairs);
+  }
+
+  // A std::unordered_map's iteration order depends only on the order of
+  // its first insertions, so inserting the signatures in first-meet order
+  // yields the order a ++counts[sig] per sample pair would; the
+  // pair-count sort below resolves ties from it.
+  std::unordered_map<std::vector<int32_t>, int64_t, SigHash> counts;
+  for (size_t id = 0; id < sigs.size(); ++id) {
+    counts[std::vector<int32_t>(sigs.Get(id), sigs.Get(id) + k)] = count[id];
   }
 
   out.reserve(counts.size());
-  for (const auto& [signature, count] : counts) {
+  for (const auto& [signature, n] : counts) {
     LcaCandidate cand;
-    cand.pair_count = count;
+    cand.pair_count = n;
     for (size_t c = 0; c < k; ++c) {
       if (signature[c] < 0) continue;
       const Column& col = apt.schema_table().column(cat_cols[c]);

@@ -4,11 +4,14 @@
 // predicate, the rest become don't-cares. Frequently co-occurring constant
 // combinations surface as high-count candidates.
 //
-// The pair meet is batch/mask-native: sampled rows are pre-extracted to
-// column-major dictionary codes with a per-row non-null bitmask, so the
-// inner pair loop intersects two words and visits only mutually non-null
-// attributes (one ctz per candidate column) instead of scanning all k
-// columns per pair.
+// The pair meet runs over distinct sampled rows: the sample is grouped into
+// distinct tuples of dictionary codes with their multiplicities, and each
+// pair of distinct tuples (and each repeated tuple with itself) is met once
+// for all the sample pairs it stands for. Meets are counted in one flat
+// table keyed by signature, in the order the all-pairs loop would first
+// meet them, so the candidates, their counts and their order equal those
+// of meeting every sample pair; the work shrinks with the square of the
+// share of repeated rows.
 //
 // Ownership and thread-safety: stateless free functions; inputs are borrowed
 // read-only and results are fresh caller-owned values, so concurrent calls

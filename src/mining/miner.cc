@@ -1,10 +1,14 @@
 #include "src/mining/miner.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <type_traits>
+#include <utility>
 
+#include "src/common/string_util.h"
 #include "src/mining/coverage.h"
 #include "src/mining/lca.h"
 #include "src/mining/pattern_kernel.h"
@@ -99,6 +103,105 @@ std::vector<T> FragmentBoundaries(const ShardedApt& apt,
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
   return bounds;
 }
+
+/// The coverage set (Definition 7a) of the flat match mask `mask`, in which
+/// shard si's rows occupy words [shard_word[si], shard_word[si + 1]): with
+/// a single identity shard the mask itself, else its rows projected onto
+/// PT positions in `*covered`. Per-shard masks project (global pt_row
+/// values) into ONE PT-wide coverage bitmap, so scores are independent of
+/// the sharding.
+const uint64_t* FlatCoverage(const ShardedApt& apt,
+                             const std::vector<size_t>& shard_word,
+                             bool pt_identity, size_t num_positions,
+                             const uint64_t* mask, CoverageBitmap* covered) {
+  if (pt_identity) return mask;
+  covered->Reset(num_positions);
+  for (size_t si = 0; si < apt.shards.size(); ++si) {
+    CoverageScorer::CoverageFromMask(mask + shard_word[si],
+                                     shard_word[si + 1] - shard_word[si],
+                                     apt.shards[si].pt_row, covered);
+  }
+  return covered->words().data();
+}
+
+/// \brief In-view equality masks of the (categorical attribute, dictionary
+/// code) pairs that LCA candidates bind, flat like RefineContext's masks,
+/// NULL and out-of-view rows 0.
+///
+/// An LCA candidate is a conjunction of equalities on categorical
+/// attributes, so its in-view match mask is the AND of its predicates'
+/// masks: one pass over each referenced column replaces a kernel compile
+/// and a scan of every row per candidate.
+class CodeMasks {
+ public:
+  /// Builds the masks of every (attribute, code) that the predicates of
+  /// `candidates[0, num_scored)` bind.
+  CodeMasks(const ShardedApt& apt, const MetricsView& view,
+            const std::vector<size_t>& shard_word,
+            const std::vector<LcaCandidate>& candidates, size_t num_scored)
+      : num_words_(shard_word.back()),
+        slot_(apt.schema_table().num_columns()) {
+    size_t num_masks = 0;
+    for (size_t i = 0; i < num_scored; ++i) {
+      for (const PatternPredicate& pred : candidates[i].pattern.preds) {
+        // LCA predicates quote dictionary entries of categorical columns.
+        assert(pred.op == PredOp::kEq && pred.code >= 0);
+        std::vector<int32_t>& slots = slot_[pred.col];
+        const size_t code = static_cast<size_t>(pred.code);
+        if (code >= slots.size()) slots.resize(code + 1, -1);
+        if (slots[code] < 0) slots[code] = static_cast<int32_t>(num_masks++);
+      }
+    }
+    masks_.assign(num_masks * num_words_, 0);
+    for (size_t col = 0; col < slot_.size(); ++col) {
+      const std::vector<int32_t>& slots = slot_[col];
+      if (slots.empty()) continue;
+      for (size_t si = 0; si < apt.shards.size(); ++si) {
+        const Column& column = apt.shards[si].table.column(col);
+        const int32_t* codes = column.codes().data();
+        const uint8_t* nulls = column.nulls().data();
+        uint64_t* shard_masks = masks_.data() + shard_word[si];
+        auto visit = [&](size_t r) {
+          if (nulls[r] != 0) return;
+          const size_t code = static_cast<size_t>(codes[r]);
+          if (code >= slots.size() || slots[code] < 0) return;
+          shard_masks[static_cast<size_t>(slots[code]) * num_words_ +
+                      (r >> 6)] |= uint64_t{1} << (r & 63);
+        };
+        if (view.all_rows) {
+          for (size_t r = 0; r < apt.shards[si].num_rows(); ++r) visit(r);
+        } else {
+          for (int32_t r : view.rows[si]) visit(static_cast<size_t>(r));
+        }
+      }
+    }
+  }
+
+  /// Writes the in-view match mask of `pattern`, one of the candidates the
+  /// masks were built for, to `out` (num_words words); returns its
+  /// popcount.
+  size_t Match(const Pattern& pattern, uint64_t* out) const {
+    // A one-predicate pattern ANDs its mask with itself: a copy.
+    size_t count = AndPopcountInto(Mask(pattern.preds[0]),
+                                   Mask(pattern.preds[pattern.size() > 1]),
+                                   num_words_, out);
+    for (size_t p = 2; p < pattern.size(); ++p) {
+      count = AndPopcountInto(out, Mask(pattern.preds[p]), num_words_, out);
+    }
+    return count;
+  }
+
+ private:
+  const uint64_t* Mask(const PatternPredicate& pred) const {
+    return masks_.data() +
+           static_cast<size_t>(slot_[pred.col][pred.code]) * num_words_;
+  }
+
+  size_t num_words_;
+  /// slot_[col][code]: the mask index of (col, code), -1 when unused.
+  std::vector<std::vector<int32_t>> slot_;
+  std::vector<uint64_t> masks_;
+};
 
 /// Exclusive self times of refinement's two phases — scoring a pattern
 /// ("F-score Calc.") and generating its refinements ("Refine Patterns") —
@@ -205,10 +308,7 @@ constexpr uint32_t kNotPooled = UINT32_MAX;
 /// for each primary whose recall passes the threshold, and recursively
 /// refines it with the candidates of attributes from `next_attr` on (the
 /// ordering removes duplicate generation). A child's mask is `mask` AND the
-/// candidate's mask, written to the arena block of `depth`. Coverage merging
-/// is the shard-native core: per-shard masks project (global pt_row values)
-/// into ONE PT-wide coverage bitmap, so scores are independent of the
-/// sharding.
+/// candidate's mask, written to the arena block of `depth`.
 void ExpandPattern(RefineContext& ctx, const uint64_t* mask, size_t count,
                    size_t next_attr, size_t depth) {
   if (ctx.evaluated >= ctx.config->refinement_budget ||
@@ -219,18 +319,9 @@ void ExpandPattern(RefineContext& ctx, const uint64_t* mask, size_t count,
   ++ctx.evaluated;
   ctx.timer.Enter(RefineTimer::kScore);
 
-  // With a single identity shard the match mask IS the coverage set.
-  const uint64_t* cov = mask;
-  if (!ctx.pt_identity) {
-    const std::vector<AptShard>& shards = ctx.apt->shards;
-    ctx.covered.Reset(ctx.scorer.num_positions());
-    for (size_t si = 0; si < shards.size(); ++si) {
-      CoverageScorer::CoverageFromMask(
-          mask + ctx.shard_word[si], ctx.shard_word[si + 1] - ctx.shard_word[si],
-          shards[si].pt_row, &ctx.covered);
-    }
-    cov = ctx.covered.words().data();
-  }
+  const uint64_t* cov =
+      FlatCoverage(*ctx.apt, ctx.shard_word, ctx.pt_identity,
+                   ctx.scorer.num_positions(), mask, &ctx.covered);
   double recall[2];
   uint32_t pooled = kNotPooled;
   for (int primary = 0; primary < 2; ++primary) {
@@ -433,10 +524,14 @@ std::vector<int> PatternMiner::SelectAttributes(const ShardedApt& apt,
     if (importance[a] != importance[b]) return importance[a] > importance[b];
     return a < b;
   });
+  // Mine() rejects NaN, infinite and negative values; clamping keeps a
+  // large count castable.
   size_t keep = config_->sel_attr <= 1.0
                     ? static_cast<size_t>(
                           std::ceil(config_->sel_attr * eligible.size()))
-                    : static_cast<size_t>(config_->sel_attr);
+                    : static_cast<size_t>(std::min(
+                          config_->sel_attr,
+                          static_cast<double>(eligible.size())));
   keep = std::min(std::max<size_t>(keep, 1), eligible.size());
   ranked.resize(keep);
   // Drop zero-importance attributes outright: they are constant or useless
@@ -470,6 +565,16 @@ std::vector<int> PatternMiner::SelectAttributes(const ShardedApt& apt,
 Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
                                       const PtClasses& classes,
                                       Rng* rng) const {
+  // The sampling knobs size row and attribute counts; casting a NaN,
+  // infinite or negative product to a count is undefined.
+  for (const auto& [name, value] :
+       {std::pair{"pat_sample_rate", config_->pat_sample_rate},
+        std::pair{"sel_attr", config_->sel_attr}}) {
+    if (!(value >= 0.0) || std::isinf(value)) {
+      return Status::InvalidArgument(
+          Format("%s must be finite and non-negative, got %g", name, value));
+    }
+  }
   MineResult result;
   result.apt_rows = apt.num_rows();
   result.num_attributes = apt.pattern_cols.size();
@@ -504,8 +609,10 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
   std::vector<LcaCandidate> candidates;
   {
     ScopedStep step(profiler_, "Gen. Pat. Cand.");
-    size_t sample = static_cast<size_t>(config_->pat_sample_rate *
-                                        static_cast<double>(apt.num_rows()));
+    // Rates beyond 2^64 rows exceed any cap; casting them is undefined.
+    const double want =
+        config_->pat_sample_rate * static_cast<double>(apt.num_rows());
+    size_t sample = want < 0x1p64 ? static_cast<size_t>(want) : SIZE_MAX;
     sample = std::min(std::max<size_t>(sample, 16), config_->pat_sample_cap);
     candidates = GenerateLcaCandidates(apt, cat_attrs, sample, rng);
   }
@@ -519,17 +626,11 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
         shard_word[si] + CoverageBitmap::NumWords(shards[si].num_rows());
   }
   const size_t num_words = shard_word.back();
-  // Copies shard si's mask into its words of a flat mask.
-  auto store = [&](const CoverageBitmap& shard_mask, size_t si,
-                   std::vector<uint64_t>* flat) {
-    std::copy(shard_mask.words().begin(), shard_mask.words().end(),
-              flat->begin() + static_cast<std::ptrdiff_t>(shard_word[si]));
-  };
 
-  // (iii) Recall-filter candidates; keep top k_cat by recall as seeds.
-  // Matching is mask-native and per shard: each shard's kernel match mask
-  // projects into one PT-wide coverage bitmap, so scores merge across
-  // shards by bit-OR of coverage, never by concatenating rows.
+  // (iii) Recall-filter candidates; keep top k_cat by recall as seeds. A
+  // candidate's in-view match mask is the AND of its predicates' code
+  // masks; its rows project into one PT-wide coverage bitmap, so scores
+  // merge across shards by coverage, never by concatenating rows.
   struct Seed {
     const Pattern* pattern = nullptr;  // null: the empty pattern
     std::vector<uint64_t> mask;        // flat, in-view matching rows
@@ -543,46 +644,31 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
     // Bound the number of candidates scored (they are ordered by pair
     // frequency, the LCA heuristic's own ranking).
     const size_t kMaxScored = 500;
-    size_t scored = 0;
-    PatternKernel kernel;
-    std::vector<CoverageBitmap> masks(num_shards);
+    const size_t num_scored = std::min(candidates.size(), kMaxScored);
+    const CodeMasks code_masks(apt, view, shard_word, candidates, num_scored);
+    std::vector<uint64_t> match(num_words);
     CoverageBitmap covered;
     // Two passes so only the <= k_cat winners ever hold mask copies: first
-    // score every candidate in the reused buffers, then re-match just the
-    // kept seeds (the sort sees the same recall sequence the one-pass
-    // variant would, so ties resolve identically).
+    // score every candidate in the reused buffers, then AND the masks of
+    // just the kept seeds again (the sort sees the same recall sequence the
+    // one-pass variant would, so ties resolve identically).
     struct ScoredCandidate {
       const Pattern* pattern;
       double recall;
     };
     std::vector<ScoredCandidate> kept;
-    for (const auto& cand : candidates) {
-      if (scored >= kMaxScored) break;
-      ++scored;
-      for (size_t si = 0; si < num_shards; ++si) {
-        kernel.Compile(cand.pattern, shards[si].table);
-        if (view.all_rows) {
-          kernel.MatchMask(shards[si].num_rows(), &masks[si]);
-        } else {
-          kernel.MatchMask(view.masks[si], view.rows[si].size(), &masks[si]);
-        }
-      }
-      const CoverageBitmap* cov = &masks[0];
-      if (!pt_identity) {
-        covered.Reset(scorer.num_positions());
-        for (size_t si = 0; si < num_shards; ++si) {
-          CoverageScorer::CoverageFromMask(masks[si], shards[si].pt_row,
-                                           &covered);
-        }
-        cov = &covered;
-      }
+    for (size_t i = 0; i < num_scored; ++i) {
+      const Pattern& pattern = candidates[i].pattern;
+      code_masks.Match(pattern, match.data());
+      const uint64_t* cov =
+          FlatCoverage(apt, shard_word, pt_identity, scorer.num_positions(),
+                       match.data(), &covered);
       double best_recall = 0;
       for (int primary = 0; primary < 2; ++primary) {
-        best_recall = std::max(best_recall,
-                               scorer.Score(*cov, primary).recall);
+        best_recall = std::max(best_recall, scorer.Score(cov, primary).recall);
       }
       if (best_recall > config_->recall_threshold) {
-        kept.push_back({&cand.pattern, best_recall});
+        kept.push_back({&pattern, best_recall});
       }
     }
     std::sort(kept.begin(), kept.end(),
@@ -597,21 +683,19 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
       Seed seed;
       seed.pattern = sc.pattern;
       seed.mask.resize(num_words);
-      for (size_t si = 0; si < num_shards; ++si) {
-        kernel.Compile(*seed.pattern, shards[si].table);
-        seed.count +=
-            view.all_rows
-                ? kernel.MatchMask(shards[si].num_rows(), &masks[si])
-                : kernel.MatchMask(view.masks[si], view.rows[si].size(),
-                                   &masks[si]);
-        store(masks[si], si, &seed.mask);
-      }
+      seed.count = code_masks.Match(*seed.pattern, seed.mask.data());
       seeds.push_back(std::move(seed));
     }
   }
   // The empty pattern seeds numeric-only refinements: it matches every
   // in-view row.
   {
+    // Copies shard si's mask into its words of a flat mask.
+    auto store = [&](const CoverageBitmap& shard_mask, size_t si,
+                     std::vector<uint64_t>* flat) {
+      std::copy(shard_mask.words().begin(), shard_mask.words().end(),
+                flat->begin() + static_cast<std::ptrdiff_t>(shard_word[si]));
+    };
     Seed empty;
     empty.mask.resize(num_words);
     for (size_t si = 0; si < num_shards; ++si) {
@@ -674,7 +758,8 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
   result.patterns_evaluated = ctx.evaluated;
   result.budget_exhausted = ctx.budget_exhausted;
 
-  // (v) Diversity-aware top-k.
+  // (v) Diversity-aware top-k, then the winners' exact scores.
+  ScopedStep rank_step(profiler_, "Rank Top-k");
   std::vector<size_t> picked = SelectTopKDiverse(
       pool, static_cast<size_t>(config_->top_k), config_->enable_diversity);
 

@@ -2,7 +2,8 @@
 //   1. attribute relevance filtering (random forest) + correlation
 //      clustering with representatives (Section 3.1),
 //   2. LCA candidate generation over categorical attributes (Section 3.2),
-//   3. recall filtering of candidates (Section 3.3),
+//   3. recall filtering of candidates (Section 3.3), scored from one
+//      in-view mask per (categorical attribute, dictionary code),
 //   4. numeric refinement over domain fragments with recall-monotonicity
 //      pruning (Section 3.4, Proposition 3.1),
 //   5. diversity-aware top-k selection (Section 3.5).
@@ -120,12 +121,13 @@ class CandidatePool {
 /// Step timings are charged to the profiler under the paper's breakdown-row
 /// names, each as exclusive self time (no step contains another, so the
 /// steps sum to at most the Mine() wall time): "Feature Selection",
-/// "Sampling for F1", "Gen. Pat. Cand.", "F-score Calc." (recall-filtering
-/// the LCA candidates, then scoring every refinement and pooling the
-/// qualifiers), "Refine Patterns" (fragment boundaries, the per-predicate
-/// masks, and the mask ANDs that generate refinements). Refinement keeps
-/// its two self times in locals and charges them once per call. Ranking
-/// and the exact re-scoring of the winners are charged to no step.
+/// "Sampling for F1", "Gen. Pat. Cand.", "F-score Calc." (the per-code
+/// masks and recall-filtering the LCA candidates, then scoring every
+/// refinement and pooling the qualifiers), "Refine Patterns" (fragment
+/// boundaries, the per-predicate masks, and the mask ANDs that generate
+/// refinements), and "Rank Top-k" (SelectTopKDiverse and the exact
+/// re-scoring of the winners). Refinement keeps its two self times in
+/// locals and charges them once per call.
 ///
 /// Mine() is const and keeps all scratch state (RefineContext, kernels,
 /// masks, the candidate pool) on its own stack, so distinct

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/baselines/cape.h"
 #include "src/baselines/explanation_tables.h"
 #include "src/common/timer.h"
@@ -10,28 +13,41 @@
 namespace cajade {
 namespace {
 
-/// One-shard APT with a binary outcome strongly linked to cat="hot".
+/// One-shard APT with a binary outcome strongly linked to cat="hot". With
+/// `num_tags` > 0 a fourth column, "tag", holds one of that many values
+/// (drawn from its own stream, so the other columns do not change).
 struct EtFixture {
   ShardedApt apt;
   std::vector<int8_t> outcome;
 
-  EtFixture() {
-    Schema schema({{"cat", DataType::kString},
-                   {"other", DataType::kString},
-                   {"num", DataType::kInt64}});
-    Table t("APT", std::move(schema));
+  explicit EtFixture(size_t num_tags = 0) {
+    std::vector<ColumnDef> cols = {{"cat", DataType::kString},
+                                   {"other", DataType::kString},
+                                   {"num", DataType::kInt64}};
+    std::vector<int> pattern_cols = {0, 1, 2};
+    if (num_tags > 0) {
+      cols.push_back({"tag", DataType::kString});
+      pattern_cols.push_back(3);
+    }
+    Table t("APT", Schema(std::move(cols)));
     std::vector<int32_t> pt_row;
     Rng rng(21);
+    Rng tag_rng(22);
     for (int i = 0; i < 400; ++i) {
       bool hot = rng.Bernoulli(0.4);
       std::string cat = hot ? "hot" : "cold";
       std::string other = rng.Bernoulli(0.5) ? "x" : "y";
-      (void)t.AppendRow({Value(cat), Value(other),
-                         Value(rng.UniformInt(0, 100))});
+      std::vector<Value> row = {Value(cat), Value(other),
+                                Value(rng.UniformInt(0, 100))};
+      if (num_tags > 0) {
+        row.push_back(Value("t" + std::to_string(tag_rng.NextBounded(num_tags))));
+      }
+      (void)t.AppendRow(row);
       pt_row.push_back(i);
       outcome.push_back(hot && rng.Bernoulli(0.9) ? 1 : (rng.Bernoulli(0.1) ? 1 : 0));
     }
-    apt = OneShardApt(std::move(t), std::move(pt_row), 400, {0, 1, 2});
+    apt = OneShardApt(std::move(t), std::move(pt_row), 400,
+                      std::move(pattern_cols));
   }
 };
 
@@ -56,7 +72,11 @@ TEST(ExplanationTablesTest, FindsHighGainPatternFirst) {
 }
 
 TEST(ExplanationTablesTest, RuntimeGrowsWithSampleSize) {
-  EtFixture fx;
+  // LCA meets each pair of distinct sampled rows once, so a larger sample
+  // costs more only when it holds more distinct rows. The tag column makes
+  // most rows distinct, as the many-valued attributes of real APTs do; over
+  // cat and other alone, 16 and 256 rows hold the same four tuples.
+  EtFixture fx(/*num_tags=*/100);
   Rng rng(3);
   auto run = [&](size_t size) {
     EtOptions options;

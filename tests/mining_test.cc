@@ -1,16 +1,18 @@
 // Tests for src/mining: patterns (matching, refinement), quality metrics
-// (Definition 7), LCA candidate generation, the miner (Algorithm 1) —
-// including its ranking against the first implementation and its
-// refinement across shard sizes, samples and budgets — and the
-// recall-monotonicity property (Proposition 3.1) as a parameterized
-// property sweep.
+// (Definition 7), LCA candidate generation (against an all-pairs meet
+// oracle), the miner (Algorithm 1) — including its ranking against the
+// first implementation and its refinement across shard sizes, samples and
+// budgets — and the recall-monotonicity property (Proposition 3.1) as a
+// parameterized property sweep.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "src/core/config.h"
 #include "src/mining/lca.h"
@@ -267,6 +269,142 @@ TEST(LcaTest, ShardedCandidatesBitIdentical) {
     for (size_t i = 0; i < whole.size(); ++i) {
       EXPECT_EQ(split[i].pair_count, whole[i].pair_count);
       EXPECT_EQ(split[i].pattern.Key(), whole[i].pattern.Key());
+    }
+  }
+}
+
+/// The first LCA implementation, kept as the oracle: ++counts[sig] over
+/// every sample pair (i, j), i < j, in (i, j) order, then the same output
+/// build and pair-count sort. Its unordered_map and hash are copied too,
+/// because the map's iteration order decides the order of tied candidates.
+std::vector<LcaCandidate> AllPairsLca(const ShardedApt& apt,
+                                      const std::vector<int>& cat_cols,
+                                      size_t sample_size, Rng* rng) {
+  struct SigHash {
+    size_t operator()(const std::vector<int32_t>& v) const {
+      size_t h = 0x3456;
+      for (int32_t x : v) {
+        h ^= static_cast<size_t>(x) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+             (h >> 2);
+      }
+      return h;
+    }
+  };
+  std::vector<size_t> sample = rng->SampleIndices(apt.num_rows(), sample_size);
+  std::vector<size_t> s_shard, s_local;
+  LocateAptRows(apt, sample, &s_shard, &s_local);
+  const size_t s = sample.size();
+  const size_t k = cat_cols.size();
+  std::vector<std::vector<int32_t>> codes(k, std::vector<int32_t>(s));
+  for (size_t c = 0; c < k; ++c) {
+    for (size_t i = 0; i < s; ++i) {
+      const Column& col = apt.shards[s_shard[i]].table.column(cat_cols[c]);
+      codes[c][i] = col.IsNull(s_local[i]) ? -1 : col.GetCode(s_local[i]);
+    }
+  }
+  std::unordered_map<std::vector<int32_t>, int64_t, SigHash> counts;
+  std::vector<int32_t> sig(k);
+  for (size_t i = 0; i < s; ++i) {
+    for (size_t j = i + 1; j < s; ++j) {
+      bool any = false;
+      for (size_t c = 0; c < k; ++c) {
+        const int32_t a = codes[c][i];
+        sig[c] = a >= 0 && a == codes[c][j] ? a : -1;
+        any |= sig[c] >= 0;
+      }
+      if (any) ++counts[sig];
+    }
+  }
+  std::vector<LcaCandidate> out;
+  for (const auto& [signature, count] : counts) {
+    LcaCandidate cand;
+    cand.pair_count = count;
+    for (size_t c = 0; c < k; ++c) {
+      if (signature[c] < 0) continue;
+      const Column& col = apt.schema_table().column(cat_cols[c]);
+      cand.pattern.preds.push_back(PatternPredicate::Make(
+          apt.schema_table(), cat_cols[c], PredOp::kEq,
+          Value(col.DictEntry(signature[c]))));
+    }
+    out.push_back(std::move(cand));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const LcaCandidate& a, const LcaCandidate& b) {
+              return a.pair_count > b.pair_count;
+            });
+  return out;
+}
+
+/// A random APT of `k` string columns, one row per PT position. Rows are
+/// copies of a few NULL-bearing template rows (duplicate-heavy) or cells
+/// drawn independently with 40% NULLs (NULL-heavy).
+ShardedApt RandomCategoricalApt(size_t k, bool duplicate_heavy,
+                                uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ColumnDef> defs;
+  std::vector<int> cols;
+  for (size_t c = 0; c < k; ++c) {
+    defs.push_back({"c" + std::to_string(c), DataType::kString});
+    cols.push_back(static_cast<int>(c));
+  }
+  Table t("APT", Schema(std::move(defs)));
+  static const char* kWords[] = {"a", "b", "c", "d"};
+  auto random_row = [&](double null_rate) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < k; ++c) {
+      row.push_back(rng.Bernoulli(null_rate)
+                        ? Value::Null()
+                        : Value(kWords[rng.NextBounded(3)]));
+    }
+    return row;
+  };
+  std::vector<std::vector<Value>> templates;
+  for (int i = 0; i < 9; ++i) templates.push_back(random_row(0.3));
+  const size_t n = 60 + rng.NextBounded(40);
+  std::vector<int32_t> pt_row;
+  for (size_t p = 0; p < n; ++p) {
+    (void)t.AppendRow(duplicate_heavy
+                          ? templates[rng.NextBounded(templates.size())]
+                          : random_row(0.4));
+    pt_row.push_back(static_cast<int32_t>(p));
+  }
+  return OneShardApt(std::move(t), std::move(pt_row), n, std::move(cols));
+}
+
+TEST(LcaTest, MatchesAllPairsOracle) {
+  // Pins the candidates, their counts and the order of tied candidates.
+  // k = 65 is wider than one 64-bit column mask.
+  for (size_t k : {size_t{1}, size_t{4}, size_t{65}}) {
+    for (bool duplicate_heavy : {true, false}) {
+      for (uint64_t seed : {1u, 2u}) {
+        ShardedApt apt = RandomCategoricalApt(k, duplicate_heavy, seed);
+        const size_t n = apt.num_rows();
+        for (size_t shard_rows : {size_t{1}, size_t{7}, size_t{64}, n}) {
+          ShardedApt sa = SplitApt(apt, shard_rows);
+          for (size_t sample : {n / 3, n - 1, n, n + 40}) {
+            SCOPED_TRACE("k=" + std::to_string(k) +
+                         " duplicate_heavy=" + std::to_string(duplicate_heavy) +
+                         " seed=" + std::to_string(seed) +
+                         " sample=" + std::to_string(sample) +
+                         " shard_rows=" + std::to_string(shard_rows));
+            Rng rng_a(seed + sample);
+            Rng rng_b(seed + sample);
+            std::vector<LcaCandidate> got =
+                GenerateLcaCandidates(sa, apt.pattern_cols, sample, &rng_a);
+            std::vector<LcaCandidate> want =
+                AllPairsLca(sa, apt.pattern_cols, sample, &rng_b);
+            ASSERT_FALSE(want.empty());
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < want.size(); ++i) {
+              ASSERT_EQ(got[i].pattern.Key(), want[i].pattern.Key())
+                  << "position " << i;
+              ASSERT_EQ(got[i].pair_count, want[i].pair_count)
+                  << "position " << i;
+            }
+            EXPECT_EQ(rng_a.Next(), rng_b.Next());
+          }
+        }
+      }
     }
   }
 }
@@ -659,7 +797,9 @@ TEST(MinerTest, RefinementStableAcrossShardsSamplesAndBudgets) {
           MineResult split = miner.Mine(sa, fx.classes, &rng2).ValueOrDie();
           ExpectSameMineResult(split, whole);
           // Exact scores are Definition 7 evaluated row by row, shard by
-          // shard, on the APT that was mined.
+          // shard, on the APT that was mined; without F1 sampling, so are
+          // the scores mining ranked by (seed masks ANDed with refinement
+          // masks).
           MetricsView full = FullView(sa, fx.classes);
           for (const MinedPattern& mp : split.top_k) {
             PatternScores s =
@@ -668,10 +808,51 @@ TEST(MinerTest, RefinementStableAcrossShardsSamplesAndBudgets) {
             EXPECT_EQ(mp.exact.fp, s.fp) << mp.pattern.Key();
             EXPECT_EQ(mp.exact.fn, s.fn) << mp.pattern.Key();
             EXPECT_EQ(mp.exact.fscore, s.fscore) << mp.pattern.Key();
+            if (rate == 1.0) {
+              EXPECT_EQ(mp.scores.tp, s.tp) << mp.pattern.Key();
+              EXPECT_EQ(mp.scores.fp, s.fp) << mp.pattern.Key();
+              EXPECT_EQ(mp.scores.fn, s.fn) << mp.pattern.Key();
+              EXPECT_EQ(mp.scores.fscore, s.fscore) << mp.pattern.Key();
+            }
           }
         }
       }
     }
+  }
+}
+
+TEST(MinerTest, RejectsOutOfRangeSampleKnobs) {
+  // Mine casts pat_sample_rate * |APT| and sel_attr * |attributes| to
+  // counts: NaN, infinite and negative knobs are refused by name, and a
+  // huge finite value acts as "everything".
+  RandomAptFixture fx(1);
+  for (const char* knob : {"pat_sample_rate", "sel_attr"}) {
+    for (double bad : {std::nan(""), -1.0, HUGE_VAL}) {
+      SCOPED_TRACE(std::string(knob) + "=" + std::to_string(bad));
+      CajadeConfig config;
+      (std::string(knob) == "sel_attr" ? config.sel_attr
+                                       : config.pat_sample_rate) = bad;
+      PatternMiner miner(&config, nullptr);
+      Rng rng(1);
+      Result<MineResult> result = miner.Mine(fx.apt, fx.classes, &rng);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find(knob), std::string::npos)
+          << result.status().message();
+    }
+  }
+  CajadeConfig huge_rate, all_rows, huge_sel, all_attrs;
+  huge_rate.pat_sample_rate = 1e300;
+  all_rows.pat_sample_rate = 1.0;
+  huge_sel.sel_attr = 1e30;
+  all_attrs.sel_attr = static_cast<double>(fx.apt.pattern_cols.size());
+  for (const auto& [huge, all] : {std::pair{&huge_rate, &all_rows},
+                                  std::pair{&huge_sel, &all_attrs}}) {
+    PatternMiner miner_huge(huge, nullptr), miner_all(all, nullptr);
+    Rng rng_huge(1), rng_all(1);
+    ExpectSameMineResult(
+        miner_huge.Mine(fx.apt, fx.classes, &rng_huge).ValueOrDie(),
+        miner_all.Mine(fx.apt, fx.classes, &rng_all).ValueOrDie());
   }
 }
 
