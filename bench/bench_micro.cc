@@ -465,6 +465,36 @@ void BM_MineApt(benchmark::State& state) {
 }
 BENCHMARK(BM_MineApt);
 
+/// A question's prepared PT and one join graph enumerated for it.
+struct PreparedGraph {
+  PreparedExplain prepared;
+  JoinGraph graph;
+};
+
+/// Prepares `sql` for `question` on `db` and picks the first join graph
+/// described as `graph` among those of at most `max_edges` edges
+/// enumerated for its PT.
+PreparedGraph PrepareGraph(const Database& db, const SchemaGraph& sg,
+                           const std::string& sql, const UserQuestion& question,
+                           int max_edges, const std::string& graph) {
+  CajadeConfig config;
+  Explainer explainer(&db, &sg, config);
+  PreparedGraph out{explainer.Prepare(sql, question).ValueOrDie(), {}};
+  JoinGraphEnumerator::Options options;
+  options.max_edges = max_edges;
+  JoinGraphEnumerator enumerator(&sg, &db, out.prepared.pt.relations, options);
+  std::vector<JoinGraph> graphs =
+      enumerator
+          .EnumerateAll(static_cast<double>(out.prepared.pt_rows.size()),
+                        out.prepared.pt.table.schema().num_columns())
+          .ValueOrDie();
+  out.graph = *std::find_if(graphs.begin(), graphs.end(),
+                            [&](const JoinGraph& g) {
+                              return g.Describe() == graph;
+                            });
+  return out;
+}
+
 /// One APT of an end-to-end workload, as one shard, with its database.
 struct WorkloadApt {
   Database db;
@@ -472,29 +502,14 @@ struct WorkloadApt {
   ShardedApt apt;
   PtClasses classes;
 
-  /// Materializes the first join graph described as `graph` among those
-  /// of at most `max_edges` edges enumerated for the question's PT.
+  /// Materializes PrepareGraph's pick for these arguments.
   void Materialize(const std::string& sql, const UserQuestion& question,
                    int max_edges, const std::string& graph) {
-    CajadeConfig config;
-    Explainer explainer(&db, &sg, config);
-    PreparedExplain prepared = explainer.Prepare(sql, question).ValueOrDie();
-    JoinGraphEnumerator::Options options;
-    options.max_edges = max_edges;
-    JoinGraphEnumerator enumerator(&sg, &db, prepared.pt.relations, options);
-    std::vector<JoinGraph> graphs =
-        enumerator
-            .EnumerateAll(static_cast<double>(prepared.pt_rows.size()),
-                          prepared.pt.table.schema().num_columns())
-            .ValueOrDie();
-    auto it = std::find_if(graphs.begin(), graphs.end(),
-                           [&](const JoinGraph& g) {
-                             return g.Describe() == graph;
-                           });
-    apt = MaterializeAptSharded(prepared.pt, prepared.pt_rows, *it, sg, db, {},
-                                0)
+    PreparedGraph in = PrepareGraph(db, sg, sql, question, max_edges, graph);
+    apt = MaterializeAptSharded(in.prepared.pt, in.prepared.pt_rows, in.graph,
+                                sg, db, {}, 0)
               .ValueOrDie();
-    classes = prepared.classes;
+    classes = in.prepared.classes;
   }
 };
 
@@ -835,6 +850,48 @@ void BM_MaterializeAptSharded(benchmark::State& state) {
   state.counters["unsharded_peak_bytes"] = static_cast<double>(one_shard_peak);
 }
 BENCHMARK(BM_MaterializeAptSharded);
+
+/// Sharded materialization on the mimic_sharded workload's inputs: MIMIC
+/// sf 1.0 (MimicApt()'s database), Qmimic1's PT (5,917 rows) and its
+/// "PT - diagnoses - admissions" graph (37,588 APT rows) in that workload's
+/// 512-row shards, serial shard loop, warm index cache and stats, no prefix
+/// cache, state-byte metrics on as in Explainer. Each step of each shard
+/// builds string columns over the source columns' dictionaries, and
+/// diagnoses.icd9_code alone holds 9,948 entries, so this row shows the
+/// per-shard set-up cost of those columns. BM_MaterializeAptSharded cannot:
+/// its synthetic dictionaries hold at most 16 entries.
+void BM_MaterializeMimicSharded(benchmark::State& state) {
+  const WorkloadApt& fx = MimicApt();
+  static const PreparedGraph* in = new PreparedGraph(
+      PrepareGraph(fx.db, fx.sg, MimicQuerySql(1), bench::MimicQuestion(1), 2,
+                   "PT - diagnoses - admissions"));
+  constexpr size_t kShardRows = 512;
+  AptIndexCache index_cache;
+  StatsCatalog stats;
+  AptMaterializeOptions options;
+  options.index_cache = &index_cache;
+  options.stats = &stats;
+  AptMaterializeMetrics metrics;
+  options.metrics = &metrics;
+  auto materialize = [&] {
+    return MaterializeAptSharded(in->prepared.pt, in->prepared.pt_rows,
+                                 in->graph, fx.sg, fx.db, options, kShardRows)
+        .ValueOrDie();
+  };
+  (void)materialize();  // warm the index cache and stats
+  size_t apt_rows = 0;
+  size_t num_shards = 0;
+  for (auto _ : state) {
+    ShardedApt apt = materialize();
+    apt_rows = apt.num_rows();
+    num_shards = apt.shards.size();
+    benchmark::DoNotOptimize(apt_rows);
+  }
+  state.SetItemsProcessed(state.iterations() * in->prepared.pt_rows.size());
+  state.counters["apt_rows"] = static_cast<double>(apt_rows);
+  state.counters["num_shards"] = static_cast<double>(num_shards);
+}
+BENCHMARK(BM_MaterializeMimicSharded);
 
 /// Materializes the PT-A-B-{C,D} sibling family with a persistent prefix
 /// cache (the timed, warm path: only each graph's last join runs) and

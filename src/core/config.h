@@ -82,7 +82,6 @@ struct CajadeConfig {
 
   // ---- Attribute clustering ------------------------------------------------
   double cluster_threshold = 0.9;
-  size_t cluster_row_cap = 2000;
 
   // ---- Parallelism ---------------------------------------------------------
   /// Worker threads for per-join-graph explanation (materialize + mine).

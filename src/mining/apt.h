@@ -20,8 +20,10 @@
 // byte-identical to its single shard at any shard size, and errors (row-limit
 // trips included) match.
 //
-// Ownership and thread-safety: APT values own their column storage and
-// belong to the caller. The caches below are adapters over OnceLruCache
+// Ownership and thread-safety: APT values own their column buffers and
+// belong to the caller; their string columns share the source columns'
+// immutable dictionaries (src/storage/column.h) instead of copying them.
+// The caches below are adapters over OnceLruCache
 // (src/common/once_lru_cache.h), which owns their entries, hands out
 // shared_ptr handles and is safe for concurrent use.
 
@@ -130,7 +132,9 @@ class AptPrefixCache : public OnceLruCache<AptJoinState> {
   size_t builds() const { return misses(); }
 
   /// Approximate heap footprint of a state (column buffers + dictionaries +
-  /// the pt-row map); the unit of the cache's byte accounting.
+  /// the pt-row map); the unit of the cache's byte accounting. A dictionary
+  /// shared by several states is charged to each of them, so the sum over
+  /// states is an upper bound.
   static size_t ApproxStateBytes(const AptJoinState& state);
 };
 
@@ -155,9 +159,10 @@ struct AptShard {
 /// consumer (miner, quality views, LCA, the ET baseline) iterates shards in
 /// that order, so results do not depend on the shard size. Shard tables are
 /// never concatenated. Every shard has the identical schema, and string
-/// columns adopt the dictionary of the same source column, so dictionary
-/// codes compare across shards and with schema_table(). There is always at
-/// least one shard (possibly empty) so schema_table() is well defined.
+/// columns point at the one dictionary of the same source column, so
+/// dictionary codes compare across shards and with schema_table(), and a
+/// shard costs no dictionary copy. There is always at least one shard
+/// (possibly empty) so schema_table() is well defined.
 struct ShardedApt {
   std::vector<AptShard> shards;
   /// The PT rows the APT was built over (typically PT(t1) u PT(t2)), as

@@ -39,7 +39,6 @@ std::string SerializeResultConfig(const CajadeConfig& c) {
   add(c.forest_max_depth);
   add(static_cast<double>(c.forest_row_cap));
   add(c.cluster_threshold);
-  add(static_cast<double>(c.cluster_row_cap));
   add(static_cast<double>(c.refinement_budget));
   add(static_cast<double>(c.refinement_row_budget));
   add(static_cast<double>(c.max_apt_rows));

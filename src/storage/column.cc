@@ -71,7 +71,13 @@ Status Column::AppendValue(const Value& v) {
         return Status::OK();
       }
       if (v.is_double()) {
-        AppendInt(static_cast<int64_t>(v.AsDouble()));
+        // The cast is undefined outside [-2^63, 2^63), NaN included.
+        const double d = v.AsDouble();
+        if (!(d >= -0x1p63 && d < 0x1p63)) {
+          return Status::InvalidArgument(
+              Format("DOUBLE value %g is outside the INT64 range", d));
+        }
+        AppendInt(static_cast<int64_t>(d));
         return Status::OK();
       }
       break;
@@ -103,29 +109,42 @@ Value Column::GetValue(size_t row) const {
     case DataType::kDouble:
       return Value(doubles_[row]);
     case DataType::kString:
-      return Value(dict_[codes_[row]]);
+      return Value(GetString(row));
     default:
       return Value::Null();
   }
 }
 
-int32_t Column::FindCode(const std::string& s) const {
-  auto it = dict_index_.find(s);
-  return it == dict_index_.end() ? -1 : it->second;
+std::shared_ptr<Column::Dictionary::Rep> Column::Dictionary::Share() const {
+  if (rep_ != nullptr) rep_->shared.store(true, std::memory_order_relaxed);
+  return rep_;
 }
 
-int32_t Column::InternString(const std::string& s) {
-  auto it = dict_index_.find(s);
-  if (it != dict_index_.end()) return it->second;
-  int32_t code = static_cast<int32_t>(dict_.size());
-  dict_.push_back(s);
-  dict_index_.emplace(s, code);
+int32_t Column::Dictionary::Find(const std::string& s) const {
+  if (rep_ == nullptr) return -1;
+  auto it = rep_->index.find(s);
+  return it == rep_->index.end() ? -1 : it->second;
+}
+
+int32_t Column::Dictionary::Intern(const std::string& s) {
+  int32_t code = Find(s);
+  if (code >= 0) return code;
+  // Only copies of this handle set `shared`, and under the single-writer
+  // contract those copies happen-before this write, so relaxed suffices.
+  if (rep_ == nullptr) {
+    rep_ = std::make_shared<Rep>();
+  } else if (rep_->shared.load(std::memory_order_relaxed)) {
+    auto clone = std::make_shared<Rep>();
+    clone->entries = rep_->entries;
+    clone->index = rep_->index;
+    clone->string_bytes = rep_->string_bytes;
+    rep_ = std::move(clone);
+  }
+  code = static_cast<int32_t>(rep_->entries.size());
+  rep_->entries.push_back(s);
+  rep_->index.emplace(s, code);
+  rep_->string_bytes += s.size();
   return code;
-}
-
-void Column::AdoptDictionary(const Column& source) {
-  dict_ = source.dict_;
-  dict_index_ = source.dict_index_;
 }
 
 }  // namespace cajade

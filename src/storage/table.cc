@@ -21,11 +21,9 @@ size_t Table::ApproxBytes() const {
     bytes += col.doubles().size() * sizeof(double);
     bytes += col.codes().size() * sizeof(int32_t);
     bytes += col.nulls().size();
-    for (size_t d = 0; d < col.dict_size(); ++d) {
-      // String payload plus per-entry bookkeeping (dictionary vector slot
-      // and index map node).
-      bytes += col.DictEntry(static_cast<int32_t>(d)).size() + 48;
-    }
+    // String payload plus per-entry bookkeeping (dictionary vector slot
+    // and index map node).
+    bytes += col.dict_string_bytes() + col.dict_size() * 48;
   }
   return bytes;
 }

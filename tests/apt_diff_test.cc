@@ -290,6 +290,27 @@ void ExpectMatchesReference(const ShardedApt& ref, const ShardedApt& got) {
   EXPECT_EQ(global, ref.num_rows());
 }
 
+/// Every STRING column of every shard reads the dictionary object of shard
+/// 0's column, and shard 0's PT columns read `pt`'s: shards share their
+/// source column's dictionary rather than copying it.
+void ExpectShardsShareDictionaries(const ProvenanceTable& pt,
+                                   const ShardedApt& apt) {
+  const Table& first = apt.shards.front().table;
+  for (size_t c = 0; c < first.num_columns(); ++c) {
+    const Column& col0 = first.column(c);
+    if (col0.type() != DataType::kString || col0.dict_size() == 0) continue;
+    if (c < apt.num_pt_columns) {
+      EXPECT_EQ(&col0.DictEntry(0), &pt.table.column(c).DictEntry(0))
+          << "col " << c;
+    }
+    for (const AptShard& shard : apt.shards) {
+      const Column& col = shard.table.column(c);
+      ASSERT_EQ(col.dict_size(), col0.dict_size()) << "col " << c;
+      EXPECT_EQ(&col.DictEntry(0), &col0.DictEntry(0)) << "col " << c;
+    }
+  }
+}
+
 /// Both succeed with equal APTs, or both fail with the same Status (code
 /// and message).
 void ExpectSameOutcome(const Result<ShardedApt>& ref,
@@ -686,6 +707,7 @@ TEST(AptShardDiffTest, ShardSweepMatchesReferenceAtAnyThreadCount) {
           EXPECT_EQ(got->shards.size(), expect_shards);
           EXPECT_EQ(metrics.shards.load(), expect_shards);
           EXPECT_GT(metrics.peak_state_bytes.load(), 0u);
+          ExpectShardsShareDictionaries(fx.pt, *got);
         }
       }
     }

@@ -140,6 +140,32 @@ TEST_F(ServeTest, BaseTableChangeFlipsFingerprintAndInvalidates) {
   EXPECT_EQ(server.counters().result_hits, 1u);
 }
 
+TEST_F(ServeTest, AppendOfNewStringKeepsEarlierResultAndMatchesFresh) {
+  ExplainServer server(&db_, &schema_graph_, BaseOptions());
+  auto before = server.Explain(kQ1, TwoPointQuestion()).ValueOrDie();
+  const std::string rendered = before->query_result.ToString();
+
+  // A GSW 2015-16 win over an opponent the `away` column has never seen:
+  // the PT changes, and interning the name clones the dictionary the base
+  // table shares with the provenance and the cached APT prefix states.
+  TablePtr game = db_.GetTable("game").ValueOrDie();
+  ASSERT_EQ(game->FindColumn("away")->FindCode("SEA"), -1);
+  ASSERT_TRUE(game->AppendRow({Value(int64_t{2016}), Value(int64_t{6}),
+                               Value(int64_t{29}), Value("GSW"), Value("SEA"),
+                               Value(int64_t{118}), Value(int64_t{97}),
+                               Value("GSW"), Value("2015-16")})
+                  .ok());
+  EXPECT_EQ(before->query_result.ToString(), rendered);
+
+  auto served = server.Explain(kQ1, TwoPointQuestion()).ValueOrDie();
+  EXPECT_NE(served.get(), before.get());
+  EXPECT_EQ(server.counters().result_invalidations, 1u);
+  Explainer fresh(&db_, &schema_graph_);
+  ExpectSameExplanations(fresh.Explain(kQ1, TwoPointQuestion()).ValueOrDie(),
+                         *served);
+  EXPECT_EQ(before->query_result.ToString(), rendered);
+}
+
 TEST_F(ServeTest, TinyByteBoundEvictsButStaysCorrect) {
   ExplainServer::Options options = BaseOptions();
   options.result_cache_bytes = 1;  // nothing fits: every insert evicts

@@ -1,7 +1,16 @@
-// Tests for src/storage: columns (dictionary encoding, nulls), schemas
-// (PK/FK, mining exclusion), tables, and the database catalog.
+// Tests for src/storage: columns (dictionary encoding, copy-on-write
+// dictionary sharing, nulls), schemas (PK/FK, mining exclusion), tables,
+// and the database catalog. The TSan CI job runs this binary, so the
+// concurrent dictionary-sharing case doubles as a race detector.
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/storage/database.h"
 
@@ -42,14 +51,167 @@ TEST(ColumnTest, StringDictionaryEncoding) {
   EXPECT_EQ(c.FindCode("zzz"), -1);
 }
 
+Column StringColumn(const std::vector<std::string>& values) {
+  Column c(DataType::kString);
+  for (const auto& v : values) c.AppendString(v);
+  return c;
+}
+
 TEST(ColumnTest, AdoptDictionarySharesCodes) {
-  Column src(DataType::kString);
-  src.AppendString("x");
-  src.AppendString("y");
+  Column src = StringColumn({"x", "y", "z", "y"});
   Column dst(DataType::kString);
   dst.AdoptDictionary(src);
   dst.AppendCode(src.GetCode(1));
   EXPECT_EQ(dst.GetString(0), "y");
+  ASSERT_EQ(dst.dict_size(), src.dict_size());
+  for (size_t d = 0; d < src.dict_size(); ++d) {
+    const auto code = static_cast<int32_t>(d);
+    EXPECT_EQ(dst.DictEntry(code), src.DictEntry(code));
+    // Shared, not copied: both read the one dictionary object.
+    EXPECT_EQ(&dst.DictEntry(code), &src.DictEntry(code));
+    EXPECT_EQ(dst.FindCode(src.DictEntry(code)), code);
+  }
+}
+
+/// Everything a reader can observe of `c`'s dictionary.
+std::vector<std::string> DictOf(const Column& c) {
+  std::vector<std::string> out;
+  for (size_t d = 0; d < c.dict_size(); ++d) {
+    out.push_back(c.DictEntry(static_cast<int32_t>(d)));
+  }
+  return out;
+}
+
+/// `c` still reads exactly `dict`, by code and by string, and its cells
+/// still render `cells`.
+void ExpectReads(const Column& c, const std::vector<std::string>& dict,
+                 const std::vector<std::string>& cells) {
+  ASSERT_EQ(c.dict_size(), dict.size());
+  for (size_t d = 0; d < dict.size(); ++d) {
+    EXPECT_EQ(c.DictEntry(static_cast<int32_t>(d)), dict[d]);
+    EXPECT_EQ(c.FindCode(dict[d]), static_cast<int32_t>(d));
+  }
+  EXPECT_EQ(c.FindCode("absent"), -1);
+  ASSERT_EQ(c.size(), cells.size());
+  for (size_t r = 0; r < cells.size(); ++r) EXPECT_EQ(c.GetString(r), cells[r]);
+}
+
+TEST(ColumnTest, InternIntoSourceLeavesAdopterUnchanged) {
+  Column src = StringColumn({"x", "y"});
+  Column dst(DataType::kString);
+  dst.AdoptDictionary(src);
+  dst.AppendCode(src.GetCode(1));
+  src.AppendString("new");
+  EXPECT_EQ(src.dict_size(), 3u);
+  EXPECT_EQ(src.GetString(2), "new");
+  ExpectReads(dst, {"x", "y"}, {"y"});
+}
+
+TEST(ColumnTest, InternIntoAdopterLeavesSourceUnchanged) {
+  Column src = StringColumn({"x", "y"});
+  Column dst(DataType::kString);
+  dst.AdoptDictionary(src);
+  EXPECT_EQ(dst.InternString("new"), 2);
+  EXPECT_EQ(dst.FindCode("new"), 2);
+  ExpectReads(src, {"x", "y"}, {"x", "y"});
+  // Interning a string the shared dictionary already holds writes nothing.
+  EXPECT_EQ(src.InternString("y"), 1);
+  ExpectReads(src, {"x", "y"}, {"x", "y"});
+}
+
+TEST(ColumnTest, InternIntoCopyLeavesOriginalUnchanged) {
+  Column original = StringColumn({"x", "y"});
+  Column copy = original;
+  copy.AppendString("new");
+  ExpectReads(original, {"x", "y"}, {"x", "y"});
+  EXPECT_EQ(DictOf(copy), (std::vector<std::string>{"x", "y", "new"}));
+
+  // And the other way round, through copy assignment.
+  Column assigned(DataType::kString);
+  assigned = original;
+  original.AppendString("new");
+  ExpectReads(assigned, {"x", "y"}, {"x", "y"});
+  EXPECT_EQ(original.GetString(2), "new");
+}
+
+TEST(TableTest, AppendToCopiedTableLeavesOriginalUnchanged) {
+  Table original("t", Schema({{"a", DataType::kInt64}, {"s", DataType::kString}}));
+  ASSERT_TRUE(original.AppendRow({Value(int64_t{1}), Value("x")}).ok());
+  Table copy = original;
+  ASSERT_TRUE(copy.AppendRow({Value(int64_t{2}), Value("new")}).ok());
+  EXPECT_EQ(original.num_rows(), 1u);
+  ExpectReads(original.column(1), {"x"}, {"x"});
+  ExpectReads(copy.column(1), {"x", "new"}, {"x", "new"});
+
+  ASSERT_TRUE(original.AppendRow({Value(int64_t{3}), Value("other")}).ok());
+  ExpectReads(copy.column(1), {"x", "new"}, {"x", "new"});
+  EXPECT_EQ(DictOf(original.column(1)),
+            (std::vector<std::string>{"x", "other"}));
+}
+
+TEST(TableTest, ApproxBytesChargesSharedDictionaryToEveryHolder) {
+  Table t("t", Schema({{"i", DataType::kInt64},
+                       {"d", DataType::kDouble},
+                       {"s", DataType::kString}}));
+  ASSERT_TRUE(t.AppendRow({Value(int64_t{1}), Value(0.5), Value("alpha")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value::Null(), Value(1.5), Value("beta")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(int64_t{3}), Value::Null(), Value("alpha")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(int64_t{4}), Value(2.5), Value::Null()}).ok());
+  // 4 rows x (8 int + 8 double + 4 code + 3 null bytes) + "alpha" (5 + 48)
+  // + "beta" (4 + 48).
+  constexpr size_t kBytes = 197;
+  EXPECT_EQ(t.ApproxBytes(), kBytes);
+  // A copy and a table of adopting columns share the dictionary but are
+  // still charged for it, so byte bounds stay upper bounds.
+  Table copy = t;
+  EXPECT_EQ(copy.ApproxBytes(), kBytes);
+  Column adopter(DataType::kString);
+  adopter.AdoptDictionary(t.column(2));
+  adopter.AppendCode(t.column(2).GetCode(1));
+  Table view("v", Schema({{"s", DataType::kString}}), {adopter}, 1);
+  EXPECT_EQ(view.ApproxBytes(), 4u + 1u + (5 + 48) + (4 + 48));
+}
+
+TEST(ColumnTest, ConcurrentCopiesAndAdoptersWhileACopyInterns) {
+  std::vector<std::string> values;
+  for (int i = 0; i < 64; ++i) values.push_back("v" + std::to_string(i));
+  const Column shared = StringColumn(values);
+  Column own = shared;
+
+  constexpr int kReaders = 4;
+  constexpr int kIters = 200;
+  std::vector<int> mismatches(kReaders, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        Column copy = shared;
+        Column adopter(DataType::kString);
+        adopter.AdoptDictionary(shared);
+        const auto code = static_cast<int32_t>((i + t) % values.size());
+        adopter.AppendCode(code);
+        if (copy.dict_size() != values.size() ||
+            copy.GetString(code) != values[code] ||
+            adopter.GetString(0) != values[code] ||
+            adopter.FindCode("w0") != -1) {
+          ++mismatches[t];
+        }
+        // Each reader's private copy may intern too; only it sees the
+        // new string.
+        copy.AppendString("r" + std::to_string(t));
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kIters; ++i) own.AppendString("w" + std::to_string(i));
+  });
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kReaders; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+  ExpectReads(shared, values, values);
+  EXPECT_EQ(own.dict_size(), values.size() + kIters);
+  EXPECT_EQ(own.GetString(values.size() + kIters - 1),
+            "w" + std::to_string(kIters - 1));
 }
 
 TEST(ColumnTest, AppendValueTypeChecks) {
@@ -63,6 +225,23 @@ TEST(ColumnTest, AppendValueTypeChecks) {
   Column d(DataType::kDouble);
   EXPECT_TRUE(d.AppendValue(Value(int64_t{3})).ok());
   EXPECT_DOUBLE_EQ(d.GetDouble(0), 3.0);
+}
+
+TEST(ColumnTest, AppendValueRejectsDoublesOutsideInt64Range) {
+  Column c(DataType::kInt64);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::nan(""), inf, -inf, 1e19, -1e19, 0x1p63}) {
+    Status st = c.AppendValue(Value(bad));
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ(c.size(), 0u);
+  // In-range values keep truncating toward zero; -2^63 is representable.
+  ASSERT_TRUE(c.AppendValue(Value(3.0)).ok());
+  ASSERT_TRUE(c.AppendValue(Value(-0x1p63)).ok());
+  ASSERT_TRUE(c.AppendValue(Value(-2.7)).ok());
+  EXPECT_EQ(c.GetInt(0), 3);
+  EXPECT_EQ(c.GetInt(1), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(c.GetInt(2), -2);
 }
 
 TEST(SchemaTest, DuplicateColumnRejected) {
