@@ -404,11 +404,15 @@ Result<SpjOutput> QueryExecutor::ExecuteSpj(const ParsedQuery& query) const {
       st.consumed[i] = true;
     }
 
-    // Typed kernel join: (tuple index, build row) matches in tuple order.
+    // A per-call JoinBuildIndex over the pushdown survivors of `next`,
+    // probed once: (tuple index, build row) matches in tuple order.
     const Table& nt = *st.tables[next];
     size_t n_tuples = tuple_cols.empty() ? 0 : tuple_cols[0].size();
-    auto matches = ProbeEquiJoin(nt, st.selected[next], next_keys, probe,
-                                 n_tuples, &StatsRanges(nt));
+    std::vector<std::pair<int64_t, int64_t>> matches;
+    matches.reserve(n_tuples);
+    JoinBuildIndex(nt, std::move(next_keys), &StatsRanges(nt),
+                   &st.selected[next])
+        .Probe(probe, n_tuples, /*max_matches=*/0, &matches);
 
     std::vector<std::vector<int64_t>> out(bound.size() + 1);
     for (auto& col : out) col.reserve(matches.size());

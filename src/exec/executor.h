@@ -1,10 +1,10 @@
 // Query execution for the single-block SPJA subset.
 //
 // Pipeline: per-relation predicate pushdown -> stats-driven greedy hash
-// equi-join ordering (smallest estimated build side first) -> typed join
-// kernels (ProbeEquiJoin: dense-counting / dictionary-code / packed
-// composite-key / hash+verify layouts over the flat open-addressing
-// multimap) -> residual filters -> working-table materialization -> typed
+// equi-join ordering (smallest estimated build side first) -> one per-call
+// JoinBuildIndex per join step over the build side's pushdown survivors
+// (dense-counting / dictionary-code / packed composite-key / hash+verify
+// layouts over the flat open-addressing multimap) -> residual filters -> working-table materialization -> typed
 // hash group-by aggregation with first-seen group order. The working table
 // (the pre-aggregation join result) and the per-group row partitions are
 // retained: they are exactly the why-provenance the explanation engine needs

@@ -42,44 +42,6 @@ using PairVec = std::vector<std::pair<int64_t, int64_t>>;
 // How many keys ahead the build/probe loops prefetch home slots.
 constexpr size_t kPrefetchDistance = 16;
 
-/// \brief Build rows grouped by a dense integer key in [0, range):
-/// counting-sort layout where key k's rows occupy
-/// rows[offsets[k] .. offsets[k+1]), in build order. Probing is two array
-/// reads — no hashing, no hash-table slots.
-struct DenseGroups {
-  std::vector<int32_t> offsets;  ///< size range + 1
-  std::vector<int64_t> rows;
-
-  /// `key_of(i)` returns the dense key of build_rows[i], or -1 to skip it.
-  template <typename KeyFn>
-  void Build(size_t range, const std::vector<int64_t>& build_rows,
-             KeyFn&& key_of) {
-    offsets.assign(range + 1, 0);
-    size_t kept = 0;
-    for (size_t i = 0; i < build_rows.size(); ++i) {
-      int64_t k = key_of(i);
-      if (k < 0) continue;
-      ++offsets[static_cast<size_t>(k) + 1];
-      ++kept;
-    }
-    for (size_t k = 1; k <= range; ++k) offsets[k] += offsets[k - 1];
-    rows.resize(kept);
-    std::vector<int32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (size_t i = 0; i < build_rows.size(); ++i) {
-      int64_t k = key_of(i);
-      if (k < 0) continue;
-      rows[cursor[static_cast<size_t>(k)]++] = build_rows[i];
-    }
-  }
-
-  template <typename Fn>
-  void ForEach(size_t key, Fn&& fn) const {
-    const int32_t begin = offsets[key];
-    const int32_t end = offsets[key + 1];
-    for (int32_t i = begin; i < end; ++i) fn(rows[i]);
-  }
-};
-
 /// Whether a dense counting layout pays off for `range` distinct key values
 /// against `n` build rows: the offsets array must stay cache-resident and
 /// not dwarf the data.
@@ -87,440 +49,93 @@ inline bool DenseWorthwhile(uint64_t range, size_t n) {
   return range <= (uint64_t{1} << 22) && range <= 4 * static_cast<uint64_t>(n) + 1024;
 }
 
-/// \brief Per-column codec of the typed composite-key plan.
-///
-/// INT64 columns encode as value offsets from the build-side minimum (exact
-/// int64 arithmetic, unsigned so full-span ranges wrap instead of
-/// overflowing); STRING columns as build-side dictionary codes, the probe
-/// dictionary remapped once. Column offsets combine mixed-radix via `stride`
-/// into one uint64 that is injective over the build key space, so probes
-/// need no equality re-check in any typed layout.
-struct PackSpec {
-  const Column* bcol;
-  const Column* pcol;
-  const std::vector<int64_t>* prows;
-  bool dict = false;
-  int64_t min = 0;  ///< int columns: build-side key range
-  int64_t max = 0;
-  uint64_t range = 0;  ///< per-column key-space size; 0 means 2^64
-  uint64_t stride = 1;
-  /// Dict columns: the smaller dictionary remapped into the other side's
-  /// code space, -1 = no match there. remap_build says which side it maps
-  /// (build codes -> probe space when the build dictionary is smaller,
-  /// probe codes -> build space otherwise). Empty when probe and build
-  /// share the column (self joins): codes already agree.
-  std::vector<int32_t> remap;
-  bool remap_build = false;
-};
-
-/// Builds the typed plan; returns false when some column pair is not
-/// INT64/INT64 or STRING/STRING, or the combined key space exceeds 64 bits
-/// (callers then fall back to hash+verify). Sets *empty_join when the build
-/// side provably has no non-null keys (result is empty, skip the join).
-bool PlanTypedKeys(const Table& build, const std::vector<int64_t>& build_rows,
-                   const std::vector<int>& build_cols,
-                   const std::vector<ProbeKeyCol>& probe,
-                   const TableStats* build_stats, std::vector<PackSpec>* specs,
-                   bool* range_known, bool* empty_join) {
-  const size_t k = build_cols.size();
-  specs->resize(k);
-  *range_known = true;
-  *empty_join = false;
-  unsigned __int128 total = 1;
-  for (size_t i = 0; i < k; ++i) {
-    const Column& bc = build.column(build_cols[i]);
-    const Column& pc = *probe[i].col;
-    PackSpec& s = (*specs)[i];
-    s.bcol = &bc;
-    s.pcol = &pc;
-    s.prows = probe[i].rows;
-    if (bc.type() == DataType::kInt64 && pc.type() == DataType::kInt64) {
-      s.dict = false;
-      bool have_range = false;
-      if (build_stats != nullptr) {
-        const ColumnStats& cs = build_stats->columns[build_cols[i]];
-        if (cs.has_int_range) {
-          s.min = cs.int_min;
-          s.max = cs.int_max;
-          have_range = true;
-        }
-      }
-      if (!have_range) {
-        // Key-range scan of the build side (cheap, sequential).
-        bool any = false;
-        int64_t mn = 0, mx = 0;
-        for (int64_t r : build_rows) {
-          if (bc.IsNull(r)) continue;
-          int64_t v = bc.GetInt(r);
-          if (!any) {
-            mn = mx = v;
-            any = true;
-          } else {
-            mn = std::min(mn, v);
-            mx = std::max(mx, v);
-          }
-        }
-        if (!any) {
-          *empty_join = true;  // every build key is null: nothing can match
-          return true;
-        }
-        s.min = mn;
-        s.max = mx;
-      }
-      // Unsigned width so keys spanning the full int64 range wrap to 0
-      // instead of overflowing; 0 stands for 2^64.
-      s.range = static_cast<uint64_t>(s.max) - static_cast<uint64_t>(s.min) + 1;
-      if (s.range == 0) {
-        // A full-span column fills the composite key on its own; packing it
-        // with further columns cannot stay within 64 bits.
-        if (k != 1) return false;
-        *range_known = false;
-      }
-    } else if (bc.type() == DataType::kString && pc.type() == DataType::kString) {
-      s.dict = true;
-      // Remap the smaller dictionary into the other side's code space (one
-      // string lookup per distinct value of the smaller side); the key
-      // space is the remap target's dictionary.
-      s.remap_build = &bc != &pc && bc.dict_size() < pc.dict_size();
-      const size_t key_space = s.remap_build ? pc.dict_size() : bc.dict_size();
-      if (key_space == 0) {
-        // The target column never saw a string: every cell on that side is
-        // null, so nothing can match.
-        *empty_join = true;
-        return true;
-      }
-      s.min = 0;
-      s.max = static_cast<int64_t>(key_space) - 1;
-      s.range = key_space;
-      if (&bc != &pc) {
-        const Column& from = s.remap_build ? bc : pc;
-        const Column& to = s.remap_build ? pc : bc;
-        s.remap.resize(from.dict_size());
-        for (size_t c = 0; c < s.remap.size(); ++c) {
-          s.remap[c] = to.FindCode(from.DictEntry(static_cast<int32_t>(c)));
-        }
-      }
-    } else {
-      return false;  // DOUBLE or cross-type keys: hash+verify path
-    }
-    if (*range_known) {
-      total *= s.range;
-      if (total > static_cast<unsigned __int128>(UINT64_MAX)) return false;
-    }
-  }
-  uint64_t stride = 1;
-  for (size_t i = 0; i < k; ++i) {
-    (*specs)[i].stride = stride;
-    stride *= (*specs)[i].range;  // harmless wrap on the last column
-  }
-  return true;
-}
-
-/// Composite key of build row `r`; false when any key cell is null.
-inline bool BuildPackedKey(const std::vector<PackSpec>& specs, int64_t r,
-                           uint64_t* key) {
-  uint64_t packed = 0;
-  for (const PackSpec& s : specs) {
-    if (s.bcol->IsNull(r)) return false;
-    uint64_t off;
-    if (s.dict) {
-      int32_t code = s.bcol->GetCode(r);
-      if (s.remap_build) {
-        code = s.remap[code];
-        if (code < 0) return false;  // value absent from probe space
-      }
-      off = static_cast<uint64_t>(static_cast<uint32_t>(code));
-    } else {
-      off = static_cast<uint64_t>(s.bcol->GetInt(r)) -
-            static_cast<uint64_t>(s.min);
-    }
-    packed += off * s.stride;
-  }
-  *key = packed;
-  return true;
-}
-
-/// Composite key of probe tuple `t`; false when any cell is null or holds a
-/// value outside the build key space (such tuples can never match).
-inline bool ProbePackedKey(const std::vector<PackSpec>& specs, size_t t,
-                           uint64_t* key) {
-  uint64_t packed = 0;
-  for (const PackSpec& s : specs) {
-    const int64_t row = (*s.prows)[t];
-    if (s.pcol->IsNull(row)) return false;
-    uint64_t off;
-    if (s.dict) {
-      int32_t code = s.pcol->GetCode(row);
-      if (!s.remap_build && !s.remap.empty()) {
-        code = s.remap[code];
-        if (code < 0) return false;
-      }
-      off = static_cast<uint64_t>(static_cast<uint32_t>(code));
-    } else {
-      const int64_t v = s.pcol->GetInt(row);
-      if (v < s.min || v > s.max) return false;
-      off = static_cast<uint64_t>(v) - static_cast<uint64_t>(s.min);
-    }
-    packed += off * s.stride;
-  }
-  *key = packed;
-  return true;
-}
-
-/// \brief Runs the typed join given per-row key extractors.
-///
-/// `bkey(i, &key)` yields the packed key of build_rows[i], `pkey(t, &key)`
-/// of probe tuple t; both return false for rows that can never match (null
-/// keys, probe values outside the build key space). Matches leave through
-/// `emit(t, r)` so callers translate probe indexes in place (no output
-/// rewrite pass). Templating keeps each call site's extractor fully inlined
-/// into the scan loops — the single-column fast paths compile to the same
-/// tight code as dedicated implementations. Dense counting layout when the
-/// combined key space is small, flat open-addressing table on SplitMix64 of
-/// the packed key (a bijection, so the stored hash stays injective and
-/// probes skip verification) otherwise.
-template <typename BuildKeyFn, typename ProbeKeyFn, typename EmitFn>
-void RunTypedJoin(const std::vector<int64_t>& build_rows, size_t n_probe,
-                  bool range_known, uint64_t total_range, BuildKeyFn&& bkey,
-                  ProbeKeyFn&& pkey, EmitFn&& emit) {
-  if (range_known && DenseWorthwhile(total_range, build_rows.size())) {
-    DenseGroups groups;
-    groups.Build(static_cast<size_t>(total_range), build_rows,
-                 [&](size_t i) -> int64_t {
-                   uint64_t key;
-                   if (!bkey(i, &key)) return -1;
-                   // total_range <= 2^22: the cast is lossless.
-                   return static_cast<int64_t>(key);
-                 });
-    for (size_t t = 0; t < n_probe; ++t) {
-      uint64_t key;
-      if (!pkey(t, &key)) continue;
-      groups.ForEach(static_cast<size_t>(key), [&](int64_t r) { emit(t, r); });
-    }
-    return;
-  }
-
-  // Keys are staged into flat buffers so the insert/probe loops can prefetch
-  // home slots ahead.
-  const size_t nb = build_rows.size();
-  std::vector<uint64_t> bkeys(nb);
-  std::vector<uint8_t> bvalid(nb);
-  for (size_t i = 0; i < nb; ++i) {
+/// Counting-sort layout over dense keys in [0, range): key k's rows occupy
+/// rows[offsets[k] .. offsets[k+1]) in `row_at` order. `key_of(r, &key)`
+/// returns false for rows that are not indexed. Returns the rows kept.
+template <typename RowAt, typename KeyFn>
+size_t FillDense(size_t n, uint64_t range, RowAt row_at, KeyFn key_of,
+                 std::vector<int32_t>* offsets, std::vector<int64_t>* rows) {
+  offsets->assign(range + 1, 0);
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
     uint64_t key;
-    bvalid[i] = bkey(i, &key) ? 1 : 0;
-    if (bvalid[i]) bkeys[i] = SplitMix64(key);
+    if (!key_of(row_at(i), &key)) continue;
+    ++(*offsets)[static_cast<size_t>(key) + 1];
+    ++kept;
   }
-  FlatMultiMap build;
-  build.Reserve(nb);
-  for (size_t i = 0; i < nb; ++i) {
-    if (i + kPrefetchDistance < nb && bvalid[i + kPrefetchDistance]) {
-      build.Prefetch(bkeys[i + kPrefetchDistance]);
-    }
-    if (bvalid[i]) build.Insert(bkeys[i], build_rows[i]);
+  for (size_t k = 1; k <= range; ++k) (*offsets)[k] += (*offsets)[k - 1];
+  rows->resize(kept);
+  std::vector<int32_t> cursor(offsets->begin(), offsets->end() - 1);
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t r = row_at(i);
+    uint64_t key;
+    if (!key_of(r, &key)) continue;
+    (*rows)[cursor[static_cast<size_t>(key)]++] = r;
   }
-  build.Finalize();
+  return kept;
+}
 
-  std::vector<uint64_t> pkeys(n_probe);
-  std::vector<uint8_t> pvalid(n_probe);
+/// Inserts every row whose `hash_of(r, &hash)` succeeds into `flat`, in
+/// `row_at` order. Hashes are staged first so the insert loop can prefetch
+/// home slots ahead. Returns the rows kept.
+template <typename RowAt, typename HashFn>
+size_t FillFlat(size_t n, RowAt row_at, HashFn hash_of, FlatMultiMap* flat) {
+  std::vector<uint64_t> hashes(n);
+  std::vector<uint8_t> valid(n);
+  for (size_t i = 0; i < n; ++i) valid[i] = hash_of(row_at(i), &hashes[i]) ? 1 : 0;
+  flat->Reserve(n);
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchDistance < n && valid[i + kPrefetchDistance]) {
+      flat->Prefetch(hashes[i + kPrefetchDistance]);
+    }
+    if (valid[i]) {
+      flat->Insert(hashes[i], row_at(i));
+      ++kept;
+    }
+  }
+  flat->Finalize();
+  return kept;
+}
+
+/// Probes a dense layout, handing `emit(t, r)` every match of probe tuple
+/// t. A lookup is two array reads, so keys are extracted on the fly rather
+/// than staged.
+template <typename KeyFn, typename EmitFn>
+bool ProbeDense(size_t n_probe, size_t max_matches,
+                const std::vector<int32_t>& offsets,
+                const std::vector<int64_t>& rows, KeyFn key_of, EmitFn emit,
+                const PairVec& out) {
   for (size_t t = 0; t < n_probe; ++t) {
     uint64_t key;
-    pvalid[t] = pkey(t, &key) ? 1 : 0;
-    if (pvalid[t]) pkeys[t] = SplitMix64(key);
-  }
-  for (size_t t = 0; t < n_probe; ++t) {
-    if (t + kPrefetchDistance < n_probe && pvalid[t + kPrefetchDistance]) {
-      build.Prefetch(pkeys[t + kPrefetchDistance]);
+    if (!key_of(t, &key)) continue;
+    const int32_t end = offsets[static_cast<size_t>(key) + 1];
+    for (int32_t i = offsets[static_cast<size_t>(key)]; i < end; ++i) {
+      emit(t, rows[i]);
     }
-    if (pvalid[t]) {
-      build.ForEach(pkeys[t], [&](int64_t r) { emit(t, r); });
-    }
+    if (max_matches > 0 && out.size() > max_matches) return false;
   }
+  return true;
 }
 
-/// Typed join dispatch: single-column INT64 and dictionary keys get
-/// dedicated extractor instantiations with the column arrays hoisted out of
-/// the loops; multi-column keys run the general PackSpec fold.
-template <typename EmitFn>
-void JoinPacked(const std::vector<PackSpec>& specs,
-                const std::vector<int64_t>& build_rows, size_t n_probe,
-                bool range_known, EmitFn&& emit) {
-  uint64_t total = 1;
-  if (range_known) {
-    for (const PackSpec& s : specs) total *= s.range;
-  }
-  if (specs.size() == 1) {
-    const PackSpec& s = specs[0];
-    const Column& bc = *s.bcol;
-    const Column& pc = *s.pcol;
-    const std::vector<int64_t>& prows = *s.prows;
-    if (!s.dict) {
-      const std::vector<int64_t>& bvals = bc.ints();
-      const std::vector<int64_t>& pvals = pc.ints();
-      const int64_t mn = s.min;
-      const int64_t mx = s.max;
-      return RunTypedJoin(
-          build_rows, n_probe, range_known, total,
-          [&](size_t i, uint64_t* key) {
-            const int64_t r = build_rows[i];
-            if (bc.IsNull(r)) return false;
-            *key = static_cast<uint64_t>(bvals[r]) - static_cast<uint64_t>(mn);
-            return true;
-          },
-          [&](size_t t, uint64_t* key) {
-            const int64_t row = prows[t];
-            if (pc.IsNull(row)) return false;
-            const int64_t v = pvals[row];
-            if (v < mn || v > mx) return false;
-            *key = static_cast<uint64_t>(v) - static_cast<uint64_t>(mn);
-            return true;
-          },
-          emit);
-    }
-    const std::vector<int32_t>& bcodes = bc.codes();
-    const std::vector<int32_t>& pcodes = pc.codes();
-    auto raw_build_key = [&](size_t i, uint64_t* key) {
-      const int64_t r = build_rows[i];
-      if (bc.IsNull(r)) return false;
-      *key = static_cast<uint64_t>(static_cast<uint32_t>(bcodes[r]));
-      return true;
-    };
-    auto raw_probe_key = [&](size_t t, uint64_t* key) {
-      const int64_t row = prows[t];
-      if (pc.IsNull(row)) return false;
-      *key = static_cast<uint64_t>(static_cast<uint32_t>(pcodes[row]));
-      return true;
-    };
-    if (s.remap.empty()) {
-      // Self join: both sides already share one code space.
-      return RunTypedJoin(build_rows, n_probe, range_known, total,
-                          raw_build_key, raw_probe_key, emit);
-    }
-    const std::vector<int32_t>& remap = s.remap;
-    if (s.remap_build) {
-      // Build dictionary was the smaller one: build codes remap into probe
-      // space, probe codes pass through.
-      return RunTypedJoin(build_rows, n_probe, range_known, total,
-                          [&](size_t i, uint64_t* key) {
-                            const int64_t r = build_rows[i];
-                            if (bc.IsNull(r)) return false;
-                            const int32_t code = remap[bcodes[r]];
-                            if (code < 0) return false;
-                            *key = static_cast<uint64_t>(
-                                static_cast<uint32_t>(code));
-                            return true;
-                          },
-                          raw_probe_key, emit);
-    }
-    return RunTypedJoin(build_rows, n_probe, range_known, total, raw_build_key,
-                        [&](size_t t, uint64_t* key) {
-                          const int64_t row = prows[t];
-                          if (pc.IsNull(row)) return false;
-                          const int32_t code = remap[pcodes[row]];
-                          if (code < 0) return false;
-                          *key = static_cast<uint64_t>(
-                              static_cast<uint32_t>(code));
-                          return true;
-                        },
-                        emit);
-  }
-  return RunTypedJoin(
-      build_rows, n_probe, range_known, total,
-      [&](size_t i, uint64_t* key) {
-        return BuildPackedKey(specs, build_rows[i], key);
-      },
-      [&](size_t t, uint64_t* key) { return ProbePackedKey(specs, t, key); },
-      emit);
-}
-
-/// General path: canonical row-key hashes into the flat table, equality
-/// verified per chain entry (hashes of multi-column or cross-type keys are
-/// not injective).
-template <typename EmitFn>
-void JoinGeneric(const Table& build, const std::vector<int64_t>& build_rows,
-                 const std::vector<int>& build_cols,
-                 const std::vector<ProbeKeyCol>& probe, size_t n_probe,
-                 EmitFn&& emit) {
-  const size_t nb = build_rows.size();
-  const size_t k = build_cols.size();
-  std::vector<uint64_t> bh(nb);
-  std::vector<uint8_t> bvalid(nb);
-  for (size_t i = 0; i < nb; ++i) {
-    const int64_t r = build_rows[i];
-    bvalid[i] = HasNullKey(build, r, build_cols) ? 0 : 1;
-    if (bvalid[i]) bh[i] = HashRowKey(build, r, build_cols);
-  }
-  FlatMultiMap map;
-  map.Reserve(nb);
-  for (size_t i = 0; i < nb; ++i) {
-    if (i + kPrefetchDistance < nb && bvalid[i + kPrefetchDistance]) {
-      map.Prefetch(bh[i + kPrefetchDistance]);
-    }
-    if (bvalid[i]) map.Insert(bh[i], build_rows[i]);
-  }
-  map.Finalize();
-
-  std::vector<uint64_t> ph(n_probe);
-  std::vector<uint8_t> pvalid(n_probe);
+/// Probes a flat table, handing `emit(t, r)` every entry stored under probe
+/// tuple t's hash. Hashes are staged first so the loop can prefetch home
+/// slots ahead.
+template <typename HashFn, typename EmitFn>
+bool ProbeFlat(size_t n_probe, size_t max_matches, const FlatMultiMap& flat,
+               HashFn hash_of, EmitFn emit, const PairVec& out) {
+  std::vector<uint64_t> hashes(n_probe);
+  std::vector<uint8_t> valid(n_probe);
+  for (size_t t = 0; t < n_probe; ++t) valid[t] = hash_of(t, &hashes[t]) ? 1 : 0;
   for (size_t t = 0; t < n_probe; ++t) {
-    uint64_t h = kRowKeyHashSeed;
-    bool ok = true;
-    for (size_t i = 0; i < k; ++i) {
-      const int64_t row = (*probe[i].rows)[t];
-      if (probe[i].col->IsNull(row)) {
-        ok = false;  // null probe keys never match
-        break;
-      }
-      h = CombineKeyHash(h, HashKeyCell(*probe[i].col, row));
+    if (t + kPrefetchDistance < n_probe && valid[t + kPrefetchDistance]) {
+      flat.Prefetch(hashes[t + kPrefetchDistance]);
     }
-    pvalid[t] = ok ? 1 : 0;
-    if (ok) ph[t] = h;
+    if (!valid[t]) continue;
+    flat.ForEach(hashes[t], [&](int64_t r) { emit(t, r); });
+    if (max_matches > 0 && out.size() > max_matches) return false;
   }
-  for (size_t t = 0; t < n_probe; ++t) {
-    if (t + kPrefetchDistance < n_probe && pvalid[t + kPrefetchDistance]) {
-      map.Prefetch(ph[t + kPrefetchDistance]);
-    }
-    if (!pvalid[t]) continue;
-    map.ForEach(ph[t], [&](int64_t r) {
-      for (size_t i = 0; i < k; ++i) {
-        if (!KeyCellsEqual(*probe[i].col, (*probe[i].rows)[t],
-                           build.column(build_cols[i]), r)) {
-          return;
-        }
-      }
-      emit(t, r);
-    });
-  }
-}
-
-/// Shared engine behind ProbeEquiJoin and HashEquiJoin: plans the key
-/// layout, then streams matches through `emit(probe index, build row)`.
-/// `flatten` forces the whole extractor/emitter template tree into each
-/// instantiation: at -O3 GCC's inline budget otherwise gives out partway
-/// down (JoinPacked -> RunTypedJoin -> extractor lambdas), leaving the
-/// per-row key extraction as an outlined call in the scan loops — measured
-/// at +25-60% on the single-column benchmarks.
-template <typename EmitFn>
-__attribute__((flatten)) void ProbeJoinImpl(
-    const Table& build, const std::vector<int64_t>& build_rows,
-    const std::vector<int>& build_cols, const std::vector<ProbeKeyCol>& probe,
-    size_t n_probe, const TableStats* build_stats, EmitFn&& emit) {
-  if (build_rows.empty() || n_probe == 0 || build_cols.empty()) return;
-  // Stale statistics (row count or arity drift) are worse than none.
-  if (build_stats != nullptr &&
-      (build_stats->num_rows != build.num_rows() ||
-       build_stats->columns.size() != build.num_columns())) {
-    build_stats = nullptr;
-  }
-  std::vector<PackSpec> specs;
-  bool range_known = true;
-  bool empty_join = false;
-  if (PlanTypedKeys(build, build_rows, build_cols, probe, build_stats, &specs,
-                    &range_known, &empty_join)) {
-    if (empty_join) return;
-    JoinPacked(specs, build_rows, n_probe, range_known, emit);
-    return;
-  }
-  JoinGeneric(build, build_rows, build_cols, probe, n_probe, emit);
+  return true;
 }
 
 }  // namespace
@@ -577,20 +192,7 @@ bool RowKeysEqual(const Table& a, int64_t row_a, const std::vector<int>& cols_a,
   return true;
 }
 
-std::vector<std::pair<int64_t, int64_t>> ProbeEquiJoin(
-    const Table& build, const std::vector<int64_t>& build_rows,
-    const std::vector<int>& build_cols, const std::vector<ProbeKeyCol>& probe,
-    size_t n_probe, const TableStats* build_stats) {
-  PairVec out;
-  out.reserve(n_probe);
-  ProbeJoinImpl(build, build_rows, build_cols, probe, n_probe, build_stats,
-                [&](size_t t, int64_t r) {
-                  out.emplace_back(static_cast<int64_t>(t), r);
-                });
-  return out;
-}
-
-std::vector<std::pair<int64_t, int64_t>> HashEquiJoin(
+__attribute__((flatten)) std::vector<std::pair<int64_t, int64_t>> HashEquiJoin(
     const Table& left, const std::vector<int64_t>& left_rows, const Table& right,
     const std::vector<int64_t>& right_rows, const JoinKeySpec& keys,
     const TableStats* right_stats) {
@@ -599,12 +201,11 @@ std::vector<std::pair<int64_t, int64_t>> HashEquiJoin(
   for (int c : keys.left_cols) probe.push_back({&left.column(c), &left_rows});
   PairVec out;
   out.reserve(left_rows.size());
-  // Probe indexes translate to left row ids at emission time, not in a
-  // second pass over the output.
-  ProbeJoinImpl(right, right_rows, keys.right_cols, probe, left_rows.size(),
-                right_stats, [&](size_t t, int64_t r) {
-                  out.emplace_back(left_rows[t], r);
-                });
+  // Matches leave as left row ids, not probe indexes: no second pass over
+  // the output.
+  JoinBuildIndex(right, keys.right_cols, right_stats, &right_rows)
+      .ProbeEach(probe, left_rows.size(), /*max_matches=*/0, out,
+                 [&](size_t t, int64_t r) { out.emplace_back(left_rows[t], r); });
   return out;
 }
 
@@ -624,18 +225,28 @@ struct JoinBuildIndex::ProbeColView {
   std::vector<int32_t> remap;
 };
 
-JoinBuildIndex::JoinBuildIndex(const Table& build, std::vector<int> build_cols,
-                               const TableStats* build_stats)
+// `flatten` on the constructor, Probe() and HashEquiJoin() forces the key
+// extractors and emitters into the scan loops: at -O3 GCC's inline budget
+// otherwise gives out partway down (ProbeEach -> ProbeDense -> lambdas),
+// leaving per-row work as outlined calls. Without it, probing 10,000
+// single-INT64-key tuples took 1.5x as long.
+__attribute__((flatten)) JoinBuildIndex::JoinBuildIndex(
+    const Table& build, std::vector<int> build_cols,
+    const TableStats* build_stats, const std::vector<int64_t>* rows)
     : build_(&build), cols_(std::move(build_cols)) {
-  const size_t n = build.num_rows();
+  const size_t n = rows != nullptr ? rows->size() : build.num_rows();
   const size_t k = cols_.size();
   if (n == 0 || k == 0) return;  // kEmpty
   // Stale statistics (row count or arity drift) are worse than none.
   if (build_stats != nullptr &&
-      (build_stats->num_rows != n ||
+      (build_stats->num_rows != build.num_rows() ||
        build_stats->columns.size() != build.num_columns())) {
     build_stats = nullptr;
   }
+  const int64_t* subset = rows != nullptr ? rows->data() : nullptr;
+  auto row_at = [subset](size_t i) {
+    return subset != nullptr ? subset[i] : static_cast<int64_t>(i);
+  };
 
   // Typed plan from the build side alone: INT64 offsets from the build
   // minimum, STRING columns keyed by the build dictionary.
@@ -654,14 +265,15 @@ JoinBuildIndex::JoinBuildIndex(const Table& build, std::vector<int> build_cols,
           p.min = cs.int_min;
           p.max = cs.int_max;
           have_range = true;
-        } else if (cs.null_count == n) {
+        } else if (cs.null_count == build.num_rows()) {
           return;  // every key cell null: nothing indexable (kEmpty)
         }
       }
       if (!have_range) {
         bool any = false;
         int64_t mn = 0, mx = 0;
-        for (size_t r = 0; r < n; ++r) {
+        for (size_t j = 0; j < n; ++j) {
+          const int64_t r = row_at(j);
           if (bc.IsNull(r)) continue;
           int64_t v = bc.GetInt(r);
           if (!any) {
@@ -702,15 +314,63 @@ JoinBuildIndex::JoinBuildIndex(const Table& build, std::vector<int> build_cols,
     }
   }
 
-  if (typed) {
-    uint64_t stride = 1;
-    for (size_t i = 0; i < k; ++i) {
-      plans_[i].stride = stride;
-      stride *= plans_[i].range;  // harmless wrap on the last column
-    }
-    if (range_known) total_range_ = static_cast<uint64_t>(total);
+  if (!typed) {
+    layout_ = Layout::kGeneric;
+    size_ = FillFlat(
+        n, row_at,
+        [&](int64_t r, uint64_t* hash) {
+          if (HasNullKey(build, r, cols_)) return false;
+          *hash = HashRowKey(build, r, cols_);
+          return true;
+        },
+        &flat_);
+    return;
+  }
 
-    auto build_key = [&](size_t r, uint64_t* key) {
+  uint64_t stride = 1;
+  for (size_t i = 0; i < k; ++i) {
+    plans_[i].stride = stride;
+    stride *= plans_[i].range;  // harmless wrap on the last column
+  }
+  if (range_known) total_range_ = static_cast<uint64_t>(total);
+  layout_ = range_known && DenseWorthwhile(total_range_, n) ? Layout::kDense
+                                                            : Layout::kTyped;
+  auto fill = [&](auto key_of) {
+    if (layout_ == Layout::kDense) {
+      size_ = FillDense(n, total_range_, row_at, key_of, &dense_offsets_,
+                        &dense_rows_);
+      return;
+    }
+    size_ = FillFlat(
+        n, row_at,
+        [&](int64_t r, uint64_t* hash) {
+          uint64_t key;
+          if (!key_of(r, &key)) return false;
+          *hash = SplitMix64(key);
+          return true;
+        },
+        &flat_);
+  };
+  const Column& c0 = build.column(cols_[0]);
+  if (k == 1 && plans_[0].dict) {
+    // Single STRING key: the build code is the key.
+    const std::vector<int32_t>& codes = c0.codes();
+    fill([&](int64_t r, uint64_t* key) {
+      if (c0.IsNull(r)) return false;
+      *key = static_cast<uint64_t>(static_cast<uint32_t>(codes[r]));
+      return true;
+    });
+  } else if (k == 1) {
+    // Single INT64 key: the offset from the build minimum is the key.
+    const std::vector<int64_t>& vals = c0.ints();
+    const auto mn = static_cast<uint64_t>(plans_[0].min);
+    fill([&](int64_t r, uint64_t* key) {
+      if (c0.IsNull(r)) return false;
+      *key = static_cast<uint64_t>(vals[r]) - mn;
+      return true;
+    });
+  } else {
+    fill([&](int64_t r, uint64_t* key) {
       uint64_t packed = 0;
       for (size_t i = 0; i < k; ++i) {
         const Column& bc = build.column(cols_[i]);
@@ -724,127 +384,49 @@ JoinBuildIndex::JoinBuildIndex(const Table& build, std::vector<int> build_cols,
       }
       *key = packed;
       return true;
-    };
-
-    if (range_known && DenseWorthwhile(total_range_, n)) {
-      layout_ = Layout::kDense;
-      dense_offsets_.assign(total_range_ + 1, 0);
-      size_t kept = 0;
-      for (size_t r = 0; r < n; ++r) {
-        uint64_t key;
-        if (!build_key(r, &key)) continue;
-        ++dense_offsets_[static_cast<size_t>(key) + 1];
-        ++kept;
-      }
-      for (size_t v = 1; v <= total_range_; ++v) {
-        dense_offsets_[v] += dense_offsets_[v - 1];
-      }
-      dense_rows_.resize(kept);
-      std::vector<int32_t> cursor(dense_offsets_.begin(),
-                                  dense_offsets_.end() - 1);
-      for (size_t r = 0; r < n; ++r) {
-        uint64_t key;
-        if (!build_key(r, &key)) continue;
-        dense_rows_[cursor[static_cast<size_t>(key)]++] =
-            static_cast<int64_t>(r);
-      }
-      size_ = kept;
-      return;
-    }
-
-    layout_ = Layout::kTyped;
-    std::vector<uint64_t> keys(n);
-    std::vector<uint8_t> valid(n);
-    for (size_t r = 0; r < n; ++r) {
-      uint64_t key;
-      valid[r] = build_key(r, &key) ? 1 : 0;
-      if (valid[r]) keys[r] = SplitMix64(key);
-    }
-    flat_.Reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      if (r + kPrefetchDistance < n && valid[r + kPrefetchDistance]) {
-        flat_.Prefetch(keys[r + kPrefetchDistance]);
-      }
-      if (valid[r]) {
-        flat_.Insert(keys[r], static_cast<int64_t>(r));
-        ++size_;
-      }
-    }
-    flat_.Finalize();
-    return;
-  }
-
-  layout_ = Layout::kGeneric;
-  std::vector<uint64_t> hashes(n);
-  std::vector<uint8_t> valid(n);
-  for (size_t r = 0; r < n; ++r) {
-    const auto row = static_cast<int64_t>(r);
-    valid[r] = HasNullKey(build, row, cols_) ? 0 : 1;
-    if (valid[r]) hashes[r] = HashRowKey(build, row, cols_);
-  }
-  flat_.Reserve(n);
-  for (size_t r = 0; r < n; ++r) {
-    if (r + kPrefetchDistance < n && valid[r + kPrefetchDistance]) {
-      flat_.Prefetch(hashes[r + kPrefetchDistance]);
-    }
-    if (valid[r]) {
-      flat_.Insert(hashes[r], static_cast<int64_t>(r));
-      ++size_;
-    }
-  }
-  flat_.Finalize();
-}
-
-template <typename Fn>
-void JoinBuildIndex::ForEachMatch(uint64_t packed, Fn&& fn) const {
-  if (layout_ == Layout::kDense) {
-    const int32_t begin = dense_offsets_[static_cast<size_t>(packed)];
-    const int32_t end = dense_offsets_[static_cast<size_t>(packed) + 1];
-    for (int32_t i = begin; i < end; ++i) fn(dense_rows_[i]);
-  } else {
-    flat_.ForEach(SplitMix64(packed), fn);
+    });
   }
 }
 
-bool JoinBuildIndex::Probe(const std::vector<ProbeKeyCol>& probe, size_t n_probe,
-                           size_t max_matches, PairVec* out) const {
+__attribute__((flatten)) bool JoinBuildIndex::Probe(
+    const std::vector<ProbeKeyCol>& probe, size_t n_probe, size_t max_matches,
+    PairVec* out) const {
+  return ProbeEach(probe, n_probe, max_matches, *out,
+                   [out](size_t t, int64_t r) {
+                     out->emplace_back(static_cast<int64_t>(t), r);
+                   });
+}
+
+template <typename EmitFn>
+bool JoinBuildIndex::ProbeEach(
+    const std::vector<ProbeKeyCol>& probe, size_t n_probe, size_t max_matches,
+    const PairVec& out, EmitFn emit) const {
   if (n_probe == 0 || layout_ == Layout::kEmpty || size_ == 0) return true;
   const size_t k = cols_.size();
 
   if (layout_ == Layout::kGeneric) {
-    std::vector<uint64_t> ph(n_probe);
-    std::vector<uint8_t> pvalid(n_probe);
-    for (size_t t = 0; t < n_probe; ++t) {
-      uint64_t h = kRowKeyHashSeed;
-      bool ok = true;
-      for (size_t i = 0; i < k; ++i) {
-        const int64_t row = (*probe[i].rows)[t];
-        if (probe[i].col->IsNull(row)) {
-          ok = false;  // null probe keys never match
-          break;
-        }
-        h = CombineKeyHash(h, HashKeyCell(*probe[i].col, row));
-      }
-      pvalid[t] = ok ? 1 : 0;
-      if (ok) ph[t] = h;
-    }
-    for (size_t t = 0; t < n_probe; ++t) {
-      if (t + kPrefetchDistance < n_probe && pvalid[t + kPrefetchDistance]) {
-        flat_.Prefetch(ph[t + kPrefetchDistance]);
-      }
-      if (!pvalid[t]) continue;
-      flat_.ForEach(ph[t], [&](int64_t r) {
-        for (size_t i = 0; i < k; ++i) {
-          if (!KeyCellsEqual(*probe[i].col, (*probe[i].rows)[t],
-                             build_->column(cols_[i]), r)) {
-            return;
+    return ProbeFlat(
+        n_probe, max_matches, flat_,
+        [&](size_t t, uint64_t* hash) {
+          uint64_t h = kRowKeyHashSeed;
+          for (size_t i = 0; i < k; ++i) {
+            const int64_t row = (*probe[i].rows)[t];
+            if (probe[i].col->IsNull(row)) return false;  // null never matches
+            h = CombineKeyHash(h, HashKeyCell(*probe[i].col, row));
           }
-        }
-        out->emplace_back(static_cast<int64_t>(t), r);
-      });
-      if (max_matches > 0 && out->size() > max_matches) return false;
-    }
-    return true;
+          *hash = h;
+          return true;
+        },
+        [&](size_t t, int64_t r) {
+          for (size_t i = 0; i < k; ++i) {
+            if (!KeyCellsEqual(*probe[i].col, (*probe[i].rows)[t],
+                               build_->column(cols_[i]), r)) {
+              return;
+            }
+          }
+          emit(t, r);
+        },
+        out);
   }
 
   // Typed layouts: resolve how each probe column feeds the packed key.
@@ -878,7 +460,61 @@ bool JoinBuildIndex::Probe(const std::vector<ProbeKeyCol>& probe, size_t n_probe
     }
   }
 
-  auto probe_key = [&](size_t t, uint64_t* key) {
+  auto run = [&](auto key_of) {
+    if (layout_ == Layout::kDense) {
+      return ProbeDense(n_probe, max_matches, dense_offsets_, dense_rows_,
+                        key_of, emit, out);
+    }
+    return ProbeFlat(
+        n_probe, max_matches, flat_,
+        [&](size_t t, uint64_t* hash) {
+          uint64_t key;
+          if (!key_of(t, &key)) return false;
+          *hash = SplitMix64(key);
+          return true;
+        },
+        emit, out);
+  };
+
+  // Single-column keys: the column arrays are hoisted out of the loops.
+  if (k == 1 && views[0].mode != ProbeColView::Mode::kIntFromDouble) {
+    const ProbeColView& v = views[0];
+    const Column& pc = *v.col;
+    const std::vector<int64_t>& prows = *v.rows;
+    if (v.mode == ProbeColView::Mode::kInt) {
+      const std::vector<int64_t>& vals = pc.ints();
+      const int64_t mn = plans_[0].min;
+      const int64_t mx = plans_[0].max;
+      return run([&](size_t t, uint64_t* key) {
+        const int64_t row = prows[t];
+        if (pc.IsNull(row)) return false;
+        const int64_t x = vals[row];
+        if (x < mn || x > mx) return false;
+        *key = static_cast<uint64_t>(x) - static_cast<uint64_t>(mn);
+        return true;
+      });
+    }
+    const std::vector<int32_t>& codes = pc.codes();
+    if (v.mode == ProbeColView::Mode::kCode) {
+      return run([&](size_t t, uint64_t* key) {
+        const int64_t row = prows[t];
+        if (pc.IsNull(row)) return false;
+        *key = static_cast<uint64_t>(static_cast<uint32_t>(codes[row]));
+        return true;
+      });
+    }
+    const std::vector<int32_t>& remap = v.remap;
+    return run([&](size_t t, uint64_t* key) {
+      const int64_t row = prows[t];
+      if (pc.IsNull(row)) return false;
+      const int32_t code = remap[codes[row]];
+      if (code < 0) return false;  // value absent from the build space
+      *key = static_cast<uint64_t>(static_cast<uint32_t>(code));
+      return true;
+    });
+  }
+
+  return run([&](size_t t, uint64_t* key) {
     uint64_t packed = 0;
     for (size_t i = 0; i < k; ++i) {
       const ProbeColView& v = views[i];
@@ -918,28 +554,7 @@ bool JoinBuildIndex::Probe(const std::vector<ProbeKeyCol>& probe, size_t n_probe
     }
     *key = packed;
     return true;
-  };
-
-  std::vector<uint64_t> pkeys(n_probe);
-  std::vector<uint8_t> pvalid(n_probe);
-  for (size_t t = 0; t < n_probe; ++t) {
-    uint64_t key;
-    pvalid[t] = probe_key(t, &key) ? 1 : 0;
-    if (pvalid[t]) pkeys[t] = key;
-  }
-  const bool dense = layout_ == Layout::kDense;
-  for (size_t t = 0; t < n_probe; ++t) {
-    if (!dense && t + kPrefetchDistance < n_probe &&
-        pvalid[t + kPrefetchDistance]) {
-      flat_.Prefetch(SplitMix64(pkeys[t + kPrefetchDistance]));
-    }
-    if (!pvalid[t]) continue;
-    ForEachMatch(pkeys[t], [&](int64_t r) {
-      out->emplace_back(static_cast<int64_t>(t), r);
-    });
-    if (max_matches > 0 && out->size() > max_matches) return false;
-  }
-  return true;
+  });
 }
 
 size_t JoinBuildIndex::ApproxBytes() const {

@@ -1,23 +1,25 @@
 // Reusable multi-column hash equi-join kernels on row-id sets. Used by the
 // query executor and by augmented-provenance-table materialization.
 //
-// Two entry points share one engine:
-//  - HashEquiJoin: both sides are (table, row-id set) pairs.
-//  - ProbeEquiJoin: the probe side is a tuple stream whose key columns may
-//    live in different base tables (the executor's partial join result);
-//    matches come back as (probe index, build row) pairs.
+// One engine, JoinBuildIndex: a build-side index over all rows of a table or
+// a caller-given row subset, probed by a tuple stream whose key columns may
+// live in different base tables (the executor's partial join result).
+// Matches come back as (probe index, build row) pairs. The executor builds
+// one index per join step over the pushdown survivors; APT materialization
+// caches full-table indexes across join graphs. HashEquiJoin is a per-call
+// wrapper for (table, row-id set) pairs on both sides.
 //
-// The engine picks a layout per join from the build side's column types and
-// (when provided) precomputed TableStats:
+// The index picks a layout from the build side's column types and (when
+// provided) precomputed TableStats:
 //  - single INT64 key: raw-value offsets, dense counting layout when the key
 //    range is small, flat open-addressing table otherwise;
-//  - single STRING key: dictionary codes, the probe dictionary remapped into
-//    the build code space once;
+//  - single STRING key: build dictionary codes, the probe dictionary
+//    remapped into the build code space once per probe call;
 //  - multi-column INT64/STRING keys whose combined range fits 64 bits:
 //    packed composite keys (mixed-radix offsets), which stay injective so
 //    probes need no equality re-check;
-//  - everything else (DOUBLE or cross-type keys, oversized ranges): canonical
-//    row-key hashes into the flat table with per-entry verification.
+//  - everything else (DOUBLE keys, oversized ranges): canonical row-key
+//    hashes into the flat table with per-entry verification.
 //
 // Contracts (load-bearing for every caller, from the executor to the
 // serving layer):
@@ -36,8 +38,9 @@
 //    concurrently. Construction is not synchronized — build on one thread,
 //    share afterwards (the caches do this behind a shared_future).
 //  - Determinism: matches are emitted grouped by probe index in ascending
-//    order, and within one probe tuple in build-row order, regardless of
-//    layout. Downstream explanation ranking relies on this stability.
+//    order, and within one probe tuple in build-row order (the order of the
+//    row subset when one is given), regardless of layout. Downstream
+//    explanation ranking relies on this stability.
 
 #ifndef CAJADE_EXEC_JOIN_H_
 #define CAJADE_EXEC_JOIN_H_
@@ -58,37 +61,24 @@ struct JoinKeySpec {
 };
 
 /// One probe-side key column: a base-table column plus the row-id stream
-/// addressing it. Streams of all key columns passed to one ProbeEquiJoin call
-/// must have identical length (one entry per probe tuple); distinct columns
-/// may draw rows from distinct streams (and distinct tables).
+/// addressing it. Streams of all key columns passed to one
+/// JoinBuildIndex::Probe call must have identical length (one entry per probe
+/// tuple); distinct columns may draw rows from distinct streams (and
+/// distinct tables).
 struct ProbeKeyCol {
   const Column* col;
   const std::vector<int64_t>* rows;
 };
 
-/// \brief Joins a probe tuple stream against `build_rows` of `build`.
-///
-/// Emits (probe index, build row) pairs grouped by probe index in ascending
-/// order; within one probe tuple, build matches appear in `build_rows` order
-/// — downstream code relies on this stability. Null key values never match
-/// (SQL equi-join semantics, including null vs null, in every layout).
-/// Numeric keys compare exactly across INT64/DOUBLE without the 2^53
-/// double-precision collapse.
-///
-/// `build_stats` (statistics of the full `build` table) lets the planner
-/// size dense layouts and pack composite keys without rescanning the build
-/// rows; pass nullptr to fall back to a per-join key-range scan.
-std::vector<std::pair<int64_t, int64_t>> ProbeEquiJoin(
-    const Table& build, const std::vector<int64_t>& build_rows,
-    const std::vector<int>& build_cols, const std::vector<ProbeKeyCol>& probe,
-    size_t n_probe, const TableStats* build_stats = nullptr);
-
 /// \brief Joins `left_rows` x `right_rows` on the key spec.
 ///
 /// Output pairs are grouped by left row in the order of `left_rows` (probe
 /// side); within one left row, right matches appear in `right_rows` order.
-/// Same key semantics and layout selection as ProbeEquiJoin, of which this is
-/// a thin wrapper; `right_stats` describes the build (right) table.
+/// Null key values never match (SQL equi-join semantics, including null vs
+/// null). Numeric keys compare exactly across INT64/DOUBLE without the 2^53
+/// double-precision collapse. A per-call wrapper: builds a JoinBuildIndex
+/// over `right_rows` (`right_stats` describes the full right table) and
+/// probes it with `left_rows`.
 std::vector<std::pair<int64_t, int64_t>> HashEquiJoin(
     const Table& left, const std::vector<int64_t>& left_rows, const Table& right,
     const std::vector<int64_t>& right_rows, const JoinKeySpec& keys,
@@ -150,37 +140,40 @@ inline bool HasNullKey(const Table& t, int64_t row, const std::vector<int>& cols
   return false;
 }
 
-/// \brief A reusable build-side equi-join index over all rows of one table.
+/// \brief A build-side equi-join index over all rows of one table or a
+/// caller-given row subset.
 ///
-/// ProbeEquiJoin plans its key layout per call from both sides, so a cached
-/// build side cannot survive across probes. This class plans from the build
-/// side alone — INT64 columns encode as value offsets from the build minimum
-/// (sized from `build_stats` when given, one sequential range scan
-/// otherwise), STRING columns as the build dictionary's codes — and resolves
-/// the probe side per Probe() call (probe dictionaries remap into the build
-/// code space, integral DOUBLE probe values match INT64 keys exactly).
-/// Layouts mirror ProbeEquiJoin: dense counting when the packed key range is
-/// small, flat open-addressing on the SplitMix64-finalized packed key (a
-/// bijection, so typed probes skip verification), and canonical
+/// The layout is planned from the build side alone, so one index serves any
+/// number of probes: INT64 columns encode as value offsets from the build
+/// minimum (sized from `build_stats` when given, one sequential range scan
+/// of the indexed rows otherwise), STRING columns as the build dictionary's
+/// codes. The probe side is resolved per Probe() call: probe dictionaries
+/// remap into the build code space, integral DOUBLE probe values match
+/// INT64 keys exactly. Dense counting when the packed key range is small,
+/// flat open-addressing on the SplitMix64-finalized packed key (a
+/// bijection, so typed probes skip verification) otherwise, and canonical
 /// hash+verify for DOUBLE or oversized keys.
 ///
-/// Semantics match ProbeEquiJoin exactly: null keys never match (including
-/// null vs null, and middle columns of composite keys) in every layout —
-/// enforced by explicit null checks in each key extractor, never by hash
-/// sentinel behavior — and matches per probe tuple come back in ascending
-/// build-row order. Cross-type probes that can never match (e.g. a STRING
-/// probe against an INT64 build key) produce no pairs.
+/// Null keys never match (including null vs null, and middle columns of
+/// composite keys) in every layout — enforced by explicit null checks in
+/// each key extractor, never by hash sentinel behavior — and matches per
+/// probe tuple come back in indexed-row order. Cross-type probes that can
+/// never match (e.g. a STRING probe against an INT64 build key) produce no
+/// pairs.
 ///
 /// The index holds a pointer to `build`, which must outlive it. Instances
 /// are immutable after construction and safe for concurrent Probe() calls.
 class JoinBuildIndex {
  public:
-  /// Indexes all rows of `build` on `build_cols`. `build_stats` (statistics
-  /// of the full table, the range tier suffices) lets planning skip the
-  /// per-column key-range scan; stale stats (row-count or arity drift) are
-  /// ignored.
+  /// Indexes `rows` of `build` (nullptr = every row, in row order) on
+  /// `build_cols`; matches per probe tuple come back in `rows` order, which
+  /// need not ascend and may repeat a row. The subset is read during
+  /// construction only. `build_stats` (statistics of the full table, the
+  /// range tier suffices) lets planning skip the per-column key-range scan;
+  /// stale stats (row-count or arity drift) are ignored.
   JoinBuildIndex(const Table& build, std::vector<int> build_cols,
-                 const TableStats* build_stats = nullptr);
+                 const TableStats* build_stats = nullptr,
+                 const std::vector<int64_t>* rows = nullptr);
 
   /// Joins a probe tuple stream (see ProbeKeyCol; one entry per key column,
   /// `probe.size() == build_cols.size()`) against the indexed rows,
@@ -192,7 +185,8 @@ class JoinBuildIndex {
              size_t max_matches,
              std::vector<std::pair<int64_t, int64_t>>* out) const;
 
-  /// Rows indexed (rows with a null key cell are excluded at build time).
+  /// Rows indexed, a repeated subset row once per occurrence (rows with a
+  /// null key cell are excluded at build time).
   size_t size() const { return size_; }
 
   const std::vector<int>& columns() const { return cols_; }
@@ -223,8 +217,19 @@ class JoinBuildIndex {
   /// Resolved probe-side access for one key column of one Probe() call.
   struct ProbeColView;
 
-  template <typename Fn>
-  void ForEachMatch(uint64_t packed, Fn&& fn) const;
+  /// Emits left row ids directly through ProbeEach.
+  friend std::vector<std::pair<int64_t, int64_t>> HashEquiJoin(
+      const Table& left, const std::vector<int64_t>& left_rows,
+      const Table& right, const std::vector<int64_t>& right_rows,
+      const JoinKeySpec& keys, const TableStats* right_stats);
+
+  /// Probe() with each match handed to `emit(probe index, build row)`;
+  /// `out` is read only for the max_matches check.
+  template <typename EmitFn>
+  bool ProbeEach(const std::vector<ProbeKeyCol>& probe, size_t n_probe,
+                 size_t max_matches,
+                 const std::vector<std::pair<int64_t, int64_t>>& out,
+                 EmitFn emit) const;
 
   const Table* build_;
   std::vector<int> cols_;

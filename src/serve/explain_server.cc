@@ -1,52 +1,8 @@
 #include "src/serve/explain_server.h"
 
-#include <functional>
 #include <utility>
 
 namespace cajade {
-
-namespace {
-
-/// Serializes the result-affecting CajadeConfig fields. Perf-only knobs
-/// (thread counts, cache bounds, the prefix-cache toggle) are deliberately
-/// excluded: results are bit-identical across them, so including them would
-/// only split cache entries that could be shared.
-std::string SerializeResultConfig(const CajadeConfig& c) {
-  std::string s;
-  auto add = [&s](double v) {
-    s += std::to_string(v);
-    s += ';';
-  };
-  add(c.max_join_graph_edges);
-  add(c.sel_attr);
-  add(c.max_numeric_attrs);
-  add(c.pat_sample_rate);
-  add(static_cast<double>(c.pat_sample_cap));
-  add(c.f1_sample_rate);
-  add(c.recall_threshold);
-  add(c.num_fragments);
-  add(c.cost_threshold);
-  add(c.top_k);
-  add(c.k_cat);
-  add(c.enable_feature_selection);
-  add(c.enable_recall_pruning);
-  add(c.enable_diversity);
-  add(c.enable_cost_pruning);
-  add(c.enable_pk_pruning);
-  add(c.pk_check_strict);
-  add(c.include_pt_only_graph);
-  add(c.forest_trees);
-  add(c.forest_max_depth);
-  add(static_cast<double>(c.forest_row_cap));
-  add(c.cluster_threshold);
-  add(static_cast<double>(c.refinement_budget));
-  add(static_cast<double>(c.refinement_row_budget));
-  add(static_cast<double>(c.max_apt_rows));
-  add(static_cast<double>(c.seed));
-  return s;
-}
-
-}  // namespace
 
 /// RAII lease of one Explainer from the idle list; blocks in the
 /// constructor until one is available.
@@ -116,8 +72,6 @@ ExplainServer::ExplainServer(const Database* db,
     : db_(db),
       schema_graph_(schema_graph),
       options_(options),
-      config_hash_(std::to_string(
-          std::hash<std::string>{}(SerializeResultConfig(options.config)))),
       pool_(WorkerPool::ResolveThreads(options.pool_threads)),
       index_cache_(options.config.apt_index_cache_bytes),
       prefix_cache_(options.config.apt_prefix_cache_bytes),
@@ -142,14 +96,14 @@ ExplainServer::ExplainServer(const Database* db,
 std::string ExplainServer::CacheKey(const std::string& sql,
                                     const UserQuestion& question) const {
   // '\x1f' (unit separator) never occurs in SQL or selector renderings, so
-  // the key is unambiguous without escaping.
+  // the key is unambiguous without escaping. The config is not part of it:
+  // the cache is private to this server, whose config is fixed at
+  // construction.
   std::string key = sql;
   key += '\x1f';
   key += question.t1.ToString();
   key += '\x1f';
   key += question.t2.ToString();
-  key += '\x1f';
-  key += config_hash_;
   return key;
 }
 

@@ -9,10 +9,12 @@
 //    state to process-wide state so requests reuse each other's join
 //    indexes and APT prefix states (both byte-bounded, LRU-evicted, and
 //    invalidation-safe via Table::content_version keys);
-//  - one ResultCache keyed by (query, question, config) and validated by
+//  - one ResultCache keyed by (query, question) and validated by
 //    provenance content fingerprint, so a repeated question costs one
 //    provenance computation instead of a mining run — and goes stale the
-//    moment a base-table change alters the provenance it was mined from;
+//    moment a base-table change alters the provenance it was mined from.
+//    The config needs no place in the key: the cache is private to this
+//    server, and the server's config is fixed at construction;
 //  - a lease pool of Explainers (the engine itself is single-request-stream;
 //    concurrency comes from running up to `num_explainers` of them at once
 //    against the shared caches).
@@ -152,10 +154,6 @@ class ExplainServer {
   const Database* db_;
   const SchemaGraph* schema_graph_;
   Options options_;
-  /// Hash of the result-affecting config fields, baked into every cache
-  /// key so servers with different configs never alias entries (e.g. in
-  /// tests sharing one process).
-  std::string config_hash_;
 
   WorkerPool pool_;
   AptIndexCache index_cache_;

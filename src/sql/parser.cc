@@ -1,5 +1,6 @@
 #include "src/sql/parser.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "src/common/string_util.h"
@@ -23,17 +24,18 @@ class Parser {
     RETURN_NOT_OK(ParseFromList(&q));
     if (PeekKeyword("WHERE")) {
       Advance();
-      ASSIGN_OR_RETURN(q.where, ParseExpr());
+      ASSIGN_OR_RETURN(Sub where, ParseExpr());
+      q.where = std::move(where.expr);
     }
     if (PeekKeyword("GROUP")) {
       Advance();
       RETURN_NOT_OK(ExpectKeyword("BY"));
       while (true) {
-        ASSIGN_OR_RETURN(ExprPtr col, ParsePrimary());
-        if (col->kind != ExprKind::kColumnRef) {
+        ASSIGN_OR_RETURN(Sub col, ParsePrimary());
+        if (col.expr->kind != ExprKind::kColumnRef) {
           return Status::ParseError("GROUP BY entries must be column references");
         }
-        q.group_by.push_back(std::move(col));
+        q.group_by.push_back(std::move(col.expr));
         if (!ConsumeSymbol(",")) break;
       }
     }
@@ -46,14 +48,47 @@ class Parser {
   }
 
   Result<ExprPtr> ParseStandaloneExpr() {
-    ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+    ASSIGN_OR_RETURN(Sub e, ParseExpr());
     if (Peek().type != TokenType::kEnd) {
       return Status::ParseError("trailing input after expression");
     }
-    return e;
+    return std::move(e.expr);
   }
 
  private:
+  /// A parsed subexpression and the depth of its tree (see kMaxExprDepth).
+  struct Sub {
+    ExprPtr expr;
+    size_t depth;
+  };
+
+  Status TooDeep() const {
+    return Status::ParseError(
+        Format("expression deeper than %zu levels at offset %zu", kMaxExprDepth,
+               Peek().position));
+  }
+
+  /// `expr` one level above a subtree `child_depth` deep.
+  Result<Sub> Level(ExprPtr expr, size_t child_depth) const {
+    if (child_depth >= kMaxExprDepth) return TooDeep();
+    return Sub{std::move(expr), child_depth + 1};
+  }
+
+  Result<Sub> Binary(BinaryOp op, Sub lhs, Sub rhs) const {
+    return Level(Expr::MakeBinary(op, std::move(lhs.expr), std::move(rhs.expr)),
+                 std::max(lhs.depth, rhs.depth));
+  }
+
+  /// Parses a parenthesized group or an aggregate argument. The level is
+  /// counted before descending, so the parser's own recursion stays within
+  /// kMaxExprDepth levels too.
+  Result<Sub> ParseNested() {
+    if (++nesting_ > kMaxExprDepth) return TooDeep();
+    ASSIGN_OR_RETURN(Sub sub, ParseExpr());
+    --nesting_;
+    return sub;
+  }
+
   const Token& Peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
@@ -85,7 +120,8 @@ class Parser {
 
   Status ParseSelectList(ParsedQuery* q) {
     while (true) {
-      ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+      ASSIGN_OR_RETURN(Sub item, ParseExpr());
+      ExprPtr e = std::move(item.expr);
       std::string name;
       if (PeekKeyword("AS")) {
         Advance();
@@ -136,30 +172,32 @@ class Parser {
   }
 
   // Precedence climbing: OR < AND < comparison < additive < multiplicative.
-  Result<ExprPtr> ParseExpr() { return ParseOr(); }
+  // Chains check their depth as each operator joins, so an overlong chain
+  // fails before the rest of it is built.
+  Result<Sub> ParseExpr() { return ParseOr(); }
 
-  Result<ExprPtr> ParseOr() {
-    ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
+  Result<Sub> ParseOr() {
+    ASSIGN_OR_RETURN(Sub lhs, ParseAnd());
     while (PeekKeyword("OR")) {
       Advance();
-      ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = Expr::MakeBinary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
+      ASSIGN_OR_RETURN(Sub rhs, ParseAnd());
+      ASSIGN_OR_RETURN(lhs, Binary(BinaryOp::kOr, std::move(lhs), std::move(rhs)));
     }
     return lhs;
   }
 
-  Result<ExprPtr> ParseAnd() {
-    ASSIGN_OR_RETURN(ExprPtr lhs, ParseComparison());
+  Result<Sub> ParseAnd() {
+    ASSIGN_OR_RETURN(Sub lhs, ParseComparison());
     while (PeekKeyword("AND")) {
       Advance();
-      ASSIGN_OR_RETURN(ExprPtr rhs, ParseComparison());
-      lhs = Expr::MakeBinary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
+      ASSIGN_OR_RETURN(Sub rhs, ParseComparison());
+      ASSIGN_OR_RETURN(lhs, Binary(BinaryOp::kAnd, std::move(lhs), std::move(rhs)));
     }
     return lhs;
   }
 
-  Result<ExprPtr> ParseComparison() {
-    ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdditive());
+  Result<Sub> ParseComparison() {
+    ASSIGN_OR_RETURN(Sub lhs, ParseAdditive());
     static const struct {
       const char* sym;
       BinaryOp op;
@@ -168,31 +206,31 @@ class Parser {
     for (const auto& [sym, op] : kOps) {
       if (PeekSymbol(sym)) {
         Advance();
-        ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-        return Expr::MakeBinary(op, std::move(lhs), std::move(rhs));
+        ASSIGN_OR_RETURN(Sub rhs, ParseAdditive());
+        return Binary(op, std::move(lhs), std::move(rhs));
       }
     }
     return lhs;
   }
 
-  Result<ExprPtr> ParseAdditive() {
-    ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
+  Result<Sub> ParseAdditive() {
+    ASSIGN_OR_RETURN(Sub lhs, ParseMultiplicative());
     while (PeekSymbol("+") || PeekSymbol("-")) {
       BinaryOp op = Peek().text == "+" ? BinaryOp::kAdd : BinaryOp::kSub;
       Advance();
-      ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      lhs = Expr::MakeBinary(op, std::move(lhs), std::move(rhs));
+      ASSIGN_OR_RETURN(Sub rhs, ParseMultiplicative());
+      ASSIGN_OR_RETURN(lhs, Binary(op, std::move(lhs), std::move(rhs)));
     }
     return lhs;
   }
 
-  Result<ExprPtr> ParseMultiplicative() {
-    ASSIGN_OR_RETURN(ExprPtr lhs, ParsePrimary());
+  Result<Sub> ParseMultiplicative() {
+    ASSIGN_OR_RETURN(Sub lhs, ParsePrimary());
     while (PeekSymbol("*") || PeekSymbol("/")) {
       BinaryOp op = Peek().text == "*" ? BinaryOp::kMul : BinaryOp::kDiv;
       Advance();
-      ASSIGN_OR_RETURN(ExprPtr rhs, ParsePrimary());
-      lhs = Expr::MakeBinary(op, std::move(lhs), std::move(rhs));
+      ASSIGN_OR_RETURN(Sub rhs, ParsePrimary());
+      ASSIGN_OR_RETURN(lhs, Binary(op, std::move(lhs), std::move(rhs)));
     }
     return lhs;
   }
@@ -214,27 +252,28 @@ class Parser {
     return true;
   }
 
-  Result<ExprPtr> ParsePrimary() {
+  Result<Sub> ParsePrimary() {
     const Token& t = Peek();
     if (t.type == TokenType::kNumber) {
       Advance();
       if (t.text.find('.') != std::string::npos) {
-        return Expr::MakeLiteral(Value(std::strtod(t.text.c_str(), nullptr)));
+        return Sub{Expr::MakeLiteral(Value(std::strtod(t.text.c_str(), nullptr))), 1};
       }
-      return Expr::MakeLiteral(
-          Value(static_cast<int64_t>(std::strtoll(t.text.c_str(), nullptr, 10))));
+      return Sub{Expr::MakeLiteral(Value(
+                     static_cast<int64_t>(std::strtoll(t.text.c_str(), nullptr, 10)))),
+                 1};
     }
     if (t.type == TokenType::kString) {
       Advance();
-      return Expr::MakeLiteral(Value(t.text));
+      return Sub{Expr::MakeLiteral(Value(t.text)), 1};
     }
     if (t.type == TokenType::kSymbol && t.text == "(") {
       Advance();
-      ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
+      ASSIGN_OR_RETURN(Sub inner, ParseNested());
       if (!ConsumeSymbol(")")) {
         return Status::ParseError("expected ')'");
       }
-      return inner;
+      return Level(std::move(inner.expr), inner.depth);
     }
     if (t.type == TokenType::kIdentifier) {
       std::string first = Advance().text;
@@ -242,17 +281,16 @@ class Parser {
       if (PeekSymbol("(") && AggFuncFromName(ToUpper(first), &fn)) {
         Advance();  // (
         if (PeekKeyword("DISTINCT")) Advance();
-        ExprPtr arg;
+        Sub arg{nullptr, 0};  // COUNT(*) keeps the null argument
         if (PeekSymbol("*")) {
           Advance();
-          arg = nullptr;  // COUNT(*)
         } else {
-          ASSIGN_OR_RETURN(arg, ParseExpr());
+          ASSIGN_OR_RETURN(arg, ParseNested());
         }
         if (!ConsumeSymbol(")")) {
           return Status::ParseError("expected ')' after aggregate argument");
         }
-        return Expr::MakeAggregate(fn, std::move(arg));
+        return Level(Expr::MakeAggregate(fn, std::move(arg.expr)), arg.depth);
       }
       if (ConsumeSymbol(".")) {
         if (Peek().type != TokenType::kIdentifier) {
@@ -260,9 +298,9 @@ class Parser {
               Format("expected column name after '%s.'", first.c_str()));
         }
         std::string col = Advance().text;
-        return Expr::MakeColumn(first, std::move(col));
+        return Sub{Expr::MakeColumn(first, std::move(col)), 1};
       }
-      return Expr::MakeColumn("", std::move(first));
+      return Sub{Expr::MakeColumn("", std::move(first)), 1};
     }
     return Status::ParseError(Format("unexpected token '%s' at offset %zu",
                                      t.text.c_str(), t.position));
@@ -270,6 +308,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t nesting_ = 0;  ///< open parenthesized groups and aggregate arguments
 };
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "src/exec/evaluator.h"
 #include "src/exec/executor.h"
@@ -232,6 +233,35 @@ TEST(ExecutorTest, EmptyGroupByResult) {
                .ValueOrDie();
   Table result = exec.Execute(q).ValueOrDie();
   EXPECT_EQ(result.num_rows(), 0u);
+}
+
+/// `n` copies of `term` joined by `op`.
+std::string Chain(const std::string& term, const std::string& op, size_t n) {
+  std::string s = term;
+  for (size_t i = 1; i < n; ++i) s += op + term;
+  return s;
+}
+
+TEST(ExecutorTest, DeepExpressionsFailToParseAndTheLimitExecutes) {
+  Database db = MakeSalesDb();
+  QueryExecutor exec(&db);
+  // These used to parse and then overflow the stack in Execute.
+  for (const std::string& sql :
+       {"SELECT " + Chain("qty", " + ", 100000) + " AS s FROM sale",
+        "SELECT qty FROM sale WHERE " + Chain("qty > 0", " AND ", 100000)}) {
+    auto q = ParseQuery(sql);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+  }
+  // Exactly kMaxExprDepth levels on both sides: `qty > 0` is two levels.
+  auto q = ParseQuery("SELECT " + Chain("qty", " + ", kMaxExprDepth) +
+                      " AS s FROM sale WHERE " +
+                      Chain("qty > 0", " AND ", kMaxExprDepth - 1));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  Table result = exec.Execute(*q).ValueOrDie();
+  ASSERT_EQ(result.num_rows(), 5u);
+  EXPECT_EQ(result.GetValue(0, 0),
+            Value(static_cast<int64_t>(2 * kMaxExprDepth)));  // qty = 2
 }
 
 TEST(ExecutorTest, UnknownTableFails) {

@@ -1,5 +1,5 @@
 // Differential tests: the kernel-routed ExecuteSpj against the seed's
-// tuple-key oracle (ReferenceExecuteSpj), plus ProbeEquiJoin against
+// tuple-key oracle (ReferenceExecuteSpj), plus HashEquiJoin against
 // ReferenceHashEquiJoin. The two executors may order working rows
 // differently when the stats-driven planner reorders joins, so parity is
 // checked on the multiset of source-row tuples. Runs in every CI leg,
@@ -108,11 +108,10 @@ TEST(ExecutorDiffTest, DictionaryStringKeys) {
   }
   QueryExecutor exec(&db);
   // a:1x1, b:2x2 -> 5 matches; nulls and one-sided values match nothing.
-  // Build side (r) has the smaller dictionary here, so its codes remap into
-  // probe space.
+  // The probe dictionary remaps into the build (r) code space; here the
+  // build dictionary is the smaller one.
   ExpectSpjParity(exec, "SELECT count(*) AS n FROM l, r WHERE l.s = r.s", 5);
-  // And the other remap direction: a build dictionary larger than the probe
-  // side's, so the probe dictionary is the one remapped.
+  // And a build dictionary larger than the probe side's.
   {
     auto t = db.CreateTable("rbig", Schema({{"s", DataType::kString}})).ValueOrDie();
     for (const char* v : {"a", "b", "x0", "x1", "x2", "x3", "x4", "x5", "a"}) {
@@ -288,6 +287,13 @@ TEST(ExecutorDiffTest, RandomizedParitySweep) {
       "SELECT count(*) AS n FROM t0 a, t1 b, t2 c "
       "WHERE a.k = b.k AND a.m = c.m AND b.m = c.k",
       "SELECT count(*) AS n FROM t0 a, t1 b WHERE a.k = b.k AND a.d > 0.25",
+      // Pushdown on the build alias: each join step indexes a dense or a
+      // sparse subset of b's rows.
+      "SELECT count(*) AS n FROM t0 a, t1 b WHERE a.k = b.k AND b.d > 0.25",
+      "SELECT count(*) AS n FROM t0 a, t1 b WHERE a.k = b.k AND b.d < 0.05",
+      "SELECT count(*) AS n FROM t0 a, t1 b WHERE a.s = b.s AND b.d < 0.05",
+      "SELECT count(*) AS n FROM t0 a, t1 b "
+      "WHERE a.k = b.k AND a.m = b.m AND b.d > 0.25",
   };
   for (uint64_t seed = 1; seed <= 5; ++seed) {
     Rng rng(seed);
@@ -305,10 +311,10 @@ TEST(ExecutorDiffTest, RandomizedParitySweep) {
   }
 }
 
-TEST(ProbeEquiJoinTest, MatchesReferenceOnRowSubsets) {
-  // Exercise ProbeEquiJoin through HashEquiJoin with non-trivial row-id
-  // subsets (the executor always passes pushdown survivors, not full
-  // tables) against the reference join.
+TEST(HashEquiJoinTest, MatchesReferenceOnRowSubsets) {
+  // HashEquiJoin with non-trivial row-id subsets on both sides (the
+  // executor always indexes pushdown survivors, not full tables) against
+  // the reference join.
   Rng rng(7);
   Database db;
   AddRandomTable(&db, "t0", 80, 12, 0, 5, &rng);

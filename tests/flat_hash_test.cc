@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/exec/flat_hash.h"
 #include "src/exec/join.h"
+#include "src/stats/table_stats.h"
 #include "src/storage/table.h"
 
 namespace cajade {
@@ -179,7 +182,8 @@ TEST(HashJoinEdgeTest, EmptyInputs) {
 }
 
 TEST(HashJoinEdgeTest, DictCodeFastPathBothRemapDirections) {
-  // Left dictionary smaller than right: left codes are remapped.
+  // Probe (left) codes always remap into the build (right) code space.
+  // First with the left dictionary smaller than the right one.
   Table small("small", Schema({{"s", DataType::kString}}));
   small.AppendRow({Value("b")});
   small.AppendRow({Value("z")});  // absent from the other side
@@ -190,7 +194,7 @@ TEST(HashJoinEdgeTest, DictCodeFastPathBothRemapDirections) {
   Pairs pairs = HashEquiJoin(small, AllRows(small), big, AllRows(big), keys);
   EXPECT_EQ(pairs, (Pairs{{0, 1}, {0, 4}}));
 
-  // Right dictionary smaller than left: right codes are remapped.
+  // Then with the right dictionary smaller than the left one.
   pairs = HashEquiJoin(big, AllRows(big), small, AllRows(small), keys);
   EXPECT_EQ(pairs, (Pairs{{1, 0}, {4, 0}}));
 }
@@ -305,6 +309,141 @@ TEST(HashJoinDifferentialTest, RowSubsetsMatchReference) {
     Pairs fast = HashEquiJoin(left, lrows, right, rrows, keys);
     Pairs ref = ReferenceHashEquiJoin(left, lrows, right, rrows, keys);
     ASSERT_EQ(fast, ref) << "trial " << trial;
+  }
+}
+
+// ---- JoinBuildIndex over a build-row subset -------------------------------
+
+/// Probes an index over `subset` of `right` with `lrows` of `left` and
+/// translates probe indexes to left rows: the shape of
+/// ReferenceHashEquiJoin's output.
+Pairs ProbeSubsetIndex(const Table& left, const std::vector<int64_t>& lrows,
+                       const Table& right, const std::vector<int64_t>& subset,
+                       const JoinKeySpec& keys, const TableStats* stats) {
+  JoinBuildIndex index(right, keys.right_cols, stats, &subset);
+  std::vector<ProbeKeyCol> probe;
+  for (int c : keys.left_cols) probe.push_back({&left.column(c), &lrows});
+  Pairs out;
+  EXPECT_TRUE(index.Probe(probe, lrows.size(), /*max_matches=*/0, &out));
+  for (auto& pair : out) pair.first = lrows[static_cast<size_t>(pair.first)];
+  return out;
+}
+
+/// A cell for one key column of the subset-test tables, null 30% of the
+/// time. `kind` picks the key family: small ints, wide 64-bit ints drawn
+/// from a shared pool, strings, or doubles (integral half the time).
+Value SubsetKeyCell(char kind, Rng* rng) {
+  static const std::vector<int64_t> kWidePool = [] {
+    Rng pool_rng(23);
+    std::vector<int64_t> pool;
+    for (int i = 0; i < 12; ++i) pool.push_back(static_cast<int64_t>(pool_rng.Next()));
+    return pool;
+  }();
+  if (rng->Bernoulli(0.3)) return Value::Null();
+  switch (kind) {
+    case 'i':
+      return Value(static_cast<int64_t>(rng->NextBounded(16)));
+    case 'w':
+      return Value(kWidePool[rng->NextBounded(kWidePool.size())]);
+    case 's':
+      return Value("w" + std::to_string(rng->NextBounded(10)));
+    default:
+      return rng->Bernoulli(0.5)
+                 ? Value(static_cast<double>(rng->NextBounded(16)))
+                 : Value(static_cast<double>(rng->NextBounded(16)) + 0.5);
+  }
+}
+
+/// A table whose column i holds keys of family kinds[i].
+Table SubsetTable(const char* name, const std::string& kinds, size_t rows,
+                  Rng* rng) {
+  std::vector<ColumnDef> defs;
+  for (size_t i = 0; i < kinds.size(); ++i) {
+    const DataType type = kinds[i] == 's'   ? DataType::kString
+                          : kinds[i] == 'd' ? DataType::kDouble
+                                            : DataType::kInt64;
+    defs.push_back({"c" + std::to_string(i), type});
+  }
+  Table t(name, Schema(defs));
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (char kind : kinds) row.push_back(SubsetKeyCell(kind, rng));
+    t.AppendRow(row);
+  }
+  return t;
+}
+
+/// The build subsets every layout is checked on.
+std::vector<std::pair<std::string, std::vector<int64_t>>> BuildSubsets(
+    const Table& right, int key_col, Rng* rng) {
+  const Column& col = right.column(key_col);
+  std::vector<int64_t> sparse, nulls, non_null, scrambled;
+  for (size_t i = 0; i < right.num_rows(); ++i) {
+    const auto r = static_cast<int64_t>(i);
+    if (i % 7 == 3) sparse.push_back(r);
+    if (col.IsNull(i)) {
+      nulls.push_back(r);
+    } else {
+      non_null.push_back(r);
+    }
+    if (rng->Bernoulli(0.4)) scrambled.push_back(r);
+  }
+  // The middle half of the non-null rows by key value: a key range
+  // narrower than the full table's (and its stats').
+  std::stable_sort(non_null.begin(), non_null.end(), [&](int64_t a, int64_t b) {
+    return col.GetValue(a) < col.GetValue(b);
+  });
+  std::vector<int64_t> narrow(non_null.begin() + non_null.size() / 4,
+                              non_null.end() - non_null.size() / 4);
+  std::sort(narrow.begin(), narrow.end());
+  rng->Shuffle(&scrambled);
+  for (size_t i = 0; i < scrambled.size(); i += 3) scrambled.push_back(scrambled[i]);
+  return {{"empty", {}},
+          {"sparse ascending", sparse},
+          {"all-null keys", nulls},
+          {"narrow key range", narrow},
+          {"non-ascending with duplicates", scrambled}};
+}
+
+TEST(JoinBuildIndexSubsetTest, EveryLayoutMatchesReferenceOnSubsets) {
+  struct Case {
+    const char* layout;
+    std::string left_kinds, right_kinds;
+    JoinKeySpec keys;
+    bool self_join = false;
+  };
+  const std::vector<Case> cases = {
+      {"dense INT64", "i", "i", {{0}, {0}}},
+      {"flat INT64, wide range", "w", "w", {{0}, {0}}},
+      {"STRING, probe remapped into build", "s", "s", {{0}, {0}}},
+      {"STRING, shared column", "s", "s", {{0}, {0}}, /*self_join=*/true},
+      {"packed two-column INT64", "ii", "ii", {{0, 1}, {0, 1}}},
+      {"generic DOUBLE", "d", "d", {{0}, {0}}},
+      {"INT64 build probed by DOUBLE", "d", "i", {{0}, {0}}},
+  };
+  Rng rng(29);
+  for (const Case& c : cases) {
+    const Table right = SubsetTable("r", c.right_kinds, 150, &rng);
+    const Table left_own = SubsetTable("l", c.left_kinds, 120, &rng);
+    const Table& left = c.self_join ? right : left_own;
+    std::vector<int64_t> lrows = AllRows(left);
+    rng.Shuffle(&lrows);
+    lrows.push_back(lrows.front());  // a repeated probe row
+    const TableStats stats = ComputeTableRanges(right);
+    for (const auto& [subset_name, subset] :
+         BuildSubsets(right, c.keys.right_cols[0], &rng)) {
+      const Pairs want =
+          ReferenceHashEquiJoin(left, lrows, right, subset, c.keys);
+      for (const TableStats* s : {static_cast<const TableStats*>(nullptr), &stats}) {
+        EXPECT_EQ(ProbeSubsetIndex(left, lrows, right, subset, c.keys, s), want)
+            << c.layout << ", " << subset_name
+            << (s != nullptr ? ", with stats" : ", without stats");
+      }
+      // The degenerate subsets match nothing; the others must match
+      // something, or they would not exercise the layout.
+      const bool degenerate = subset_name == "all-null keys" || subset_name == "empty";
+      EXPECT_EQ(want.empty(), degenerate) << c.layout << ", " << subset_name;
+    }
   }
 }
 

@@ -109,6 +109,38 @@ TEST_F(ServeTest, DistinctQuestionsGetDistinctEntries) {
   EXPECT_EQ(c.result_hits, 0u);
 }
 
+TEST_F(ServeTest, ServersWithDifferentConfigsServeTheirOwnAnswers) {
+  // The result-cache key carries no config: each server owns its cache and
+  // its config is fixed, so two servers over one database with different
+  // top_k never share an entry, even though their keys are equal.
+  ExplainServer::Options narrow = BaseOptions();
+  narrow.config.top_k = 2;
+  ExplainServer::Options wide = BaseOptions();
+  wide.config.top_k = 7;
+  ExplainServer narrow_server(&db_, &schema_graph_, narrow);
+  ExplainServer wide_server(&db_, &schema_graph_, wide);
+  EXPECT_EQ(narrow_server.CacheKey(kQ1, TwoPointQuestion()),
+            wide_server.CacheKey(kQ1, TwoPointQuestion()));
+
+  Explainer fresh_narrow(&db_, &schema_graph_, narrow.config);
+  Explainer fresh_wide(&db_, &schema_graph_, wide.config);
+  const ExplainResult want_narrow =
+      fresh_narrow.Explain(kQ1, TwoPointQuestion()).ValueOrDie();
+  const ExplainResult want_wide =
+      fresh_wide.Explain(kQ1, TwoPointQuestion()).ValueOrDie();
+  // top_k bounds the explanations kept per join graph.
+  ASSERT_LT(want_narrow.explanations.size(), want_wide.explanations.size());
+
+  for (int round = 0; round < 2; ++round) {  // a miss, then a hit
+    ExpectSameExplanations(
+        want_narrow, *narrow_server.Explain(kQ1, TwoPointQuestion()).ValueOrDie());
+    ExpectSameExplanations(
+        want_wide, *wide_server.Explain(kQ1, TwoPointQuestion()).ValueOrDie());
+  }
+  EXPECT_EQ(narrow_server.counters().result_hits, 1u);
+  EXPECT_EQ(wide_server.counters().result_hits, 1u);
+}
+
 TEST_F(ServeTest, BaseTableChangeFlipsFingerprintAndInvalidates) {
   ExplainServer server(&db_, &schema_graph_, BaseOptions());
   auto before = server.Explain(kQ1, TwoPointQuestion()).ValueOrDie();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/sql/lexer.h"
 #include "src/sql/parser.h"
 
@@ -189,6 +191,53 @@ TEST(ExprTest, SplitConjunctsKeepsOrIntact) {
   std::vector<ExprPtr> conjuncts;
   SplitConjuncts(e, &conjuncts);
   EXPECT_EQ(conjuncts.size(), 1u);
+}
+
+// ---- Expression depth bound -------------------------------------------------
+
+/// `n` copies of `term` joined by `op`: a left-deep chain n levels deep when
+/// `term` is a leaf.
+std::string Chain(const std::string& term, const std::string& op, size_t n) {
+  std::string s = term;
+  for (size_t i = 1; i < n; ++i) s += op + term;
+  return s;
+}
+
+void ExpectTooDeep(const std::string& sql) {
+  auto q = ParseQuery(sql);
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError) << q.status().ToString();
+}
+
+TEST(ParserDepthTest, DeepInputsAreParseErrors) {
+  // 10,000 nested parentheses overflowed the parser's own recursion.
+  ExpectTooDeep("SELECT " + std::string(10000, '(') + "1" +
+                std::string(10000, ')') + " FROM t");
+  // Long left-deep chains parsed, then overflowed the per-level recursion
+  // of the expression helpers (evaluation; the tree's destructor at a
+  // million terms).
+  ExpectTooDeep("SELECT " + Chain("1", "+", 100000) + " FROM t");
+  ExpectTooDeep("SELECT a FROM t WHERE " + Chain("a = 1", " AND ", 100000));
+  ExpectTooDeep("SELECT " + Chain("1", "+", 1000000) + " FROM t");
+}
+
+TEST(ParserDepthTest, ChainAtTheLimitParses) {
+  auto q = ParseQuery("SELECT " + Chain("1", "+", kMaxExprDepth) + " AS s FROM t");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ExpectTooDeep("SELECT " + Chain("1", "+", kMaxExprDepth + 1) + " FROM t");
+  // `a = 1` is two levels deep, so kMaxExprDepth - 1 conjuncts fit.
+  EXPECT_TRUE(
+      ParseQuery("SELECT a FROM t WHERE " + Chain("a = 1", " AND ", kMaxExprDepth - 1))
+          .ok());
+  ExpectTooDeep("SELECT a FROM t WHERE " + Chain("a = 1", " AND ", kMaxExprDepth));
+  // A parenthesis pair is a level; so is an aggregate call.
+  const size_t n = kMaxExprDepth - 1;
+  EXPECT_TRUE(
+      ParseExpression(std::string(n, '(') + "1" + std::string(n, ')')).ok());
+  EXPECT_FALSE(
+      ParseExpression(std::string(n + 1, '(') + "1" + std::string(n + 1, ')')).ok());
+  EXPECT_TRUE(ParseExpression("sum(" + Chain("1", "+", n) + ")").ok());
+  EXPECT_FALSE(ParseExpression("sum(" + Chain("1", "+", n + 1) + ")").ok());
 }
 
 }  // namespace
