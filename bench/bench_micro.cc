@@ -36,7 +36,6 @@
 #include "src/mining/lca.h"
 #include "src/mining/miner.h"
 #include "src/mining/pattern_kernel.h"
-#include "src/ml/random_forest.h"
 #include "src/provenance/provenance.h"
 #include "src/sql/parser.h"
 
@@ -596,6 +595,39 @@ void BM_MineMimicApt(benchmark::State& state) {
 }
 BENCHMARK(BM_MineMimicApt);
 
+/// PatternMiner::SelectAttributes, Mine()'s feature-selection step (the
+/// feature matrix, the random forest and attribute clustering), on `fx`'s
+/// APT with the default config and the seed Mine() would start from.
+/// `selected_attrs` must equal what Mine() reports; `heap_allocs` counts
+/// one call's heap allocations.
+void SelectWorkloadAttributes(benchmark::State& state, const WorkloadApt& fx) {
+  CajadeConfig config;
+  PatternMiner miner(&config, nullptr);
+  size_t selected = 0;
+  size_t allocs = 0;
+  for (auto _ : state) {
+    Rng rng(config.seed);
+    size_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    std::vector<int> attrs = miner.SelectAttributes(fx.apt, fx.classes, &rng);
+    allocs += g_heap_allocs.load(std::memory_order_relaxed) - before;
+    selected = attrs.size();
+    benchmark::DoNotOptimize(attrs.data());
+  }
+  state.counters["selected_attrs"] = static_cast<double>(selected);
+  state.counters["heap_allocs"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+}
+
+void BM_SelectAttributesNbaApt(benchmark::State& state) {
+  SelectWorkloadAttributes(state, NbaApt());
+}
+BENCHMARK(BM_SelectAttributesNbaApt);
+
+void BM_SelectAttributesMimicApt(benchmark::State& state) {
+  SelectWorkloadAttributes(state, MimicApt());
+}
+BENCHMARK(BM_SelectAttributesMimicApt);
+
 /// End-to-end Explain() on the scaling (synthetic full-schema NBA) dataset
 /// at 1/2/4/8 worker threads. The /1 run records its per-iteration time so
 /// the threaded runs can report `speedup_vs_serial`; a separate
@@ -949,31 +981,6 @@ void BM_MaterializeAptSharedPrefix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaterializeAptSharedPrefix);
-
-void BM_ForestTrain(benchmark::State& state) {
-  Rng rng(5);
-  FeatureMatrix data;
-  data.names = {"a", "b", "c", "d"};
-  data.is_categorical = {false, false, false, true};
-  data.columns.resize(4);
-  for (int i = 0; i < 2000; ++i) {
-    double a = rng.UniformDouble();
-    data.columns[0].push_back(a);
-    data.columns[1].push_back(rng.UniformDouble());
-    data.columns[2].push_back(rng.Normal(0, 1));
-    data.columns[3].push_back(static_cast<double>(rng.NextBounded(6)));
-    data.labels.push_back(a > 0.5 ? 1 : 0);
-  }
-  ForestOptions options;
-  options.num_trees = 10;
-  for (auto _ : state) {
-    Rng local = rng.Fork();
-    RandomForest forest;
-    forest.Train(data, options, &local);
-    benchmark::DoNotOptimize(forest.importances().data());
-  }
-}
-BENCHMARK(BM_ForestTrain);
 
 }  // namespace
 

@@ -439,8 +439,8 @@ bool JoinBuildIndex::ProbeEach(
     if (plans_[i].dict) {
       if (pc.type() != DataType::kString) return true;  // can never match
       const Column& bc = build_->column(cols_[i]);
-      if (&pc == &bc) {
-        v.mode = ProbeColView::Mode::kCode;  // shared code space (self join)
+      if (pc.SharesDictionaryWith(bc)) {
+        v.mode = ProbeColView::Mode::kCode;  // one code space (e.g. a copy)
       } else {
         v.mode = ProbeColView::Mode::kCodeRemap;
         v.remap.resize(pc.dict_size());

@@ -13,8 +13,10 @@
 // provided) precomputed TableStats:
 //  - single INT64 key: raw-value offsets, dense counting layout when the key
 //    range is small, flat open-addressing table otherwise;
-//  - single STRING key: build dictionary codes, the probe dictionary
-//    remapped into the build code space once per probe call;
+//  - single STRING key: build dictionary codes; a probe column that reads
+//    the build column's dictionary object probes with its codes as they
+//    are, any other probe dictionary is remapped into the build code space
+//    once per probe call;
 //  - multi-column INT64/STRING keys whose combined range fits 64 bits:
 //    packed composite keys (mixed-radix offsets), which stay injective so
 //    probes need no equality re-check;
@@ -148,7 +150,8 @@ inline bool HasNullKey(const Table& t, int64_t row, const std::vector<int>& cols
 /// minimum (sized from `build_stats` when given, one sequential range scan
 /// of the indexed rows otherwise), STRING columns as the build dictionary's
 /// codes. The probe side is resolved per Probe() call: probe dictionaries
-/// remap into the build code space, integral DOUBLE probe values match
+/// other than the build column's own remap into the build code space,
+/// integral DOUBLE probe values match
 /// INT64 keys exactly. Dense counting when the packed key range is small,
 /// flat open-addressing on the SplitMix64-finalized packed key (a
 /// bijection, so typed probes skip verification) otherwise, and canonical

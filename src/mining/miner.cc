@@ -575,6 +575,15 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
           Format("%s must be finite and non-negative, got %g", name, value));
     }
   }
+  // The forest sizes its tree list and its depth by these.
+  for (const auto& [name, value] :
+       {std::pair{"forest_trees", config_->forest_trees},
+        std::pair{"forest_max_depth", config_->forest_max_depth}}) {
+    if (value < 0) {
+      return Status::InvalidArgument(
+          Format("%s must be non-negative, got %d", name, value));
+    }
+  }
   MineResult result;
   result.apt_rows = apt.num_rows();
   result.num_attributes = apt.pattern_cols.size();

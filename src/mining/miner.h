@@ -146,12 +146,14 @@ class PatternMiner {
   Result<MineResult> Mine(const ShardedApt& apt, const PtClasses& classes,
                           Rng* rng) const;
 
- private:
   /// filterAttrs (Algorithm 1): relevance filtering + clustering; returns
-  /// selected pattern-eligible column indexes.
+  /// selected pattern-eligible column indexes. Mine()'s first step, public
+  /// so that its cost can be measured alone; it expects the knobs Mine()
+  /// validates to be valid.
   std::vector<int> SelectAttributes(const ShardedApt& apt,
                                     const PtClasses& classes, Rng* rng) const;
 
+ private:
   const CajadeConfig* config_;
   StepProfiler* profiler_;
 };

@@ -1,5 +1,6 @@
 #include "src/ml/random_forest.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace cajade {
@@ -27,13 +28,15 @@ void RandomForest::Train(const FeatureMatrix& data, const ForestOptions& options
   }
   if (pool.empty()) return;
 
-  trees_.resize(options.num_trees);
+  // Encoded once; each tree trains on pool positions.
+  TreeTrainer trainer(data, pool, tree_options);
+  trees_.resize(static_cast<size_t>(std::max(options.num_trees, 0)));
+  std::vector<uint32_t> bootstrap(pool.size());
   for (auto& tree : trees_) {
-    std::vector<int> bootstrap(pool.size());
-    for (size_t i = 0; i < pool.size(); ++i) {
-      bootstrap[i] = pool[rng->NextBounded(pool.size())];
+    for (uint32_t& position : bootstrap) {
+      position = static_cast<uint32_t>(rng->NextBounded(pool.size()));
     }
-    tree.Train(data, bootstrap, tree_options, rng, &importances_);
+    trainer.Train(bootstrap, rng, &importances_, &tree);
   }
 
   double total = 0.0;

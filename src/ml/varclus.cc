@@ -29,10 +29,11 @@ AttributeClustering ClusterAttributes(const FeatureMatrix& data,
   std::vector<int> parent(p);
   std::iota(parent.begin(), parent.end(), 0);
 
+  const Association association(data);
   for (int i = 0; i < p; ++i) {
     for (int j = i + 1; j < p; ++j) {
       if (Find(parent, i) == Find(parent, j)) continue;
-      if (Association(data, i, j) >= threshold) Union(parent, i, j);
+      if (association(i, j) >= threshold) Union(parent, i, j);
     }
   }
 

@@ -84,6 +84,12 @@ class Column {
   /// Points this column at `source`'s dictionary, without copying it; used
   /// when building an output column that will receive codes from `source`.
   void AdoptDictionary(const Column& source) { dict_ = source.dict_; }
+  /// Whether this column reads the same dictionary object as `other` (a
+  /// copy or an adopter that has interned nothing since), so that equal
+  /// codes name equal strings.
+  bool SharesDictionaryWith(const Column& other) const {
+    return dict_.SameAs(other.dict_);
+  }
 
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
@@ -119,6 +125,7 @@ class Column {
       return rep_ == nullptr ? 0 : rep_->string_bytes;
     }
     const std::string& entry(int32_t code) const { return rep_->entries[code]; }
+    bool SameAs(const Dictionary& other) const { return rep_ == other.rep_; }
     int32_t Find(const std::string& s) const;
     int32_t Intern(const std::string& s);
 

@@ -406,26 +406,44 @@ std::vector<std::pair<std::string, std::vector<int64_t>>> BuildSubsets(
 }
 
 TEST(JoinBuildIndexSubsetTest, EveryLayoutMatchesReferenceOnSubsets) {
+  // Where the probe table comes from: its own table, the build table
+  // itself, a copy of the build table (one shared dictionary object), or a
+  // copy that interned a new string afterwards (its own dictionary again).
+  enum class Probe { kOwn, kSelf, kCopy, kCopyInterned };
   struct Case {
     const char* layout;
     std::string left_kinds, right_kinds;
     JoinKeySpec keys;
-    bool self_join = false;
+    Probe probe = Probe::kOwn;
   };
   const std::vector<Case> cases = {
       {"dense INT64", "i", "i", {{0}, {0}}},
       {"flat INT64, wide range", "w", "w", {{0}, {0}}},
       {"STRING, probe remapped into build", "s", "s", {{0}, {0}}},
-      {"STRING, shared column", "s", "s", {{0}, {0}}, /*self_join=*/true},
+      {"STRING, shared column", "s", "s", {{0}, {0}}, Probe::kSelf},
       {"packed two-column INT64", "ii", "ii", {{0, 1}, {0, 1}}},
       {"generic DOUBLE", "d", "d", {{0}, {0}}},
       {"INT64 build probed by DOUBLE", "d", "i", {{0}, {0}}},
+      {"STRING, copy of the build table", "s", "s", {{0}, {0}}, Probe::kCopy},
+      {"STRING, copy that interned a new string", "s", "s", {{0}, {0}},
+       Probe::kCopyInterned},
   };
   Rng rng(29);
   for (const Case& c : cases) {
     const Table right = SubsetTable("r", c.right_kinds, 150, &rng);
-    const Table left_own = SubsetTable("l", c.left_kinds, 120, &rng);
-    const Table& left = c.self_join ? right : left_own;
+    Table left_own = SubsetTable("l", c.left_kinds, 120, &rng);
+    if (c.probe == Probe::kCopy || c.probe == Probe::kCopyInterned) {
+      left_own = right;
+      ASSERT_TRUE(left_own.column(0).SharesDictionaryWith(right.column(0)));
+    }
+    if (c.probe == Probe::kCopyInterned) {
+      // Rows holding the new string can never match; the rest still must.
+      for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(left_own.AppendRow({Value("new")}).ok());
+      }
+      ASSERT_FALSE(left_own.column(0).SharesDictionaryWith(right.column(0)));
+    }
+    const Table& left = c.probe == Probe::kSelf ? right : left_own;
     std::vector<int64_t> lrows = AllRows(left);
     rng.Shuffle(&lrows);
     lrows.push_back(lrows.front());  // a repeated probe row

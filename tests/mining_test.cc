@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -824,7 +825,8 @@ TEST(MinerTest, RefinementStableAcrossShardsSamplesAndBudgets) {
 TEST(MinerTest, RejectsOutOfRangeSampleKnobs) {
   // Mine casts pat_sample_rate * |APT| and sel_attr * |attributes| to
   // counts: NaN, infinite and negative knobs are refused by name, and a
-  // huge finite value acts as "everything".
+  // huge finite value acts as "everything". A huge forest_max_depth is
+  // valid and bounded by what the pool can reach.
   RandomAptFixture fx(1);
   for (const char* knob : {"pat_sample_rate", "sel_attr"}) {
     for (double bad : {std::nan(""), -1.0, HUGE_VAL}) {
@@ -841,13 +843,33 @@ TEST(MinerTest, RejectsOutOfRangeSampleKnobs) {
           << result.status().message();
     }
   }
-  CajadeConfig huge_rate, all_rows, huge_sel, all_attrs;
+  // The forest knobs size its tree list and its depth: negative values are
+  // refused by name too, before anything is trained.
+  for (const char* knob : {"forest_trees", "forest_max_depth"}) {
+    for (int bad : {-1, -2, INT_MIN}) {
+      SCOPED_TRACE(std::string(knob) + "=" + std::to_string(bad));
+      CajadeConfig config;
+      (std::string(knob) == "forest_trees" ? config.forest_trees
+                                           : config.forest_max_depth) = bad;
+      PatternMiner miner(&config, nullptr);
+      Rng rng(1);
+      Result<MineResult> result = miner.Mine(fx.apt, fx.classes, &rng);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(result.status().message().find(knob), std::string::npos)
+          << result.status().message();
+    }
+  }
+  CajadeConfig huge_rate, all_rows, huge_sel, all_attrs, huge_depth, deep;
   huge_rate.pat_sample_rate = 1e300;
   all_rows.pat_sample_rate = 1.0;
   huge_sel.sel_attr = 1e30;
   all_attrs.sel_attr = static_cast<double>(fx.apt.pattern_cols.size());
+  huge_depth.forest_max_depth = INT_MAX;
+  deep.forest_max_depth = 1000;  // deeper than a pool of < 450 rows grows
   for (const auto& [huge, all] : {std::pair{&huge_rate, &all_rows},
-                                  std::pair{&huge_sel, &all_attrs}}) {
+                                  std::pair{&huge_sel, &all_attrs},
+                                  std::pair{&huge_depth, &deep}}) {
     PatternMiner miner_huge(huge, nullptr), miner_all(all, nullptr);
     Rng rng_huge(1), rng_all(1);
     ExpectSameMineResult(
