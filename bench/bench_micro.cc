@@ -1,9 +1,9 @@
 // Google-benchmark micro-benchmarks for the engine substrates: hash joins
 // (flat open-addressing vs. the seed's reference implementation, int64 and
-// dictionary-code key paths), pattern matching (scalar vs. columnar kernel),
-// coverage scoring, LCA candidate generation, random-forest training, and
-// APT materialization. Not a paper figure; guards against performance
-// regressions in the hot paths the experiments depend on.
+// dictionary-code key paths), pattern matching (scalar vs. ANDed predicate
+// masks), coverage scoring, LCA candidate generation, random-forest
+// training, and APT materialization. Not a paper figure; guards against
+// performance regressions in the hot paths the experiments depend on.
 //
 // `--json <path>` additionally writes the results as JSON (see
 // BENCH_join.json / BENCH_mining.json at the repo root). The binary also
@@ -311,10 +311,11 @@ struct ExampleFixture {
   }
 };
 
-/// Workload for the pattern-matching kernels: a null-free 64k-row table and
-/// a 3-predicate pattern (int >= at ~50% selectivity — the branch-predictor
+/// Workload for pattern matching: a null-free 64k-row table and a
+/// 3-predicate pattern (int >= at ~50% selectivity — the branch-predictor
 /// worst case for the scalar path — then double <=, then a 1-in-8 string
-/// equality). The acceptance shape for BM_PatternKernelMatchMask.
+/// equality). BM_PatternMatch and BM_PatternMaskAnd both report 3,065
+/// matches on it.
 struct KernelBenchFixture {
   Table table{"k", Schema({{"i", DataType::kInt64},
                            {"d", DataType::kDouble},
@@ -346,53 +347,48 @@ struct KernelBenchFixture {
   }
 };
 
+/// The scalar definition, Pattern::Matches row by row: the "before" row.
 void BM_PatternMatch(benchmark::State& state) {
   auto& fx = KernelBenchFixture::Get();
+  size_t matches = 0;
   for (auto _ : state) {
-    size_t matches = 0;
+    matches = 0;
     for (size_t r = 0; r < fx.table.num_rows(); ++r) {
       matches += fx.pattern.Matches(fx.table, r) ? 1 : 0;
     }
     benchmark::DoNotOptimize(matches);
   }
   state.SetItemsProcessed(state.iterations() * fx.table.num_rows());
+  state.counters["matches"] = static_cast<double>(matches);
 }
 BENCHMARK(BM_PatternMatch);
 
-/// The scalar row-id kernel path (ReferenceMatchAll): the "before" row the
-/// mask kernels are gated against.
-void BM_PatternKernelMatch(benchmark::State& state) {
+/// The miner's pattern evaluation, as in the exact re-scoring of the
+/// winners: each predicate's CompiledPredicate::EvalMask mask (branch-free
+/// compares, 64 rows per word) ANDed into the running match mask with
+/// AndPopcountInto. No row-id list is materialized.
+void BM_PatternMaskAnd(benchmark::State& state) {
   auto& fx = KernelBenchFixture::Get();
-  PatternKernel kernel(fx.pattern, fx.table);
-  std::vector<int32_t> rows;
-  rows.reserve(fx.table.num_rows());
+  const std::vector<PatternPredicate>& preds = fx.pattern.preds;
+  const size_t rows = fx.table.num_rows();
+  const size_t words = CoverageBitmap::NumWords(rows);
+  std::vector<uint64_t> match(words), pred_mask(words);
   size_t matches = 0;
   for (auto _ : state) {
-    kernel.ReferenceMatchAll(fx.table.num_rows(), &rows);
-    matches = rows.size();
-    benchmark::DoNotOptimize(rows.data());
+    matches = CompiledPredicate::Compile(preds[0], fx.table)
+                  .EvalMask(rows, match.data());
+    for (size_t p = 1; p < preds.size(); ++p) {
+      CompiledPredicate::Compile(preds[p], fx.table)
+          .EvalMask(rows, pred_mask.data());
+      matches =
+          AndPopcountInto(match.data(), pred_mask.data(), words, match.data());
+    }
+    benchmark::DoNotOptimize(match.data());
   }
-  state.SetItemsProcessed(state.iterations() * fx.table.num_rows());
+  state.SetItemsProcessed(state.iterations() * rows);
   state.counters["matches"] = static_cast<double>(matches);
 }
-BENCHMARK(BM_PatternKernelMatch);
-
-/// The bitmask-native path: chunked branch-free evaluation into selection
-/// words, later predicates fused by AND with skip-word early-out, no row-id
-/// materialization. Acceptance: >= 3x BM_PatternKernelMatch items/s.
-void BM_PatternKernelMatchMask(benchmark::State& state) {
-  auto& fx = KernelBenchFixture::Get();
-  PatternKernel kernel(fx.pattern, fx.table);
-  CoverageBitmap mask;
-  size_t matches = 0;
-  for (auto _ : state) {
-    matches = kernel.MatchMask(fx.table.num_rows(), &mask);
-    benchmark::DoNotOptimize(mask.MutableWords());
-  }
-  state.SetItemsProcessed(state.iterations() * fx.table.num_rows());
-  state.counters["matches"] = static_cast<double>(matches);
-}
-BENCHMARK(BM_PatternKernelMatchMask);
+BENCHMARK(BM_PatternMaskAnd);
 
 /// The refinement inner step in isolation: AND the parent's match mask with
 /// a numeric predicate's precomputed mask, project the child mask onto PT

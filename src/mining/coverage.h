@@ -1,9 +1,10 @@
 // 64-bit bitmaps for the mining hot path. Coverage (Definition 7a) is a set
 // of PT positions; storing it as packed words turns the TP/FP counting
 // inside F-score calculation into AND + popcount over words instead of a
-// byte-per-position scan. The same type carries the pattern kernels' row
-// selection masks (bit r = APT row r matches), so a full-table match mask
-// flows into coverage scoring without ever materializing row-id lists.
+// byte-per-position scan. The same word layout carries the miner's row
+// match masks (bit r = APT row r matches, see CompiledPredicate::EvalMask),
+// so a match mask flows into coverage scoring without ever materializing
+// row-id lists.
 //
 // Ownership and thread-safety: stateless free functions; inputs are borrowed
 // read-only and results are fresh caller-owned values, so concurrent calls
@@ -15,25 +16,18 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace cajade {
 
 /// \brief A fixed-size bitset sized at runtime, built for reuse: Reset()
 /// keeps the allocation. Tail bits past num_bits() are kept zero by every
-/// member that could set them, so word-level consumers (AndPopcount, the
-/// pattern kernels) never need per-bit bounds checks.
+/// member that could set them, so word-level consumers (AndPopcount,
+/// CoverageScorer) never need per-bit bounds checks.
 class CoverageBitmap {
  public:
   CoverageBitmap() = default;
   explicit CoverageBitmap(size_t bits) { Reset(bits); }
-  /// Adopts pre-built words (e.g. a mask produced word-by-word by a kernel)
-  /// without copying. `words` must hold exactly NumWords(bits) entries; tail
-  /// bits are cleared.
-  CoverageBitmap(std::vector<uint64_t> words, size_t bits) {
-    Adopt(std::move(words), bits);
-  }
 
   static size_t NumWords(size_t bits) { return (bits + 63) / 64; }
 
@@ -42,22 +36,6 @@ class CoverageBitmap {
   void Reset(size_t bits) {
     num_bits_ = bits;
     words_.assign(NumWords(bits), 0);
-  }
-
-  /// Resizes to `bits` positions without clearing: for callers about to
-  /// overwrite every word (kernel mask outputs). Tail-bit hygiene is the
-  /// writer's job (the kernels' tail loops produce zero tail bits).
-  void ResetForOverwrite(size_t bits) {
-    num_bits_ = bits;
-    words_.resize(NumWords(bits));
-  }
-
-  /// Takes ownership of `words` as the backing store (no copy).
-  void Adopt(std::vector<uint64_t> words, size_t bits) {
-    assert(words.size() == NumWords(bits));
-    words_ = std::move(words);
-    num_bits_ = bits;
-    ClearTail();
   }
 
   size_t num_bits() const { return num_bits_; }
@@ -85,19 +63,7 @@ class CoverageBitmap {
   /// popcount(this & other); both bitmaps must be the same size.
   size_t AndPopcount(const CoverageBitmap& other) const;
 
-  /// this |= other; both bitmaps must be the same size. The cross-shard
-  /// coverage merge: per-shard coverage sets OR into one global set. The
-  /// size assert is load-bearing — merging bitmaps of mismatched widths
-  /// (e.g. a shard-row mask instead of a PT-position set) must fail loudly
-  /// in debug builds, not silently mis-popcount.
-  void Or(const CoverageBitmap& other) {
-    assert(num_bits_ == other.num_bits_);
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  }
-
   const std::vector<uint64_t>& words() const { return words_; }
-  /// Raw word access for kernel writers; tail bits must end up zero.
-  uint64_t* MutableWords() { return words_.data(); }
 
  private:
   void ClearTail() {
@@ -140,8 +106,8 @@ inline size_t AndPopcountInto(const uint64_t* a, const uint64_t* b,
 }
 
 /// Calls `fn(bit_index)` for every set bit of `words` (ascending). Zero
-/// words are skipped, so cost tracks the popcount, not the span. The shared
-/// idiom behind the kernels' sparse paths and mask→coverage projection.
+/// words are skipped, so cost tracks the popcount, not the span. The
+/// mask→coverage projection walks match masks with it.
 template <typename Fn>
 inline void ForEachSetBit(const uint64_t* words, size_t num_words, Fn&& fn) {
   for (size_t w = 0; w < num_words; ++w) {

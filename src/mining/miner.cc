@@ -104,6 +104,19 @@ std::vector<T> FragmentBoundaries(const ShardedApt& apt,
   return bounds;
 }
 
+/// Writes the match mask of `pred` over every APT row to `out` in the flat
+/// layout: shard si's rows occupy words [shard_word[si], shard_word[si + 1]),
+/// bit r = shard row r, NULL rows and tail bits 0. Refinement candidates and
+/// the winners' exact re-scoring both build their masks with it.
+void FlatPredicateMask(const ShardedApt& apt,
+                       const std::vector<size_t>& shard_word,
+                       const PatternPredicate& pred, uint64_t* out) {
+  for (size_t si = 0; si < apt.shards.size(); ++si) {
+    CompiledPredicate::Compile(pred, apt.shards[si].table)
+        .EvalMask(apt.shards[si].num_rows(), out + shard_word[si]);
+  }
+}
+
 /// The coverage set (Definition 7a) of the flat match mask `mask`, in which
 /// shard si's rows occupy words [shard_word[si], shard_word[si + 1]): with
 /// a single identity shard the mask itself, else its rows projected onto
@@ -130,8 +143,8 @@ const uint64_t* FlatCoverage(const ShardedApt& apt,
 ///
 /// An LCA candidate is a conjunction of equalities on categorical
 /// attributes, so its in-view match mask is the AND of its predicates'
-/// masks: one pass over each referenced column replaces a kernel compile
-/// and a scan of every row per candidate.
+/// masks: one pass over each referenced column replaces a predicate
+/// compile and a scan of every row per candidate.
 class CodeMasks {
  public:
   /// Builds the masks of every (attribute, code) that the predicates of
@@ -276,9 +289,8 @@ struct RefineContext {
 };
 
 /// Adds attribute `col`'s refinement candidates to `ctx`: each
-/// (op, boundary) predicate with its pool id and its per-shard
-/// CompiledPredicate::EvalMask. "<= max" and ">= min" match every non-NULL
-/// row and are skipped.
+/// (op, boundary) predicate with its pool id and its flat mask. "<= max" and
+/// ">= min" match every non-NULL row and are skipped.
 template <typename T>
 void AddRefinementCandidates(const ShardedApt& apt, int col,
                              const std::vector<T>& bounds,
@@ -292,11 +304,8 @@ void AddRefinementCandidates(const ShardedApt& apt, int col,
                                                      op, Value(bounds[b]));
       const size_t c = ctx->cand_pred.size();
       ctx->cand_masks.resize((c + 1) * ctx->num_words);
-      uint64_t* mask = ctx->cand_masks.data() + c * ctx->num_words;
-      for (size_t si = 0; si < apt.shards.size(); ++si) {
-        CompiledPredicate::Compile(pred, apt.shards[si].table)
-            .EvalMask(apt.shards[si].num_rows(), mask + ctx->shard_word[si]);
-      }
+      FlatPredicateMask(apt, ctx->shard_word, pred,
+                        ctx->cand_masks.data() + c * ctx->num_words);
       ctx->cand_pred.push_back(ctx->pool->AddPredicate(std::move(pred)));
     }
   }
@@ -575,10 +584,13 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
           Format("%s must be finite and non-negative, got %g", name, value));
     }
   }
-  // The forest sizes its tree list and its depth by these.
+  // The forest sizes its tree list and its depth by these, and top_k and
+  // k_cat cap the winners and the seeds; each is cast to a count.
   for (const auto& [name, value] :
        {std::pair{"forest_trees", config_->forest_trees},
-        std::pair{"forest_max_depth", config_->forest_max_depth}}) {
+        std::pair{"forest_max_depth", config_->forest_max_depth},
+        std::pair{"top_k", config_->top_k},
+        std::pair{"k_cat", config_->k_cat}}) {
     if (value < 0) {
       return Status::InvalidArgument(
           Format("%s must be non-negative, got %d", name, value));
@@ -627,8 +639,9 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
   }
   result.lca_candidates = candidates.size();
 
-  // Flat mask layout shared by the seeds and refinement: shard si's rows
-  // occupy words [shard_word[si], shard_word[si + 1]).
+  // Flat mask layout shared by the seeds, refinement and the winners'
+  // re-scoring: shard si's rows occupy words [shard_word[si],
+  // shard_word[si + 1]).
   std::vector<size_t> shard_word(num_shards + 1, 0);
   for (size_t si = 0; si < num_shards; ++si) {
     shard_word[si + 1] =
@@ -699,23 +712,18 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
   // The empty pattern seeds numeric-only refinements: it matches every
   // in-view row.
   {
-    // Copies shard si's mask into its words of a flat mask.
-    auto store = [&](const CoverageBitmap& shard_mask, size_t si,
-                     std::vector<uint64_t>* flat) {
-      std::copy(shard_mask.words().begin(), shard_mask.words().end(),
-                flat->begin() + static_cast<std::ptrdiff_t>(shard_word[si]));
-    };
     Seed empty;
-    empty.mask.resize(num_words);
+    empty.mask.assign(num_words, 0);
+    empty.count = view.sampled_rows;
     for (size_t si = 0; si < num_shards; ++si) {
+      uint64_t* words = empty.mask.data() + shard_word[si];
+      auto set = [words](size_t r) {
+        words[r >> 6] |= uint64_t{1} << (r & 63);
+      };
       if (view.all_rows) {
-        CoverageBitmap all(shards[si].num_rows());
-        all.SetAll();
-        store(all, si, &empty.mask);
-        empty.count += shards[si].num_rows();
+        for (size_t r = 0; r < shards[si].num_rows(); ++r) set(r);
       } else {
-        store(view.masks[si], si, &empty.mask);
-        empty.count += view.rows[si].size();
+        for (int32_t r : view.rows[si]) set(static_cast<size_t>(r));
       }
     }
     seeds.push_back(std::move(empty));
@@ -772,46 +780,31 @@ Result<MineResult> PatternMiner::Mine(const ShardedApt& apt,
   std::vector<size_t> picked = SelectTopKDiverse(
       pool, static_cast<size_t>(config_->top_k), config_->enable_diversity);
 
-  // Exact relative supports (Definition 6) on the full APT for the winners.
-  // Multi-shard merging goes through CoverageBitmap::Or so the cross-shard
-  // merge path (and its width assert) is exercised even on this cold path.
+  // Exact relative supports (Definition 6) on the full APT for the winners:
+  // a winner's match mask is the AND of its predicates' masks over every APT
+  // row, in refinement's flat layout.
   MetricsView full = FullView(apt, classes);
   CoverageScorer full_scorer(classes, full);
-  PatternKernel kernel;
-  CoverageBitmap match_mask;
+  std::vector<uint64_t> match(num_words), pred_mask(num_words);
   CoverageBitmap covered;
-  CoverageBitmap shard_covered;
   for (size_t idx : picked) {
     const CandidatePool::Entry& entry = pool.entries()[idx];
     MinedPattern mp;
     mp.pattern = pool.MakePattern(entry.pattern);
     mp.primary = entry.primary;
     mp.scores = entry.scores;
-    const CoverageBitmap* cov = nullptr;
-    if (pt_identity) {
-      kernel.Compile(mp.pattern, shards[0].table);
-      kernel.MatchMask(shards[0].num_rows(), &match_mask);
-      cov = &match_mask;
-    } else if (num_shards == 1) {
-      kernel.Compile(mp.pattern, shards[0].table);
-      kernel.MatchMask(shards[0].num_rows(), &match_mask);
-      covered.Reset(full_scorer.num_positions());
-      CoverageScorer::CoverageFromMask(match_mask, shards[0].pt_row, &covered);
-      cov = &covered;
-    } else {
-      covered.Reset(full_scorer.num_positions());
-      for (size_t si = 0; si < num_shards; ++si) {
-        kernel.Compile(mp.pattern, shards[si].table);
-        kernel.MatchMask(shards[si].num_rows(), &match_mask);
-        shard_covered.Reset(full_scorer.num_positions());
-        CoverageScorer::CoverageFromMask(match_mask, shards[si].pt_row,
-                                         &shard_covered);
-        covered.Or(shard_covered);
-      }
-      cov = &covered;
+    // Only refinement pools patterns, and never the empty one.
+    const std::vector<PatternPredicate>& preds = mp.pattern.preds;
+    FlatPredicateMask(apt, ctx.shard_word, preds[0], match.data());
+    for (size_t p = 1; p < preds.size(); ++p) {
+      FlatPredicateMask(apt, ctx.shard_word, preds[p], pred_mask.data());
+      AndPopcountInto(match.data(), pred_mask.data(), num_words, match.data());
     }
-    PatternScores sp = full_scorer.Score(*cov, mp.primary);
-    PatternScores so = full_scorer.Score(*cov, 1 - mp.primary);
+    const uint64_t* cov =
+        FlatCoverage(apt, ctx.shard_word, pt_identity,
+                     full_scorer.num_positions(), match.data(), &covered);
+    PatternScores sp = full_scorer.Score(cov, mp.primary);
+    PatternScores so = full_scorer.Score(cov, 1 - mp.primary);
     mp.exact = sp;
     mp.support_primary = sp.tp;
     mp.total_primary = sp.tp + sp.fn;

@@ -129,8 +129,8 @@ class CandidatePool {
 /// re-scoring of the winners). Refinement keeps its two self times in
 /// locals and charges them once per call.
 ///
-/// Mine() is const and keeps all scratch state (RefineContext, kernels,
-/// masks, the candidate pool) on its own stack, so distinct
+/// Mine() is const and keeps all scratch state (RefineContext, masks, the
+/// candidate pool) on its own stack, so distinct
 /// miners — or one miner with distinct profilers/RNGs — may run
 /// concurrently on different APTs. The parallel explainer constructs one
 /// PatternMiner + StepProfiler per join-graph task and relies on this.

@@ -1,18 +1,14 @@
 #include "src/mining/pattern_kernel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <numeric>
+
+#include "src/mining/coverage.h"
 
 namespace cajade {
 
 namespace {
-
-/// Below this fill fraction (popcount * kSparseDenominator < num_rows) a
-/// mask refinement iterates set bits with scalar tests instead of running
-/// the full-word pipeline; the crossover sits where ~1.5ns per set bit beats
-/// ~0.3ns per row of vectorized evaluation.
-constexpr uint64_t kSparseDenominator = 8;
 
 /// Multiplier that gathers the low bit of each of 8 bytes into the top byte
 /// of the product: byte i (LSB first) lands on bit i.
@@ -60,7 +56,7 @@ inline uint64_t EvalTailWord(size_t base, size_t n, const uint8_t* nulls,
 
 /// Dispatches one predicate to its typed value-only compare (the null check
 /// is folded in separately by the mask loops). Must not be called for
-/// kNever — callers special-case it first.
+/// kNever — EvalMask special-cases it first.
 template <typename Body>
 inline void DispatchValueTest(const CompiledPredicate& p, Body&& body) {
   using Kind = CompiledPredicate::Kind;
@@ -89,67 +85,6 @@ inline void DispatchValueTest(const CompiledPredicate& p, Body&& body) {
     case Kind::kNever:
       break;
   }
-}
-
-/// Shared sparse-mask filter: out[w] = bits of in[w] whose row passes
-/// `test` (every word written, zero words copied as zero), returning the
-/// result's popcount. Alias-safe (out may equal in). Used by every sparse
-/// path so the set-bit iteration subtleties live in one place.
-template <typename TestRowFn>
-inline uint64_t SparseFilterWords(const uint64_t* in, size_t num_words,
-                                  uint64_t* out, TestRowFn&& test) {
-  uint64_t pop = 0;
-  for (size_t w = 0; w < num_words; ++w) {
-    uint64_t word = in[w];
-    uint64_t keep = 0;
-    const size_t base = w * 64;
-    while (word != 0) {
-      const unsigned b = static_cast<unsigned>(__builtin_ctzll(word));
-      word &= word - 1;
-      keep |= uint64_t{test(base + b)} << b;
-    }
-    out[w] = keep;
-    pop += static_cast<uint64_t>(__builtin_popcountll(keep));
-  }
-  return pop;
-}
-
-/// Shared filter skeleton for the reference row-id loops: `test(row)`
-/// decides survival with the null check already folded in by the caller.
-template <typename TestFn>
-inline void FilterLoop(const int32_t* in, size_t n, std::vector<int32_t>* out,
-                       TestFn&& test) {
-  for (size_t i = 0; i < n; ++i) {
-    int32_t r = in[i];
-    if (test(r)) out->push_back(r);
-  }
-}
-
-template <typename TestFn>
-inline void CompactLoop(std::vector<int32_t>* rows, TestFn&& test) {
-  size_t w = 0;
-  const size_t n = rows->size();
-  int32_t* data = rows->data();
-  for (size_t i = 0; i < n; ++i) {
-    int32_t r = data[i];
-    data[w] = r;
-    w += test(r) ? 1 : 0;
-  }
-  rows->resize(w);
-}
-
-/// Row test with the null check folded in, for the reference loops.
-template <typename Body>
-inline void DispatchPredicate(const CompiledPredicate& p, Body&& body) {
-  if (p.kind == CompiledPredicate::Kind::kNever) {
-    body([](int32_t) { return false; });
-    return;
-  }
-  DispatchValueTest(p, [&](auto&& cmp) {
-    body([&](int32_t r) {
-      return !p.nulls[static_cast<size_t>(r)] && cmp(static_cast<size_t>(r));
-    });
-  });
 }
 
 /// Exact int64 bound for `ints[r] <= c` with a double constant: every int64
@@ -232,12 +167,6 @@ CompiledPredicate CompiledPredicate::Compile(const PatternPredicate& pred,
   return out;
 }
 
-bool CompiledPredicate::Test(int32_t row) const {
-  bool result = false;
-  DispatchPredicate(*this, [&](auto&& test) { result = test(row); });
-  return result;
-}
-
 uint64_t CompiledPredicate::EvalMask(size_t num_rows, uint64_t* out) const {
   const size_t num_words = CoverageBitmap::NumWords(num_rows);
   if (kind == Kind::kNever) {
@@ -261,165 +190,6 @@ uint64_t CompiledPredicate::EvalMask(size_t num_rows, uint64_t* out) const {
     }
   });
   return pop;
-}
-
-uint64_t CompiledPredicate::FilterMask(size_t num_rows, const uint64_t* in,
-                                       uint64_t in_popcount,
-                                       uint64_t* out) const {
-  const size_t num_words = CoverageBitmap::NumWords(num_rows);
-  if (kind == Kind::kNever || in_popcount == 0) {
-    std::fill_n(out, num_words, uint64_t{0});
-    return 0;
-  }
-  const uint8_t* null_bytes = col_has_nulls ? nulls : nullptr;
-  uint64_t pop = 0;
-  DispatchValueTest(*this, [&](auto&& cmp) {
-    if (in_popcount * kSparseDenominator < num_rows) {
-      // Sparse input: test only the set bits.
-      pop = SparseFilterWords(in, num_words, out, [&](size_t r) {
-        return cmp(r) && (null_bytes == nullptr || null_bytes[r] == 0);
-      });
-    } else {
-      const size_t full = num_rows / 64;
-      for (size_t w = 0; w < full; ++w) {
-        const uint64_t pw = in[w];
-        const uint64_t m =
-            pw == 0 ? 0 : (pw & EvalFullWord(w * 64, null_bytes, cmp));
-        out[w] = m;
-        pop += static_cast<uint64_t>(__builtin_popcountll(m));
-      }
-      const size_t tail = num_rows % 64;
-      if (tail != 0) {
-        const uint64_t pw = in[full];
-        const uint64_t m =
-            pw == 0 ? 0
-                    : (pw & EvalTailWord(full * 64, tail, null_bytes, cmp));
-        out[full] = m;
-        pop += static_cast<uint64_t>(__builtin_popcountll(m));
-      }
-    }
-  });
-  return pop;
-}
-
-void CompiledPredicate::FilterInto(const std::vector<int32_t>& rows_in,
-                                   std::vector<int32_t>* rows_out) const {
-  rows_out->clear();
-  DispatchPredicate(*this, [&](auto&& test) {
-    FilterLoop(rows_in.data(), rows_in.size(), rows_out, test);
-  });
-}
-
-void CompiledPredicate::FilterInPlace(std::vector<int32_t>* rows) const {
-  DispatchPredicate(*this,
-                    [&](auto&& test) { CompactLoop(rows, test); });
-}
-
-void PatternKernel::Compile(const Pattern& pattern, const Table& table) {
-  preds_.clear();
-  never_matches_ = false;
-  preds_.reserve(pattern.preds.size());
-  for (const PatternPredicate& p : pattern.preds) {
-    preds_.push_back(CompiledPredicate::Compile(p, table));
-    if (preds_.back().kind == CompiledPredicate::Kind::kNever) {
-      never_matches_ = true;
-    }
-  }
-}
-
-bool PatternKernel::TestRow(int32_t row) const {
-  for (const CompiledPredicate& p : preds_) {
-    if (!p.Test(row)) return false;
-  }
-  return true;
-}
-
-size_t PatternKernel::MatchMask(size_t num_rows, CoverageBitmap* out) const {
-  out->ResetForOverwrite(num_rows);
-  uint64_t* words = out->MutableWords();
-  if (never_matches_) {
-    std::fill_n(words, out->num_words(), uint64_t{0});
-    return 0;
-  }
-  if (preds_.empty()) {
-    out->SetAll();
-    return num_rows;
-  }
-  uint64_t pop = preds_[0].EvalMask(num_rows, words);
-  for (size_t i = 1; i < preds_.size() && pop != 0; ++i) {
-    pop = preds_[i].FilterMask(num_rows, words, pop, words);
-  }
-  return static_cast<size_t>(pop);
-}
-
-size_t PatternKernel::MatchMask(const CoverageBitmap& base,
-                                CoverageBitmap* out) const {
-  return MatchMask(base, base.Popcount(), out);
-}
-
-size_t PatternKernel::MatchMask(const CoverageBitmap& base, size_t base_popcount,
-                                CoverageBitmap* out) const {
-  const size_t num_rows = base.num_bits();
-  out->ResetForOverwrite(num_rows);
-  uint64_t* words = out->MutableWords();
-  if (never_matches_) {
-    std::fill_n(words, out->num_words(), uint64_t{0});
-    return 0;
-  }
-  const uint64_t* base_words = base.words().data();
-  const size_t num_words = out->num_words();
-  if (preds_.empty()) {
-    std::memcpy(words, base_words, num_words * sizeof(uint64_t));
-    return base_popcount;
-  }
-  if (base_popcount * kSparseDenominator < num_rows) {
-    // Sparse base: scalar-test the whole predicate chain per set bit.
-    uint64_t pop = SparseFilterWords(base_words, num_words, words, [&](size_t r) {
-      return TestRow(static_cast<int32_t>(r));
-    });
-    return static_cast<size_t>(pop);
-  }
-  uint64_t pop = preds_[0].FilterMask(num_rows, base_words, base_popcount, words);
-  for (size_t i = 1; i < preds_.size() && pop != 0; ++i) {
-    pop = preds_[i].FilterMask(num_rows, words, pop, words);
-  }
-  return static_cast<size_t>(pop);
-}
-
-void PatternKernel::ReferenceMatchInto(const std::vector<int32_t>& rows_in,
-                                       std::vector<int32_t>* rows_out) const {
-  rows_out->clear();
-  if (never_matches_) return;
-  if (preds_.empty()) {
-    rows_out->assign(rows_in.begin(), rows_in.end());
-    return;
-  }
-  preds_[0].FilterInto(rows_in, rows_out);
-  for (size_t i = 1; i < preds_.size() && !rows_out->empty(); ++i) {
-    preds_[i].FilterInPlace(rows_out);
-  }
-}
-
-void PatternKernel::ReferenceMatchAll(size_t num_rows,
-                                      std::vector<int32_t>* rows_out) const {
-  rows_out->clear();
-  if (never_matches_) return;
-  if (preds_.empty()) {
-    rows_out->resize(num_rows);
-    std::iota(rows_out->begin(), rows_out->end(), 0);
-    return;
-  }
-  rows_out->reserve(num_rows);
-  DispatchPredicate(preds_[0], [&](auto&& test) {
-    for (size_t r = 0; r < num_rows; ++r) {
-      if (test(static_cast<int32_t>(r))) {
-        rows_out->push_back(static_cast<int32_t>(r));
-      }
-    }
-  });
-  for (size_t i = 1; i < preds_.size() && !rows_out->empty(); ++i) {
-    preds_[i].FilterInPlace(rows_out);
-  }
 }
 
 }  // namespace cajade

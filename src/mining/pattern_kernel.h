@@ -1,41 +1,35 @@
-// Columnar predicate kernels for pattern matching. A Pattern is compiled
-// once into typed per-column predicate loops (raw data-array pointers, no
-// Value boxing, no per-row virtual dispatch).
+// Columnar predicate masks for pattern matching. A PatternPredicate is
+// compiled once against a table into a typed predicate (raw data-array
+// pointers, no Value boxing, no per-row virtual dispatch) that evaluates 64
+// rows per output word with branch-free compares (EvalMask). NULLs fold in
+// by AND-NOT of the packed null bytes, skipped entirely on null-free
+// columns.
 //
-// The hot path is bitmask-native: each predicate evaluates 64 rows per
-// output word with branch-free compares (EvalMask), NULLs fold in by
-// AND-NOT of the packed null bytes — skipped entirely on null-free columns
-// — and multi-predicate patterns fuse by ANDing later predicates only into
-// non-zero words of the running mask (FilterMask). The resulting mask feeds
-// coverage scoring directly; no row-id list is ever materialized.
+// A pattern's match mask is the AND of its predicates' masks: the miner
+// builds every mask it scores that way, refinement candidates and the
+// exact re-scoring of the winners alike, and no row-id list is ever
+// materialized. Pattern::Matches is the scalar definition the masks are
+// tested against.
 //
-// The original row-id selection-vector path survives verbatim as
-// ReferenceMatchInto / ReferenceMatchAll: the differential-testing oracle
-// and bench baseline, mirroring ReferenceExecuteSpj / ReferenceMaterializeApt.
+// Ownership and thread-safety: a compiled predicate borrows raw pointers
+// into the table's column storage — the table must outlive it and must not
+// be mutated (appended to, dictionary-extended) while it is live. It holds
+// no mutable state after Compile, so one compiled predicate may be
+// evaluated from many threads concurrently; output masks are caller-owned
+// and must not be shared across concurrent EvalMask calls.
 //
-// Ownership and thread-safety: a compiled kernel borrows raw pointers into
-// the table's column storage — the table must outlive the kernel and must
-// not be mutated (appended to, dictionary-extended) while any kernel built
-// on it is live. Kernels hold no mutable state after Compile, so one
-// compiled PatternKernel may be matched from many threads concurrently;
-// compiling is cheap enough that the miner instead compiles per pattern
-// per worker. Output masks/buffers are caller-owned and must not be shared
-// across concurrent Match calls.
-//
-// Kernels are exactly equivalent to the scalar Pattern::Matches loop except
-// for one deliberate fix: INT64 comparisons run against an exact int64
-// threshold (derived from the predicate's constant), where Pattern::Matches
-// widens through double and silently equates int64s that differ only beyond
-// 2^53. Null cells never match; string predicates require an in-dictionary
-// code and the kEq operator; DOUBLE comparisons happen in the double domain.
+// Masks equal the scalar Pattern::Matches loop except for one deliberate
+// fix: INT64 comparisons run against an exact int64 threshold (derived from
+// the predicate's constant), where Pattern::Matches widens through double
+// and silently equates int64s that differ only beyond 2^53. Null cells
+// never match; string predicates require an in-dictionary code and the kEq
+// operator; DOUBLE comparisons happen in the double domain.
 
 #ifndef CAJADE_MINING_PATTERN_KERNEL_H_
 #define CAJADE_MINING_PATTERN_KERNEL_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "src/mining/coverage.h"
 #include "src/mining/pattern.h"
 #include "src/storage/table.h"
 
@@ -74,83 +68,10 @@ struct CompiledPredicate {
 
   static CompiledPredicate Compile(const PatternPredicate& pred, const Table& table);
 
-  /// Scalar test of one row (sparse-mask paths, tests).
-  bool Test(int32_t row) const;
-
-  // ---- Bitmask kernels (the hot path) --------------------------------------
-
-  /// Evaluates rows [0, num_rows) into `out` (NumWords(num_rows) words,
-  /// overwritten): bit i of word w = row w*64 + i matches. Tail bits beyond
-  /// num_rows are zero. Returns the number of matching rows.
+  /// Evaluates rows [0, num_rows) into `out` (CoverageBitmap::NumWords(
+  /// num_rows) words, overwritten): bit i of word w = row w*64 + i matches.
+  /// Tail bits beyond num_rows are zero. Returns the number of matching rows.
   uint64_t EvalMask(size_t num_rows, uint64_t* out) const;
-
-  /// Refines a selection mask: out = in AND predicate, over [0, num_rows).
-  /// Zero input words are skipped (skip-word early-out) and, when the input
-  /// is sparse, only its set bits are tested scalar instead of evaluating
-  /// full words. `in_popcount` must be popcount(in); `out` may alias `in`
-  /// (in-place refinement). Returns the popcount of the result.
-  uint64_t FilterMask(size_t num_rows, const uint64_t* in, uint64_t in_popcount,
-                      uint64_t* out) const;
-
-  // ---- Reference scalar loops (oracle + bench baseline) --------------------
-
-  /// Appends the rows of `rows_in` that satisfy the predicate to `*rows_out`
-  /// after clearing it. `rows_out` must not alias `rows_in`.
-  void FilterInto(const std::vector<int32_t>& rows_in,
-                  std::vector<int32_t>* rows_out) const;
-
-  /// In-place variant: compacts `*rows` down to the satisfying rows.
-  void FilterInPlace(std::vector<int32_t>* rows) const;
-};
-
-/// \brief A full pattern compiled into a sequence of typed predicate loops.
-class PatternKernel {
- public:
-  PatternKernel() = default;
-  PatternKernel(const Pattern& pattern, const Table& table) {
-    Compile(pattern, table);
-  }
-
-  void Compile(const Pattern& pattern, const Table& table);
-
-  /// True when some predicate can match no row at all.
-  bool never_matches() const { return never_matches_; }
-
-  /// Scalar test of one row against every predicate.
-  bool TestRow(int32_t row) const;
-
-  // ---- Bitmask matching (the hot path) -------------------------------------
-
-  /// Full-table match into a mask over [0, num_rows): `out` is resized to
-  /// num_rows bits, bit r set iff every predicate matches row r. The first
-  /// predicate evaluates into the mask, later ones AND in with skip-word
-  /// early-out. An empty pattern sets every bit. Returns the match count.
-  size_t MatchMask(size_t num_rows, CoverageBitmap* out) const;
-
-  /// View-restricted match: out = base AND pattern, sized like `base`
-  /// (base.num_bits() is the row count). Density heuristic: a sparse base
-  /// iterates its set bits with scalar tests; a dense base runs the
-  /// full-word AND pipeline. Returns the match count. Callers that already
-  /// hold popcount(base) — it is invariant per view — pass it via the
-  /// second overload to skip the rescan.
-  size_t MatchMask(const CoverageBitmap& base, CoverageBitmap* out) const;
-  size_t MatchMask(const CoverageBitmap& base, size_t base_popcount,
-                   CoverageBitmap* out) const;
-
-  // ---- Reference row-id matching (oracle + bench baseline) -----------------
-
-  /// Batch match: fills `*rows_out` with the rows of `rows_in` matching
-  /// every predicate (cleared first, in input order). An empty pattern
-  /// copies `rows_in`. `rows_out` must not alias `rows_in`.
-  void ReferenceMatchInto(const std::vector<int32_t>& rows_in,
-                          std::vector<int32_t>* rows_out) const;
-
-  /// Batch match over all rows [0, num_rows).
-  void ReferenceMatchAll(size_t num_rows, std::vector<int32_t>* rows_out) const;
-
- private:
-  std::vector<CompiledPredicate> preds_;
-  bool never_matches_ = false;
 };
 
 }  // namespace cajade

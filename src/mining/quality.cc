@@ -55,15 +55,12 @@ MetricsView SampledView(const ShardedApt& apt, const PtClasses& classes,
     }
   }
   view.rows.resize(apt.shards.size());
-  view.masks.resize(apt.shards.size());
   for (size_t si = 0; si < apt.shards.size(); ++si) {
     const AptShard& shard = apt.shards[si];
     view.rows[si].reserve(shard.num_rows() / 2);
-    view.masks[si].Reset(shard.num_rows());
     for (size_t r = 0; r < shard.num_rows(); ++r) {
       if (view.pt_sampled[shard.pt_row[r]]) {
         view.rows[si].push_back(static_cast<int32_t>(r));
-        view.masks[si].Set(r);
       }
     }
     view.sampled_rows += view.rows[si].size();

@@ -25,16 +25,12 @@ using PtClasses = std::vector<int8_t>;
 
 /// \brief A (possibly sampled) view of the APT over which metrics are
 /// computed. Shard-native: row selections are held per shard (shard-local
-/// row ids), so the miner restricts each shard's kernel to its own mask and
-/// merges only coverage popcounts.
+/// row ids), so the miner builds each shard's in-view masks from its own
+/// rows and merges only coverage popcounts.
 struct MetricsView {
   /// Per shard: sampled rows to scan (shard-local ids, ascending). Empty
   /// when `all_rows` (every row of every shard is in view).
   std::vector<std::vector<int32_t>> rows;
-  /// The same row sets as bitmasks over [0, shard.num_rows()), the base
-  /// masks of the kernels' view-restricted MatchMask path. Empty when
-  /// `all_rows` (full masks are implicit).
-  std::vector<CoverageBitmap> masks;
   bool all_rows = true;
   /// Per PT position: whether it is in the sample.
   std::vector<uint8_t> pt_sampled;
@@ -110,16 +106,11 @@ class CoverageScorer {
   }
 
   /// Mask-native companion: for every set bit r of `rows` (a match mask
-  /// over APT rows), sets covered bit pt_row[r]. Zero words are skipped, so
-  /// cost tracks the number of matching rows, not the APT size. When
-  /// pt_row is the identity (ShardedApt::PtRowIsIdentity), skip this and
-  /// Score the match mask itself — the mask *is* the coverage set.
-  static void CoverageFromMask(const CoverageBitmap& rows,
-                               const std::vector<int32_t>& pt_row,
-                               CoverageBitmap* covered) {
-    CoverageFromMask(rows.words().data(), rows.num_words(), pt_row, covered);
-  }
-  /// The same over a raw mask of `num_words` words.
+  /// of `num_words` words over APT rows), sets covered bit pt_row[r]. Zero
+  /// words are skipped, so cost tracks the number of matching rows, not the
+  /// APT size. When pt_row is the identity (ShardedApt::PtRowIsIdentity),
+  /// skip this and Score the match mask itself — the mask *is* the coverage
+  /// set.
   static void CoverageFromMask(const uint64_t* rows, size_t num_words,
                                const std::vector<int32_t>& pt_row,
                                CoverageBitmap* covered);

@@ -171,68 +171,60 @@ class Parser {
     return Status::OK();
   }
 
-  // Precedence climbing: OR < AND < comparison < additive < multiplicative.
-  // Chains check their depth as each operator joins, so an overlong chain
-  // fails before the rest of it is built.
-  Result<Sub> ParseExpr() { return ParseOr(); }
+  /// Binding powers of the binary operators, loosest first. 0 is "not a
+  /// binary operator", so it never reaches any ParseExpr's min_prec.
+  enum Prec : int { kNoOp = 0, kOrPrec, kAndPrec, kCmpPrec, kAddPrec, kMulPrec };
 
-  Result<Sub> ParseOr() {
-    ASSIGN_OR_RETURN(Sub lhs, ParseAnd());
-    while (PeekKeyword("OR")) {
-      Advance();
-      ASSIGN_OR_RETURN(Sub rhs, ParseAnd());
-      ASSIGN_OR_RETURN(lhs, Binary(BinaryOp::kOr, std::move(lhs), std::move(rhs)));
-    }
-    return lhs;
-  }
+  struct BinaryOpToken {
+    BinaryOp op;
+    int prec;
+  };
 
-  Result<Sub> ParseAnd() {
-    ASSIGN_OR_RETURN(Sub lhs, ParseComparison());
-    while (PeekKeyword("AND")) {
-      Advance();
-      ASSIGN_OR_RETURN(Sub rhs, ParseComparison());
-      ASSIGN_OR_RETURN(lhs, Binary(BinaryOp::kAnd, std::move(lhs), std::move(rhs)));
-    }
-    return lhs;
-  }
-
-  Result<Sub> ParseComparison() {
-    ASSIGN_OR_RETURN(Sub lhs, ParseAdditive());
+  /// The binary operator at the cursor, with prec kNoOp when there is none.
+  BinaryOpToken PeekBinaryOp() const {
     static const struct {
-      const char* sym;
-      BinaryOp op;
-    } kOps[] = {{"=", BinaryOp::kEq},  {"<>", BinaryOp::kNe}, {"<=", BinaryOp::kLe},
-                {">=", BinaryOp::kGe}, {"<", BinaryOp::kLt},  {">", BinaryOp::kGt}};
-    for (const auto& [sym, op] : kOps) {
-      if (PeekSymbol(sym)) {
-        Advance();
-        ASSIGN_OR_RETURN(Sub rhs, ParseAdditive());
-        return Binary(op, std::move(lhs), std::move(rhs));
-      }
+      TokenType type;
+      const char* text;
+      BinaryOpToken op;
+    } kOps[] = {
+        {TokenType::kKeyword, "OR", {BinaryOp::kOr, kOrPrec}},
+        {TokenType::kKeyword, "AND", {BinaryOp::kAnd, kAndPrec}},
+        {TokenType::kSymbol, "=", {BinaryOp::kEq, kCmpPrec}},
+        {TokenType::kSymbol, "<>", {BinaryOp::kNe, kCmpPrec}},
+        {TokenType::kSymbol, "<=", {BinaryOp::kLe, kCmpPrec}},
+        {TokenType::kSymbol, ">=", {BinaryOp::kGe, kCmpPrec}},
+        {TokenType::kSymbol, "<", {BinaryOp::kLt, kCmpPrec}},
+        {TokenType::kSymbol, ">", {BinaryOp::kGt, kCmpPrec}},
+        {TokenType::kSymbol, "+", {BinaryOp::kAdd, kAddPrec}},
+        {TokenType::kSymbol, "-", {BinaryOp::kSub, kAddPrec}},
+        {TokenType::kSymbol, "*", {BinaryOp::kMul, kMulPrec}},
+        {TokenType::kSymbol, "/", {BinaryOp::kDiv, kMulPrec}},
+    };
+    for (const auto& [type, text, op] : kOps) {
+      if (Peek().type == type && Peek().text == text) return op;
     }
-    return lhs;
+    return {BinaryOp::kAdd, kNoOp};
   }
 
-  Result<Sub> ParseAdditive() {
-    ASSIGN_OR_RETURN(Sub lhs, ParseMultiplicative());
-    while (PeekSymbol("+") || PeekSymbol("-")) {
-      BinaryOp op = Peek().text == "+" ? BinaryOp::kAdd : BinaryOp::kSub;
-      Advance();
-      ASSIGN_OR_RETURN(Sub rhs, ParseMultiplicative());
-      ASSIGN_OR_RETURN(lhs, Binary(op, std::move(lhs), std::move(rhs)));
-    }
-    return lhs;
-  }
-
-  Result<Sub> ParseMultiplicative() {
+  // Precedence climbing: an operator joins the expression when it binds at
+  // least `min_prec`, and its right operand is parsed one level tighter, so
+  // every operator is left-associative. Comparisons do not chain: after
+  // one, only a looser operator may join, so `a = b = c` stops at the
+  // second `=` and the caller rejects it. Nor may a tighter operator join
+  // after a looser one, which only happens after such a stop
+  // (`x AND a = b = c`). Chains check their depth as each operator joins,
+  // so an overlong chain fails before the rest of it is built.
+  Result<Sub> ParseExpr(int min_prec = kOrPrec) {
     ASSIGN_OR_RETURN(Sub lhs, ParsePrimary());
-    while (PeekSymbol("*") || PeekSymbol("/")) {
-      BinaryOp op = Peek().text == "*" ? BinaryOp::kMul : BinaryOp::kDiv;
+    int max_prec = kMulPrec;
+    while (true) {
+      const BinaryOpToken next = PeekBinaryOp();
+      if (next.prec < min_prec || next.prec > max_prec) return lhs;
       Advance();
-      ASSIGN_OR_RETURN(Sub rhs, ParsePrimary());
-      ASSIGN_OR_RETURN(lhs, Binary(op, std::move(lhs), std::move(rhs)));
+      ASSIGN_OR_RETURN(Sub rhs, ParseExpr(next.prec + 1));
+      ASSIGN_OR_RETURN(lhs, Binary(next.op, std::move(lhs), std::move(rhs)));
+      max_prec = next.prec == kCmpPrec ? kCmpPrec - 1 : next.prec;
     }
-    return lhs;
   }
 
   static bool AggFuncFromName(const std::string& upper, AggFunc* out) {

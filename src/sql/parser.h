@@ -28,8 +28,9 @@ namespace cajade {
 /// bound keeps the parser and the expression helpers downstream, which
 /// recurse once per level (binding, evaluation, cloning, printing,
 /// destruction), within the stack. A parenthesis level costs the parser
-/// eight frames, about 10 KiB in an ASan Debug build, so 256 levels use
-/// about a third of an 8 MiB stack there; real queries nest a few levels.
+/// three frames (ParsePrimary, ParseNested, ParseExpr), about 4.6 KiB in an
+/// ASan Debug build, so 256 levels use about 1.2 MiB of an 8 MiB stack
+/// there; real queries nest a few levels.
 inline constexpr size_t kMaxExprDepth = 256;
 
 /// Parses `sql` into a ParsedQuery (syntactic only; see Binder for name

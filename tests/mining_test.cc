@@ -174,13 +174,6 @@ TEST(QualityTest, SampledViewShrinksCountsButKeepsBothClasses) {
   for (int32_t r : view.rows.front()) {
     EXPECT_TRUE(view.pt_sampled[fx.pt_row()[r]]);
   }
-  // The mask mirrors the row list.
-  size_t mask_count = 0;
-  for (int32_t r : view.rows.front()) {
-    EXPECT_TRUE(view.masks.front().Test(static_cast<size_t>(r)));
-    ++mask_count;
-  }
-  EXPECT_EQ(view.masks.front().Popcount(), mask_count);
   EXPECT_EQ(view.sampled_rows, view.rows.front().size());
 }
 
@@ -210,29 +203,6 @@ TEST(QualityTest, SampledViewIsShardIndependent) {
     EXPECT_EQ(merged, whole.rows.front()) << "shard_pts=" << shard_pts;
   }
 }
-
-TEST(CoverageTest, OrMergesShardCoverage) {
-  CoverageBitmap a(100), b(100);
-  a.Set(3);
-  a.Set(64);
-  b.Set(64);
-  b.Set(99);
-  a.Or(b);
-  EXPECT_TRUE(a.Test(3));
-  EXPECT_TRUE(a.Test(64));
-  EXPECT_TRUE(a.Test(99));
-  EXPECT_EQ(a.Popcount(), 3u);
-}
-
-#if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
-TEST(CoverageDeathTest, OrRejectsMismatchedSizes) {
-  // Merging a shard-row mask into a PT-position set is a bug the size
-  // assert must catch loudly.
-  CoverageBitmap pt_set(100);
-  CoverageBitmap shard_mask(37);
-  EXPECT_DEATH(pt_set.Or(shard_mask), "num_bits_");
-}
-#endif
 
 TEST(LcaTest, CandidatesAreEqualityMeets) {
   AptFixture fx;
@@ -843,14 +813,19 @@ TEST(MinerTest, RejectsOutOfRangeSampleKnobs) {
           << result.status().message();
     }
   }
-  // The forest knobs size its tree list and its depth: negative values are
-  // refused by name too, before anything is trained.
-  for (const char* knob : {"forest_trees", "forest_max_depth"}) {
+  // The forest knobs size its tree list and its depth, and top_k and k_cat
+  // cap the winners and the seeds: negative values, which a cast to a count
+  // would turn into "no cap", are refused by name too, before anything is
+  // trained.
+  for (const auto& [knob, field] :
+       {std::pair{"forest_trees", &CajadeConfig::forest_trees},
+        std::pair{"forest_max_depth", &CajadeConfig::forest_max_depth},
+        std::pair{"top_k", &CajadeConfig::top_k},
+        std::pair{"k_cat", &CajadeConfig::k_cat}}) {
     for (int bad : {-1, -2, INT_MIN}) {
       SCOPED_TRACE(std::string(knob) + "=" + std::to_string(bad));
       CajadeConfig config;
-      (std::string(knob) == "forest_trees" ? config.forest_trees
-                                           : config.forest_max_depth) = bad;
+      config.*field = bad;
       PatternMiner miner(&config, nullptr);
       Rng rng(1);
       Result<MineResult> result = miner.Mine(fx.apt, fx.classes, &rng);

@@ -135,6 +135,35 @@ TEST(ParserTest, ParenthesesOverridePrecedence) {
   EXPECT_EQ(e->left->op, BinaryOp::kAdd);
 }
 
+TEST(ParserTest, OperatorsAreLeftAssociativeAndComparisonsDoNotChain) {
+  EXPECT_EQ(ParseExpression("10 - 3 - 2").ValueOrDie()->ToString(),
+            "((10 - 3) - 2)");
+  EXPECT_EQ(ParseExpression("8 / 4 * 2").ValueOrDie()->ToString(),
+            "((8 / 4) * 2)");
+  auto e = ParseExpression("a OR b OR c AND d AND e").ValueOrDie();
+  EXPECT_EQ(e->op, BinaryOp::kOr);
+  EXPECT_EQ(e->left->op, BinaryOp::kOr);
+  EXPECT_EQ(e->right->op, BinaryOp::kAnd);
+  EXPECT_EQ(e->right->left->op, BinaryOp::kAnd);
+  // A comparison takes one comparison operator; parentheses nest another.
+  for (const char* chained :
+       {"a = b = c", "a <= b <= c", "a < b > c", "x AND a = b = c",
+        "a + b = c + d = e", "(a = b = c)"}) {
+    auto r = ParseExpression(chained);
+    ASSERT_FALSE(r.ok()) << chained;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << chained;
+  }
+  auto q = ParseQuery("SELECT a FROM t WHERE x AND a = b = c");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kParseError);
+  e = ParseExpression("(a = b) = c").ValueOrDie();
+  EXPECT_EQ(e->op, BinaryOp::kEq);
+  EXPECT_EQ(e->left->op, BinaryOp::kEq);
+  e = ParseExpression("a = b AND c <> d").ValueOrDie();
+  EXPECT_EQ(e->op, BinaryOp::kAnd);
+  EXPECT_EQ(e->right->op, BinaryOp::kNe);
+}
+
 TEST(ParserTest, QualifiedColumnRef) {
   auto e = ParseExpression("t.col").ValueOrDie();
   EXPECT_EQ(e->kind, ExprKind::kColumnRef);

@@ -28,11 +28,11 @@ Six checks, each meant to stop a specific silent-rot failure mode:
    the contract is enforced for all knobs.
 
 5. oracle-calls — no file under src/ may call a differential-testing oracle
-   (ReferenceMaterializeApt, ReferenceExecuteSpj, ReferenceHashEquiJoin,
-   ReferenceMatchInto, ReferenceMatchAll) outside the header/source pair
-   that declares and defines it. The oracles are compiled into the library
-   only so tests and bench_micro can reach them; a production caller would
-   silently put the slow scalar path back into the engine.
+   (ReferenceMaterializeApt, ReferenceExecuteSpj, ReferenceHashEquiJoin)
+   outside the header/source pair that declares and defines it. The
+   oracles are compiled into the library only so tests and bench_micro can
+   reach them; a production caller would silently put the slow scalar path
+   back into the engine.
 
 6. once-protocol — `std::promise` / `std::shared_future` appear under src/
    only in src/common/once_lru_cache.h. The build-once protocol (one build
@@ -287,8 +287,6 @@ ORACLES = {
     "ReferenceMaterializeApt": os.path.join("src", "mining", "apt"),
     "ReferenceExecuteSpj": os.path.join("src", "exec", "executor"),
     "ReferenceHashEquiJoin": os.path.join("src", "exec", "join"),
-    "ReferenceMatchInto": os.path.join("src", "mining", "pattern_kernel"),
-    "ReferenceMatchAll": os.path.join("src", "mining", "pattern_kernel"),
 }
 
 ORACLE_CALL = re.compile(r"\b(" + "|".join(ORACLES) + r")\s*\(")
