@@ -2,7 +2,8 @@
 // (flat open-addressing vs. the seed's reference implementation, int64 and
 // dictionary-code key paths), pattern matching (scalar vs. ANDed predicate
 // masks), coverage scoring, LCA candidate generation, random-forest
-// training, and APT materialization. Not a paper figure; guards against
+// training, APT materialization, and the result-cache hit path
+// (Explainer::Prepare). Not a paper figure; guards against
 // performance regressions in the hot paths the experiments depend on.
 //
 // `--json <path>` additionally writes the results as JSON (see
@@ -623,6 +624,54 @@ void BM_SelectAttributesMimicApt(benchmark::State& state) {
   SelectWorkloadAttributes(state, MimicApt());
 }
 BENCHMARK(BM_SelectAttributesMimicApt);
+
+/// A served request's whole cost on a result-cache hit: one warm
+/// Explainer::Prepare (parse, provenance, question resolution, PT
+/// fingerprint) per serve_rw query — Qmimic2, 1, 3 and 5, each with its
+/// first question — on MIMIC sf 0.1 at the generator's default seed. An
+/// iteration prepares all four, so a query's mean is a quarter of it;
+/// `pt_cells` counts the PT cells (rows x columns) of the four.
+void BM_PrepareMimic(benchmark::State& state) {
+  static const auto* data = [] {
+    auto* d = new std::pair<Database, SchemaGraph>();
+    MimicOptions opt;
+    opt.scale_factor = 0.1;
+    d->first = MakeMimicDatabase(opt).ValueOrDie();
+    d->second = MakeMimicSchemaGraph(d->first).ValueOrDie();
+    return d;
+  }();
+  CajadeConfig config;
+  Explainer explainer(&data->first, &data->second, config);
+  std::vector<std::pair<std::string, UserQuestion>> requests;
+  for (int q : {2, 1, 3, 5}) {
+    requests.emplace_back(MimicQuerySql(q), bench::MimicQuestion(q));
+  }
+  size_t pt_cells = 0;
+  auto prepare_all = [&] {
+    pt_cells = 0;
+    for (const auto& [sql, question] : requests) {
+      Result<PreparedExplain> prepared = explainer.Prepare(sql, question);
+      if (!prepared.ok()) return prepared.status();
+      pt_cells += prepared->pt.table.num_rows() * prepared->pt.table.num_columns();
+      benchmark::DoNotOptimize(prepared->pt_fingerprint.data());
+    }
+    return Status::OK();
+  };
+  Status warm = prepare_all();  // warm the executor's table statistics
+  if (!warm.ok()) {
+    state.SkipWithError(warm.ToString().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    Status s = prepare_all();
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
+    }
+  }
+  state.counters["pt_cells"] = static_cast<double>(pt_cells);
+}
+BENCHMARK(BM_PrepareMimic);
 
 /// End-to-end Explain() on the scaling (synthetic full-schema NBA) dataset
 /// at 1/2/4/8 worker threads. The /1 run records its per-iteration time so

@@ -1,7 +1,6 @@
 #include "src/exec/executor.h"
 
 #include <algorithm>
-#include <numeric>
 #include <set>
 #include <unordered_map>
 
@@ -142,10 +141,12 @@ Status PrepareSpj(const Database* db, const ParsedQuery& query, SpjState* st) {
 }
 
 /// Applies residual multi-alias conjuncts and materializes the working table
-/// (columns named "<alias>.<column>") plus per-alias source rows.
+/// (columns named "<alias>.<column>") plus per-alias source rows: the source
+/// rows come first, and each working column is one Column::Gather of its
+/// base column by its alias's source rows.
 Result<SpjOutput> FinishSpj(const ParsedQuery& query, const SpjState& st,
                             const std::vector<int>& bound,
-                            const std::vector<std::vector<int64_t>>& tuple_cols) {
+                            std::vector<std::vector<int64_t>> tuple_cols) {
   auto bound_pos = [&](int a) {
     return static_cast<size_t>(std::find(bound.begin(), bound.end(), a) -
                                bound.begin());
@@ -156,13 +157,10 @@ Result<SpjOutput> FinishSpj(const ParsedQuery& query, const SpjState& st,
   for (size_t i = 0; i < st.conjuncts.size(); ++i) {
     if (!st.consumed[i]) residual.push_back(st.conjuncts[i].get());
   }
-  size_t n_tuples = tuple_cols.empty() ? 0 : tuple_cols[0].size();
-  std::vector<size_t> keep;
-  keep.reserve(n_tuples);
-  if (residual.empty()) {
-    keep.resize(n_tuples);
-    std::iota(keep.begin(), keep.end(), 0);
-  } else {
+  if (!residual.empty()) {
+    size_t n_tuples = tuple_cols.empty() ? 0 : tuple_cols[0].size();
+    std::vector<size_t> keep;
+    keep.reserve(n_tuples);
     RowContext ctx;
     ctx.tables.resize(st.n_aliases);
     ctx.rows.resize(st.n_aliases);
@@ -181,75 +179,35 @@ Result<SpjOutput> FinishSpj(const ParsedQuery& query, const SpjState& st,
       }
       if (pass) keep.push_back(t);
     }
+    for (std::vector<int64_t>& rows : tuple_cols) {
+      for (size_t i = 0; i < keep.size(); ++i) rows[i] = rows[keep[i]];
+      rows.resize(keep.size());
+    }
   }
 
-  // Materialize the working table, columns named "<alias>.<column>".
   SpjOutput out;
+  out.source_rows.resize(st.n_aliases);
+  for (size_t a = 0; a < st.n_aliases; ++a) {
+    out.source_rows[a] = std::move(tuple_cols[bound_pos(static_cast<int>(a))]);
+  }
+  const size_t n_rows = out.source_rows.empty() ? 0 : out.source_rows[0].size();
+
+  // Materialize the working table, columns named "<alias>.<column>".
   Schema working_schema;
+  std::vector<Column> columns;
   for (size_t a = 0; a < st.n_aliases; ++a) {
     out.aliases.push_back(query.from[a].alias);
     out.relations.push_back(query.from[a].table_name);
-    for (const auto& col : st.tables[a]->schema().columns()) {
+    const Table& src = *st.tables[a];
+    for (size_t c = 0; c < src.num_columns(); ++c) {
+      const ColumnDef& col = src.schema().column(c);
       RETURN_NOT_OK(working_schema.AddColumn(query.from[a].alias + "." + col.name,
                                              col.type));
+      columns.push_back(src.column(c).Gather(out.source_rows[a]));
     }
   }
-  Table working("working", std::move(working_schema));
-  working.Reserve(keep.size());
-  size_t out_col = 0;
-  for (size_t a = 0; a < st.n_aliases; ++a) {
-    size_t pos = bound_pos(static_cast<int>(a));
-    const std::vector<int64_t>& rows = tuple_cols[pos];
-    const Table& src = *st.tables[a];
-    for (size_t c = 0; c < src.num_columns(); ++c, ++out_col) {
-      const Column& sc = src.column(c);
-      Column& dc = working.column(out_col);
-      // Type dispatch per column, not per cell: the gather loops stay tight.
-      switch (sc.type()) {
-        case DataType::kInt64:
-          for (size_t t : keep) {
-            int64_t r = rows[t];
-            if (sc.IsNull(r)) {
-              dc.AppendNull();
-            } else {
-              dc.AppendInt(sc.GetInt(r));
-            }
-          }
-          break;
-        case DataType::kDouble:
-          for (size_t t : keep) {
-            int64_t r = rows[t];
-            if (sc.IsNull(r)) {
-              dc.AppendNull();
-            } else {
-              dc.AppendDouble(sc.GetDouble(r));
-            }
-          }
-          break;
-        case DataType::kString:
-          dc.AdoptDictionary(sc);
-          for (size_t t : keep) {
-            int64_t r = rows[t];
-            if (sc.IsNull(r)) {
-              dc.AppendNull();
-            } else {
-              dc.AppendCode(sc.GetCode(r));
-            }
-          }
-          break;
-        default:
-          for (size_t i = 0; i < keep.size(); ++i) dc.AppendNull();
-      }
-    }
-  }
-  working.SetRowCount(keep.size());
-  out.source_rows.resize(st.n_aliases);
-  for (size_t a = 0; a < st.n_aliases; ++a) {
-    size_t pos = bound_pos(static_cast<int>(a));
-    out.source_rows[a].reserve(keep.size());
-    for (size_t t : keep) out.source_rows[a].push_back(tuple_cols[pos][t]);
-  }
-  out.table = std::move(working);
+  out.table = Table("working", std::move(working_schema), std::move(columns),
+                    n_rows);
   return out;
 }
 
@@ -426,7 +384,7 @@ Result<SpjOutput> QueryExecutor::ExecuteSpj(const ParsedQuery& query) const {
     tuple_cols = std::move(out);
   }
 
-  return FinishSpj(query, st, bound, tuple_cols);
+  return FinishSpj(query, st, bound, std::move(tuple_cols));
 }
 
 Result<SpjOutput> QueryExecutor::ReferenceExecuteSpj(
@@ -540,7 +498,7 @@ Result<SpjOutput> QueryExecutor::ReferenceExecuteSpj(
     tuple_cols = std::move(out);
   }
 
-  return FinishSpj(query, st, bound, tuple_cols);
+  return FinishSpj(query, st, bound, std::move(tuple_cols));
 }
 
 namespace {

@@ -11,32 +11,6 @@ namespace cajade {
 
 namespace {
 
-Column CopyColumnSubset(const Column& src, const std::vector<int64_t>& rows) {
-  Column dst(src.type());
-  dst.Reserve(rows.size());
-  if (src.type() == DataType::kString) dst.AdoptDictionary(src);
-  for (int64_t r : rows) {
-    if (src.IsNull(r)) {
-      dst.AppendNull();
-      continue;
-    }
-    switch (src.type()) {
-      case DataType::kInt64:
-        dst.AppendInt(src.GetInt(r));
-        break;
-      case DataType::kDouble:
-        dst.AppendDouble(src.GetDouble(r));
-        break;
-      case DataType::kString:
-        dst.AppendCode(src.GetCode(r));
-        break;
-      default:
-        dst.AppendNull();
-    }
-  }
-  return dst;
-}
-
 /// PT column for (relation hint, attribute); any relation with the attribute
 /// when the hint is empty.
 Result<int> ResolvePtColumn(const ProvenanceTable& pt, const std::string& relation,
@@ -85,16 +59,20 @@ void LocateAptRows(const ShardedApt& apt, const std::vector<size_t>& rows,
 }
 
 // Hashes the PT's shape (schema, relations, group-by attributes), its cell
-// contents (ContentFingerprint — one cached pass per PT, so two queries
-// whose provenance merely agrees on shape and row count do not alias each
-// other's states), and the selected row ids — everything the initial state
-// and the mining-exclusion flags of later states depend on. The raw
+// contents (ContentFingerprint — one cached columnar pass per PT, so two
+// queries whose provenance merely agrees on shape and row count do not
+// alias each other's states), and the selected row ids — everything the
+// initial state and the mining-exclusion flags of later states depend on.
+// It does not say which side of the question each selected row is on; the
+// result cache's key (the question itself) does. The raw
 // row/column/selection counts ride along next to the hash, leaving the
-// 64-bit fold as the only lossy component: a false hit then needs two
+// 64-bit folds as the only lossy component: a false hit then needs two
 // same-shape, same-selection PTs whose contents collide in 64 bits among
 // the cache's LRU-bounded live keys (hundreds, not 2^32 — vanishing by
-// construction, unlike an unbounded accumulation). Like the caches
-// themselves, this assumes an immutable database.
+// construction, unlike an unbounded accumulation). The value is
+// process-local: ContentFingerprint hashes strings with std::hash, so it
+// may differ between builds, and it only keys in-memory caches. Like the
+// caches themselves, this assumes an immutable database.
 std::string AptPtFingerprint(const ProvenanceTable& pt,
                              const std::vector<int64_t>& pt_rows) {
   uint64_t h = kRowKeyHashSeed;
@@ -141,7 +119,7 @@ Result<AptJoinState> BuildBaseState(const ProvenanceTable& pt,
   std::vector<Column> cur_cols;
   cur_cols.reserve(pt.table.num_columns());
   for (size_t c = 0; c < pt.table.num_columns(); ++c) {
-    cur_cols.push_back(CopyColumnSubset(pt.table.column(c), rows));
+    cur_cols.push_back(pt.table.column(c).Gather(rows));
   }
   state.table = Table("APT", std::move(cur_schema), std::move(cur_cols),
                       rows.size());
@@ -225,7 +203,7 @@ Result<AptJoinState> ApplyAptStep(const AptJoinState& in, const AptStep& step,
       RETURN_NOT_OK(next_schema.AddColumn(cur.schema().column(c).name,
                                           cur.schema().column(c).type,
                                           cur.schema().column(c).mining_excluded));
-      next_cols.push_back(CopyColumnSubset(cur.column(c), keep));
+      next_cols.push_back(cur.column(c).Gather(keep));
     }
     next.pt_row.reserve(keep.size());
     for (int64_t r : keep) next.pt_row.push_back(in.pt_row[r]);
@@ -306,10 +284,10 @@ Result<AptJoinState> ApplyAptStep(const AptJoinState& in, const AptStep& step,
   std::vector<Column> next_cols;
   next_cols.reserve(next_schema.num_columns());
   for (size_t c = 0; c < cur.num_columns(); ++c) {
-    next_cols.push_back(CopyColumnSubset(cur.column(c), lrows));
+    next_cols.push_back(cur.column(c).Gather(lrows));
   }
   for (size_t c = 0; c < base->num_columns(); ++c) {
-    next_cols.push_back(CopyColumnSubset(base->column(c), rrows));
+    next_cols.push_back(base->column(c).Gather(rrows));
   }
   next.pt_row.reserve(matches.size());
   for (int64_t l : lrows) next.pt_row.push_back(in.pt_row[l]);
@@ -644,6 +622,38 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
 // The scalar implementation, kept verbatim as the differential oracle and
 // bench baseline: per-edge flat indexes of canonical row-key hashes, scalar
 // HashRowKey/RowKeysEqual probes, breadth-first edge order.
+
+namespace {
+
+/// The oracle's row copy: one type dispatch and one append per cell.
+/// Production copies go through Column::Gather.
+Column CopyColumnSubset(const Column& src, const std::vector<int64_t>& rows) {
+  Column dst(src.type());
+  dst.Reserve(rows.size());
+  if (src.type() == DataType::kString) dst.AdoptDictionary(src);
+  for (int64_t r : rows) {
+    if (src.IsNull(r)) {
+      dst.AppendNull();
+      continue;
+    }
+    switch (src.type()) {
+      case DataType::kInt64:
+        dst.AppendInt(src.GetInt(r));
+        break;
+      case DataType::kDouble:
+        dst.AppendDouble(src.GetDouble(r));
+        break;
+      case DataType::kString:
+        dst.AppendCode(src.GetCode(r));
+        break;
+      default:
+        dst.AppendNull();
+    }
+  }
+  return dst;
+}
+
+}  // namespace
 
 Result<ShardedApt> ReferenceMaterializeApt(const ProvenanceTable& pt,
                                            const std::vector<int64_t>& pt_rows,

@@ -81,19 +81,28 @@ std::vector<LcaCandidate> GenerateLcaCandidates(const ShardedApt& apt,
   // Group the sampled rows by their categorical codes (-1 for NULL). Codes
   // compare across shards (the ShardedApt dictionary invariant), so the
   // meet never consults the tables again. Tuple ids follow the sample
-  // position of their first row.
+  // position of their first row. Sample row i's codes are
+  // tuple_codes[i * k, (i + 1) * k), read one column at a time from the
+  // shards' code and null vectors.
   const size_t k = cat_cols.size();
+  std::vector<int32_t> tuple_codes(sample.size() * k);
+  std::vector<const Column*> shard_col(apt.shards.size());
+  for (size_t c = 0; c < k; ++c) {
+    for (size_t s = 0; s < apt.shards.size(); ++s) {
+      shard_col[s] = &apt.shards[s].table.column(cat_cols[c]);
+    }
+    for (size_t i = 0; i < sample.size(); ++i) {
+      const Column& col = *shard_col[s_shard[i]];
+      const size_t r = s_local[i];
+      tuple_codes[i * k + c] = col.nulls()[r] != 0 ? -1 : col.codes()[r];
+    }
+  }
   CodeTupleSet tuples(k);
   std::vector<int64_t> mult;
   std::vector<size_t> first, second;
-  std::vector<int32_t> row(k);
   for (size_t i = 0; i < sample.size(); ++i) {
-    for (size_t c = 0; c < k; ++c) {
-      const Column& col = apt.shards[s_shard[i]].table.column(cat_cols[c]);
-      row[c] = col.IsNull(s_local[i]) ? -1 : col.GetCode(s_local[i]);
-    }
     bool inserted = false;
-    const size_t t = tuples.Intern(row.data(), &inserted);
+    const size_t t = tuples.Intern(tuple_codes.data() + i * k, &inserted);
     if (inserted) {
       mult.push_back(1);
       first.push_back(i);

@@ -20,6 +20,39 @@ namespace cajade {
 
 namespace {
 
+/// One APT column at the located sample rows, in sample order, given that
+/// column of every shard: NaN for NULL, numbers and dictionary codes as
+/// doubles. The type dispatch is once per column, not per cell. Codes
+/// compare across shards (the ShardedApt dictionary invariant), so
+/// categorical features do not depend on the sharding.
+std::vector<double> SampledFeature(const std::vector<const Column*>& shard_col,
+                                   const std::vector<size_t>& shard,
+                                   const std::vector<size_t>& local) {
+  std::vector<double> out(shard.size(), std::nan(""));
+  auto read = [&](auto values_of) {
+    for (size_t i = 0; i < shard.size(); ++i) {
+      const Column& col = *shard_col[shard[i]];
+      if (col.nulls()[local[i]] == 0) {
+        out[i] = static_cast<double>(values_of(col)[local[i]]);
+      }
+    }
+  };
+  switch (shard_col.front()->type()) {
+    case DataType::kInt64:
+      read([](const Column& col) -> const auto& { return col.ints(); });
+      break;
+    case DataType::kDouble:
+      read([](const Column& col) -> const auto& { return col.doubles(); });
+      break;
+    case DataType::kString:
+      read([](const Column& col) -> const auto& { return col.codes(); });
+      break;
+    default:  // a kNull column holds only NULLs
+      break;
+  }
+  return out;
+}
+
 /// Builds an ML feature matrix from (a row sample of) the APT. The sample
 /// is drawn over global row ids, so the matrix — and everything the forest
 /// learns from it — is independent of the sharding.
@@ -36,26 +69,15 @@ FeatureMatrix BuildFeatureMatrix(const ShardedApt& apt,
     m.labels.push_back(classes[apt.shards[r_shard[i]].pt_row[r_local[i]]]);
   }
   m.columns.reserve(cols.size());
+  std::vector<const Column*> shard_col(apt.shards.size());
   for (int c : cols) {
     m.names.push_back(apt.schema_table().schema().column(c).name);
     m.is_categorical.push_back(apt.schema_table().column(c).type() ==
                                DataType::kString);
-    std::vector<double> values;
-    values.reserve(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      // Dictionary codes compare across shards (the ShardedApt dictionary
-      // invariant), so categorical features do not depend on the sharding.
-      const Column& col = apt.shards[r_shard[i]].table.column(c);
-      const size_t r = r_local[i];
-      if (col.IsNull(r)) {
-        values.push_back(std::nan(""));
-      } else if (col.type() == DataType::kString) {
-        values.push_back(static_cast<double>(col.GetCode(r)));
-      } else {
-        values.push_back(col.GetNumeric(r));
-      }
+    for (size_t s = 0; s < apt.shards.size(); ++s) {
+      shard_col[s] = &apt.shards[s].table.column(c);
     }
-    m.columns.push_back(std::move(values));
+    m.columns.push_back(SampledFeature(shard_col, r_shard, r_local));
   }
   return m;
 }

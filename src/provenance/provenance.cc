@@ -1,5 +1,7 @@
 #include "src/provenance/provenance.h"
 
+#include <cstring>
+#include <functional>
 #include <map>
 
 #include "src/common/string_util.h"
@@ -59,18 +61,83 @@ int ProvenanceTable::FindColumn(const std::string& relation,
   return -1;
 }
 
+namespace {
+
+/// Cell hash of a NULL, whatever the column type.
+constexpr uint64_t kNullCellHash = 0xdeadULL;
+
+/// Folds `cell(r)` for rows [0, n) into four interleaved lanes, lane j
+/// taking rows j, j + 4, ..., so that no cell's fold waits on the previous
+/// cell's; then folds the lanes in order. Every cell and its row position
+/// count.
+template <typename CellHash>
+uint64_t FoldColumn(size_t n, CellHash cell) {
+  uint64_t lane[4] = {1, 2, 3, 4};
+  size_t r = 0;
+  for (; r + 4 <= n; r += 4) {
+    lane[0] = CombineKeyHash(lane[0], cell(r));
+    lane[1] = CombineKeyHash(lane[1], cell(r + 1));
+    lane[2] = CombineKeyHash(lane[2], cell(r + 2));
+    lane[3] = CombineKeyHash(lane[3], cell(r + 3));
+  }
+  for (; r < n; ++r) lane[r % 4] = CombineKeyHash(lane[r % 4], cell(r));
+  uint64_t h = kRowKeyHashSeed;
+  for (uint64_t l : lane) h = CombineKeyHash(h, SplitMix64(l));
+  return h;
+}
+
+/// Content hash of a column of 8-byte numbers, by bit pattern.
+template <typename T>
+uint64_t NumberColumnFingerprint(const T* v, const uint8_t* nulls, size_t n) {
+  static_assert(sizeof(T) == sizeof(uint64_t), "8-byte cells");
+  return FoldColumn(n, [&](size_t r) {
+    uint64_t bits;
+    std::memcpy(&bits, &v[r], sizeof(bits));
+    return nulls[r] != 0 ? kNullCellHash : SplitMix64(bits);
+  });
+}
+
+/// Content hash of one column: numbers by bit pattern, strings by their
+/// bytes, each distinct string hashed once through a memo indexed by its
+/// dictionary code.
+uint64_t ColumnFingerprint(const Column& col, size_t n) {
+  const uint8_t* nulls = col.nulls().data();
+  switch (col.type()) {
+    case DataType::kInt64:
+      return NumberColumnFingerprint(col.ints().data(), nulls, n);
+    case DataType::kDouble:
+      return NumberColumnFingerprint(col.doubles().data(), nulls, n);
+    case DataType::kString: {
+      const int32_t* codes = col.codes().data();
+      std::vector<uint64_t> memo(col.dict_size(), 0);  // 0 = not yet hashed
+      return FoldColumn(n, [&](size_t r) {
+        if (nulls[r] != 0) return kNullCellHash;
+        uint64_t& h = memo[static_cast<size_t>(codes[r])];
+        if (h == 0) {
+          h = std::hash<std::string>{}(col.DictEntry(codes[r]));
+          if (h == 0) h = 1;
+        }
+        return h;
+      });
+    }
+    default:
+      return FoldColumn(n, [](size_t) { return kNullCellHash; });
+  }
+}
+
+}  // namespace
+
 uint64_t ProvenanceTable::ContentFingerprint() const {
   uint64_t cached = content_fingerprint_.value.load(std::memory_order_acquire);
   if (cached != 0) return cached;
-  // One canonical-hash pass over every PT cell (nulls hash to the fixed
-  // sentinel). Deterministic, so concurrent first callers compute — and
-  // store — the same value.
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
+  // One typed pass per column. Deterministic, so concurrent first callers
+  // compute — and store — the same value.
+  const size_t n = table.num_rows();
+  uint64_t h = CombineKeyHash(0x9e3779b97f4a7c15ULL, SplitMix64(n));
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& col = table.column(c);
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      h = CombineKeyHash(h, HashKeyCell(col, static_cast<int64_t>(r)));
-    }
+    h = CombineKeyHash(h, SplitMix64(static_cast<uint64_t>(col.type())));
+    h = CombineKeyHash(h, ColumnFingerprint(col, n));
   }
   if (h == 0) h = 1;  // 0 is the not-yet-computed sentinel
   content_fingerprint_.value.store(h, std::memory_order_release);

@@ -57,13 +57,19 @@ struct ProvenanceTable {
   /// copies of query relations in an APT exclude them too.
   std::vector<std::pair<std::string, std::string>> group_by_source_attrs;
 
-  /// Content fingerprint of the PT rows (canonical per-cell hashes, nulls
-  /// included), computed lazily on first use and cached — callers keying
-  /// caches that outlive one Explain call (the APT prefix cache) fold it in
-  /// so two queries whose PTs merely agree on shape and row count can never
-  /// alias each other's cached states. Safe to call concurrently; racing
-  /// computations store the same deterministic value. The PT must not be
-  /// mutated after the first call.
+  /// Content fingerprint of the PT rows, computed lazily on first use and
+  /// cached. Equal contents give equal values: every cell, every NULL
+  /// position and every row position counts; numbers hash by bit pattern
+  /// and strings by their bytes, so PTs whose string columns use different
+  /// dictionaries or codes for equal strings agree. One typed pass per
+  /// column hashes each distinct string once. The value is process-local
+  /// (it keys in-memory caches only) and not stable across builds.
+  /// Callers keying caches that outlive one Explain call (the APT prefix
+  /// cache, the result cache's validation tag) fold it in so two queries
+  /// whose PTs merely agree on shape and row count can never alias each
+  /// other's cached states. Safe to call concurrently; racing computations
+  /// store the same deterministic value. The PT must not be mutated after
+  /// the first call.
   uint64_t ContentFingerprint() const;
 
   /// PT column index of `relation`.`attribute`, searching all aliases bound

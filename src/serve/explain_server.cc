@@ -1,5 +1,7 @@
 #include "src/serve/explain_server.h"
 
+#include <cstdint>
+#include <cstring>
 #include <utility>
 
 namespace cajade {
@@ -93,17 +95,59 @@ ExplainServer::ExplainServer(const Database* db,
   }
 }
 
+namespace {
+
+void AppendU64(uint64_t v, std::string* out) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+void AppendBytes(const std::string& s, std::string* out) {
+  AppendU64(s.size(), out);
+  out->append(s);
+}
+
+/// Appends `selector` injectively: a count, then per equality a
+/// length-prefixed name, a type tag and the value (integers and doubles
+/// as their 64 bits, strings length-prefixed). TupleSelector::ToString
+/// cannot key: it prints doubles to 6 digits and neither types nor
+/// escapes values.
+void AppendSelector(const TupleSelector& selector, std::string* out) {
+  AppendU64(selector.equals.size(), out);
+  for (const auto& [name, value] : selector.equals) {
+    AppendBytes(name, out);
+    out->push_back(static_cast<char>(value.type()));
+    switch (value.type()) {
+      case DataType::kInt64:
+        AppendU64(static_cast<uint64_t>(value.AsInt()), out);
+        break;
+      case DataType::kDouble: {
+        uint64_t bits;
+        const double d = value.AsDouble();
+        std::memcpy(&bits, &d, sizeof(bits));
+        AppendU64(bits, out);
+        break;
+      }
+      case DataType::kString:
+        AppendBytes(value.AsString(), out);
+        break;
+      case DataType::kNull:
+        break;
+    }
+  }
+}
+
+}  // namespace
+
 std::string ExplainServer::CacheKey(const std::string& sql,
                                     const UserQuestion& question) const {
-  // '\x1f' (unit separator) never occurs in SQL or selector renderings, so
-  // the key is unambiguous without escaping. The config is not part of it:
-  // the cache is private to this server, whose config is fixed at
+  // Distinct (sql, question) pairs get distinct keys: every part is
+  // length-prefixed or fixed-width. The config is not part of it: the
+  // cache is private to this server, whose config is fixed at
   // construction.
-  std::string key = sql;
-  key += '\x1f';
-  key += question.t1.ToString();
-  key += '\x1f';
-  key += question.t2.ToString();
+  std::string key;
+  AppendBytes(sql, &key);
+  AppendSelector(question.t1, &key);
+  AppendSelector(question.t2, &key);
   return key;
 }
 

@@ -131,8 +131,10 @@ class ExplainServer {
   AptPrefixCache& prefix_cache() { return prefix_cache_; }
   WorkerPool& pool() { return pool_; }
 
-  /// The result-cache key of one request; exposed for tests asserting
-  /// hit/miss behavior against specific keys.
+  /// The result-cache key of one request, an injective encoding of (sql,
+  /// t1, t2): values keep their type and exact bits, and swapping t1 and t2
+  /// changes it. Exposed for tests asserting hit/miss behavior against
+  /// specific keys.
   std::string CacheKey(const std::string& sql,
                        const UserQuestion& question) const;
 

@@ -101,6 +101,64 @@ Status Column::AppendValue(const Value& v) {
              DataTypeToString(v.type()), DataTypeToString(type_)));
 }
 
+namespace {
+
+/// out[i] = in[rows[i]], or `null_value` where the source row is NULL
+/// (`nulls` is null when the source has no NULLs).
+template <typename T>
+void GatherValues(const std::vector<T>& in, const uint8_t* nulls,
+                  const std::vector<int64_t>& rows, T null_value,
+                  std::vector<T>* out) {
+  const size_t n = rows.size();
+  out->resize(n);
+  T* dst = out->data();
+  const T* src = in.data();
+  const int64_t* idx = rows.data();
+  if (nulls == nullptr) {
+    for (size_t i = 0; i < n; ++i) dst[i] = src[idx[i]];
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      dst[i] = nulls[idx[i]] != 0 ? null_value : src[idx[i]];
+    }
+  }
+}
+
+}  // namespace
+
+Column Column::Gather(const std::vector<int64_t>& rows) const {
+  const size_t n = rows.size();
+  Column out(type_);
+  out.nulls_.resize(n);  // zero-filled: no NULLs unless copied below
+  const uint8_t* nulls = nullptr;
+  if (null_count_ != 0) {
+    nulls = nulls_.data();
+    size_t count = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t b = nulls[rows[i]];
+      out.nulls_[i] = b;
+      count += b;
+    }
+    out.null_count_ = count;
+  }
+  switch (type_) {
+    case DataType::kInt64:
+      GatherValues(ints_, nulls, rows, int64_t{0}, &out.ints_);
+      break;
+    case DataType::kDouble:
+      GatherValues(doubles_, nulls, rows, 0.0, &out.doubles_);
+      break;
+    case DataType::kString:
+      out.dict_ = dict_;
+      GatherValues(codes_, nulls, rows, int32_t{-1}, &out.codes_);
+      break;
+    default:  // a kNull column holds only NULLs
+      out.nulls_.assign(n, 1);
+      out.null_count_ = n;
+      break;
+  }
+  return out;
+}
+
 Value Column::GetValue(size_t row) const {
   if (IsNull(row)) return Value::Null();
   switch (type_) {

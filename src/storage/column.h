@@ -64,6 +64,15 @@ class Column {
   /// Cell as a Value (allocates for strings).
   Value GetValue(size_t row) const;
 
+  /// A new column of this type holding the cells at `rows`, in that order
+  /// (rows may repeat and need not ascend). The executor's working table
+  /// and every APT materialization step copy rows through it: one typed
+  /// loop per vector, no per-cell type dispatch. It copies the null bytes
+  /// and sums null_count; a NULL slot holds 0, 0.0 or -1 as AppendNull
+  /// writes it, and every cell of a kNull column is NULL. A STRING result
+  /// shares this column's dictionary object, as AdoptDictionary does.
+  Column Gather(const std::vector<int64_t>& rows) const;
+
   /// Numeric cell widened to double. Only valid for INT64/DOUBLE columns.
   double GetNumeric(size_t row) const {
     return type_ == DataType::kInt64 ? static_cast<double>(ints_[row]) : doubles_[row];

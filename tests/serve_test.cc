@@ -109,6 +109,58 @@ TEST_F(ServeTest, DistinctQuestionsGetDistinctEntries) {
   EXPECT_EQ(c.result_hits, 0u);
 }
 
+TEST(ServeKeyTest, CloseDoublesAndSwappedSidesGetTheirOwnEntries) {
+  // Two groups whose keys agree to 6 significant digits, and a second
+  // question that swaps t1 and t2. Both questions select the same PT rows,
+  // so the validation tag (the PT fingerprint) cannot tell them apart; only
+  // an exact key can. With a key rendered by TupleSelector::ToString, B was
+  // served A's entry and every explanation's primary side was flipped.
+  Database db;
+  TablePtr t = db.CreateTable("t", Schema({{"x", DataType::kDouble},
+                                           {"k", DataType::kString},
+                                           {"v", DataType::kInt64}}))
+                   .ValueOrDie();
+  for (int64_t i = 0; i < 10; ++i) {
+    const bool first = i < 5;
+    ASSERT_TRUE(t->AppendRow({Value(first ? 0.1000001 : 0.1000002),
+                              Value(first == (i % 5 != 4) ? "a" : "b"),
+                              Value(i)})
+                    .ok());
+  }
+  SchemaGraph sg;
+  const std::string sql = "SELECT x, COUNT(*) AS c FROM t GROUP BY x";
+  const UserQuestion a =
+      UserQuestion::TwoPoint(Where({{"x", Value(0.1000001)}}),
+                             Where({{"x", Value(0.1000002)}}));
+  const UserQuestion b = UserQuestion::TwoPoint(a.t2, a.t1);
+
+  ExplainServer::Options options;
+  options.num_explainers = 1;
+  options.pool_threads = 1;
+  ExplainServer server(&db, &sg, options);
+  EXPECT_NE(server.CacheKey(sql, a), server.CacheKey(sql, b));
+  // Values keep their type: 1 and 1.0 select alike but key apart.
+  EXPECT_NE(server.CacheKey(sql, UserQuestion::SinglePoint(
+                                     Where({{"x", Value(int64_t{1})}}))),
+            server.CacheKey(sql, UserQuestion::SinglePoint(
+                                     Where({{"x", Value(1.0)}}))));
+
+  auto served_a = server.Explain(sql, a).ValueOrDie();
+  auto served_b = server.Explain(sql, b).ValueOrDie();
+  EXPECT_NE(served_a.get(), served_b.get());
+  EXPECT_EQ(server.counters().result_hits, 0u);
+  EXPECT_EQ(server.counters().result_misses, 2u);
+
+  Explainer fresh(&db, &sg, options.config);
+  const ExplainResult want_a = fresh.Explain(sql, a).ValueOrDie();
+  const ExplainResult want_b = fresh.Explain(sql, b).ValueOrDie();
+  ASSERT_FALSE(want_b.explanations.empty());
+  ExpectSameExplanations(want_a, *served_a);
+  ExpectSameExplanations(want_b, *served_b);
+  // The sides really differ: the top pattern's primary flips with them.
+  EXPECT_NE(want_a.explanations[0].primary, want_b.explanations[0].primary);
+}
+
 TEST_F(ServeTest, ServersWithDifferentConfigsServeTheirOwnAnswers) {
   // The result-cache key carries no config: each server owns its cache and
   // its config is fixed, so two servers over one database with different

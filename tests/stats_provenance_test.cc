@@ -1,7 +1,13 @@
 // Tests for src/stats (statistics, combined NDV caching) and
-// src/provenance (PT construction, naming, partitions, group-by tracking).
+// src/provenance (PT construction, naming, partitions, group-by tracking,
+// the content fingerprint). The TSan CI job runs this binary, so the
+// concurrent first-fingerprint case doubles as a race detector.
 
 #include <gtest/gtest.h>
+
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "src/datasets/example_nba.h"
 #include "src/provenance/provenance.h"
@@ -174,6 +180,127 @@ TEST_F(ProvenanceFixture, AliasesOfRelationFindsAll) {
   ASSERT_EQ(aliases.size(), 1u);
   EXPECT_EQ(pt.aliases[aliases[0]], "g");
   EXPECT_TRUE(pt.AliasesOfRelation("nope").empty());
+}
+
+using Rows = std::vector<std::vector<Value>>;
+
+/// Ten distinct rows over (INT64, DOUBLE, STRING), NULLs in every column.
+Rows FingerprintRows() {
+  Rows rows;
+  for (int64_t i = 0; i < 10; ++i) {
+    rows.push_back({i == 3 ? Value::Null() : Value(i * 11),
+                    i == 6 ? Value::Null() : Value(i * 0.25),
+                    i == 8 ? Value::Null() : Value("s" + std::to_string(i % 4))});
+  }
+  return rows;
+}
+
+Schema FingerprintSchema() {
+  return Schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"s", DataType::kString}});
+}
+
+/// A PT whose table holds `rows`, appended cell by cell.
+ProvenanceTable PtOf(const Rows& rows) {
+  ProvenanceTable pt;
+  pt.table = Table("PT", FingerprintSchema());
+  for (const auto& row : rows) EXPECT_TRUE(pt.table.AppendRow(row).ok());
+  return pt;
+}
+
+TEST(ContentFingerprintTest, GatheredAndAppendedContentsAgree) {
+  // The source holds the rows in reverse order behind extra rows whose
+  // strings are interned first, so the gathered STRING column reads other
+  // codes of another dictionary than the appended one.
+  const Rows rows = FingerprintRows();
+  Table source("src", FingerprintSchema());
+  ASSERT_TRUE(source.AppendRow({Value(int64_t{-1}), Value(9.5), Value("zz")}).ok());
+  ASSERT_TRUE(source.AppendRow({Value(int64_t{-2}), Value(8.5), Value("s3")}).ok());
+  for (size_t r = rows.size(); r-- > 0;) ASSERT_TRUE(source.AppendRow(rows[r]).ok());
+  std::vector<int64_t> pick;
+  for (int64_t r = 0; r < static_cast<int64_t>(rows.size()); ++r) {
+    pick.push_back(static_cast<int64_t>(source.num_rows()) - 1 - r);
+  }
+  std::vector<Column> columns;
+  for (size_t c = 0; c < source.num_columns(); ++c) {
+    columns.push_back(source.column(c).Gather(pick));
+  }
+  ProvenanceTable gathered;
+  gathered.table = Table("PT", FingerprintSchema(), std::move(columns), rows.size());
+  ASSERT_NE(gathered.table.column(2).GetCode(0), PtOf(rows).table.column(2).GetCode(0));
+
+  EXPECT_EQ(gathered.ContentFingerprint(), PtOf(rows).ContentFingerprint());
+}
+
+TEST(ContentFingerprintTest, EveryCellNullAndRowPositionCounts) {
+  const Rows rows = FingerprintRows();
+  const uint64_t base = PtOf(rows).ContentFingerprint();
+  EXPECT_EQ(PtOf(rows).ContentFingerprint(), base);
+
+  auto with = [&](size_t r, size_t c, Value v) {
+    Rows changed = rows;
+    changed[r][c] = std::move(v);
+    return PtOf(changed).ContentFingerprint();
+  };
+  EXPECT_NE(with(4, 0, Value(int64_t{45})), base);  // one INT64 cell
+  EXPECT_NE(with(4, 1, Value(1.0000001)), base);     // one DOUBLE cell
+  EXPECT_NE(with(4, 2, Value("s9")), base);          // one STRING cell
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_NE(with(0, c, Value::Null()), base) << "NULL in column " << c;
+  }
+  // A NULL INT64 cell is not a 0, though both hold 0 in the data vector.
+  EXPECT_NE(with(3, 0, Value(int64_t{0})), base);
+
+  // Swapped rows: neighbours (different fold lanes) and rows four apart
+  // (the same lane).
+  for (size_t other : {size_t{1}, size_t{4}, size_t{9}}) {
+    Rows swapped = rows;
+    std::swap(swapped[0], swapped[other]);
+    EXPECT_NE(PtOf(swapped).ContentFingerprint(), base) << "swap 0, " << other;
+  }
+  Rows shorter = rows;
+  shorter.pop_back();
+  EXPECT_NE(PtOf(shorter).ContentFingerprint(), base);
+}
+
+TEST(ContentFingerprintTest, EqualStringsUnderDifferentDictionariesAgree) {
+  const std::vector<std::string> cells = {"b", "a", "c", "a", "b"};
+  Column forward(DataType::kString);
+  Column backward(DataType::kString);
+  for (const char* s : {"a", "b", "c", "unused"}) forward.InternString(s);
+  for (const char* s : {"zz", "c", "b", "a"}) backward.InternString(s);
+  for (const std::string& s : cells) {
+    forward.AppendString(s);
+    backward.AppendString(s);
+  }
+  ASSERT_NE(forward.codes(), backward.codes());
+  auto pt_of = [](Column col) {
+    ProvenanceTable pt;
+    std::vector<Column> columns;
+    columns.push_back(std::move(col));
+    pt.table = Table("PT", Schema({{"s", DataType::kString}}), std::move(columns), 5);
+    return pt;
+  };
+  EXPECT_EQ(pt_of(forward).ContentFingerprint(),
+            pt_of(backward).ContentFingerprint());
+}
+
+TEST(ContentFingerprintTest, ConcurrentFirstCallsReadOneValue) {
+  Rows rows;
+  for (int64_t i = 0; i < 5000; ++i) {
+    rows.push_back({Value(i), Value(i * 0.5), Value("s" + std::to_string(i % 97))});
+  }
+  const ProvenanceTable pt = PtOf(rows);
+  const uint64_t want = PtOf(rows).ContentFingerprint();
+  std::vector<uint64_t> got(4, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&pt, &got, t] { got[t] = pt.ContentFingerprint(); });
+  }
+  for (auto& th : threads) th.join();
+  for (uint64_t v : got) EXPECT_EQ(v, want);
+  EXPECT_EQ(pt.ContentFingerprint(), want);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for src/storage: columns (dictionary encoding, copy-on-write
-// dictionary sharing, nulls), schemas (PK/FK, mining exclusion), tables,
+// dictionary sharing, nulls, the Gather row copy), schemas (PK/FK, mining exclusion), tables,
 // and the database catalog. The TSan CI job runs this binary, so the
 // concurrent dictionary-sharing case doubles as a race detector.
 
@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <thread>
@@ -212,6 +213,93 @@ TEST(ColumnTest, ConcurrentCopiesAndAdoptersWhileACopyInterns) {
   EXPECT_EQ(own.dict_size(), values.size() + kIters);
   EXPECT_EQ(own.GetString(values.size() + kIters - 1),
             "w" + std::to_string(kIters - 1));
+}
+
+/// The per-cell row copy Column::Gather replaced: one type dispatch and
+/// one append per cell, a STRING copy adopting the source's dictionary.
+Column PerCellCopy(const Column& src, const std::vector<int64_t>& rows) {
+  Column dst(src.type());
+  if (src.type() == DataType::kString) dst.AdoptDictionary(src);
+  for (int64_t r : rows) {
+    if (src.IsNull(r)) {
+      dst.AppendNull();
+      continue;
+    }
+    switch (src.type()) {
+      case DataType::kInt64:
+        dst.AppendInt(src.GetInt(r));
+        break;
+      case DataType::kDouble:
+        dst.AppendDouble(src.GetDouble(r));
+        break;
+      case DataType::kString:
+        dst.AppendCode(src.GetCode(r));
+        break;
+      default:
+        dst.AppendNull();
+    }
+  }
+  return dst;
+}
+
+/// A 64-cell column of `type` in which every `null_every`-th cell is NULL
+/// (0 = none); a kNull column is all NULL.
+Column GatherSource(DataType type, int null_every) {
+  Column c(type);
+  for (int64_t i = 0; i < 64; ++i) {
+    if (type == DataType::kNull || (null_every > 0 && i % null_every == 0)) {
+      c.AppendNull();
+    } else if (type == DataType::kInt64) {
+      c.AppendInt(i * 7 - 100);
+    } else if (type == DataType::kDouble) {
+      c.AppendDouble(i == 5 ? -0.0 : i * 0.5 - 9.75);
+    } else {
+      c.AppendString("s" + std::to_string(i % 5));
+    }
+  }
+  return c;
+}
+
+template <typename T>
+bool SameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+TEST(ColumnTest, GatherMatchesPerCellCopy) {
+  std::vector<int64_t> shuffled;
+  for (int64_t i = 0; i < 200; ++i) shuffled.push_back((i * 37 + 11) % 64);
+  const std::vector<std::vector<int64_t>> row_lists = {
+      {},                        // empty
+      {3, 3, 3, 0, 0},           // repeated
+      {63, 40, 17, 2, 1, 0},     // descending
+      shuffled,                  // non-ascending, with repeats
+  };
+  for (DataType type : {DataType::kInt64, DataType::kDouble, DataType::kString,
+                        DataType::kNull}) {
+    // NULL rates 0, 0.5 and 1 (a kNull column is all NULL at every rate).
+    for (int null_every : {0, 2, 1}) {
+      const Column src = GatherSource(type, null_every);
+      for (const std::vector<int64_t>& rows : row_lists) {
+        SCOPED_TRACE(testing::Message()
+                     << DataTypeToString(type) << " null_every=" << null_every
+                     << " rows=" << rows.size());
+        const Column want = PerCellCopy(src, rows);
+        const Column got = src.Gather(rows);
+        EXPECT_EQ(got.type(), want.type());
+        EXPECT_EQ(got.size(), rows.size());
+        EXPECT_TRUE(SameBits(got.ints(), want.ints()));
+        EXPECT_TRUE(SameBits(got.doubles(), want.doubles()));
+        EXPECT_TRUE(SameBits(got.codes(), want.codes()));
+        EXPECT_EQ(got.nulls(), want.nulls());
+        EXPECT_EQ(got.null_count(), want.null_count());
+        EXPECT_EQ(got.SharesDictionaryWith(src), want.SharesDictionaryWith(src));
+        if (type == DataType::kString) {
+          EXPECT_TRUE(got.SharesDictionaryWith(src));
+        }
+      }
+    }
+  }
 }
 
 TEST(ColumnTest, AppendValueTypeChecks) {
