@@ -1,6 +1,6 @@
 // Build-once, byte-bounded LRU cache: the one protocol behind the engine's
-// process-wide caches (AptIndexCache and AptPrefixCache in
-// src/mining/apt.h, ResultCache in src/serve/result_cache.h).
+// caches (AptIndexCache and AptPrefixCache in src/mining/apt.h, ResultCache
+// in src/serve/result_cache.h, StatsCatalog in src/stats/table_stats.h).
 //
 // The protocol, per key:
 //  - one build in flight: the first caller builds, outside the lock (a

@@ -134,11 +134,10 @@ Result<ExplainResult> Explainer::ExplainPrepared(
                   : config_.pk_check_strict  ? PkCheckMode::kAllAttrs
                                              : PkCheckMode::kAnyAttr;
   opts.include_pt_only = config_.include_pt_only_graph;
-  // The shared catalog: enumeration fills it (serially) for cost estimates;
-  // the parallel materialization below reads only its thread-safe
-  // SharedRanges tier, so kernel index builds never rescan key ranges.
+  // The executor's catalog: the statistics the planner computed for the
+  // provenance query serve the cost estimates and the index builds below.
   JoinGraphEnumerator enumerator(schema_graph_, db_, pt.relations, opts,
-                                 &stats_);
+                                 executor_.stats());
 
   std::vector<JoinGraph> graphs;
   {
@@ -170,10 +169,6 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     bool mined = false;
     bool truncated = false;
     bool skipped_oversize = false;
-    /// Whether the graph's work actually ran (false when the abort flag
-    /// short-circuited it); the deterministic error pass below re-runs
-    /// skipped graphs it needs a verdict from.
-    bool ran = false;
     StepProfiler profile;
   };
   std::vector<GraphOutcome> outcomes(graphs.size());
@@ -209,18 +204,22 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     }
   }
   apt_options.pool = pool;
-  // A hard error on any graph stops work on graphs not yet started (the
-  // serial path's short-circuit). The merge below reports the error of the
-  // lowest-index graph that *fails when executed* — exactly what the serial
-  // path reports — re-running any lower-index graph the short-circuit
-  // skipped, so the surfaced error never depends on the schedule.
-  std::atomic<bool> abort_remaining{false};
+  // Lowest index of a graph that failed with a hard error. Graphs above it
+  // are skipped (the serial path's short-circuit); graphs below it still
+  // run, so when the fan-out ends it is the lowest graph that fails when
+  // executed — the error the serial path reports — at every schedule.
+  std::atomic<size_t> first_failed{graphs.size()};
+  auto fail = [&](size_t gi, Status status) {
+    outcomes[gi].status = std::move(status);
+    size_t cur = first_failed.load(std::memory_order_relaxed);
+    while (gi < cur && !first_failed.compare_exchange_weak(
+                           cur, gi, std::memory_order_relaxed)) {
+    }
+  };
 
   auto process_graph_body = [&](size_t gi) {
-    if (abort_remaining.load(std::memory_order_relaxed)) return;
     const JoinGraph& graph = graphs[gi];
     GraphOutcome& oc = outcomes[gi];
-    oc.ran = true;
     ShardedApt apt;
     {
       ScopedStep step(&oc.profile, "Materialize APTs");
@@ -232,8 +231,7 @@ Result<ExplainResult> Explainer::ExplainPrepared(
           // Cost-estimate miss: the APT blew past the hard cap.
           oc.skipped_oversize = true;
         } else {
-          oc.status = r.status();
-          abort_remaining.store(true, std::memory_order_relaxed);
+          fail(gi, r.status());
         }
         return;
       }
@@ -246,8 +244,7 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     PatternMiner miner(&config_, &oc.profile);
     Result<MineResult> mine_result = miner.Mine(apt, classes, &graph_rng);
     if (!mine_result.ok()) {
-      oc.status = mine_result.status();
-      abort_remaining.store(true, std::memory_order_relaxed);
+      fail(gi, mine_result.status());
       return;
     }
     MineResult mined = std::move(mine_result).MoveValue();
@@ -281,18 +278,17 @@ Result<ExplainResult> Explainer::ExplainPrepared(
   // cache waiter through its shared_future) into the outcome's Status so
   // a failure is catchable identically at every thread count.
   auto process_graph = [&](size_t gi) {
+    if (first_failed.load(std::memory_order_relaxed) < gi) return;
     try {
       process_graph_body(gi);
     } catch (const std::exception& e) {
-      outcomes[gi].status = Status::Internal(
-          Format("explaining join graph %s failed: %s",
-                 graphs[gi].Describe().c_str(), e.what()));
-      abort_remaining.store(true, std::memory_order_relaxed);
+      fail(gi, Status::Internal(Format("explaining join graph %s failed: %s",
+                                       graphs[gi].Describe().c_str(),
+                                       e.what())));
     } catch (...) {
-      outcomes[gi].status = Status::Internal(
-          Format("explaining join graph %s failed: unknown exception",
-                 graphs[gi].Describe().c_str()));
-      abort_remaining.store(true, std::memory_order_relaxed);
+      fail(gi, Status::Internal(
+                   Format("explaining join graph %s failed: unknown exception",
+                          graphs[gi].Describe().c_str())));
     }
   };
 
@@ -308,38 +304,13 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     pool->ParallelFor(graphs.size(), process_graph);
   }
 
-  // Deterministic error reporting: surface the error of the lowest-index
-  // graph that fails when executed, as the serial path would. With several
-  // failing graphs, the parallel schedule may have recorded a higher-index
-  // failure while the abort flag skipped a lower-index graph entirely — so
-  // re-run the skipped graphs below the lowest recorded failure, in order,
-  // until one fails. (Exceptional path: the re-runs only happen when the
-  // whole call is about to return an error anyway.)
-  size_t first_err = graphs.size();
-  for (size_t gi = 0; gi < graphs.size(); ++gi) {
-    if (!outcomes[gi].status.ok()) {
-      first_err = gi;
-      break;
-    }
-  }
-  if (first_err < graphs.size()) {
-    abort_remaining.store(false, std::memory_order_relaxed);
-    for (size_t gi = 0; gi < first_err; ++gi) {
-      if (outcomes[gi].ran) continue;
-      process_graph(gi);
-      if (!outcomes[gi].status.ok()) {
-        first_err = gi;
-        break;
-      }
-    }
-    return outcomes[first_err].status;
-  }
+  const size_t failed = first_failed.load(std::memory_order_relaxed);
+  if (failed < graphs.size()) return outcomes[failed].status;
 
   // Deterministic merge in enumeration order: counters, step timings (the
   // profiler now accumulates summed worker time, which exceeds wall clock
   // when threads > 1), and explanations.
   for (GraphOutcome& oc : outcomes) {
-    RETURN_NOT_OK(oc.status);
     if (oc.skipped_oversize) ++out.apts_skipped_oversize;
     if (oc.mined) ++out.apts_mined;
     if (oc.truncated) ++out.apts_truncated;
@@ -368,7 +339,7 @@ Result<ExplainResult> Explainer::ExplainPrepared(
 
 AptMaterializeOptions Explainer::MakeAptOptions() const {
   AptMaterializeOptions options;
-  options.stats = &stats_;
+  options.stats = executor_.stats();
   if (config_.enable_apt_prefix_cache) {
     if (shared_prefix_cache_ != nullptr) {
       // Process-wide cache: its byte bound belongs to the owner (the

@@ -6,9 +6,8 @@
 // Ownership and thread-safety: an Explainer borrows the Database and
 // SchemaGraph (the caller keeps them alive and unmodified while it is in
 // use) and owns its configuration and cache handles. Explain/Prepare are
-// internally parallel over a WorkerPool, but an instance serves one request
-// stream at a time — the serving layer leases a dedicated Explainer per
-// in-flight request (see serve/explain_server.h) instead of sharing one.
+// internally parallel over a WorkerPool and safe to call concurrently on one
+// instance; configuring it (mutable_config, the set_shared_* hooks) is not.
 
 #ifndef CAJADE_CORE_EXPLAINER_H_
 #define CAJADE_CORE_EXPLAINER_H_
@@ -26,7 +25,6 @@
 #include "src/mining/miner.h"
 #include "src/provenance/provenance.h"
 #include "src/sql/expr.h"
-#include "src/stats/table_stats.h"
 #include "src/storage/database.h"
 
 namespace cajade {
@@ -128,15 +126,13 @@ struct PreparedExplain {
 /// is bit-identical to the serial path (per-graph RNG streams are assigned
 /// in enumeration order and the merge tie-breaks on graph index).
 ///
-/// One Explainer serves one request stream at a time: Explain (and the
-/// other entry points) mutate shared per-instance state — the executor's
-/// and the enumeration stats catalogs' single-stream tiers — without
-/// locking, as the executor has documented since it became a member. Run
-/// concurrent requests on separate Explainers — ExplainServer keeps a lease
-/// pool of them — and point them at the process-wide concurrency-safe
-/// pieces via set_shared_pool / set_shared_index_cache /
-/// set_shared_prefix_cache, so every request draws on one WorkerPool and
-/// one set of byte-bounded caches instead of per-instance copies.
+/// Explain, Prepare, ExplainPrepared, BuildApt and MineJoinGraph are safe
+/// to call concurrently on one instance: the per-instance state they share
+/// (the statistics catalog, the prefix cache) is concurrency-safe. The
+/// setters and mutable_config() are not; call them while no request runs.
+/// Several Explainers can share one WorkerPool and one set of byte-bounded
+/// caches via set_shared_pool / set_shared_index_cache /
+/// set_shared_prefix_cache, as ExplainServer's leases do.
 class Explainer {
  public:
   Explainer(const Database* db, const SchemaGraph* schema_graph,
@@ -203,22 +199,18 @@ class Explainer {
                          std::vector<int64_t>* pt_rows, PtClasses* classes,
                          std::string* t1_desc, std::string* t2_desc) const;
 
-  /// Materialization options wired to this Explainer's shared stats catalog
+  /// Materialization options wired to this Explainer's statistics catalog
   /// and (when enabled) prefix cache.
   AptMaterializeOptions MakeAptOptions() const;
 
   const Database* db_;
   const SchemaGraph* schema_graph_;
   CajadeConfig config_;
-  /// One executor for every provenance computation this Explainer runs, so
-  /// the join planner's cached table statistics survive across queries
-  /// (a throwaway executor would rescan every base table per Explain call).
+  /// One executor for every provenance computation this Explainer runs.
+  /// Its statistics catalog (executor_.stats()) also serves join-graph
+  /// enumeration and APT index builds, and survives across calls, so no
+  /// phase rescans a base table per Explain call.
   QueryExecutor executor_{db_};
-  /// One statistics catalog shared between join-graph enumeration (cost
-  /// estimates, serial phase, single-stream methods) and APT
-  /// materialization (parallel phase, thread-safe SharedRanges tier only),
-  /// surviving across Explain calls like the executor's.
-  mutable StatsCatalog stats_;
   /// Intermediate APT join states shared across join graphs — and across
   /// Explain calls — keyed by graph prefix, LRU-bounded by
   /// CajadeConfig::apt_prefix_cache_bytes.

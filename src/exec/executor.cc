@@ -231,16 +231,6 @@ size_t SmallestUnbound(const SpjState& st,
 
 }  // namespace
 
-const TableStats& QueryExecutor::Stats(const Table& table) const {
-  MutexLock lock(stats_mu_);
-  return stats_.Get(table);
-}
-
-const TableStats& QueryExecutor::StatsRanges(const Table& table) const {
-  MutexLock lock(stats_mu_);
-  return stats_.GetRanges(table);
-}
-
 Result<SpjOutput> QueryExecutor::ExecuteSpj(const ParsedQuery& query) const {
   SpjState st;
   RETURN_NOT_OK(PrepareSpj(db_, query, &st));
@@ -306,13 +296,13 @@ Result<SpjOutput> QueryExecutor::ExecuteSpj(const ParsedQuery& query) const {
       for (auto& cand : tied) {
         size_t ndv = 1;
         if (best_size > 0) {
-          const TableStats& ts = Stats(*st.tables[cand.alias]);
+          const StatsCatalog::StatsPtr ts = stats_.Get(*st.tables[cand.alias]);
           for (size_t i : cand.ids) {
             EquiCond ec;
             AsEquiCond(*st.conjuncts[i], &ec);
             int col = ec.alias_a == cand.alias ? ec.col_a : ec.col_b;
-            if (static_cast<size_t>(col) < ts.columns.size()) {
-              ndv = std::max(ndv, ts.columns[col].ndv);
+            if (static_cast<size_t>(col) < ts->columns.size()) {
+              ndv = std::max(ndv, ts->columns[col].ndv);
             }
           }
         }
@@ -368,8 +358,8 @@ Result<SpjOutput> QueryExecutor::ExecuteSpj(const ParsedQuery& query) const {
     size_t n_tuples = tuple_cols.empty() ? 0 : tuple_cols[0].size();
     std::vector<std::pair<int64_t, int64_t>> matches;
     matches.reserve(n_tuples);
-    JoinBuildIndex(nt, std::move(next_keys), &StatsRanges(nt),
-                   &st.selected[next])
+    const StatsCatalog::StatsPtr ranges = stats_.GetRanges(nt);
+    JoinBuildIndex(nt, std::move(next_keys), ranges.get(), &st.selected[next])
         .Probe(probe, n_tuples, /*max_matches=*/0, &matches);
 
     std::vector<std::vector<int64_t>> out(bound.size() + 1);

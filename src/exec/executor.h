@@ -16,8 +16,8 @@
 //
 // Ownership and thread-safety: the executor borrows the caller's Database
 // for the duration of a call and returns fresh caller-owned result tables.
-// It is stateless apart from the stats catalog below (stats_mu_-guarded), so
-// concurrent Execute calls on one instance are safe.
+// Its only state is the statistics catalog below, which is safe for
+// concurrent use, so concurrent Execute calls on one instance are safe.
 
 #ifndef CAJADE_EXEC_EXECUTOR_H_
 #define CAJADE_EXEC_EXECUTOR_H_
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/thread_annotations.h"
 #include "src/sql/expr.h"
 #include "src/stats/table_stats.h"
 #include "src/storage/database.h"
@@ -64,6 +63,11 @@ class QueryExecutor {
 
   const Database* db() const { return db_; }
 
+  /// The executor's statistics catalog, which callers running other phases
+  /// over the same database (join-graph enumeration, APT index builds)
+  /// share. It is safe for concurrent use.
+  StatsCatalog* stats() const { return &stats_; }
+
   /// Runs the query, returning only the answer table.
   Result<Table> Execute(const ParsedQuery& query) const;
 
@@ -83,26 +87,11 @@ class QueryExecutor {
   Result<SpjOutput> ReferenceExecuteSpj(const ParsedQuery& query) const;
 
  private:
-  /// Cached full-table statistics (distinct counts included; computed on
-  /// first use, keyed by table name + row count). Tables must stay
-  /// unmodified while a query runs, and one executor serves one query
-  /// stream at a time — run concurrent query streams on separate executors.
-  const TableStats& Stats(const Table& table) const EXCLUDES(stats_mu_);
-
-  /// Range-only statistics (null counts, numeric min/max): a plain
-  /// sequential scan with no hashing, enough for the join kernels' layout
-  /// selection. The full distinct-count pass runs only when the planner
-  /// actually needs an ndv tie-break.
-  const TableStats& StatsRanges(const Table& table) const
-      EXCLUDES(stats_mu_);
-
   const Database* db_;
-  /// Serializes access to the single-stream StatsCatalog methods. Note the
-  /// returned references escape the critical section by design: entries
-  /// are only ever upgraded in place (never moved or dropped), so a
-  /// reference handed out under the lock stays valid — see StatsCatalog.
-  mutable Mutex stats_mu_;
-  mutable StatsCatalog stats_ GUARDED_BY(stats_mu_);
+  /// Statistics of the base tables, computed on first use and kept across
+  /// queries. The planner reads full statistics for its ndv tie-break and
+  /// range statistics for each join step's index build.
+  mutable StatsCatalog stats_;
 };
 
 }  // namespace cajade

@@ -171,8 +171,8 @@ class JoinBuildIndex {
   /// Indexes `rows` of `build` (nullptr = every row, in row order) on
   /// `build_cols`; matches per probe tuple come back in `rows` order, which
   /// need not ascend and may repeat a row. The subset is read during
-  /// construction only. `build_stats` (statistics of the full table, the
-  /// range tier suffices) lets planning skip the per-column key-range scan;
+  /// construction only. `build_stats` (statistics of the full table; range
+  /// statistics suffice) lets planning skip the per-column key-range scan;
   /// stale stats (row-count or arity drift) are ignored.
   JoinBuildIndex(const Table& build, std::vector<int> build_cols,
                  const TableStats* build_stats = nullptr,

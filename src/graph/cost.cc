@@ -1,81 +1,45 @@
 #include "src/graph/cost.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace cajade {
 
-namespace {
-
-/// Exact (cached) distinct count of the attribute combination.
-double CombinedNdv(const Table& table, StatsCatalog* stats,
-                   const std::vector<std::string>& attrs) {
-  return static_cast<double>(stats->CombinedNdvByName(table, attrs));
-}
-
-}  // namespace
-
 double EstimateAptRows(const JoinGraph& g, const SchemaGraph& sg,
                        const Database& db, StatsCatalog* stats,
                        double pt_rows) {
+  // Walks the materializer's own step order: tree steps fan the result out
+  // by the new relation's rows per key, cycle-closing steps filter it.
+  Result<AptPlan> plan = PlanAptSteps(g);
+  if (!plan.ok()) return std::numeric_limits<double>::infinity();
   double est = std::max(pt_rows, 1.0);
-  if (g.num_edges() == 0) return est;
-
-  // BFS from the PT node; tree edges fan out, non-tree edges filter.
-  std::vector<bool> joined(g.nodes().size(), false);
-  joined[0] = true;
-  std::vector<bool> edge_done(g.edges().size(), false);
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (size_t i = 0; i < g.edges().size(); ++i) {
-      if (edge_done[i]) continue;
-      const JoinGraphEdge& e = g.edges()[i];
-      bool a_in = joined[e.node_a];
-      bool b_in = joined[e.node_b];
-      if (!a_in && !b_in) continue;
-      const SchemaEdge& se = sg.edges()[e.schema_edge];
-      const JoinConditionDef& cond = se.conditions[e.condition];
-      edge_done[i] = true;
-      progress = true;
-      if (a_in && b_in) {
-        // Cycle-closing edge: apply a selectivity of 1/ndv of the larger
-        // side's key combination.
-        int nb = e.node_b;
-        const JoinGraphNode& node = g.nodes()[nb];
-        if (!node.is_pt) {
-          auto table_r = db.GetTable(node.relation);
-          if (table_r.ok()) {
-            const Table& t = *table_r.ValueOrDie();
-            std::vector<std::string> attrs;
-            bool b_left = (e.a_plays_left == false);
-            for (const auto& p : cond.pairs) {
-              attrs.push_back(b_left ? p.left : p.right);
-            }
-            double ndv = CombinedNdv(t, stats, attrs);
-            est /= std::max(ndv, 1.0);
-          }
-        } else {
-          est *= 0.5;  // conservative shrink for PT-side cycles
-        }
-        continue;
-      }
-      // Tree edge: the not-yet-joined endpoint fans out the current result.
-      int new_node = a_in ? e.node_b : e.node_a;
-      const JoinGraphNode& node = g.nodes()[new_node];
-      if (node.is_pt) continue;  // PT is the BFS root; cannot re-enter
-      auto table_r = db.GetTable(node.relation);
-      if (!table_r.ok()) continue;
-      const Table& t = *table_r.ValueOrDie();
-      bool new_is_left = (new_node == e.node_a) == e.a_plays_left;
-      std::vector<std::string> attrs;
-      for (const auto& p : cond.pairs) {
-        attrs.push_back(new_is_left ? p.left : p.right);
-      }
-      double ndv = CombinedNdv(t, stats, attrs);
-      double fanout =
-          std::max(1.0, static_cast<double>(t.num_rows()) / std::max(ndv, 1.0));
-      est *= fanout;
+  for (const AptStep& step : plan->steps) {
+    const JoinGraphEdge& e = g.edges()[step.edge];
+    const JoinConditionDef& cond =
+        sg.edges()[e.schema_edge].conditions[e.condition];
+    // Cycle steps take node_b's side of the condition, tree steps the new
+    // node's.
+    const int node = step.cycle ? e.node_b : step.new_node;
+    if (g.nodes()[node].is_pt) {
+      est *= 0.5;  // conservative shrink for PT-side cycles
+      continue;
+    }
+    auto table_r = db.GetTable(g.nodes()[node].relation);
+    if (!table_r.ok()) continue;
+    const Table& t = *table_r.ValueOrDie();
+    const bool node_is_left = node == e.node_b ? !e.a_plays_left
+                                               : e.a_plays_left;
+    std::vector<std::string> attrs;
+    for (const auto& p : cond.pairs) {
+      attrs.push_back(node_is_left ? p.left : p.right);
+    }
+    const double ndv = static_cast<double>(stats->CombinedNdvByName(t, attrs));
+    if (step.cycle) {
+      est /= ndv;  // selectivity 1/ndv of the key combination
+    } else {
+      est *= std::max(1.0, static_cast<double>(t.num_rows()) / ndv);
     }
   }
   return est;

@@ -3,8 +3,9 @@
 // PostgreSQL: a Selinger-style cardinality estimate from per-column distinct
 // counts, multiplied by the APT width.
 //
-// Ownership and thread-safety: stateless free functions over borrowed
-// read-only statistics; concurrent calls are safe.
+// Ownership and thread-safety: stateless free functions over a borrowed
+// statistics catalog, which is safe for concurrent use; concurrent calls
+// are safe.
 
 #ifndef CAJADE_GRAPH_COST_H_
 #define CAJADE_GRAPH_COST_H_
@@ -16,7 +17,8 @@
 namespace cajade {
 
 /// Estimated number of APT rows for join graph `g` given `pt_rows` rows in
-/// the provenance table.
+/// the provenance table, step by step in PlanAptSteps order. Infinite for a
+/// graph PlanAptSteps rejects (it cannot be materialized).
 double EstimateAptRows(const JoinGraph& g, const SchemaGraph& sg,
                        const Database& db, StatsCatalog* stats, double pt_rows);
 

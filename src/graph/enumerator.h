@@ -3,9 +3,11 @@
 // one schema-graph-conforming edge, with isValid pruning (primary-key
 // coverage + estimated cost) deciding which graphs are mined.
 //
-// Ownership and thread-safety: enumeration is a stateless function of the
-// borrowed schema graph and config; produced join graphs are fresh
-// caller-owned values, so concurrent calls are safe.
+// Ownership and thread-safety: an enumerator borrows the schema graph, the
+// database and (optionally) a statistics catalog, and owns its counters, so
+// one instance runs one enumeration at a time; separate instances may run
+// concurrently, sharing one catalog. Produced join graphs are fresh
+// caller-owned values.
 
 #ifndef CAJADE_GRAPH_ENUMERATOR_H_
 #define CAJADE_GRAPH_ENUMERATOR_H_
@@ -55,11 +57,10 @@ class JoinGraphEnumerator {
   };
 
   /// `shared_stats` (optional) replaces the enumerator's own StatsCatalog,
-  /// so cost-estimate statistics computed during enumeration are reusable by
-  /// the caller afterwards — the Explainer shares one catalog between
-  /// enumeration and APT materialization. The enumerator only ever calls it
-  /// from the (serial) Enumerate pass; concurrent phases must restrict
-  /// themselves to the catalog's thread-safe SharedRanges tier.
+  /// so cost-estimate statistics are shared with the caller's other phases:
+  /// the Explainer passes its executor's catalog, which also serves the join
+  /// planner and APT index builds. The catalog is safe for concurrent use,
+  /// so enumerations on several threads may share it.
   JoinGraphEnumerator(const SchemaGraph* schema_graph, const Database* db,
                       std::vector<std::string> query_relations, Options options,
                       StatsCatalog* shared_stats = nullptr)

@@ -109,11 +109,12 @@ struct AptPlan {
 
 /// Orders `graph`'s edges into materialization steps: breadth-first from the
 /// PT node, scanning edges in declaration order and taking every edge with at
-/// least one joined endpoint per pass. This is the single source of the step
-/// order — the kernel-backed materializer, its scalar reference, and the
-/// prefix-cache keys all derive from it, which is what makes cached prefix
-/// states interchangeable with freshly built ones. Fails on a graph whose
-/// tree edge would re-join the PT node.
+/// least one joined endpoint per pass. The kernel-backed materializer, the
+/// prefix-cache keys and the cost estimate (src/graph/cost.h) all derive
+/// from it, which is what makes cached prefix states interchangeable with
+/// freshly built ones; the scalar reference materializer keeps its own copy
+/// of the loop as the differential oracle. Fails on a graph whose tree edge
+/// would re-join the PT node.
 Result<AptPlan> PlanAptSteps(const JoinGraph& graph);
 
 /// Canonical signature of one materialization step, built from the

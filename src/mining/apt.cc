@@ -232,16 +232,9 @@ Result<AptJoinState> ApplyAptStep(const AptJoinState& in, const AptStep& step,
   }
 
   // Probe the cached typed index on the context relation with the current
-  // state's rows, preserving state row order. The StatsCatalog range tier
-  // sizes the index build; it never changes probe results.
-  std::shared_ptr<const TableStats> stats_hold;
-  const TableStats* base_stats = nullptr;
-  if (ctx.stats != nullptr) {
-    stats_hold = ctx.stats->SharedRanges(*base);
-    base_stats = stats_hold.get();
-  }
+  // state's rows, preserving state row order.
   AptIndexCache::IndexPtr index =
-      ctx.index_cache->Get(*base, keys.right_cols, base_stats);
+      ctx.index_cache->Get(*base, keys.right_cols, ctx.stats);
 
   std::vector<int64_t> probe_rows(cur.num_rows());
   std::iota(probe_rows.begin(), probe_rows.end(), 0);
@@ -315,7 +308,7 @@ FlatMultiMap BuildReferenceIndex(const Table& base, const std::vector<int>& cols
 
 AptIndexCache::IndexPtr AptIndexCache::Get(const Table& base,
                                            const std::vector<int>& cols,
-                                           const TableStats* stats) {
+                                           StatsCatalog* stats) {
   // The content version in the key is the invalidation mechanism: mutating
   // (or replacing) a base table re-keys its indexes, and the stale entries
   // age out through the LRU bound.
@@ -329,7 +322,9 @@ AptIndexCache::IndexPtr AptIndexCache::Get(const Table& base,
   // An index build reports failure only by exception, which GetOrBuild
   // rethrows, so the result is always a value.
   return GetOrBuild(key, [&]() -> Result<Index> {
-           return Index(base, cols, stats);
+           const StatsCatalog::StatsPtr ranges =
+               stats != nullptr ? stats->GetRanges(base) : nullptr;
+           return Index(base, cols, ranges.get());
          }).ValueOrDie();
 }
 

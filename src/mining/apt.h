@@ -25,7 +25,9 @@
 // immutable dictionaries (src/storage/column.h) instead of copying them.
 // The caches below are adapters over OnceLruCache
 // (src/common/once_lru_cache.h), which owns their entries, hands out
-// shared_ptr handles and is safe for concurrent use.
+// shared_ptr handles and is safe for concurrent use. The statistics catalog
+// threaded through AptMaterializeOptions is too, so concurrent
+// materializations may share one.
 
 #ifndef CAJADE_MINING_APT_H_
 #define CAJADE_MINING_APT_H_
@@ -54,8 +56,9 @@ class WorkerPool;
 /// hundreds of join graphs; caching the build side makes APT
 /// materialization cost proportional to the APT, not the base tables.
 /// Entries are typed kernel indexes (JoinBuildIndex): dense counting or
-/// packed composite-key layouts sized from the StatsCatalog range tier when
-/// one is threaded through Get, so index builds never rescan key ranges.
+/// packed composite-key layouts sized from the StatsCatalog's range
+/// statistics when a catalog is threaded through Get, so index builds never
+/// rescan key ranges.
 ///
 /// Designed to live process-wide under the serving layer (one cache shared
 /// by every request, like AptPrefixCache). Keys embed
@@ -77,12 +80,11 @@ class AptIndexCache : public OnceLruCache<JoinBuildIndex> {
   /// first use. The base table must outlive the returned index and must not
   /// be mutated while it is probed — MarkMutated-style version bumps after
   /// this call are fine (they key future lookups), concurrent mutation is
-  /// not. `stats` (the full `base` table's statistics; the range tier
-  /// suffices) sizes the typed layout without a key-range rescan — it only
-  /// needs to stay valid for the duration of the call, and does not affect
-  /// probe results (only build cost).
+  /// not. When `stats` is given, a build reads `base`'s range statistics
+  /// from it to size the typed layout without a key-range rescan; a hit
+  /// does not touch it. It affects build cost only, never probe results.
   IndexPtr Get(const Table& base, const std::vector<int>& cols,
-               const TableStats* stats = nullptr);
+               StatsCatalog* stats = nullptr);
 
   /// Lookups that built an index (or received a failed build).
   size_t num_builds() const { return misses(); }
@@ -217,8 +219,8 @@ struct AptMaterializeOptions {
   /// Prefix-state cache; nullptr disables prefix sharing (states are built
   /// fresh; results are identical either way).
   AptPrefixCache* prefix_cache = nullptr;
-  /// Statistics catalog whose thread-safe range tier (SharedRanges) sizes
-  /// the kernel indexes; nullptr makes index builds scan key ranges.
+  /// Statistics catalog whose range statistics size the kernel index
+  /// builds; nullptr makes index builds scan key ranges.
   StatsCatalog* stats = nullptr;
   /// 0 = unlimited; otherwise materialization aborts with OutOfRange once a
   /// tree-edge join's output exceeds it — the backstop behind the cost

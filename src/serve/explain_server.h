@@ -15,9 +15,8 @@
 //    moment a base-table change alters the provenance it was mined from.
 //    The config needs no place in the key: the cache is private to this
 //    server, and the server's config is fixed at construction;
-//  - a lease pool of Explainers (the engine itself is single-request-stream;
-//    concurrency comes from running up to `num_explainers` of them at once
-//    against the shared caches).
+//  - a lease pool of `num_explainers` Explainers, which bounds how many
+//    requests run at once against the shared caches.
 //
 // bench/bench_load.cc drives this class with closed-loop clients and a
 // zipfian question mix; docs/SERVING.md walks through the knobs.

@@ -1,67 +1,12 @@
 #include "src/stats/table_stats.h"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_set>
 
 #include "src/exec/join.h"
 
 namespace cajade {
-
-size_t TableStats::NdvOf(const Table& table, const std::string& column) const {
-  int idx = table.schema().FindColumn(column);
-  if (idx < 0 || static_cast<size_t>(idx) >= columns.size()) return 1;
-  return std::max<size_t>(columns[idx].ndv, 1);
-}
-
-TableStats ComputeTableStats(const Table& table) {
-  TableStats stats;
-  stats.num_rows = table.num_rows();
-  stats.columns.resize(table.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    const Column& col = table.column(c);
-    ColumnStats& cs = stats.columns[c];
-    cs.numeric = IsNumeric(col.type());
-    if (col.type() == DataType::kString) {
-      // Dictionary size bounds distinct count; count used codes exactly.
-      std::unordered_set<int32_t> codes;
-      for (size_t r = 0; r < table.num_rows(); ++r) {
-        if (col.IsNull(r)) {
-          ++cs.null_count;
-        } else {
-          codes.insert(col.GetCode(r));
-        }
-      }
-      cs.ndv = codes.size();
-      continue;
-    }
-    std::unordered_set<int64_t> seen;  // bit patterns of the numeric value
-    bool first = true;
-    const bool is_int = col.type() == DataType::kInt64;
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      if (col.IsNull(r)) {
-        ++cs.null_count;
-        continue;
-      }
-      double v = col.GetNumeric(r);
-      if (first || v < cs.min_value) cs.min_value = v;
-      if (first || v > cs.max_value) cs.max_value = v;
-      if (is_int) {
-        // Exact range: the double widening above collapses beyond 2^53.
-        int64_t iv = col.GetInt(r);
-        if (first || iv < cs.int_min) cs.int_min = iv;
-        if (first || iv > cs.int_max) cs.int_max = iv;
-        cs.has_int_range = true;
-      }
-      first = false;
-      int64_t bits;
-      static_assert(sizeof(bits) == sizeof(v));
-      __builtin_memcpy(&bits, &v, sizeof(bits));
-      seen.insert(bits);
-    }
-    cs.ndv = seen.size();
-  }
-  return stats;
-}
 
 TableStats ComputeTableRanges(const Table& table) {
   TableStats stats;
@@ -70,57 +15,88 @@ TableStats ComputeTableRanges(const Table& table) {
   for (size_t c = 0; c < table.num_columns(); ++c) {
     const Column& col = table.column(c);
     ColumnStats& cs = stats.columns[c];
-    cs.numeric = IsNumeric(col.type());
-    if (!cs.numeric) {
-      for (size_t r = 0; r < table.num_rows(); ++r) {
-        if (col.IsNull(r)) ++cs.null_count;
-      }
-      continue;
-    }
-    const bool is_int = col.type() == DataType::kInt64;
-    bool first = true;
+    cs.null_count = col.null_count();
+    if (col.type() != DataType::kInt64) continue;
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      if (col.IsNull(r)) {
-        ++cs.null_count;
-        continue;
-      }
-      double v = col.GetNumeric(r);
-      if (first || v < cs.min_value) cs.min_value = v;
-      if (first || v > cs.max_value) cs.max_value = v;
-      if (is_int) {
-        int64_t iv = col.GetInt(r);
-        if (first || iv < cs.int_min) cs.int_min = iv;
-        if (first || iv > cs.int_max) cs.int_max = iv;
-        cs.has_int_range = true;
-      }
-      first = false;
+      if (col.IsNull(r)) continue;
+      const int64_t v = col.GetInt(r);
+      if (!cs.has_int_range || v < cs.int_min) cs.int_min = v;
+      if (!cs.has_int_range || v > cs.int_max) cs.int_max = v;
+      cs.has_int_range = true;
     }
   }
   return stats;
 }
 
+TableStats ComputeTableStats(const Table& table) {
+  TableStats stats = ComputeTableRanges(table);
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const Column& col = table.column(c);
+    if (col.type() == DataType::kString) {
+      // Dictionary size bounds distinct count; count used codes exactly.
+      std::unordered_set<int32_t> codes;
+      for (size_t r = 0; r < table.num_rows(); ++r) {
+        if (!col.IsNull(r)) codes.insert(col.GetCode(r));
+      }
+      stats.columns[c].ndv = codes.size();
+      continue;
+    }
+    std::unordered_set<int64_t> seen;  // bit patterns of the numeric value
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      if (col.IsNull(r)) continue;
+      const double v = col.GetNumeric(r);
+      int64_t bits;
+      static_assert(sizeof(bits) == sizeof(v));
+      std::memcpy(&bits, &v, sizeof(bits));
+      seen.insert(bits);
+    }
+    stats.columns[c].ndv = seen.size();
+  }
+  return stats;
+}
+
+namespace {
+
+/// `cache`'s snapshot of `compute(table)` at the table's current version.
+StatsCatalog::StatsPtr GetStats(OnceLruCache<TableStats>* cache,
+                                const Table& table,
+                                TableStats (*compute)(const Table&)) {
+  // The builds never fail (an exception would propagate), so the result is
+  // always a value.
+  return cache
+      ->GetOrBuild(table.name(), std::to_string(table.content_version()),
+                   [&]() -> Result<TableStats> { return compute(table); })
+      .ValueOrDie();
+}
+
+}  // namespace
+
+StatsCatalog::StatsPtr StatsCatalog::Get(const Table& table) {
+  return GetStats(&full_, table, &ComputeTableStats);
+}
+
+StatsCatalog::StatsPtr StatsCatalog::GetRanges(const Table& table) {
+  return GetStats(&ranges_, table, &ComputeTableRanges);
+}
+
 size_t StatsCatalog::CombinedNdv(const Table& table,
                                  const std::vector<int>& cols) {
-  // The content version in the key invalidates on table mutation; dead
-  // versions linger until the catalog is discarded, bounded by mutation
-  // count (combined-ndv entries are one size_t each).
   std::string key = table.name();
-  key += '@';
-  key += std::to_string(table.content_version());
   for (int c : cols) {
     key += '|';
     key += std::to_string(c);
   }
-  auto it = combined_ndv_.find(key);
-  if (it != combined_ndv_.end()) return it->second;
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(table.num_rows());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    seen.insert(HashRowKey(table, static_cast<int64_t>(r), cols));
-  }
-  size_t ndv = std::max<size_t>(seen.size(), 1);
-  combined_ndv_.emplace(std::move(key), ndv);
-  return ndv;
+  auto count = [&]() -> Result<size_t> {
+    std::unordered_set<uint64_t> seen;
+    seen.reserve(table.num_rows());
+    for (size_t r = 0; r < table.num_rows(); ++r) {
+      seen.insert(HashRowKey(table, static_cast<int64_t>(r), cols));
+    }
+    return std::max<size_t>(seen.size(), 1);
+  };
+  return *combined_ndv_
+              .GetOrBuild(key, std::to_string(table.content_version()), count)
+              .ValueOrDie();
 }
 
 size_t StatsCatalog::CombinedNdvByName(const Table& table,
@@ -132,54 +108,6 @@ size_t StatsCatalog::CombinedNdvByName(const Table& table,
   }
   if (idx.empty()) return 1;
   return CombinedNdv(table, idx);
-}
-
-const TableStats& StatsCatalog::Get(const Table& table) {
-  auto it = cache_.find(table.name());
-  if (it != cache_.end() && it->second.version == table.content_version()) {
-    if (it->second.full) return it->second.stats;
-    // Upgrade a range-only entry in place (same TableStats object, so
-    // previously returned references stay valid).
-    it->second.stats = ComputeTableStats(table);
-    it->second.full = true;
-    return it->second.stats;
-  }
-  Entry entry{table.content_version(), /*full=*/true, ComputeTableStats(table)};
-  auto [pos, _] = cache_.insert_or_assign(table.name(), std::move(entry));
-  return pos->second.stats;
-}
-
-std::shared_ptr<const TableStats> StatsCatalog::SharedRanges(
-    const Table& table) {
-  {
-    MutexLock lock(shared_mu_);
-    auto it = shared_ranges_.find(table.name());
-    if (it != shared_ranges_.end() && it->second.version == table.content_version()) {
-      return it->second.stats;
-    }
-  }
-  // Compute outside the lock so one slow scan does not serialize unrelated
-  // tables; two threads racing on the same table both compute identical
-  // (deterministic) snapshots and the first insert wins.
-  auto stats = std::make_shared<const TableStats>(ComputeTableRanges(table));
-  MutexLock lock(shared_mu_);
-  auto it = shared_ranges_.find(table.name());
-  if (it != shared_ranges_.end() && it->second.version == table.content_version()) {
-    return it->second.stats;
-  }
-  shared_ranges_.insert_or_assign(table.name(),
-                                  SharedEntry{table.content_version(), stats});
-  return stats;
-}
-
-const TableStats& StatsCatalog::GetRanges(const Table& table) {
-  auto it = cache_.find(table.name());
-  if (it != cache_.end() && it->second.version == table.content_version()) {
-    return it->second.stats;  // a full entry serves range queries too
-  }
-  Entry entry{table.content_version(), /*full=*/false, ComputeTableRanges(table)};
-  auto [pos, _] = cache_.insert_or_assign(table.name(), std::move(entry));
-  return pos->second.stats;
 }
 
 }  // namespace cajade

@@ -1,39 +1,36 @@
-// Per-column statistics (row counts, distinct values, ranges) and a caching
-// catalog. The join-graph enumerator uses these to estimate APT
+// Per-column statistics (row counts, distinct values, int64 ranges) and a
+// caching catalog. The join-graph enumerator uses these to estimate APT
 // materialization cost, mirroring the paper's use of the DBMS cost estimate
-// to prune join graphs (Section 4, lambda_qcost).
+// to prune join graphs (Section 4, lambda_qcost); the join planner and the
+// kernel index builds read the ranges and distinct counts.
 //
-// Ownership: the catalog owns its per-table statistics entries; callers
-// receive references that stay valid for the catalog's lifetime (entries are
-// upgraded in place, never dropped). The shared tier's locking is annotated
-// in-line (Mutex / GUARDED_BY below) and checked by the thread-safety CI
-// leg.
+// Ownership and thread-safety: the catalog's caches are OnceLruCaches
+// (src/common/once_lru_cache.h), which own their entries, build each one
+// once and are safe for concurrent use. Statistics are handed out as
+// shared_ptr<const TableStats> snapshots that nothing writes after they are
+// built, so a caller may hold one across its own work while other threads
+// use the catalog.
 
 #ifndef CAJADE_STATS_TABLE_STATS_H_
 #define CAJADE_STATS_TABLE_STATS_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "src/common/thread_annotations.h"
-#include "src/common/value.h"
+#include "src/common/once_lru_cache.h"
 #include "src/storage/table.h"
 
 namespace cajade {
 
 /// Statistics for one column.
 struct ColumnStats {
-  size_t ndv = 0;         ///< number of distinct non-null values
+  size_t ndv = 0;  ///< distinct non-null values (ComputeTableStats only)
   size_t null_count = 0;
-  double min_value = 0.0; ///< numeric columns only (double-widened)
-  double max_value = 0.0;
-  bool numeric = false;
-  /// Exact non-null range of INT64 columns. The double min/max above loses
-  /// precision beyond 2^53, which is not good enough to size dense join
-  /// layouts or pack composite keys; the join planner reads these instead.
-  /// Valid only when has_int_range (INT64 column with at least one non-null).
+  /// Exact non-null range of INT64 columns, which the join kernels size
+  /// dense layouts and pack composite keys from. Valid only when
+  /// has_int_range (INT64 column with at least one non-null).
   int64_t int_min = 0;
   int64_t int_max = -1;
   bool has_int_range = false;
@@ -43,52 +40,37 @@ struct ColumnStats {
 struct TableStats {
   size_t num_rows = 0;
   std::vector<ColumnStats> columns;
-
-  /// ndv of the named column; 1 when the column is unknown (conservative).
-  size_t NdvOf(const Table& table, const std::string& column) const;
 };
 
-/// Scans `table` and computes exact statistics.
-TableStats ComputeTableStats(const Table& table);
-
-/// Range-only statistics: null counts and numeric min/max (including the
-/// exact int64 range) but no distinct counts — one sequential pass per
-/// column with no hashing or per-row allocation, an order of magnitude
-/// cheaper than ComputeTableStats on wide tables. `ndv` fields stay 0.
+/// Range statistics: null counts (from Column::null_count) and the exact
+/// int64 range of INT64 columns, one sequential pass per INT64 column with
+/// no hashing. `ndv` fields stay 0.
 TableStats ComputeTableRanges(const Table& table);
 
-/// \brief Cache of table statistics keyed by table name + content version.
+/// ComputeTableRanges plus the exact distinct count of every column.
+TableStats ComputeTableStats(const Table& table);
+
+/// \brief Cache of table statistics, one entry per table in each of three
+/// caches: full statistics, range statistics, and combined distinct counts
+/// (per table and column combination).
 ///
-/// Entries are validated against Table::content_version(), so any mutation
-/// (or a table replaced wholesale through Database::ReplaceTable) recomputes
-/// on next access instead of serving stale statistics — the property that
-/// lets one catalog live process-wide under a serving layer.
-///
-/// Get/GetRanges/CombinedNdv serve one caller stream at a time (the executor
-/// wraps its catalog in a mutex; the enumerator runs serially). SharedRanges
-/// is the exception: it is safe to call concurrently — the parallel APT
-/// materialization fan-out reads the range tier through it while no one is
-/// using the single-stream methods.
+/// Entries are keyed by table name and tagged with Table::content_version(),
+/// so a mutated (or replaced) table detaches its old entry and is recomputed
+/// on next access instead of serving stale statistics. Every method is safe
+/// to call concurrently; one catalog serves an Explainer's join planner,
+/// join-graph enumeration and APT index builds.
 class StatsCatalog {
  public:
-  const TableStats& Get(const Table& table);
+  using StatsPtr = std::shared_ptr<const TableStats>;
 
-  /// Range-only statistics (see ComputeTableRanges); served from a cached
-  /// full entry when one exists, upgraded in place by a later Get().
-  const TableStats& GetRanges(const Table& table);
+  /// Full statistics (see ComputeTableStats).
+  StatsPtr Get(const Table& table);
 
-  /// Thread-safe range tier: an immutable, shared snapshot of
-  /// ComputeTableRanges(table), computed once per (name, row count) behind an
-  /// internal mutex. Unlike Get/GetRanges the returned object is never
-  /// upgraded or mutated, so concurrent readers can hold it across their own
-  /// work (the join kernels size dense layouts from it without rescanning).
-  /// Kept in a map separate from the single-stream cache: the one extra
-  /// sequential range scan per table is the price of not sharing mutable
-  /// entries across threads.
-  std::shared_ptr<const TableStats> SharedRanges(const Table& table)
-      EXCLUDES(shared_mu_);
+  /// Range statistics (see ComputeTableRanges): enough for the join
+  /// kernels' layout selection, without the distinct-count pass.
+  StatsPtr GetRanges(const Table& table);
 
-  /// Exact distinct count of the multi-column combination `cols` (cached).
+  /// Exact distinct count of the multi-column combination `cols`, at least 1.
   /// Correlated columns (e.g. the year/month/day/home parts of a game key)
   /// make the product-of-ndv estimate useless for join fan-out; the exact
   /// count is one cheap cached pass.
@@ -99,26 +81,16 @@ class StatsCatalog {
                            const std::vector<std::string>& cols);
 
  private:
-  struct Entry {
-    uint64_t version;  ///< Table::content_version() at computation time
-    bool full;  ///< distinct counts present (ComputeTableStats vs Ranges)
-    TableStats stats;
-  };
-  /// Single-stream tier: deliberately NOT guarded by any mutex — the
-  /// class contract (one caller stream for Get/GetRanges/CombinedNdv)
-  /// makes a lock here either redundant or a false promise. External
-  /// callers that need concurrency wrap these calls in their own mutex
-  /// (QueryExecutor::stats_mu_) or stick to SharedRanges.
-  std::unordered_map<std::string, Entry> cache_;
-  std::unordered_map<std::string, size_t> combined_ndv_;
+  static size_t StatsBytes(const TableStats& stats) {
+    return sizeof(stats) + stats.columns.size() * sizeof(ColumnStats);
+  }
+  static size_t NdvBytes(const size_t&) { return sizeof(size_t); }
 
-  struct SharedEntry {
-    uint64_t version;
-    std::shared_ptr<const TableStats> stats;
-  };
-  Mutex shared_mu_;
-  std::unordered_map<std::string, SharedEntry> shared_ranges_
-      GUARDED_BY(shared_mu_);
+  // Unbounded: each table has one entry per cache (per column combination
+  // for combined_ndv_), and a version bump replaces rather than adds one.
+  OnceLruCache<TableStats> full_{SIZE_MAX, &StatsBytes};
+  OnceLruCache<TableStats> ranges_{SIZE_MAX, &StatsBytes};
+  OnceLruCache<size_t> combined_ndv_{SIZE_MAX, &NdvBytes};
 };
 
 }  // namespace cajade

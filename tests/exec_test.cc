@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "src/exec/evaluator.h"
 #include "src/exec/executor.h"
@@ -413,6 +416,60 @@ TEST(ExecutorTest, ThreeWayJoinChain) {
   ASSERT_EQ(result.num_rows(), 2u);
   EXPECT_EQ(result.GetValue(0, 1), Value(int64_t{2}));  // alice: sales 100,102
   EXPECT_EQ(result.GetValue(1, 1), Value(int64_t{2}));  // bob: 101,103
+}
+
+TEST(ExecutorTest, ConcurrentQueriesShareOneExecutor) {
+  // b and c have equal sizes, so Q2's planner breaks the tie on b's and c's
+  // full statistics while Q1 builds its join index on b from b's range
+  // statistics. Sharing one executor (and its statistics catalog) must give
+  // each query its serial answer; under TSan this is the catalog's race
+  // check.
+  Database db;
+  auto a = db.CreateTable("a", MakeSchema({{"k", DataType::kInt64},
+                                           {"v", DataType::kInt64}}))
+               .ValueOrDie();
+  auto b = db.CreateTable("b", MakeSchema({{"k", DataType::kInt64},
+                                           {"x", DataType::kString}}))
+               .ValueOrDie();
+  auto c = db.CreateTable("c", MakeSchema({{"k", DataType::kInt64},
+                                           {"y", DataType::kString}}))
+               .ValueOrDie();
+  for (int64_t i = 0; i < 200; ++i) {
+    a->AppendRow({Value(i % 40), Value(i)});
+  }
+  for (int64_t i = 0; i < 64; ++i) {
+    b->AppendRow({Value(i % 32), Value(i % 3 == 0 ? "p" : "q")});
+    c->AppendRow({Value(i % 16), Value(i % 5 == 0 ? "r" : "s")});
+  }
+  const ParsedQuery q1 = ParseQuery(
+                             "SELECT b.x, count(*) AS n FROM a, b "
+                             "WHERE a.k = b.k GROUP BY b.x")
+                             .ValueOrDie();
+  const ParsedQuery q2 = ParseQuery(
+                             "SELECT b.x, c.y, count(*) AS n FROM a, b, c "
+                             "WHERE a.k = b.k AND a.k = c.k GROUP BY b.x, c.y")
+                             .ValueOrDie();
+  const std::string want1 = QueryExecutor(&db).Execute(q1).ValueOrDie().ToString(100);
+  const std::string want2 = QueryExecutor(&db).Execute(q2).ValueOrDie().ToString(100);
+
+  // Fresh executors, so every round's first calls compute the statistics.
+  for (int round = 0; round < 20; ++round) {
+    QueryExecutor exec(&db);
+    std::atomic<int> ready{0};
+    std::string got1, got2;
+    auto run = [&](const ParsedQuery& q, std::string* got) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      *got = exec.Execute(q).ValueOrDie().ToString(100);
+    };
+    std::thread t1(run, std::cref(q1), &got1);
+    std::thread t2(run, std::cref(q2), &got2);
+    t1.join();
+    t2.join();
+    EXPECT_EQ(got1, want1);
+    EXPECT_EQ(got2, want2);
+  }
 }
 
 }  // namespace

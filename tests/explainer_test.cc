@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "src/core/explainer.h"
 #include "src/datasets/example_nba.h"
+#include "src/datasets/mimic.h"
 #include "src/provenance/provenance.h"
 #include "src/sql/parser.h"
 
@@ -232,6 +238,59 @@ TEST_F(ExplainerTest, DeduplicateKeepsBestPerPattern) {
   auto dedup = DeduplicateExplanations(ranked);
   ASSERT_EQ(dedup.size(), 2u);
   EXPECT_DOUBLE_EQ(dedup[0].fscore, 0.9);
+}
+
+/// Every explanation of `result` rendered with its scores, in rank order.
+std::vector<std::string> Rendered(const ExplainResult& result) {
+  std::vector<std::string> out;
+  for (const Explanation& e : result.explanations) out.push_back(e.ToString());
+  return out;
+}
+
+TEST(SharedExplainerTest, ConcurrentExplainsMatchSerialRuns) {
+  // Two MIMIC questions on one query, explained at once on one Explainer:
+  // they share its executor, statistics catalog and prefix cache, and their
+  // equal-length front halves line the two enumerations up. Under TSan this
+  // is the shared-instance race check.
+  MimicOptions opt;
+  opt.scale_factor = 0.03;
+  Database db = MakeMimicDatabase(opt).ValueOrDie();
+  SchemaGraph sg = MakeMimicSchemaGraph(db).ValueOrDie();
+  CajadeConfig config;
+  config.max_join_graph_edges = 2;
+  const std::string sql = MimicQuerySql(2);
+  const UserQuestion questions[2] = {
+      UserQuestion::TwoPoint(Where({{"insurance", Value("Medicare")}}),
+                             Where({{"insurance", Value("Medicaid")}})),
+      UserQuestion::TwoPoint(Where({{"insurance", Value("Medicare")}}),
+                             Where({{"insurance", Value("Private")}}))};
+  std::vector<std::string> serial[2];
+  for (int q = 0; q < 2; ++q) {
+    serial[q] = Rendered(
+        Explainer(&db, &sg, config).Explain(sql, questions[q]).ValueOrDie());
+    ASSERT_FALSE(serial[q].empty());
+  }
+  ASSERT_NE(serial[0], serial[1]);
+
+  // A fresh Explainer per round, so every round's enumerations compute the
+  // statistics they read.
+  for (int round = 0; round < 3; ++round) {
+    Explainer shared(&db, &sg, config);
+    std::vector<std::string> got[2];
+    std::atomic<int> ready{0};
+    auto run = [&](int q) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) {
+      }
+      got[q] = Rendered(shared.Explain(sql, questions[q]).ValueOrDie());
+    };
+    std::thread t0(run, 0);
+    std::thread t1(run, 1);
+    t0.join();
+    t1.join();
+    EXPECT_EQ(got[0], serial[0]);
+    EXPECT_EQ(got[1], serial[1]);
+  }
 }
 
 }  // namespace

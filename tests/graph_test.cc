@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "src/datasets/example_nba.h"
 #include "src/graph/cost.h"
@@ -213,6 +214,75 @@ TEST_F(GraphTest, CostEstimateGrowsWithFanout) {
   // Cost also accounts for width.
   EXPECT_GT(EstimateAptCost(g, graph_, db_, &stats, 36, 9),
             EstimateAptRows(g, graph_, db_, &stats, 36));
+}
+
+/// Connects nodes `a` (relation `rel_a`) and `b` (relation `rel_b`) through
+/// the condition with `pairs` attribute pairs on the schema edge joining
+/// the two relations.
+void Connect(const SchemaGraph& sg, JoinGraph* g, int a,
+             const std::string& rel_a, int b, const std::string& rel_b,
+             size_t pairs, const std::string& pt_relation) {
+  for (size_t i = 0; i < sg.edges().size(); ++i) {
+    const SchemaEdge& se = sg.edges()[i];
+    const bool forward = se.rel_a == rel_a && se.rel_b == rel_b;
+    if (!forward && !(se.rel_a == rel_b && se.rel_b == rel_a)) continue;
+    for (size_t c = 0; c < se.conditions.size(); ++c) {
+      if (se.conditions[c].pairs.size() != pairs) continue;
+      g->AddEdge({a, b, static_cast<int>(i), static_cast<int>(c), forward,
+                  pt_relation});
+      return;
+    }
+  }
+  FAIL() << "no " << rel_a << " - " << rel_b << " condition with " << pairs
+         << " pairs";
+}
+
+TEST_F(GraphTest, CostEstimateMultipliesTheSecondHop) {
+  StatsCatalog stats;
+  // PT - lineup_per_game_stats (three lineups per game) - lineup_player
+  // (five players per lineup).
+  JoinGraph one_hop = JoinGraph::PtOnly();
+  int lineup_stats = one_hop.AddNode("lineup_per_game_stats");
+  Connect(graph_, &one_hop, 0, "game", lineup_stats, "lineup_per_game_stats",
+          4, "game");
+  JoinGraph two_hops = one_hop;
+  int lineup_player = two_hops.AddNode("lineup_player");
+  Connect(graph_, &two_hops, lineup_stats, "lineup_per_game_stats",
+          lineup_player, "lineup_player", 1, "");
+
+  const Table& players = *db_.GetTable("lineup_player").ValueOrDie();
+  const double fanout =
+      static_cast<double>(players.num_rows()) /
+      static_cast<double>(stats.CombinedNdvByName(players, {"lineupid"}));
+  ASSERT_GT(fanout, 1.0);
+  const double rows = EstimateAptRows(one_hop, graph_, db_, &stats, 36);
+  EXPECT_GT(rows, 36.0);
+  EXPECT_DOUBLE_EQ(EstimateAptRows(two_hops, graph_, db_, &stats, 36),
+                   rows * fanout);
+  EXPECT_GT(EstimateAptCost(two_hops, graph_, db_, &stats, 36, 9),
+            EstimateAptCost(one_hop, graph_, db_, &stats, 36, 9));
+}
+
+TEST_F(GraphTest, CostEstimateFiltersOnAParallelPtEdge) {
+  StatsCatalog stats;
+  // PT - player_game_scoring on the game key, then a second PT edge to the
+  // same node (the home = winner condition): it closes a cycle and filters
+  // instead of fanning out again.
+  JoinGraph single = JoinGraph::PtOnly();
+  int scoring = single.AddNode("player_game_scoring");
+  Connect(graph_, &single, 0, "game", scoring, "player_game_scoring", 4,
+          "game");
+  JoinGraph parallel = single;
+  Connect(graph_, &parallel, 0, "game", scoring, "player_game_scoring", 5,
+          "game");
+
+  const Table& table = *db_.GetTable("player_game_scoring").ValueOrDie();
+  const double key_ndv = static_cast<double>(
+      stats.CombinedNdvByName(table, {"year", "month", "day", "home"}));
+  ASSERT_GT(key_ndv, 1.0);
+  const double rows = EstimateAptRows(single, graph_, db_, &stats, 36);
+  EXPECT_DOUBLE_EQ(EstimateAptRows(parallel, graph_, db_, &stats, 36),
+                   rows / key_ndv);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -33,15 +34,12 @@ TEST(TableStatsTest, NdvNullsAndRanges) {
   TableStats stats = ComputeTableStats(t);
   EXPECT_EQ(stats.num_rows, 4u);
   EXPECT_EQ(stats.columns[0].ndv, 2u);
-  EXPECT_EQ(stats.columns[0].null_count, 1u);
-  EXPECT_DOUBLE_EQ(stats.columns[0].min_value, 1.0);
-  EXPECT_DOUBLE_EQ(stats.columns[0].max_value, 2.0);
   EXPECT_EQ(stats.columns[1].ndv, 2u);
   EXPECT_EQ(stats.columns[2].ndv, 2u);
-  EXPECT_TRUE(stats.columns[0].numeric);
-  EXPECT_FALSE(stats.columns[2].numeric);
-  EXPECT_EQ(stats.NdvOf(t, "s"), 2u);
-  EXPECT_EQ(stats.NdvOf(t, "missing"), 1u);  // conservative default
+  for (const ColumnStats& cs : stats.columns) EXPECT_EQ(cs.null_count, 1u);
+  ASSERT_TRUE(stats.columns[0].has_int_range);
+  EXPECT_EQ(stats.columns[0].int_min, 1);
+  EXPECT_EQ(stats.columns[0].int_max, 2);
 }
 
 TEST(TableStatsTest, ExactInt64RangeBeyondDoublePrecision) {
@@ -70,37 +68,68 @@ TEST(TableStatsTest, AllNullIntColumnHasNoRange) {
   EXPECT_EQ(stats.columns[0].ndv, 0u);
 }
 
-TEST(StatsCatalogTest, CachesByNameAndRowCount) {
+TEST(StatsCatalogTest, SnapshotsOutliveGetAndVersionBump) {
   Table t = MakeStatsTable();
   StatsCatalog catalog;
-  const TableStats& a = catalog.Get(t);
-  const TableStats& b = catalog.Get(t);
-  EXPECT_EQ(&a, &b);  // same cached entry
-  // Appending rows invalidates the cache through the row-count check.
+  StatsCatalog::StatsPtr a = catalog.Get(t);
+  EXPECT_EQ(catalog.Get(t), a);  // same cached snapshot
+  // Appending rows bumps the content version: the next Get recomputes into
+  // a new snapshot and leaves the one already handed out as it was.
   (void)t.AppendRow({Value(int64_t{9}), Value(9.0), Value("z")});
-  const TableStats& c = catalog.Get(t);
-  EXPECT_EQ(c.num_rows, 5u);
+  StatsCatalog::StatsPtr c = catalog.Get(t);
+  EXPECT_NE(c, a);
+  EXPECT_EQ(c->num_rows, 5u);
+  EXPECT_EQ(c->columns[0].ndv, 3u);
+  EXPECT_EQ(a->num_rows, 4u);
+  EXPECT_EQ(a->columns[0].ndv, 2u);
 }
 
-TEST(StatsCatalogTest, RangeOnlyStatsAndUpgrade) {
+TEST(StatsCatalogTest, RangeSnapshotsStayRangeOnly) {
   Table t = MakeStatsTable();
   StatsCatalog catalog;
-  const TableStats& ranges = catalog.GetRanges(t);
-  // Ranges carry min/max/nulls but no distinct counts.
-  EXPECT_DOUBLE_EQ(ranges.columns[0].min_value, 1.0);
-  EXPECT_DOUBLE_EQ(ranges.columns[0].max_value, 2.0);
-  ASSERT_TRUE(ranges.columns[0].has_int_range);
-  EXPECT_EQ(ranges.columns[0].int_min, 1);
-  EXPECT_EQ(ranges.columns[0].int_max, 2);
-  EXPECT_EQ(ranges.columns[0].null_count, 1u);
-  EXPECT_EQ(ranges.columns[0].ndv, 0u);
-  // A full Get() upgrades the cached entry in place: same object, distinct
-  // counts filled in, and range requests keep being served from it.
-  const TableStats& full = catalog.Get(t);
-  EXPECT_EQ(&full, &ranges);
-  EXPECT_EQ(full.columns[0].ndv, 2u);
-  EXPECT_EQ(&catalog.GetRanges(t), &full);
-  EXPECT_EQ(catalog.GetRanges(t).columns[0].ndv, 2u);
+  StatsCatalog::StatsPtr ranges = catalog.GetRanges(t);
+  // Ranges carry the int range and null counts but no distinct counts.
+  ASSERT_TRUE(ranges->columns[0].has_int_range);
+  EXPECT_EQ(ranges->columns[0].int_min, 1);
+  EXPECT_EQ(ranges->columns[0].int_max, 2);
+  EXPECT_EQ(ranges->columns[0].null_count, 1u);
+  EXPECT_EQ(ranges->columns[2].null_count, 1u);
+  EXPECT_FALSE(ranges->columns[1].has_int_range);  // DOUBLE: no scan
+  EXPECT_EQ(ranges->columns[0].ndv, 0u);
+  // Full statistics are a separate snapshot: computing them leaves the
+  // range snapshot, handed out or cached, unchanged.
+  StatsCatalog::StatsPtr full = catalog.Get(t);
+  EXPECT_NE(full, ranges);
+  EXPECT_EQ(full->columns[0].ndv, 2u);
+  EXPECT_EQ(ranges->columns[0].ndv, 0u);
+  EXPECT_EQ(catalog.GetRanges(t), ranges);
+}
+
+TEST(StatsCatalogTest, ConcurrentFirstCallersShareOneSnapshotPerCache) {
+  Table t = MakeStatsTable();
+  StatsCatalog catalog;
+  constexpr int kThreads = 4;
+  std::vector<StatsCatalog::StatsPtr> full(kThreads), ranges(kThreads);
+  std::vector<size_t> ndv(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      full[i] = catalog.Get(t);
+      ranges[i] = catalog.GetRanges(t);
+      ndv[i] = catalog.CombinedNdv(t, {0, 2});
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(full[i], full[0]);
+    EXPECT_EQ(ranges[i], ranges[0]);
+    EXPECT_EQ(ndv[i], 4u);  // (1,a) (1,b) (2,a) (NULL,NULL)
+  }
+  EXPECT_EQ(full[0]->columns[2].ndv, 2u);
 }
 
 TEST(StatsCatalogTest, CombinedNdvExactForCorrelatedColumns) {
