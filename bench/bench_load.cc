@@ -163,15 +163,16 @@ ScenarioResult RunScenario(const Database& db, const SchemaGraph& sg,
   size_t cores = std::max(1u, std::thread::hardware_concurrency());
   ExplainServer::Options options;
   // Request-internal fan-out only helps when there are spare cores beyond
-  // the lease pool; on a saturated host it just bounces work between
+  // the request slots; on a saturated host it just bounces work between
   // threads — the last item of a request's ParallelFor can sit on a
   // preempted pool worker for a scheduler quantum, a pure tail-latency tax.
   options.config.num_threads = cores > sc.clients ? 2 : 1;
-  // Size the lease pool to the cores, not the clients: excess clients queue
-  // on the lease, so request latency is (queue depth x request cost) — a
-  // uniform, capacity-shaped tail — instead of the preemption lottery of
+  // Size the request slots to the cores, not the clients: excess clients
+  // queue for a slot, so request latency is (queue depth x request cost) —
+  // a uniform, capacity-shaped tail — instead of the preemption lottery of
   // oversubscribing CPU-bound requests on too few cores. On a 1-core
-  // container this serializes requests; on multi-core it goes wide.
+  // container this serializes requests; on multi-core it goes wide. Every
+  // admitted request runs on the server's one Explainer.
   options.num_explainers = std::min(sc.clients, cores);
   options.pool_threads = static_cast<int>(std::min<size_t>(sc.clients, 4));
   options.enable_result_cache = sc.cache_on;
@@ -203,7 +204,7 @@ ScenarioResult RunScenario(const Database& db, const SchemaGraph& sg,
 
     // Clients rendezvous on `ready` before issuing, and their first few
     // requests are issued but not recorded: thread spawn, first-touch page
-    // faults, and a not-yet-full lease queue would otherwise leak transient
+    // faults, and a not-yet-full slot queue would otherwise leak transient
     // latencies into the steady-state percentiles.
     constexpr size_t kUnrecorded = 8;
     std::atomic<size_t> ready{0};

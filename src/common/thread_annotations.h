@@ -2,7 +2,7 @@
 // and the annotated synchronization primitives every module must use.
 //
 // The locking rules of the concurrent layers (WorkerPool, ExplainServer's
-// lease pool, the process-wide caches) used to live only in comments,
+// request slots, the process-wide caches) used to live only in comments,
 // checked dynamically by the TSan CI leg on whatever paths the tests
 // happened to exercise. These annotations move the rules into the type
 // system: a field declared GUARDED_BY(mu_) cannot be touched without
@@ -132,7 +132,7 @@ class CondVar {
     lock.release();
   }
 
-  /// One targeted wakeup (the lease pool's direct handoff depends on
+  /// One targeted wakeup (the request slots' direct handoff depends on
   /// waking exactly the granted waiter — see ExplainServer).
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }

@@ -97,16 +97,17 @@ struct CajadeConfig {
   /// knob: explanations are bit-identical with the cache on or off, at any
   /// thread count.
   bool enable_apt_prefix_cache = true;
-  /// Memory bound of the prefix cache in bytes (LRU-evicted above it). The
-  /// cache outlives a single Explain call, so this bounds resident state
-  /// across requests, not per call. Also the default of AptPrefixCache and
-  /// the bound of an ExplainServer's shared prefix cache.
+  /// Memory bound of an Explainer's prefix cache in bytes (LRU-evicted
+  /// above it), read when the Explainer is constructed. The cache lives as
+  /// long as its Explainer, so this bounds resident state across calls —
+  /// across requests under ExplainServer, whose one Explainer serves them
+  /// all — not per call. Also the default of AptPrefixCache.
   size_t apt_prefix_cache_bytes = size_t{256} << 20;  // 256 MiB
-  /// Memory bound of the APT join-index cache in bytes (build-side join
-  /// indexes keyed by table content version; LRU-evicted above it). Like
-  /// the prefix cache this is process-lifetime state under the serving
-  /// layer, bounded across requests. Also the default of AptIndexCache and
-  /// the bound of an ExplainServer's shared index cache.
+  /// Memory bound of an Explainer's APT join-index cache in bytes
+  /// (build-side join indexes keyed by table content version; LRU-evicted
+  /// above it), read when the Explainer is constructed. Like the prefix
+  /// cache it lives as long as its Explainer and bounds resident state
+  /// across calls. Also the default of AptIndexCache.
   size_t apt_index_cache_bytes = size_t{256} << 20;  // 256 MiB
 
   // ---- Sharded APT pipeline ------------------------------------------------

@@ -172,19 +172,7 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     StepProfiler profile;
   };
   std::vector<GraphOutcome> outcomes(graphs.size());
-  // Build-side join indexes: the process-wide cache when the serving layer
-  // installed one (indexes then survive across requests, keyed by table
-  // content version and evicted by byte budget), a call-local cache
-  // otherwise.
-  AptIndexCache local_index_cache(config_.apt_index_cache_bytes);
-  AptMaterializeOptions apt_options = MakeAptOptions();
-  apt_options.index_cache = shared_index_cache_ != nullptr
-                                ? shared_index_cache_
-                                : &local_index_cache;
-  apt_options.row_limit = config_.max_apt_rows;
-  // One fingerprint for the whole fan-out: every graph shares this
-  // (pt, pt_rows) pair, so don't re-hash the row selection per graph.
-  apt_options.pt_fingerprint = prepared.pt_fingerprint;
+  AptMaterializeOptions apt_options = MakeAptOptions(prepared);
   // Observability shared across the fan-out (atomic): peak resident state
   // bytes and shard counts, copied into the result after the merge.
   AptMaterializeMetrics apt_metrics;
@@ -196,8 +184,8 @@ Result<ExplainResult> Explainer::ExplainPrepared(
   std::unique_ptr<WorkerPool> local_pool;
   WorkerPool* pool = nullptr;
   if (threads > 1) {
-    if (shared_pool_ != nullptr) {
-      pool = shared_pool_;
+    if (pool_ != nullptr) {
+      pool = pool_;
     } else if (graphs.size() > 1 || config_.apt_shard_rows > 0) {
       local_pool = std::make_unique<WorkerPool>(threads);
       pool = local_pool.get();
@@ -297,10 +285,9 @@ Result<ExplainResult> Explainer::ExplainPrepared(
     // shards across `pool` when one exists (single-graph requests).
     for (size_t gi = 0; gi < graphs.size(); ++gi) process_graph(gi);
   } else {
-    // With the serving layer's shared pool, this request's graphs are one
-    // task group; ParallelFor completes when exactly these iterations
-    // finish, independent of other requests' loops in flight on the same
-    // workers.
+    // On a pool shared across calls, this call's graphs are one task
+    // group; ParallelFor completes when exactly these iterations finish,
+    // independent of other calls' loops in flight on the same workers.
     pool->ParallelFor(graphs.size(), process_graph);
   }
 
@@ -337,59 +324,46 @@ Result<ExplainResult> Explainer::ExplainPrepared(
   return out;
 }
 
-AptMaterializeOptions Explainer::MakeAptOptions() const {
+AptMaterializeOptions Explainer::MakeAptOptions(
+    const PreparedExplain& prepared) const {
   AptMaterializeOptions options;
   options.stats = executor_.stats();
-  if (config_.enable_apt_prefix_cache) {
-    if (shared_prefix_cache_ != nullptr) {
-      // Process-wide cache: its byte bound belongs to the owner (the
-      // serving layer), so this Explainer's config bound is not applied.
-      options.prefix_cache = shared_prefix_cache_;
-    } else {
-      // Re-applied per call on purpose: mutable_config() may change the
-      // bound between calls, and this is where it takes effect (shrinking
-      // evicts immediately).
-      prefix_cache_.set_max_bytes(config_.apt_prefix_cache_bytes);
-      options.prefix_cache = &prefix_cache_;
-    }
-  }
+  options.index_cache = &index_cache_;
+  if (config_.enable_apt_prefix_cache) options.prefix_cache = &prefix_cache_;
+  options.row_limit = config_.max_apt_rows;
+  // One fingerprint for every graph of this provenance, so a fan-out does
+  // not re-hash the row selection per graph.
+  options.pt_fingerprint = prepared.pt_fingerprint;
   return options;
 }
 
 Result<ShardedApt> Explainer::BuildApt(const ParsedQuery& query,
                                        const UserQuestion& question,
                                        const JoinGraph& graph) const {
-  ASSIGN_OR_RETURN(ProvenanceTable pt, ComputeProvenance(executor_, query));
-  std::vector<int64_t> pt_rows;
-  PtClasses classes;
-  std::string d1, d2;
-  RETURN_NOT_OK(ResolveQuestion(pt, question, &pt_rows, &classes, &d1, &d2));
-  return MaterializeAptSharded(pt, pt_rows, graph, *schema_graph_, *db_,
-                               MakeAptOptions(), config_.apt_shard_rows);
+  ASSIGN_OR_RETURN(PreparedExplain prepared, Prepare(query, question));
+  return MaterializeAptSharded(prepared.pt, prepared.pt_rows, graph,
+                               *schema_graph_, *db_, MakeAptOptions(prepared),
+                               config_.apt_shard_rows);
 }
 
 Result<MineResult> Explainer::MineJoinGraph(const ParsedQuery& query,
                                             const UserQuestion& question,
                                             const JoinGraph& graph,
                                             StepProfiler* profiler) const {
-  ASSIGN_OR_RETURN(ProvenanceTable pt, ComputeProvenance(executor_, query));
-  std::vector<int64_t> pt_rows;
-  PtClasses classes;
-  std::string d1, d2;
-  RETURN_NOT_OK(ResolveQuestion(pt, question, &pt_rows, &classes, &d1, &d2));
+  ASSIGN_OR_RETURN(PreparedExplain prepared, Prepare(query, question));
   StepProfiler local;
   StepProfiler* prof = profiler != nullptr ? profiler : &local;
   ShardedApt apt;
   {
     ScopedStep step(prof, "Materialize APTs");
-    ASSIGN_OR_RETURN(apt, MaterializeAptSharded(pt, pt_rows, graph,
-                                                *schema_graph_, *db_,
-                                                MakeAptOptions(),
+    ASSIGN_OR_RETURN(apt, MaterializeAptSharded(prepared.pt, prepared.pt_rows,
+                                                graph, *schema_graph_, *db_,
+                                                MakeAptOptions(prepared),
                                                 config_.apt_shard_rows));
   }
   PatternMiner miner(&config_, prof);
   Rng rng(config_.seed);
-  return miner.Mine(apt, classes, &rng);
+  return miner.Mine(apt, prepared.classes, &rng);
 }
 
 std::vector<Explanation> DeduplicateExplanations(

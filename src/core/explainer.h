@@ -5,9 +5,10 @@
 //
 // Ownership and thread-safety: an Explainer borrows the Database and
 // SchemaGraph (the caller keeps them alive and unmodified while it is in
-// use) and owns its configuration and cache handles. Explain/Prepare are
-// internally parallel over a WorkerPool and safe to call concurrently on one
-// instance; configuring it (mutable_config, the set_shared_* hooks) is not.
+// use) and, when given one, a WorkerPool; it owns its configuration, its
+// executor with the statistics catalog, and its two APT caches. Explain/
+// Prepare are internally parallel over a WorkerPool and safe to call
+// concurrently on one instance; mutable_config is not.
 
 #ifndef CAJADE_CORE_EXPLAINER_H_
 #define CAJADE_CORE_EXPLAINER_H_
@@ -128,16 +129,21 @@ struct PreparedExplain {
 ///
 /// Explain, Prepare, ExplainPrepared, BuildApt and MineJoinGraph are safe
 /// to call concurrently on one instance: the per-instance state they share
-/// (the statistics catalog, the prefix cache) is concurrency-safe. The
-/// setters and mutable_config() are not; call them while no request runs.
-/// Several Explainers can share one WorkerPool and one set of byte-bounded
-/// caches via set_shared_pool / set_shared_index_cache /
-/// set_shared_prefix_cache, as ExplainServer's leases do.
+/// (the executor with its statistics catalog, the index and prefix caches,
+/// the pool) is concurrency-safe, which is how ExplainServer runs every
+/// request on one Explainer. mutable_config() is not; call it while no
+/// request runs.
 class Explainer {
  public:
+  /// `pool`, when given, runs the per-graph and per-shard fan-out of every
+  /// call whose config.num_threads resolves to more than one thread, and
+  /// must outlive this Explainer; with nullptr such a call makes a pool of
+  /// its own. The cache byte bounds (apt_index_cache_bytes,
+  /// apt_prefix_cache_bytes) are read here, once: later mutable_config()
+  /// edits to them have no effect.
   Explainer(const Database* db, const SchemaGraph* schema_graph,
-            CajadeConfig config = {})
-      : db_(db), schema_graph_(schema_graph), config_(config) {}
+            CajadeConfig config = {}, WorkerPool* pool = nullptr)
+      : db_(db), schema_graph_(schema_graph), config_(config), pool_(pool) {}
 
   /// Parses and explains.
   Result<ExplainResult> Explain(const std::string& sql,
@@ -162,23 +168,9 @@ class Explainer {
   /// exactly Prepare + ExplainPrepared.
   Result<ExplainResult> ExplainPrepared(PreparedExplain prepared) const;
 
-  /// Serving-layer hooks: run the per-graph fan-out on a shared pool /
-  /// share the build-index and prefix caches across Explainers instead of
-  /// per-call or per-instance state. The pointees must outlive this
-  /// Explainer and be concurrency-safe (WorkerPool::ParallelFor,
-  /// AptIndexCache, and AptPrefixCache all are); byte bounds of shared
-  /// caches belong to their owner — this Explainer's config bounds are not
-  /// re-applied to them. nullptr restores the default behavior.
-  void set_shared_pool(WorkerPool* pool) { shared_pool_ = pool; }
-  void set_shared_index_cache(AptIndexCache* cache) {
-    shared_index_cache_ = cache;
-  }
-  void set_shared_prefix_cache(AptPrefixCache* cache) {
-    shared_prefix_cache_ = cache;
-  }
-
   /// Mines a single caller-supplied join graph (used by the sampling and
-  /// ET-comparison experiments that fix one APT).
+  /// ET-comparison experiments that fix one APT). A malformed graph is
+  /// InvalidArgument; an APT over CajadeConfig::max_apt_rows is OutOfRange.
   Result<MineResult> MineJoinGraph(const ParsedQuery& query,
                                    const UserQuestion& question,
                                    const JoinGraph& graph,
@@ -186,6 +178,7 @@ class Explainer {
 
   /// Materializes the APT of one join graph (exposes Figure 10a's
   /// rows/attributes reporting), sharded by CajadeConfig::apt_shard_rows.
+  /// Fails like MineJoinGraph.
   Result<ShardedApt> BuildApt(const ParsedQuery& query,
                               const UserQuestion& question,
                               const JoinGraph& graph) const;
@@ -193,15 +186,20 @@ class Explainer {
   const CajadeConfig& config() const { return config_; }
   CajadeConfig* mutable_config() { return &config_; }
 
+  /// The caches every call of this Explainer shares, for their counters.
+  const AptIndexCache& index_cache() const { return index_cache_; }
+  const AptPrefixCache& prefix_cache() const { return prefix_cache_; }
+
  private:
   /// Resolves the user question into PT row classes.
   Status ResolveQuestion(const ProvenanceTable& pt, const UserQuestion& question,
                          std::vector<int64_t>* pt_rows, PtClasses* classes,
                          std::string* t1_desc, std::string* t2_desc) const;
 
-  /// Materialization options wired to this Explainer's statistics catalog
-  /// and (when enabled) prefix cache.
-  AptMaterializeOptions MakeAptOptions() const;
+  /// Materialization options for `prepared`'s provenance: this Explainer's
+  /// statistics catalog and caches (the prefix cache when enabled), the
+  /// max_apt_rows cap and the prepared PT fingerprint.
+  AptMaterializeOptions MakeAptOptions(const PreparedExplain& prepared) const;
 
   const Database* db_;
   const SchemaGraph* schema_graph_;
@@ -211,15 +209,12 @@ class Explainer {
   /// enumeration and APT index builds, and survives across calls, so no
   /// phase rescans a base table per Explain call.
   QueryExecutor executor_{db_};
-  /// Intermediate APT join states shared across join graphs — and across
-  /// Explain calls — keyed by graph prefix, LRU-bounded by
-  /// CajadeConfig::apt_prefix_cache_bytes.
+  WorkerPool* const pool_;
+  /// Build-side join indexes and intermediate APT join states, shared
+  /// across join graphs and across calls, LRU-bounded by the config's
+  /// apt_index_cache_bytes / apt_prefix_cache_bytes.
+  mutable AptIndexCache index_cache_{config_.apt_index_cache_bytes};
   mutable AptPrefixCache prefix_cache_{config_.apt_prefix_cache_bytes};
-  /// Serving-layer shared state (see the setters above); own members /
-  /// per-call state are used while these stay null.
-  WorkerPool* shared_pool_ = nullptr;
-  AptIndexCache* shared_index_cache_ = nullptr;
-  AptPrefixCache* shared_prefix_cache_ = nullptr;
 };
 
 /// Removes near-duplicate explanations: keeps the best-scoring instance of

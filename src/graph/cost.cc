@@ -12,7 +12,7 @@ double EstimateAptRows(const JoinGraph& g, const SchemaGraph& sg,
                        double pt_rows) {
   // Walks the materializer's own step order: tree steps fan the result out
   // by the new relation's rows per key, cycle-closing steps filter it.
-  Result<AptPlan> plan = PlanAptSteps(g);
+  Result<AptPlan> plan = PlanAptSteps(g, sg);
   if (!plan.ok()) return std::numeric_limits<double>::infinity();
   double est = std::max(pt_rows, 1.0);
   for (const AptStep& step : plan->steps) {

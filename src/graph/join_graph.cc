@@ -73,7 +73,32 @@ std::string JoinGraph::DescribeEdges(const SchemaGraph& sg) const {
   return Join(parts, " ");
 }
 
-Result<AptPlan> PlanAptSteps(const JoinGraph& graph) {
+Result<AptPlan> PlanAptSteps(const JoinGraph& graph, const SchemaGraph& sg) {
+  const size_t num_nodes = graph.nodes().size();
+  if (num_nodes == 0 || !graph.nodes()[0].is_pt) {
+    return Status::InvalidArgument("join graph must start with the PT node");
+  }
+  auto in_range = [](int i, size_t n) {
+    return i >= 0 && static_cast<size_t>(i) < n;
+  };
+  for (const JoinGraphEdge& e : graph.edges()) {
+    if (!in_range(e.node_a, num_nodes) || !in_range(e.node_b, num_nodes)) {
+      return Status::InvalidArgument(
+          Format("join graph edge %d - %d names a node outside [0, %zu)",
+                 e.node_a, e.node_b, num_nodes));
+    }
+    if (!in_range(e.schema_edge, sg.edges().size())) {
+      return Status::InvalidArgument(Format(
+          "join graph edge names schema edge %d of %zu", e.schema_edge,
+          sg.edges().size()));
+    }
+    const size_t num_conditions = sg.edges()[e.schema_edge].conditions.size();
+    if (!in_range(e.condition, num_conditions)) {
+      return Status::InvalidArgument(Format(
+          "join graph edge names condition %d of schema edge %d, which has %zu",
+          e.condition, e.schema_edge, num_conditions));
+    }
+  }
   AptPlan plan;
   plan.joined.assign(graph.nodes().size(), false);
   plan.joined[0] = true;  // node 0 is the PT node
@@ -99,9 +124,6 @@ Result<AptPlan> PlanAptSteps(const JoinGraph& graph) {
       } else {
         step.in_node = a_in ? e.node_a : e.node_b;
         step.new_node = a_in ? e.node_b : e.node_a;
-        if (graph.nodes()[step.new_node].is_pt) {
-          return Status::Internal("PT node cannot be re-joined");
-        }
         plan.joined[step.new_node] = true;
       }
       plan.steps.push_back(step);

@@ -113,9 +113,11 @@ struct AptPlan {
 /// prefix-cache keys and the cost estimate (src/graph/cost.h) all derive
 /// from it, which is what makes cached prefix states interchangeable with
 /// freshly built ones; the scalar reference materializer keeps its own copy
-/// of the loop as the differential oracle. Fails on a graph whose tree edge
-/// would re-join the PT node.
-Result<AptPlan> PlanAptSteps(const JoinGraph& graph);
+/// of the loop as the differential oracle. InvalidArgument unless `graph`
+/// has nodes, node 0 is the PT node, and every edge's endpoints, schema
+/// edge and condition index into `graph` and `sg`. (No other node can be
+/// the PT node, so no tree step re-joins it.)
+Result<AptPlan> PlanAptSteps(const JoinGraph& graph, const SchemaGraph& sg);
 
 /// Canonical signature of one materialization step, built from the
 /// schema-level identity of the join (relation names, condition attribute

@@ -416,7 +416,7 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
       options.index_cache != nullptr ? options.index_cache : &local_cache;
   AptPrefixCache* prefix_cache = options.prefix_cache;
 
-  ASSIGN_OR_RETURN(AptPlan plan, PlanAptSteps(graph));
+  ASSIGN_OR_RETURN(AptPlan plan, PlanAptSteps(graph, schema_graph));
 
   const size_t n = pt_rows.size();
   // 0 or >= |pt_rows| collapses to one full-range shard; an empty
@@ -656,6 +656,9 @@ Result<ShardedApt> ReferenceMaterializeApt(const ProvenanceTable& pt,
                                            const SchemaGraph& schema_graph,
                                            const Database& db,
                                            size_t row_limit) {
+  // The planner's validation only: a malformed graph fails as it does in
+  // MaterializeAptSharded instead of indexing out of range below.
+  RETURN_NOT_OK(PlanAptSteps(graph, schema_graph).status());
   ShardedApt apt;
   apt.pt_rows_used = pt_rows;
   apt.num_pt_columns = pt.table.schema().num_columns();
@@ -749,9 +752,6 @@ Result<ShardedApt> ReferenceMaterializeApt(const ProvenanceTable& pt,
       int in_node = a_in ? e.node_a : e.node_b;
       int new_node = a_in ? e.node_b : e.node_a;
       const JoinGraphNode& nn = graph.nodes()[new_node];
-      if (nn.is_pt) {
-        return Status::Internal("PT node cannot be re-joined");
-      }
       ASSIGN_OR_RETURN(TablePtr base, db.GetTable(nn.relation));
 
       bool in_is_left = (in_node == e.node_a) == e.a_plays_left;

@@ -6,15 +6,15 @@
 
 namespace cajade {
 
-/// RAII lease of one Explainer from the idle list; blocks in the
-/// constructor until one is available.
+/// RAII hold of one request slot; blocks in the constructor until one is
+/// free.
 ///
-/// Granting is FIFO *and* a direct handoff: a released Explainer goes
-/// straight to the front waiter, and only that waiter's private condition
-/// variable is signaled. Both halves matter for tail latency under
-/// closed-loop load on few cores:
+/// Granting is FIFO *and* a direct handoff: a released slot goes straight
+/// to the front waiter, and only that waiter's private condition variable
+/// is signaled. Both halves matter for tail latency under closed-loop load
+/// on few cores:
 ///  - FIFO, because with a bare shared condition variable a client that
-///    just released a lease is still on-CPU and re-acquires it before the
+///    just released a slot is still on-CPU and re-acquires it before the
 ///    woken waiter is even scheduled — waiters starve for a scheduler
 ///    quantum at a time (multi-millisecond p99 on sub-millisecond
 ///    requests).
@@ -23,76 +23,61 @@ namespace cajade {
 ///    on a single core each of those futile wakeups preempts the thread
 ///    doing the actual work, adding jittery context-switch overhead to
 ///    every request in the queue.
-class ExplainServer::ExplainerLease {
+class ExplainServer::RequestSlot {
  public:
-  explicit ExplainerLease(ExplainServer* server)
-      : server_(server), explainer_(server->Acquire()) {}
+  explicit RequestSlot(ExplainServer* server) : server_(server) {
+    server_->Acquire();
+  }
 
-  ~ExplainerLease() { server_->Release(explainer_); }
+  ~RequestSlot() { server_->Release(); }
 
-  ExplainerLease(const ExplainerLease&) = delete;
-  ExplainerLease& operator=(const ExplainerLease&) = delete;
-
-  Explainer* operator->() const { return explainer_; }
+  RequestSlot(const RequestSlot&) = delete;
+  RequestSlot& operator=(const RequestSlot&) = delete;
 
  private:
   ExplainServer* server_;
-  Explainer* explainer_;
 };
 
-Explainer* ExplainServer::Acquire() {
-  MutexLock lock(lease_mu_);
-  // Invariant: idle_ is non-empty only while waiters_ is empty (a release
-  // with queued waiters hands off directly and never lands in idle_), so
-  // taking from idle_ here cannot barge in front of an earlier waiter.
-  if (!idle_.empty()) {
-    Explainer* explainer = idle_.back();
-    idle_.pop_back();
-    return explainer;
+void ExplainServer::Acquire() {
+  MutexLock lock(slot_mu_);
+  // Invariant: idle_ is non-zero only while waiters_ is empty (a release
+  // with queued waiters hands off directly and never adds to idle_), so
+  // taking an idle slot here cannot barge in front of an earlier waiter.
+  if (idle_ > 0) {
+    --idle_;
+    return;
   }
-  LeaseWaiter self;
+  SlotWaiter self;
   waiters_.push_back(&self);
-  return self.AwaitGrant(lease_mu_);
+  self.AwaitGrant(slot_mu_);
 }
 
-void ExplainServer::Release(Explainer* explainer) {
-  MutexLock lock(lease_mu_);
+void ExplainServer::Release() {
+  MutexLock lock(slot_mu_);
   if (!waiters_.empty()) {
-    LeaseWaiter* next = waiters_.front();
+    SlotWaiter* next = waiters_.front();
     waiters_.pop_front();
-    // Grant happens inside this MutexLock scope — LeaseWaiter::Grant
+    // Grant happens inside this MutexLock scope — SlotWaiter::Grant
     // REQUIRES the mutex, so notifying a waiter whose stack node could
     // already be gone cannot compile.
-    next->Grant(explainer, lease_mu_);
+    next->Grant(slot_mu_);
   } else {
-    idle_.push_back(explainer);
+    ++idle_;
   }
 }
 
 ExplainServer::ExplainServer(const Database* db,
                              const SchemaGraph* schema_graph, Options options)
-    : db_(db),
-      schema_graph_(schema_graph),
-      options_(options),
+    : options_(options),
       pool_(WorkerPool::ResolveThreads(options.pool_threads)),
-      index_cache_(options.config.apt_index_cache_bytes),
-      prefix_cache_(options.config.apt_prefix_cache_bytes),
+      explainer_(db, schema_graph, options.config, &pool_),
       result_cache_(options.result_cache_bytes) {
   if (options_.num_explainers < 1) options_.num_explainers = 1;
-  explainers_.reserve(options_.num_explainers);
   // No concurrency yet (the server is being constructed), but idle_ is
-  // GUARDED_BY(lease_mu_) and the analysis — rightly — has no notion of
+  // GUARDED_BY(slot_mu_) and the analysis — rightly — has no notion of
   // "no other threads exist"; an uncontended lock is free.
-  MutexLock lock(lease_mu_);
-  idle_.reserve(options_.num_explainers);
-  for (size_t i = 0; i < options_.num_explainers; ++i) {
-    auto e = std::make_unique<Explainer>(db_, schema_graph_, options_.config);
-    e->set_shared_pool(&pool_);
-    e->set_shared_index_cache(&index_cache_);
-    e->set_shared_prefix_cache(&prefix_cache_);
-    idle_.push_back(e.get());
-    explainers_.push_back(std::move(e));
-  }
+  MutexLock lock(slot_mu_);
+  idle_ = options_.num_explainers;
 }
 
 namespace {
@@ -154,13 +139,13 @@ std::string ExplainServer::CacheKey(const std::string& sql,
 Result<std::shared_ptr<const ExplainResult>> ExplainServer::Explain(
     const std::string& sql, const UserQuestion& question) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  ExplainerLease lease(this);
+  RequestSlot slot(this);
 
   // Front half on every request, cached or not: provenance + question
   // resolution produce the fingerprint that decides whether a cached
   // result is still valid. This is the validation-by-recompute design —
   // hit latency is one provenance computation, never a stale answer.
-  ASSIGN_OR_RETURN(PreparedExplain prepared, lease->Prepare(sql, question));
+  ASSIGN_OR_RETURN(PreparedExplain prepared, explainer_.Prepare(sql, question));
 
   // Materialization metrics are folded into the server counters on every
   // *computed* request (cache hits materialize nothing): shard counts add
@@ -176,7 +161,7 @@ Result<std::shared_ptr<const ExplainResult>> ExplainServer::Explain(
 
   if (!options_.enable_result_cache) {
     ASSIGN_OR_RETURN(ExplainResult result,
-                     lease->ExplainPrepared(std::move(prepared)));
+                     explainer_.ExplainPrepared(std::move(prepared)));
     record_apt_metrics(result);
     return std::make_shared<const ExplainResult>(std::move(result));
   }
@@ -186,7 +171,7 @@ Result<std::shared_ptr<const ExplainResult>> ExplainServer::Explain(
       CacheKey(sql, question), fingerprint,
       [&]() -> Result<ExplainResult> {
         ASSIGN_OR_RETURN(ExplainResult result,
-                         lease->ExplainPrepared(std::move(prepared)));
+                         explainer_.ExplainPrepared(std::move(prepared)));
         record_apt_metrics(result);
         return result;
       });
@@ -194,8 +179,8 @@ Result<std::shared_ptr<const ExplainResult>> ExplainServer::Explain(
 
 ExplainServer::Counters ExplainServer::counters() const {
   const ResultCache::Stats result = result_cache_.stats();
-  const AptIndexCache::Stats index = index_cache_.stats();
-  const AptPrefixCache::Stats prefix = prefix_cache_.stats();
+  const AptIndexCache::Stats index = explainer_.index_cache().stats();
+  const AptPrefixCache::Stats prefix = explainer_.prefix_cache().stats();
   Counters c;
   c.requests = requests_.load(std::memory_order_relaxed);
   c.result_hits = result.hits;

@@ -5,26 +5,27 @@
 //  - one WorkerPool shared by every request (each request's per-join-graph
 //    fan-out is its own ParallelFor task group on that pool — requests
 //    interleave at iteration granularity, never a pool per request);
-//  - one AptIndexCache and one AptPrefixCache, hoisted from per-Explainer
-//    state to process-wide state so requests reuse each other's join
-//    indexes and APT prefix states (both byte-bounded, LRU-evicted, and
-//    invalidation-safe via Table::content_version keys);
+//  - one Explainer built on that pool, which runs every request: one
+//    executor and statistics catalog, and one AptIndexCache and one
+//    AptPrefixCache, so requests reuse each other's statistics, join
+//    indexes and APT prefix states (the caches are byte-bounded,
+//    LRU-evicted, and invalidation-safe via Table::content_version keys);
 //  - one ResultCache keyed by (query, question) and validated by
 //    provenance content fingerprint, so a repeated question costs one
 //    provenance computation instead of a mining run — and goes stale the
 //    moment a base-table change alters the provenance it was mined from.
 //    The config needs no place in the key: the cache is private to this
 //    server, and the server's config is fixed at construction;
-//  - a lease pool of `num_explainers` Explainers, which bounds how many
-//    requests run at once against the shared caches.
+//  - `num_explainers` request slots, which bound how many requests run at
+//    once on the Explainer.
 //
 // bench/bench_load.cc drives this class with closed-loop clients and a
 // zipfian question mix; docs/SERVING.md walks through the knobs.
 //
-// Ownership: the server owns its Explainer fleet, the shared WorkerPool, the
-// shared caches, and the result cache; requests borrow one Explainer for
-// their duration via RAII lease. Locking is annotated in-line (Mutex /
-// GUARDED_BY below) and checked by the thread-safety CI leg.
+// Ownership: the server owns its pool, its Explainer and the result cache;
+// a request holds one slot for its duration via RAII. Locking is annotated
+// in-line (Mutex / GUARDED_BY below) and checked by the thread-safety CI
+// leg.
 
 #ifndef CAJADE_SERVE_EXPLAIN_SERVER_H_
 #define CAJADE_SERVE_EXPLAIN_SERVER_H_
@@ -34,7 +35,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/common/thread_annotations.h"
@@ -43,7 +43,6 @@
 #include "src/core/explainer.h"
 #include "src/core/question.h"
 #include "src/graph/schema_graph.h"
-#include "src/mining/apt.h"
 #include "src/serve/result_cache.h"
 #include "src/storage/database.h"
 
@@ -52,9 +51,8 @@ namespace cajade {
 /// \brief Thread-safe concurrent Explain front end over one database.
 ///
 /// Explain() may be called from any number of client threads at once; at
-/// most Options::num_explainers requests run concurrently (excess callers
-/// block for a lease, preserving request order only loosely — this is a
-/// closed-loop building block, not a queue with fairness guarantees).
+/// most Options::num_explainers requests run concurrently, and excess
+/// callers block for a slot, granted in arrival order.
 ///
 /// The database and schema graph must outlive the server and must not be
 /// mutated while a request is in flight. Mutating them *between* requests
@@ -65,13 +63,14 @@ namespace cajade {
 class ExplainServer {
  public:
   struct Options {
-    /// Engine configuration applied to every Explainer in the lease pool.
-    /// `num_threads` sets the per-request fan-out width on the shared pool
-    /// (1 keeps requests serial internally — usually right when
-    /// num_explainers already saturates the cores); apt_index_cache_bytes
-    /// and apt_prefix_cache_bytes bound the shared APT caches.
+    /// Engine configuration of the server's Explainer. `num_threads` != 1
+    /// fans each request out on the shared pool (1 keeps requests serial
+    /// internally — usually right when num_explainers already saturates
+    /// the cores); apt_index_cache_bytes and apt_prefix_cache_bytes bound
+    /// the Explainer's APT caches, which every request shares.
     CajadeConfig config;
-    /// Maximum concurrently running requests (= Explainer instances).
+    /// Maximum concurrently running requests (request slots; all of them
+    /// run on the one Explainer).
     size_t num_explainers = 4;
     /// Shared WorkerPool width; 0 = hardware concurrency.
     int pool_threads = 0;
@@ -116,8 +115,8 @@ class ExplainServer {
   ExplainServer(const Database* db, const SchemaGraph* schema_graph)
       : ExplainServer(db, schema_graph, Options()) {}
 
-  /// Explains `sql` for `question`. Thread-safe. Blocks while all
-  /// Explainers are leased. The result is shared with the cache (and with
+  /// Explains `sql` for `question`. Thread-safe. Blocks while every
+  /// request slot is taken. The result is shared with the cache (and with
   /// concurrent identical requests) — hence const.
   Result<std::shared_ptr<const ExplainResult>> Explain(
       const std::string& sql, const UserQuestion& question);
@@ -126,9 +125,6 @@ class ExplainServer {
   const Options& options() const { return options_; }
 
   ResultCache& result_cache() { return result_cache_; }
-  AptIndexCache& index_cache() { return index_cache_; }
-  AptPrefixCache& prefix_cache() { return prefix_cache_; }
-  WorkerPool& pool() { return pool_; }
 
   /// The result-cache key of one request, an injective encoding of (sql,
   /// t1, t2): values keep their type and exact bits, and swapping t1 and t2
@@ -138,65 +134,57 @@ class ExplainServer {
                        const UserQuestion& question) const;
 
  private:
-  class ExplainerLease;
+  class RequestSlot;
   /// Drives Acquire/Release directly and inspects the waiter queue, so the
   /// FIFO direct-handoff protocol is pinned by deterministic tests instead
   /// of timing-dependent full Explain calls.
   friend struct ExplainServerTestPeer;
 
-  /// Blocks until an Explainer is free, FIFO behind earlier blocked
-  /// callers; the returned pointer stays valid for the server's lifetime
-  /// and must be returned through Release.
-  Explainer* Acquire() EXCLUDES(lease_mu_);
-  /// Returns a leased Explainer: direct handoff to the front waiter if any,
-  /// else back to the idle list.
-  void Release(Explainer* explainer) EXCLUDES(lease_mu_);
+  /// Blocks until a request slot is free, FIFO behind earlier blocked
+  /// callers; the slot must be returned through Release.
+  void Acquire() EXCLUDES(slot_mu_);
+  /// Returns a slot: direct handoff to the front waiter if any, else back
+  /// to the idle count.
+  void Release() EXCLUDES(slot_mu_);
 
-  const Database* db_;
-  const SchemaGraph* schema_graph_;
   Options options_;
 
   WorkerPool pool_;
-  AptIndexCache index_cache_;
-  AptPrefixCache prefix_cache_;
+  /// Runs every request; declared after pool_, which it borrows.
+  Explainer explainer_;
   ResultCache result_cache_;
 
-  /// Lease pool: idle Explainers, guarded by lease_mu_. Explainers are
-  /// created eagerly at construction and only ever borrowed, so pointers
-  /// handed to leases stay valid for the server's lifetime. Blocked
-  /// acquirers queue in waiters_ (stack-allocated nodes, FIFO) and a
-  /// released Explainer is handed directly to the front waiter with one
-  /// targeted wakeup — see ExplainerLease for why both the fairness and
-  /// the single wakeup matter for tail latency.
-  std::vector<std::unique_ptr<Explainer>> explainers_;
   /// One blocked Acquire call: a stack node queued FIFO in waiters_.
   ///
   /// The direct-handoff protocol is compiler-enforced: `granted` is only
-  /// touched through Grant/AwaitGrant, and both REQUIRES the lease mutex
+  /// touched through Grant/AwaitGrant, and both REQUIRES the slot mutex
   /// the caller passes in — granting without the lock, or waking a waiter
   /// whose node could already be destroyed, fails thread-safety analysis
   /// instead of corrupting a stack frame. (The waiter owns this node on
   /// its stack and frees it as soon as AwaitGrant returns, which can only
   /// happen after the granter's MutexLock scope releases the mutex.)
-  struct LeaseWaiter {
+  struct SlotWaiter {
     CondVar cv;
-    Explainer* granted = nullptr;
+    bool granted = false;
 
     /// Records the grant and wakes exactly this waiter, under the lock.
-    void Grant(Explainer* explainer, [[maybe_unused]] Mutex& mu)
-        REQUIRES(mu) {
-      granted = explainer;
+    void Grant([[maybe_unused]] Mutex& mu) REQUIRES(mu) {
+      granted = true;
       cv.NotifyOne();
     }
-    /// Blocks until granted; returns the Explainer handed off.
-    Explainer* AwaitGrant(Mutex& mu) REQUIRES(mu) {
-      while (granted == nullptr) cv.Wait(mu);
-      return granted;
+    /// Blocks until granted.
+    void AwaitGrant(Mutex& mu) REQUIRES(mu) {
+      while (!granted) cv.Wait(mu);
     }
   };
-  Mutex lease_mu_;
-  std::vector<Explainer*> idle_ GUARDED_BY(lease_mu_);
-  std::deque<LeaseWaiter*> waiters_ GUARDED_BY(lease_mu_);
+  Mutex slot_mu_;
+  /// Free request slots, out of options_.num_explainers. Blocked acquirers
+  /// queue in waiters_ (stack-allocated nodes, FIFO) and a released slot
+  /// is handed directly to the front waiter with one targeted wakeup — see
+  /// RequestSlot for why both the fairness and the single wakeup matter
+  /// for tail latency.
+  size_t idle_ GUARDED_BY(slot_mu_) = 0;
+  std::deque<SlotWaiter*> waiters_ GUARDED_BY(slot_mu_);
 
   std::atomic<size_t> requests_{0};
   /// CAS-max of ExplainResult::peak_apt_bytes over computed requests.

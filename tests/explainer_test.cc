@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +33,39 @@ class ExplainerTest : public ::testing::Test {
   UserQuestion Uq1() const {
     return UserQuestion::TwoPoint(Where({{"season", Value("2015-16")}}),
                                   Where({{"season", Value("2012-13")}}));
+  }
+
+  /// Omega_1 of the star-player explanation: PT - player_game_scoring on
+  /// the game key (36 won games x 6 scorers = 216 APT rows for Uq1).
+  JoinGraph StarPlayerGraph() const {
+    JoinGraph g = JoinGraph::PtOnly();
+    int scoring_edge = -1, cond = -1;
+    for (size_t i = 0; i < schema_graph_.edges().size(); ++i) {
+      const SchemaEdge& e = schema_graph_.edges()[i];
+      if ((e.rel_a == "player_game_scoring" && e.rel_b == "game") ||
+          (e.rel_a == "game" && e.rel_b == "player_game_scoring")) {
+        scoring_edge = static_cast<int>(i);
+        // The plain game-key condition has 4 pairs.
+        for (size_t c = 0; c < e.conditions.size(); ++c) {
+          if (e.conditions[c].pairs.size() == 4) cond = static_cast<int>(c);
+        }
+      }
+    }
+    EXPECT_GE(scoring_edge, 0);
+    EXPECT_GE(cond, 0);
+    if (scoring_edge < 0 || cond < 0) return g;
+    int node = g.AddNode("player_game_scoring");
+    JoinGraphEdge edge;
+    edge.node_a = 0;
+    edge.node_b = node;
+    edge.schema_edge = scoring_edge;
+    edge.condition = cond;
+    // PT plays the "game" side of the condition.
+    const SchemaEdge& se = schema_graph_.edges()[scoring_edge];
+    edge.a_plays_left = se.rel_a == "game";
+    edge.pt_relation = "game";
+    g.AddEdge(edge);
+    return g;
   }
 
   Database db_;
@@ -179,36 +213,9 @@ TEST_F(ExplainerTest, QuestionSelectorErrors) {
 
 TEST_F(ExplainerTest, BuildAptForStarPlayerGraph) {
   auto query = ParseQuery(kQ1).ValueOrDie();
-  // Omega_1: PT - player_game_scoring on the game key.
-  JoinGraph g = JoinGraph::PtOnly();
-  int scoring_edge = -1, cond = -1;
-  for (size_t i = 0; i < schema_graph_.edges().size(); ++i) {
-    const SchemaEdge& e = schema_graph_.edges()[i];
-    if ((e.rel_a == "player_game_scoring" && e.rel_b == "game") ||
-        (e.rel_a == "game" && e.rel_b == "player_game_scoring")) {
-      scoring_edge = static_cast<int>(i);
-      // The plain game-key condition has 4 pairs.
-      for (size_t c = 0; c < e.conditions.size(); ++c) {
-        if (e.conditions[c].pairs.size() == 4) cond = static_cast<int>(c);
-      }
-    }
-  }
-  ASSERT_GE(scoring_edge, 0);
-  ASSERT_GE(cond, 0);
-  int node = g.AddNode("player_game_scoring");
-  JoinGraphEdge edge;
-  edge.node_a = 0;
-  edge.node_b = node;
-  edge.schema_edge = scoring_edge;
-  edge.condition = cond;
-  // PT plays the "game" side of the condition.
-  const SchemaEdge& se = schema_graph_.edges()[scoring_edge];
-  edge.a_plays_left = se.rel_a == "game";
-  edge.pt_relation = "game";
-  g.AddEdge(edge);
-
   Explainer explainer(&db_, &schema_graph_);
-  ShardedApt apt = explainer.BuildApt(query, Uq1(), g).ValueOrDie();
+  ShardedApt apt =
+      explainer.BuildApt(query, Uq1(), StarPlayerGraph()).ValueOrDie();
   // 36 won games x 6 scorers.
   EXPECT_EQ(apt.num_rows(), 36u * 6);
   EXPECT_EQ(apt.pt_rows_used.size(), 36u);
@@ -222,6 +229,52 @@ TEST_F(ExplainerTest, BuildAptForStarPlayerGraph) {
   EXPECT_EQ(apt.pattern_cols.size(), schema.num_columns() - 2 - 7);
   for (int c : apt.pattern_cols) {
     EXPECT_FALSE(schema.column(c).mining_excluded);
+  }
+
+  // Both single-graph entry points honor the max_apt_rows cap, as Explain
+  // does when it skips an oversized graph.
+  CajadeConfig capped;
+  capped.max_apt_rows = 100;
+  Explainer capped_explainer(&db_, &schema_graph_, capped);
+  EXPECT_EQ(capped_explainer.BuildApt(query, Uq1(), StarPlayerGraph())
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(capped_explainer.MineJoinGraph(query, Uq1(), StarPlayerGraph())
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+}
+
+TEST_F(ExplainerTest, MalformedJoinGraphsAreInvalidArguments) {
+  auto query = ParseQuery(kQ1).ValueOrDie();
+  const JoinGraph valid = StarPlayerGraph();
+  ASSERT_EQ(valid.num_edges(), 1u);
+  std::vector<JoinGraph> malformed = {JoinGraph{}};
+  auto with_edge = [&](const std::function<void(JoinGraphEdge&)>& edit) {
+    JoinGraphEdge edge = valid.edges()[0];
+    edit(edge);
+    JoinGraph g = JoinGraph::PtOnly();
+    g.AddNode("player_game_scoring");
+    g.AddEdge(edge);
+    malformed.push_back(g);
+  };
+  with_edge([](JoinGraphEdge& e) { e.node_b = 5; });
+  with_edge([&](JoinGraphEdge& e) {
+    e.schema_edge = static_cast<int>(schema_graph_.edges().size());
+  });
+  with_edge([](JoinGraphEdge& e) { e.condition = 99; });
+
+  Explainer explainer(&db_, &schema_graph_);
+  for (size_t i = 0; i < malformed.size(); ++i) {
+    EXPECT_EQ(explainer.MineJoinGraph(query, Uq1(), malformed[i])
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "graph " << i;
+    EXPECT_EQ(explainer.BuildApt(query, Uq1(), malformed[i]).status().code(),
+              StatusCode::kInvalidArgument)
+        << "graph " << i;
   }
 }
 
@@ -245,6 +298,20 @@ std::vector<std::string> Rendered(const ExplainResult& result) {
   std::vector<std::string> out;
   for (const Explanation& e : result.explanations) out.push_back(e.ToString());
   return out;
+}
+
+TEST_F(ExplainerTest, SecondExplainReusesTheIndexCache) {
+  // The index cache lives as long as the Explainer, so a repeated call
+  // finds every build-side index the first one built.
+  Explainer explainer(&db_, &schema_graph_);
+  const ExplainResult first = explainer.Explain(kQ1, Uq1()).ValueOrDie();
+  const AptIndexCache::Stats after_first = explainer.index_cache().stats();
+  ASSERT_GT(after_first.misses, 0u);
+  const ExplainResult second = explainer.Explain(kQ1, Uq1()).ValueOrDie();
+  const AptIndexCache::Stats after_second = explainer.index_cache().stats();
+  EXPECT_EQ(Rendered(second), Rendered(first));
+  EXPECT_GT(after_second.hits, after_first.hits);
+  EXPECT_EQ(after_second.misses, after_first.misses);
 }
 
 TEST(SharedExplainerTest, ConcurrentExplainsMatchSerialRuns) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -283,6 +285,74 @@ TEST_F(GraphTest, CostEstimateFiltersOnAParallelPtEdge) {
   const double rows = EstimateAptRows(single, graph_, db_, &stats, 36);
   EXPECT_DOUBLE_EQ(EstimateAptRows(parallel, graph_, db_, &stats, 36),
                    rows / key_ndv);
+}
+
+/// PT - player_game_scoring on the game key, with its one edge passed
+/// through `edit` first.
+JoinGraph ScoringGraph(const SchemaGraph& sg,
+                       const std::function<void(JoinGraphEdge&)>& edit) {
+  JoinGraph valid = JoinGraph::PtOnly();
+  const int scoring = valid.AddNode("player_game_scoring");
+  Connect(sg, &valid, 0, "game", scoring, "player_game_scoring", 4, "game");
+  JoinGraphEdge edge = valid.edges().at(0);
+  edit(edge);
+  JoinGraph g = JoinGraph::PtOnly();
+  g.AddNode("player_game_scoring");
+  g.AddEdge(edge);
+  return g;
+}
+
+// PlanAptSteps validates a caller-built graph before indexing into it or
+// into the schema graph; the materializer and the cost estimate both plan
+// first. Each malformed shape below used to crash or be planned as valid.
+TEST_F(GraphTest, PlanRejectsAGraphWithoutNodes) {
+  EXPECT_EQ(PlanAptSteps(JoinGraph{}, graph_).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(GraphTest, PlanRejectsAGraphWhoseFirstNodeIsNotPt) {
+  JoinGraph g;
+  g.AddNode("game");
+  EXPECT_EQ(PlanAptSteps(g, graph_).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(GraphTest, PlanRejectsAnEdgeToAMissingNode) {
+  for (int node : {-1, 2}) {
+    JoinGraph g =
+        ScoringGraph(graph_, [&](JoinGraphEdge& e) { e.node_b = node; });
+    EXPECT_EQ(PlanAptSteps(g, graph_).status().code(),
+              StatusCode::kInvalidArgument)
+        << "node " << node;
+  }
+}
+
+TEST_F(GraphTest, PlanRejectsAMissingSchemaEdge) {
+  StatsCatalog stats;
+  for (int edge : {-1, static_cast<int>(graph_.edges().size())}) {
+    JoinGraph g =
+        ScoringGraph(graph_, [&](JoinGraphEdge& e) { e.schema_edge = edge; });
+    EXPECT_EQ(PlanAptSteps(g, graph_).status().code(),
+              StatusCode::kInvalidArgument)
+        << "schema edge " << edge;
+    // The cost estimate plans first, so the graph prices as unbuildable.
+    EXPECT_EQ(EstimateAptRows(g, graph_, db_, &stats, 36),
+              std::numeric_limits<double>::infinity());
+  }
+}
+
+TEST_F(GraphTest, PlanRejectsAMissingCondition) {
+  JoinGraph valid = ScoringGraph(graph_, [](JoinGraphEdge&) {});
+  ASSERT_TRUE(PlanAptSteps(valid, graph_).ok());
+  const int num_conditions = static_cast<int>(
+      graph_.edges()[valid.edges()[0].schema_edge].conditions.size());
+  for (int cond : {-1, num_conditions}) {
+    JoinGraph g =
+        ScoringGraph(graph_, [&](JoinGraphEdge& e) { e.condition = cond; });
+    EXPECT_EQ(PlanAptSteps(g, graph_).status().code(),
+              StatusCode::kInvalidArgument)
+        << "condition " << cond;
+  }
 }
 
 }  // namespace

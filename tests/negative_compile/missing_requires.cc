@@ -1,7 +1,7 @@
 // Seeded violation — must NOT compile under -Werror=thread-safety: calls a
 // REQUIRES(mu_) method without holding the mutex. This is the contract the
-// *Locked helpers (EvictOverLimitLocked, DetachIfCurrentLocked, the lease
-// pool's Grant/AwaitGrant) rely on.
+// *Locked helpers (EvictOverLimitLocked, DetachIfCurrentLocked, the request
+// slots' Grant/AwaitGrant) rely on.
 
 #include "src/common/thread_annotations.h"
 

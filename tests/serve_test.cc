@@ -20,16 +20,18 @@
 
 namespace cajade {
 
-// Test-only access to the private lease pool (friend of ExplainServer):
+// Test-only access to the private request slots (friend of ExplainServer):
 // lets the FIFO handoff tests below control exactly when each waiter is
 // queued, which no public-API test can do deterministically.
 struct ExplainServerTestPeer {
-  static Explainer* Acquire(ExplainServer& server) { return server.Acquire(); }
-  static void Release(ExplainServer& server, Explainer* explainer) {
-    server.Release(explainer);
+  static void Acquire(ExplainServer& server) { server.Acquire(); }
+  static void Release(ExplainServer& server) { server.Release(); }
+  static size_t IdleSlots(ExplainServer& server) {
+    MutexLock lock(server.slot_mu_);
+    return server.idle_;
   }
   static size_t WaiterCount(ExplainServer& server) {
-    MutexLock lock(server.lease_mu_);
+    MutexLock lock(server.slot_mu_);
     return server.waiters_.size();
   }
 };
@@ -292,58 +294,71 @@ TEST_F(ServeTest, CachedMatchesUncachedAtEveryThreadCount) {
 }
 
 TEST_F(ServeTest, ConcurrentClientsShareCachesAndPool) {
-  ExplainServer::Options options;
-  options.num_explainers = 4;
-  options.pool_threads = 4;
-  options.config.num_threads = 2;
-  ExplainServer server(&db_, &schema_graph_, options);
-
   Explainer reference(&db_, &schema_graph_);
   auto expected_two = reference.Explain(kQ1, TwoPointQuestion()).ValueOrDie();
   auto expected_single =
       reference.Explain(kQ1, SinglePointQuestion()).ValueOrDie();
 
-  constexpr int kClients = 8;
-  constexpr int kIters = 3;
-  std::vector<std::thread> clients;
-  std::vector<int> failures(kClients, 0);
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int i = 0; i < kIters; ++i) {
-        bool two_point = (c + i) % 2 == 0;
-        auto result = server.Explain(
-            kQ1, two_point ? TwoPointQuestion() : SinglePointQuestion());
-        if (!result.ok()) {
-          ++failures[c];
-          continue;
-        }
-        const ExplainResult& expected =
-            two_point ? expected_two : expected_single;
-        if (result.ValueOrDie()->explanations.size() !=
-            expected.explanations.size()) {
-          ++failures[c];
-        }
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  for (int c = 0; c < kClients; ++c) {
-    EXPECT_EQ(failures[c], 0) << "client " << c;
-  }
-  auto counters = server.counters();
-  EXPECT_EQ(counters.requests, static_cast<size_t>(kClients * kIters));
-  // Two distinct keys were ever computed; everything else hit or latched
-  // onto an in-flight computation.
-  EXPECT_EQ(counters.result_hits + counters.result_misses,
-            static_cast<size_t>(kClients * kIters));
-  EXPECT_GE(counters.result_hits, counters.result_misses);
+  // With the result cache off, every request runs ExplainPrepared on the
+  // server's one Explainer, concurrently with the other clients'.
+  for (bool result_cache : {true, false}) {
+    SCOPED_TRACE(result_cache ? "result cache on" : "result cache off");
+    ExplainServer::Options options;
+    options.num_explainers = 4;
+    options.pool_threads = 4;
+    options.config.num_threads = 2;
+    options.enable_result_cache = result_cache;
+    ExplainServer server(&db_, &schema_graph_, options);
 
-  // Full-detail determinism check on the final cached objects.
-  ExpectSameExplanations(
-      expected_two, *server.Explain(kQ1, TwoPointQuestion()).ValueOrDie());
-  ExpectSameExplanations(
-      expected_single,
-      *server.Explain(kQ1, SinglePointQuestion()).ValueOrDie());
+    constexpr int kClients = 8;
+    constexpr int kIters = 3;
+    std::vector<std::thread> clients;
+    std::vector<int> failures(kClients, 0);
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int i = 0; i < kIters; ++i) {
+          bool two_point = (c + i) % 2 == 0;
+          auto result = server.Explain(
+              kQ1, two_point ? TwoPointQuestion() : SinglePointQuestion());
+          if (!result.ok()) {
+            ++failures[c];
+            continue;
+          }
+          const ExplainResult& expected =
+              two_point ? expected_two : expected_single;
+          if (result.ValueOrDie()->explanations.size() !=
+              expected.explanations.size()) {
+            ++failures[c];
+          }
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    for (int c = 0; c < kClients; ++c) {
+      EXPECT_EQ(failures[c], 0) << "client " << c;
+    }
+    auto counters = server.counters();
+    EXPECT_EQ(counters.requests, static_cast<size_t>(kClients * kIters));
+    if (result_cache) {
+      // Two distinct keys were ever computed; everything else hit or
+      // latched onto an in-flight computation.
+      EXPECT_EQ(counters.result_hits + counters.result_misses,
+                static_cast<size_t>(kClients * kIters));
+      EXPECT_GE(counters.result_hits, counters.result_misses);
+    } else {
+      EXPECT_EQ(counters.result_hits + counters.result_misses, 0u);
+      // Every request materialized through the one index cache, so it
+      // built each index once and served the other requests from it.
+      EXPECT_GT(counters.index_hits, counters.index_builds);
+    }
+
+    // Full-detail determinism check (on the cached objects when cached).
+    ExpectSameExplanations(
+        expected_two, *server.Explain(kQ1, TwoPointQuestion()).ValueOrDie());
+    ExpectSameExplanations(
+        expected_single,
+        *server.Explain(kQ1, SinglePointQuestion()).ValueOrDie());
+  }
 }
 
 TEST_F(ServeTest, ShardedServingMatchesUnshardedAndReportsCounters) {
@@ -380,16 +395,16 @@ TEST_F(ServeTest, ShardedServingMatchesUnshardedAndReportsCounters) {
   EXPECT_EQ(c2.peak_apt_bytes, c.peak_apt_bytes);
 }
 
-// Pins the lease pool's FIFO grant order. With one Explainer held and each
-// waiter provably queued (WaiterCount) before the next thread starts, the
-// enqueue order is exact — so the grant order must match it, every run.
-TEST_F(ServeTest, LeasePoolGrantsFifoUnderContention) {
+// Pins the request slots' FIFO grant order. With the one slot held and
+// each waiter provably queued (WaiterCount) before the next thread starts,
+// the enqueue order is exact — so the grant order must match it, every run.
+TEST_F(ServeTest, RequestSlotsGrantFifoUnderContention) {
   auto options = BaseOptions();
   options.num_explainers = 1;
   ExplainServer server(&db_, &schema_graph_, options);
 
-  Explainer* held = ExplainServerTestPeer::Acquire(server);
-  ASSERT_NE(held, nullptr);
+  ExplainServerTestPeer::Acquire(server);
+  ASSERT_EQ(ExplainServerTestPeer::IdleSlots(server), 0u);
 
   Mutex order_mu;
   std::vector<int> grant_order;
@@ -397,12 +412,12 @@ TEST_F(ServeTest, LeasePoolGrantsFifoUnderContention) {
   constexpr int kWaiters = 3;
   for (int i = 0; i < kWaiters; ++i) {
     threads.emplace_back([&server, &order_mu, &grant_order, i] {
-      Explainer* e = ExplainServerTestPeer::Acquire(server);
+      ExplainServerTestPeer::Acquire(server);
       {
         MutexLock lock(order_mu);
         grant_order.push_back(i);
       }
-      ExplainServerTestPeer::Release(server, e);
+      ExplainServerTestPeer::Release(server);
     });
     // Don't start waiter i+1 until waiter i is in the queue.
     while (ExplainServerTestPeer::WaiterCount(server) !=
@@ -411,18 +426,18 @@ TEST_F(ServeTest, LeasePoolGrantsFifoUnderContention) {
     }
   }
 
-  ExplainServerTestPeer::Release(server, held);
+  ExplainServerTestPeer::Release(server);
   for (auto& t : threads) t.join();
 
   ASSERT_EQ(grant_order.size(), static_cast<size_t>(kWaiters));
   for (int i = 0; i < kWaiters; ++i) {
-    EXPECT_EQ(grant_order[i], i) << "lease granted out of FIFO order";
+    EXPECT_EQ(grant_order[i], i) << "slot granted out of FIFO order";
   }
 }
 
 // Pins the direct-handoff half of the protocol: releasing with a queued
-// waiter must hand the Explainer to that waiter, not park it in the idle
-// list where a later acquirer could barge in front. If Release ever went
+// waiter must hand the slot to that waiter, not return it to the idle
+// count where a later acquirer could barge in front. If Release ever went
 // through idle_, the re-acquiring thread here could overtake the queued
 // waiter and the recorded order would invert (and TSan would get a shot at
 // the use-after-free of the waiter's stack node).
@@ -431,18 +446,18 @@ TEST_F(ServeTest, ReleaseHandsOffDirectlyToQueuedWaiter) {
   options.num_explainers = 1;
   ExplainServer server(&db_, &schema_graph_, options);
 
-  Explainer* held = ExplainServerTestPeer::Acquire(server);
-  ASSERT_NE(held, nullptr);
+  ExplainServerTestPeer::Acquire(server);
+  ASSERT_EQ(ExplainServerTestPeer::IdleSlots(server), 0u);
 
   Mutex order_mu;
   std::vector<std::string> order;
   std::thread waiter([&server, &order_mu, &order] {
-    Explainer* e = ExplainServerTestPeer::Acquire(server);
+    ExplainServerTestPeer::Acquire(server);
     {
       MutexLock lock(order_mu);
       order.push_back("waiter");
     }
-    ExplainServerTestPeer::Release(server, e);
+    ExplainServerTestPeer::Release(server);
   });
   while (ExplainServerTestPeer::WaiterCount(server) != 1) {
     std::this_thread::yield();
@@ -450,13 +465,13 @@ TEST_F(ServeTest, ReleaseHandsOffDirectlyToQueuedWaiter) {
 
   // The release below must grant to `waiter`; this thread's immediate
   // re-acquire has to go to the back of the line.
-  ExplainServerTestPeer::Release(server, held);
-  Explainer* again = ExplainServerTestPeer::Acquire(server);
+  ExplainServerTestPeer::Release(server);
+  ExplainServerTestPeer::Acquire(server);
   {
     MutexLock lock(order_mu);
     order.push_back("main");
   }
-  ExplainServerTestPeer::Release(server, again);
+  ExplainServerTestPeer::Release(server);
   waiter.join();
 
   ASSERT_EQ(order.size(), 2u);
