@@ -38,6 +38,7 @@
 #include "src/mining/miner.h"
 #include "src/mining/pattern_kernel.h"
 #include "src/provenance/provenance.h"
+#include "src/serve/explain_server.h"
 #include "src/sql/parser.h"
 
 // ---- Global allocation counter ---------------------------------------------
@@ -625,13 +626,8 @@ void BM_SelectAttributesMimicApt(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectAttributesMimicApt);
 
-/// A served request's whole cost on a result-cache hit: one warm
-/// Explainer::Prepare (parse, provenance, question resolution, PT
-/// fingerprint) per serve_rw query — Qmimic2, 1, 3 and 5, each with its
-/// first question — on MIMIC sf 0.1 at the generator's default seed. An
-/// iteration prepares all four, so a query's mean is a quarter of it;
-/// `pt_cells` counts the PT cells (rows x columns) of the four.
-void BM_PrepareMimic(benchmark::State& state) {
+/// serve_rw's data: MIMIC sf 0.1 at the generator's default seed.
+const std::pair<Database, SchemaGraph>& ServeRwData() {
   static const auto* data = [] {
     auto* d = new std::pair<Database, SchemaGraph>();
     MimicOptions opt;
@@ -640,12 +636,29 @@ void BM_PrepareMimic(benchmark::State& state) {
     d->second = MakeMimicSchemaGraph(d->first).ValueOrDie();
     return d;
   }();
-  CajadeConfig config;
-  Explainer explainer(&data->first, &data->second, config);
+  return *data;
+}
+
+/// serve_rw's four queries, Qmimic2, 1, 3 and 5, each with its first
+/// question.
+std::vector<std::pair<std::string, UserQuestion>> ServeRwRequests() {
   std::vector<std::pair<std::string, UserQuestion>> requests;
   for (int q : {2, 1, 3, 5}) {
     requests.emplace_back(MimicQuerySql(q), bench::MimicQuestion(q));
   }
+  return requests;
+}
+
+/// What a result-cache re-validation costs, and a miss pays up front: one
+/// warm Explainer::Prepare (parse, provenance, question resolution, PT
+/// fingerprint) per serve_rw request. An iteration prepares all four, so a
+/// query's mean is a quarter of it; `pt_cells` counts the PT cells (rows x
+/// columns) of the four.
+void BM_PrepareMimic(benchmark::State& state) {
+  const auto& data = ServeRwData();
+  CajadeConfig config;
+  Explainer explainer(&data.first, &data.second, config);
+  const auto requests = ServeRwRequests();
   size_t pt_cells = 0;
   auto prepare_all = [&] {
     pt_cells = 0;
@@ -672,6 +685,49 @@ void BM_PrepareMimic(benchmark::State& state) {
   state.counters["pt_cells"] = static_cast<double>(pt_cells);
 }
 BENCHMARK(BM_PrepareMimic);
+
+/// A served request's whole cost on a result-cache hit whose FROM tables
+/// did not change: one warmed ExplainServer (one request slot, a one-thread
+/// pool, as serve_rw runs it) serves the four serve_rw requests, each
+/// validated by input versions without Prepare. An iteration serves all
+/// four, so a hit's mean is a quarter of it; `version_hits` counts an
+/// iteration's version-validated hits and must read 4.
+void BM_ServeHitMimic(benchmark::State& state) {
+  const auto& data = ServeRwData();
+  // Built and warmed once: the warm-up mines all four requests.
+  static ExplainServer* server = [&data] {
+    ExplainServer::Options options;
+    options.num_explainers = 1;
+    options.pool_threads = 1;
+    return new ExplainServer(&data.first, &data.second, options);
+  }();
+  const auto requests = ServeRwRequests();
+  auto serve_all = [&] {
+    for (const auto& [sql, question] : requests) {
+      auto served = server->Explain(sql, question);
+      if (!served.ok()) return served.status();
+      benchmark::DoNotOptimize(served->get());
+    }
+    return Status::OK();
+  };
+  Status warm = serve_all();
+  if (!warm.ok()) {
+    state.SkipWithError(warm.ToString().c_str());
+    return;
+  }
+  const size_t before = server->counters().version_hits;
+  for (auto _ : state) {
+    Status s = serve_all();
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
+    }
+  }
+  state.counters["version_hits"] =
+      static_cast<double>(server->counters().version_hits - before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ServeHitMimic);
 
 /// End-to-end Explain() on the scaling (synthetic full-schema NBA) dataset
 /// at 1/2/4/8 worker threads. The /1 run records its per-iteration time so

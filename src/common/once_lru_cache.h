@@ -13,20 +13,29 @@
 //    that entry (an invalidation), even mid-build, and builds afresh. A
 //    detached build still serves its own waiters, is never retained, and
 //    never displaces the entry that replaced it;
+//  - an optional stamp (the Stamp parameter; caches without one pay
+//    nothing): what the caller derived its tag from. A new entry keeps its
+//    builder's stamp, and every lookup an entry serves under the same tag
+//    replaces it with that lookup's. GetIfCurrent serves a ready entry
+//    without a tag when the stamp still holds, checked inside the critical
+//    section that counts the hit, so the stamp it checks belongs to the
+//    value it returns;
 //  - ready entries sit in an LRU list charged value_bytes(value) + key +
-//    tag; an insert or set_max_bytes evicts least-recently-used entries
-//    above max_bytes. Eviction drops only the cache's reference: values are
-//    handed out as shared_ptr<const V>, so callers keep what they got.
+//    tag; an insert evicts least-recently-used entries above max_bytes.
+//    Eviction drops only the cache's reference: values are handed out as
+//    shared_ptr<const V>, so callers keep what they got.
 //
-// Every lookup counts exactly once: a hit when it returns a value it did not
-// build, otherwise a miss (it built, or it received a failure). So
-// hits + misses == lookups.
+// Every GetOrBuild counts exactly once: a hit when it returns a value it did
+// not build, otherwise a miss (it built, or it received a failure). A
+// GetIfCurrent counts only when it serves: a hit, also counted in
+// stamp_hits. So hits + misses == GetOrBuild lookups + stamp_hits.
 //
 // Ownership and thread-safety: the cache owns its entries; values are
 // immutable once built and shared by pointer. Every method is safe to call
-// concurrently. The map, the LRU list, the byte bound and the counters are
-// GUARDED_BY(mu_); a built value travels from its builder to the waiters
-// through the entry's promise/shared_future pair, not through the mutex.
+// concurrently. The map, the LRU list and the counters are GUARDED_BY(mu_);
+// the byte bound is fixed at construction. A built value travels from its
+// builder to the waiters through the entry's promise/shared_future pair, not
+// through the mutex.
 
 #ifndef CAJADE_COMMON_ONCE_LRU_CACHE_H_
 #define CAJADE_COMMON_ONCE_LRU_CACHE_H_
@@ -47,9 +56,12 @@
 
 namespace cajade {
 
+/// The stamp of a cache that keeps none.
+struct NoStamp {};
+
 /// \brief Single-flight build-once cache of immutable values under a byte
 /// bound (see the file comment for the protocol).
-template <typename V>
+template <typename V, typename Stamp = NoStamp>
 class OnceLruCache {
  public:
   using ValuePtr = std::shared_ptr<const V>;
@@ -60,6 +72,8 @@ class OnceLruCache {
   /// One consistent reading of the counters (taken under one lock).
   struct Stats {
     size_t hits = 0;
+    /// Hits served by GetIfCurrent (also counted in hits).
+    size_t stamp_hits = 0;
     /// Lookups that built, or that received a failed build.
     size_t misses = 0;
     /// Entries detached because a lookup presented a different tag. The
@@ -77,25 +91,30 @@ class OnceLruCache {
   /// Returns the value cached under `key`, building it via `build` unless a
   /// ready or in-flight entry with the same `tag` exists. A failed build is
   /// returned (Status) or rethrown (exception) to the builder and every
-  /// waiter.
+  /// waiter. `stamp` becomes the stamp of the entry that served or built
+  /// the value, unless the build failed.
   Result<ValuePtr> GetOrBuild(const std::string& key, const std::string& tag,
-                              const BuildFn& build) EXCLUDES(mu_);
+                              Stamp stamp, const BuildFn& build) EXCLUDES(mu_);
+  Result<ValuePtr> GetOrBuild(const std::string& key, const std::string& tag,
+                              const BuildFn& build) EXCLUDES(mu_) {
+    return GetOrBuild(key, tag, Stamp(), build);
+  }
   /// Untagged lookup: entries are never invalidated, only evicted.
   Result<ValuePtr> GetOrBuild(const std::string& key, const BuildFn& build)
       EXCLUDES(mu_) {
-    return GetOrBuild(key, std::string(), build);
+    return GetOrBuild(key, std::string(), Stamp(), build);
   }
 
-  /// Adjusts the memory bound, evicting LRU entries if now over it.
-  void set_max_bytes(size_t max_bytes) EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    max_bytes_ = max_bytes;
-    EvictOverLimitLocked();
-  }
-  size_t max_bytes() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return max_bytes_;
-  }
+  /// The ready value under `key` when `is_current(stamp)` holds for its
+  /// entry's stamp: a hit that refreshes LRU recency like any other and
+  /// builds nothing. Null, counting nothing, when no entry under `key` is
+  /// ready or its stamp is not current. `is_current` runs under the cache
+  /// lock, so it must be cheap and must not call back into this cache.
+  template <typename IsCurrent>
+  ValuePtr GetIfCurrent(const std::string& key, const IsCurrent& is_current)
+      EXCLUDES(mu_);
+
+  size_t max_bytes() const { return max_bytes_; }
 
   Stats stats() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
@@ -110,22 +129,27 @@ class OnceLruCache {
 
  private:
   /// `tag` is fixed at construction and the outcome is published once
-  /// through `ready`, so neither needs mu_. The LRU fields (bytes, in_lru,
-  /// lru_it) are touched only inside mu_ critical sections, alongside lru_.
+  /// through `ready`, so neither needs mu_. The stamp and the LRU fields
+  /// (value, bytes, in_lru, lru_it) are touched only inside mu_ critical
+  /// sections, alongside lru_; `value` is set with in_lru, before `ready`
+  /// is, so GetIfCurrent never waits on the future under the lock.
   struct Entry {
-    explicit Entry(std::string t) : tag(std::move(t)) {}
+    Entry(std::string t, Stamp s) : tag(std::move(t)), stamp(std::move(s)) {}
 
     const std::string tag;
     std::promise<Result<ValuePtr>> promise;
     const std::shared_future<Result<ValuePtr>> ready = promise.get_future();
+    Stamp stamp;
+    ValuePtr value;
     size_t bytes = 0;
     bool in_lru = false;
     std::list<std::string>::iterator lru_it;
   };
   using Map = std::unordered_map<std::string, std::shared_ptr<Entry>>;
 
-  /// Waits for another caller's build of `entry` and counts the lookup.
-  Result<ValuePtr> Await(const Entry& entry) EXCLUDES(mu_);
+  /// Waits for another caller's build of `entry`, counts the lookup and,
+  /// when it is served, gives the entry its `stamp`.
+  Result<ValuePtr> Await(Entry& entry, Stamp stamp) EXCLUDES(mu_);
   /// Runs `build` for the freshly inserted `entry` and publishes the outcome.
   Result<ValuePtr> Build(const std::string& key,
                          const std::shared_ptr<Entry>& entry,
@@ -142,13 +166,15 @@ class OnceLruCache {
   Map map_ GUARDED_BY(mu_);
   /// Keys of ready entries, most-recently-used first.
   std::list<std::string> lru_ GUARDED_BY(mu_);
-  size_t max_bytes_ GUARDED_BY(mu_);
+  const size_t max_bytes_;
   Stats stats_ GUARDED_BY(mu_);
 };
 
-template <typename V>
-Result<typename OnceLruCache<V>::ValuePtr> OnceLruCache<V>::GetOrBuild(
-    const std::string& key, const std::string& tag, const BuildFn& build) {
+template <typename V, typename Stamp>
+Result<typename OnceLruCache<V, Stamp>::ValuePtr>
+OnceLruCache<V, Stamp>::GetOrBuild(const std::string& key,
+                                   const std::string& tag, Stamp stamp,
+                                   const BuildFn& build) {
   std::shared_ptr<Entry> entry;
   bool builder = false;
   {
@@ -163,18 +189,35 @@ Result<typename OnceLruCache<V>::ValuePtr> OnceLruCache<V>::GetOrBuild(
       it = map_.end();
     }
     if (it == map_.end()) {
-      it = map_.emplace(key, std::make_shared<Entry>(tag)).first;
+      it = map_.emplace(key, std::make_shared<Entry>(tag, std::move(stamp)))
+               .first;
       ++stats_.misses;
       builder = true;
     }
     entry = it->second;
   }
-  return builder ? Build(key, entry, build) : Await(*entry);
+  return builder ? Build(key, entry, build) : Await(*entry, std::move(stamp));
 }
 
-template <typename V>
-Result<typename OnceLruCache<V>::ValuePtr> OnceLruCache<V>::Await(
-    const Entry& entry) {
+template <typename V, typename Stamp>
+template <typename IsCurrent>
+typename OnceLruCache<V, Stamp>::ValuePtr OnceLruCache<V, Stamp>::GetIfCurrent(
+    const std::string& key, const IsCurrent& is_current) {
+  MutexLock lock(mu_);
+  auto it = map_.find(key);
+  // Only current, built entries are in the LRU list.
+  if (it == map_.end() || !it->second->in_lru) return nullptr;
+  Entry& entry = *it->second;
+  if (!is_current(entry.stamp)) return nullptr;
+  ++stats_.hits;
+  ++stats_.stamp_hits;
+  lru_.splice(lru_.begin(), lru_, entry.lru_it);
+  return entry.value;
+}
+
+template <typename V, typename Stamp>
+Result<typename OnceLruCache<V, Stamp>::ValuePtr>
+OnceLruCache<V, Stamp>::Await(Entry& entry, Stamp stamp) {
   // The future's release/acquire pair orders the builder's writes before
   // our reads; get() rethrows a builder exception.
   const Result<ValuePtr>* outcome = nullptr;
@@ -192,15 +235,17 @@ Result<typename OnceLruCache<V>::ValuePtr> OnceLruCache<V>::Await(
     ++stats_.misses;
   } else {
     ++stats_.hits;
+    entry.stamp = std::move(stamp);
     if (entry.in_lru) lru_.splice(lru_.begin(), lru_, entry.lru_it);
   }
   return *outcome;
 }
 
-template <typename V>
-Result<typename OnceLruCache<V>::ValuePtr> OnceLruCache<V>::Build(
-    const std::string& key, const std::shared_ptr<Entry>& entry,
-    const BuildFn& build) {
+template <typename V, typename Stamp>
+Result<typename OnceLruCache<V, Stamp>::ValuePtr>
+OnceLruCache<V, Stamp>::Build(const std::string& key,
+                              const std::shared_ptr<Entry>& entry,
+                              const BuildFn& build) {
   ValuePtr value;
   try {
     Result<V> built = build();
@@ -225,6 +270,7 @@ Result<typename OnceLruCache<V>::ValuePtr> OnceLruCache<V>::Build(
     auto it = map_.find(key);
     // An entry invalidated mid-build answers its own callers only.
     if (it != map_.end() && it->second == entry) {
+      entry->value = value;
       entry->bytes = bytes;
       lru_.push_front(key);
       entry->lru_it = lru_.begin();
@@ -240,16 +286,16 @@ Result<typename OnceLruCache<V>::ValuePtr> OnceLruCache<V>::Build(
   return value;
 }
 
-template <typename V>
-void OnceLruCache<V>::DetachIfCurrent(const std::string& key,
-                                      const std::shared_ptr<Entry>& entry) {
+template <typename V, typename Stamp>
+void OnceLruCache<V, Stamp>::DetachIfCurrent(
+    const std::string& key, const std::shared_ptr<Entry>& entry) {
   MutexLock lock(mu_);
   auto it = map_.find(key);
   if (it != map_.end() && it->second == entry) EraseLocked(it);
 }
 
-template <typename V>
-void OnceLruCache<V>::EraseLocked(typename Map::iterator it) {
+template <typename V, typename Stamp>
+void OnceLruCache<V, Stamp>::EraseLocked(typename Map::iterator it) {
   Entry& entry = *it->second;
   if (entry.in_lru) {
     stats_.bytes_in_use -= entry.bytes;
@@ -259,8 +305,8 @@ void OnceLruCache<V>::EraseLocked(typename Map::iterator it) {
   map_.erase(it);
 }
 
-template <typename V>
-void OnceLruCache<V>::EvictOverLimitLocked() {
+template <typename V, typename Stamp>
+void OnceLruCache<V, Stamp>::EvictOverLimitLocked() {
   while (stats_.bytes_in_use > max_bytes_ && !lru_.empty()) {
     // Only current, ready entries are in the LRU list: the lookup hits.
     EraseLocked(map_.find(lru_.back()));

@@ -96,6 +96,15 @@ Result<PreparedExplain> Explainer::Prepare(const std::string& sql,
 Result<PreparedExplain> Explainer::Prepare(const ParsedQuery& query,
                                            const UserQuestion& question) const {
   PreparedExplain prepared;
+  InputVersions& inputs = prepared.input_versions;
+  for (const TableRef& ref : query.from) {
+    auto named = [&](const auto& in) { return in.first == ref.table_name; };
+    // A missing table fails the provenance below.
+    Result<TablePtr> table = db_->GetTable(ref.table_name);
+    if (table.ok() && std::none_of(inputs.begin(), inputs.end(), named)) {
+      inputs.emplace_back(ref.table_name, (*table)->content_version());
+    }
+  }
   {
     ScopedStep step(&prepared.profile, "Compute Provenance");
     ASSIGN_OR_RETURN(prepared.pt, ComputeProvenance(executor_, query));

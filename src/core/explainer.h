@@ -13,7 +13,9 @@
 #ifndef CAJADE_CORE_EXPLAINER_H_
 #define CAJADE_CORE_EXPLAINER_H_
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -95,16 +97,24 @@ struct ExplainResult {
   std::string t2_description;
 };
 
+/// (relation, Table::content_version) of each distinct relation a query's
+/// FROM clause names, in FROM order.
+using InputVersions = std::vector<std::pair<std::string, uint64_t>>;
+
 /// \brief The front half of one Explain call: parsed query resolved into
 /// provenance plus the question's PT row classes.
 ///
 /// Produced by Explainer::Prepare and consumed by ExplainPrepared. The
-/// split exists for the serving layer: `pt_fingerprint` is a content hash
-/// of exactly the state the expensive back half depends on, so ExplainServer
-/// runs Prepare on every request and uses the fingerprint to decide whether
-/// a cached result is still valid — a hit skips enumeration, APT
-/// materialization, and mining, while any base-table change that alters the
-/// selected provenance flips the fingerprint and forces recomputation.
+/// split exists for the serving layer's result cache, which validates a
+/// cached answer in two steps. `input_versions` says which table versions
+/// the provenance was read from: while each relation is still the
+/// database's table under its name at that version, the PT would come out
+/// the same (Definition 1), so ExplainServer serves the answer without
+/// calling Prepare. Otherwise it runs Prepare, and `pt_fingerprint` — a
+/// content hash of exactly the state the expensive back half depends on —
+/// decides: a match skips enumeration, APT materialization and mining,
+/// while a base-table change that altered the selected provenance flips it
+/// and forces recomputation.
 struct PreparedExplain {
   ProvenanceTable pt;
   std::vector<int64_t> pt_rows;  ///< PT rows the question selects (sorted)
@@ -115,6 +125,10 @@ struct PreparedExplain {
   /// restricted to the question. Equal fingerprints imply bit-identical
   /// explanations for a fixed config and seed.
   std::string pt_fingerprint;
+  /// The FROM relations' versions, read before the provenance was, so a
+  /// write racing Prepare can leave the record older than the PT but never
+  /// newer.
+  InputVersions input_versions;
   /// Front-half timings ("Compute Provenance"); ExplainPrepared folds these
   /// into the result's profile.
   StepProfiler profile;
@@ -155,8 +169,8 @@ class Explainer {
 
   /// Front half of Explain: provenance computation plus question
   /// resolution. Cheap relative to the mining back half; the serving layer
-  /// calls it per request to obtain the result-cache validation
-  /// fingerprint.
+  /// calls it when a cached answer's input versions no longer hold, to
+  /// obtain the result-cache validation fingerprint.
   Result<PreparedExplain> Prepare(const std::string& sql,
                                   const UserQuestion& question) const;
   Result<PreparedExplain> Prepare(const ParsedQuery& query,

@@ -69,6 +69,7 @@ void ExplainServer::Release() {
 ExplainServer::ExplainServer(const Database* db,
                              const SchemaGraph* schema_graph, Options options)
     : options_(options),
+      db_(db),
       pool_(WorkerPool::ResolveThreads(options.pool_threads)),
       explainer_(db, schema_graph, options.config, &pool_),
       result_cache_(options.result_cache_bytes) {
@@ -139,12 +140,20 @@ std::string ExplainServer::CacheKey(const std::string& sql,
 Result<std::shared_ptr<const ExplainResult>> ExplainServer::Explain(
     const std::string& sql, const UserQuestion& question) {
   requests_.fetch_add(1, std::memory_order_relaxed);
+  std::string key;
+  if (options_.enable_result_cache) {
+    key = CacheKey(sql, question);
+    // Validation, step one: a cached answer whose FROM tables are all still
+    // at the versions it records is what Prepare's fingerprint would
+    // confirm, so it is served without a slot or any Explainer code.
+    ResultCache::ResultPtr hit = result_cache_.GetIfInputsCurrent(key, *db_);
+    if (hit != nullptr) return hit;
+  }
   RequestSlot slot(this);
 
-  // Front half on every request, cached or not: provenance + question
-  // resolution produce the fingerprint that decides whether a cached
-  // result is still valid. This is the validation-by-recompute design —
-  // hit latency is one provenance computation, never a stale answer.
+  // Step two, validation by recompute: provenance + question resolution
+  // produce the fingerprint that decides whether a cached result is still
+  // valid — one provenance computation, never a stale answer.
   ASSIGN_OR_RETURN(PreparedExplain prepared, explainer_.Prepare(sql, question));
 
   // Materialization metrics are folded into the server counters on every
@@ -168,7 +177,7 @@ Result<std::shared_ptr<const ExplainResult>> ExplainServer::Explain(
 
   std::string fingerprint = prepared.pt_fingerprint;
   return result_cache_.GetOrCompute(
-      CacheKey(sql, question), fingerprint,
+      key, fingerprint, std::move(prepared.input_versions),
       [&]() -> Result<ExplainResult> {
         ASSIGN_OR_RETURN(ExplainResult result,
                          explainer_.ExplainPrepared(std::move(prepared)));
@@ -184,6 +193,7 @@ ExplainServer::Counters ExplainServer::counters() const {
   Counters c;
   c.requests = requests_.load(std::memory_order_relaxed);
   c.result_hits = result.hits;
+  c.version_hits = result.stamp_hits;
   c.result_misses = result.misses;
   c.result_invalidations = result.invalidations;
   c.result_evictions = result.evictions;

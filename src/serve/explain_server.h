@@ -10,22 +10,25 @@
 //    AptPrefixCache, so requests reuse each other's statistics, join
 //    indexes and APT prefix states (the caches are byte-bounded,
 //    LRU-evicted, and invalidation-safe via Table::content_version keys);
-//  - one ResultCache keyed by (query, question) and validated by
-//    provenance content fingerprint, so a repeated question costs one
-//    provenance computation instead of a mining run — and goes stale the
-//    moment a base-table change alters the provenance it was mined from.
-//    The config needs no place in the key: the cache is private to this
-//    server, and the server's config is fixed at construction;
-//  - `num_explainers` request slots, which bound how many requests run at
-//    once on the Explainer.
+//  - one ResultCache keyed by (query, question) and validated in two
+//    steps. A repeated question whose FROM tables are all still at the
+//    versions its answer records is served without running any Explainer
+//    code; one whose tables changed costs one provenance computation,
+//    whose fingerprint either re-validates the answer or — the moment a
+//    base-table change altered the provenance it was mined from —
+//    invalidates it and mines again. The config needs no place in the key:
+//    the cache is private to this server, and the server's config is fixed
+//    at construction;
+//  - `num_explainers` request slots, which bound how many requests run the
+//    Explainer at once; a version-validated hit takes none.
 //
 // bench/bench_load.cc drives this class with closed-loop clients and a
 // zipfian question mix; docs/SERVING.md walks through the knobs.
 //
-// Ownership: the server owns its pool, its Explainer and the result cache;
-// a request holds one slot for its duration via RAII. Locking is annotated
-// in-line (Mutex / GUARDED_BY below) and checked by the thread-safety CI
-// leg.
+// Ownership: the server borrows the database and owns its pool, its
+// Explainer and the result cache; a request that runs the Explainer holds
+// one slot for its duration via RAII. Locking is annotated in-line (Mutex /
+// GUARDED_BY below) and checked by the thread-safety CI leg.
 
 #ifndef CAJADE_SERVE_EXPLAIN_SERVER_H_
 #define CAJADE_SERVE_EXPLAIN_SERVER_H_
@@ -51,15 +54,19 @@ namespace cajade {
 /// \brief Thread-safe concurrent Explain front end over one database.
 ///
 /// Explain() may be called from any number of client threads at once; at
-/// most Options::num_explainers requests run concurrently, and excess
-/// callers block for a slot, granted in arrival order.
+/// most Options::num_explainers requests run the Explainer concurrently,
+/// and excess callers block for a slot, granted in arrival order. A
+/// result-cache hit validated by input versions takes no slot.
 ///
 /// The database and schema graph must outlive the server and must not be
 /// mutated while a request is in flight. Mutating them *between* requests
-/// is supported and is exactly what the caches are keyed for: the next
-/// request recomputes provenance, sees a changed fingerprint, and
-/// invalidates its cached result, while stale join indexes age out of the
-/// LRU by content version.
+/// is supported and is exactly what the caches are keyed for: a request
+/// whose FROM tables changed version recomputes provenance, and a changed
+/// fingerprint invalidates its cached result, while stale join indexes age
+/// out of the LRU by content version. A cell edited through
+/// Table::column() needs Table::MarkMutated() afterwards, or the
+/// version-keyed caches, this result cache among them, keep serving the
+/// old state.
 class ExplainServer {
  public:
   struct Options {
@@ -69,22 +76,27 @@ class ExplainServer {
     /// the cores); apt_index_cache_bytes and apt_prefix_cache_bytes bound
     /// the Explainer's APT caches, which every request shares.
     CajadeConfig config;
-    /// Maximum concurrently running requests (request slots; all of them
-    /// run on the one Explainer).
+    /// Maximum concurrent requests that run the Explainer (request slots;
+    /// all of them run on the one Explainer). Version-validated hits take
+    /// no slot.
     size_t num_explainers = 4;
     /// Shared WorkerPool width; 0 = hardware concurrency.
     int pool_threads = 0;
     /// Byte bound of the result cache.
     size_t result_cache_bytes = ResultCache::kDefaultMaxBytes;
     /// Serve repeated (query, question) pairs from the result cache
-    /// (fingerprint-validated). Off = every request mines.
+    /// (validated by input versions, then by fingerprint). Off = every
+    /// request mines.
     bool enable_result_cache = true;
   };
 
   /// Aggregated serving counters (monotonic since construction).
   struct Counters {
     size_t requests = 0;
+    /// Includes version_hits.
     size_t result_hits = 0;
+    /// Hits served by input versions, without Explainer::Prepare.
+    size_t version_hits = 0;
     size_t result_misses = 0;
     size_t result_invalidations = 0;
     size_t result_evictions = 0;
@@ -115,7 +127,8 @@ class ExplainServer {
   ExplainServer(const Database* db, const SchemaGraph* schema_graph)
       : ExplainServer(db, schema_graph, Options()) {}
 
-  /// Explains `sql` for `question`. Thread-safe. Blocks while every
+  /// Explains `sql` for `question`. Thread-safe. Unless the result cache
+  /// holds an answer whose input versions are current, blocks while every
   /// request slot is taken. The result is shared with the cache (and with
   /// concurrent identical requests) — hence const.
   Result<std::shared_ptr<const ExplainResult>> Explain(
@@ -148,6 +161,8 @@ class ExplainServer {
   void Release() EXCLUDES(slot_mu_);
 
   Options options_;
+  /// Read by the version check, which runs no Explainer code.
+  const Database* const db_;
 
   WorkerPool pool_;
   /// Runs every request; declared after pool_, which it borrows.

@@ -1,6 +1,19 @@
 #include "src/serve/result_cache.h"
 
+#include <algorithm>
+
 namespace cajade {
+
+ResultCache::ResultPtr ResultCache::GetIfInputsCurrent(const std::string& key,
+                                                       const Database& db) {
+  return GetIfCurrent(key, [&db](const InputVersions& inputs) {
+    return !inputs.empty() &&
+           std::all_of(inputs.begin(), inputs.end(), [&db](const auto& in) {
+             const Table* table = db.FindTable(in.first);
+             return table != nullptr && table->content_version() == in.second;
+           });
+  });
+}
 
 size_t ResultCache::ApproxResultBytes(const ExplainResult& result) {
   size_t bytes = sizeof(ExplainResult) + result.query_result.ApproxBytes();

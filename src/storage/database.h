@@ -33,6 +33,12 @@ class Database {
   bool HasTable(const std::string& name) const { return tables_.count(name) > 0; }
 
   Result<TablePtr> GetTable(const std::string& name) const;
+  /// The table under `name` without taking shared ownership; null when
+  /// absent.
+  const Table* FindTable(const std::string& name) const {
+    auto it = tables_.find(name);
+    return it == tables_.end() ? nullptr : it->second.get();
+  }
 
   /// Table names in deterministic (sorted) order.
   std::vector<std::string> table_names() const;

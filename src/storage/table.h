@@ -34,7 +34,6 @@ class Table {
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  Schema* mutable_schema() { return &schema_; }
 
   size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }

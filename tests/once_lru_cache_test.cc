@@ -1,7 +1,8 @@
 // OnceLruCache protocol tests on a small value type (std::string, charged
 // its length): single-flight builds, failure propagation, lookup
-// accounting, tag invalidation, LRU order and the byte bound. The TSan CI
-// job runs this binary, so the concurrent cases double as race detectors.
+// accounting, tag invalidation, stamps, LRU order and the byte bound. The
+// TSan CI job runs this binary, so the concurrent cases double as race
+// detectors.
 
 #include "src/common/once_lru_cache.h"
 
@@ -197,19 +198,6 @@ TEST(OnceLruCacheTest, LruVictimOrderFollowsTouches) {
   EXPECT_EQ(rebuilds.load(), 2);
 }
 
-TEST(OnceLruCacheTest, SetMaxBytesShrinksImmediately) {
-  Cache cache(100, &StringBytes);
-  for (const char* key : {"a", "b", "c"}) {
-    ASSERT_TRUE(cache.GetOrBuild(key, Value("0123456789")).ok());
-  }
-  EXPECT_EQ(cache.bytes_in_use(), 33u);
-  cache.set_max_bytes(11);
-  EXPECT_EQ(cache.max_bytes(), 11u);
-  EXPECT_EQ(cache.bytes_in_use(), 11u);
-  EXPECT_EQ(cache.evictions(), 2u);
-  EXPECT_EQ(Get(cache, "c"), "0123456789");  // the most recent survives
-}
-
 TEST(OnceLruCacheTest, OversizeEntryIsEvictedOnInsertButReturned) {
   Cache cache(5, &StringBytes);
   auto r = cache.GetOrBuild("big", Value("0123456789"));
@@ -229,15 +217,88 @@ TEST(OnceLruCacheTest, PeakIsAHighWaterMark) {
   ASSERT_TRUE(cache.GetOrBuild("a", Value("0123456789")).ok());
   ASSERT_TRUE(cache.GetOrBuild("b", Value("0123456789")).ok());
   EXPECT_EQ(cache.peak_bytes(), 22u);
-  cache.set_max_bytes(11);
-  EXPECT_EQ(cache.bytes_in_use(), 11u);
+  // A new tag detaches b's 11 bytes and rebuilds it with 3.
+  ASSERT_TRUE(cache.GetOrBuild("b", "t", Value("0")).ok());
+  EXPECT_EQ(cache.invalidations(), 1u);
+  EXPECT_EQ(cache.bytes_in_use(), 14u);
   EXPECT_EQ(cache.peak_bytes(), 22u);  // shrinking does not lower the peak
-  cache.set_max_bytes(100);
   for (const char* key : {"c", "d"}) {
     ASSERT_TRUE(cache.GetOrBuild(key, Value("0123456789")).ok());
   }
-  EXPECT_EQ(cache.bytes_in_use(), 33u);
-  EXPECT_EQ(cache.peak_bytes(), 33u);
+  EXPECT_EQ(cache.bytes_in_use(), 36u);
+  EXPECT_EQ(cache.peak_bytes(), 36u);
+}
+
+/// A cache whose stamp is an int; a lookup's `is_current` compares it.
+using StampedCache = OnceLruCache<std::string, int>;
+
+auto StampIs(int want) {
+  return [want](int stamp) { return stamp == want; };
+}
+
+TEST(OnceLruCacheTest, GetIfCurrentServesTheStampOfTheLastServedLookup) {
+  StampedCache cache(size_t{1} << 20, &StringBytes);
+  EXPECT_EQ(cache.GetIfCurrent("k", StampIs(1)), nullptr);  // no entry
+  ASSERT_TRUE(cache.GetOrBuild("k", "t", 1, Value("v")).ok());
+  StampedCache::ValuePtr served = cache.GetIfCurrent("k", StampIs(1));
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(*served, "v");
+  EXPECT_EQ(cache.GetIfCurrent("k", StampIs(2)), nullptr);
+
+  // A lookup served under the entry's tag re-stamps it...
+  ASSERT_EQ(**cache.GetOrBuild("k", "t", 2, NoBuild()), "v");
+  EXPECT_EQ(cache.GetIfCurrent("k", StampIs(1)), nullptr);
+  EXPECT_EQ(cache.GetIfCurrent("k", StampIs(2)), served);
+  // ...and one with another tag replaces the entry, stamp and all.
+  ASSERT_EQ(**cache.GetOrBuild("k", "u", 3, Value("w")), "w");
+  EXPECT_EQ(cache.GetIfCurrent("k", StampIs(2)), nullptr);
+  ASSERT_NE(cache.GetIfCurrent("k", StampIs(3)), nullptr);
+  EXPECT_EQ(*cache.GetIfCurrent("k", StampIs(3)), "w");
+
+  StampedCache::Stats s = cache.stats();
+  EXPECT_EQ(s.stamp_hits, 4u);
+  EXPECT_EQ(s.hits, 5u);  // the stamp hits and the tag hit
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.invalidations, 1u);
+}
+
+TEST(OnceLruCacheTest, GetIfCurrentNeitherWaitsNorServesAFailure) {
+  StampedCache cache(22, &StringBytes);  // two 11-byte entries fit
+  auto any = [](int) { return true; };
+  std::atomic<bool> building{false};
+  std::atomic<bool> release{false};
+  std::thread builder([&] {
+    ASSERT_TRUE(cache.GetOrBuild("a", "", 1, [&] {
+                       building.store(true);
+                       while (!release.load()) std::this_thread::yield();
+                       return Result<std::string>("0123456789");
+                     }).ok());
+  });
+  while (!building.load()) std::this_thread::yield();
+  EXPECT_EQ(cache.GetIfCurrent("a", any), nullptr);  // in flight: declined
+  release.store(true);
+  builder.join();
+  EXPECT_NE(cache.GetIfCurrent("a", any), nullptr);
+
+  const StampedCache::BuildFn fail = [] {
+    return Result<std::string>(Status::OutOfRange("build failed"));
+  };
+  EXPECT_FALSE(cache.GetOrBuild("f", "", 1, fail).ok());
+  EXPECT_EQ(cache.GetIfCurrent("f", any), nullptr);  // nothing recorded
+
+  // A stamp hit refreshes LRU recency like any hit: with b built after a,
+  // touching a makes b the victim of c.
+  ASSERT_TRUE(cache.GetOrBuild("b", "", 1, Value("0123456789")).ok());
+  EXPECT_NE(cache.GetIfCurrent("a", any), nullptr);
+  ASSERT_TRUE(cache.GetOrBuild("c", "", 1, Value("0123456789")).ok());
+  EXPECT_EQ(cache.GetIfCurrent("b", any), nullptr);
+  EXPECT_NE(cache.GetIfCurrent("a", any), nullptr);
+
+  StampedCache::Stats s = cache.stats();
+  EXPECT_EQ(s.stamp_hits, 3u);
+  EXPECT_EQ(s.hits, 3u);
+  EXPECT_EQ(s.misses, 4u);  // a, f, b, c
+  EXPECT_EQ(s.evictions, 1u);
 }
 
 TEST(OnceLruCacheTest, BuildMayLookUpAnotherKey) {

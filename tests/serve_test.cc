@@ -1,12 +1,14 @@
 // Serving-layer tests: ExplainServer request flow and the ResultCache
-// contract — hit/miss accounting, fingerprint invalidation when a base
-// table changes, byte-bound eviction, and the bit-identical
-// cached-vs-uncached guarantee at several thread counts. The TSan CI job
-// runs this binary, so the concurrent-client scenarios double as race
-// detectors over the shared pool and process-wide caches.
+// contract — hit/miss accounting, the two-step validation (input versions,
+// then fingerprint) and invalidation when a base table changes, byte-bound
+// eviction, and the bit-identical cached-vs-uncached guarantee at several
+// thread counts. The TSan CI job runs this binary, so the concurrent-client
+// scenarios double as race detectors over the shared pool and process-wide
+// caches.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -395,6 +397,247 @@ TEST_F(ServeTest, ShardedServingMatchesUnshardedAndReportsCounters) {
   EXPECT_EQ(c2.peak_apt_bytes, c.peak_apt_bytes);
 }
 
+/// A copy of `table` whose row `row` has `column` replaced by `value`; a
+/// new object with a version of its own.
+TablePtr CopyWithCell(const Table& table, size_t row, const std::string& column,
+                      const Value& value) {
+  auto copy = std::make_shared<Table>(table.name(), table.schema());
+  const int col = table.schema().FindColumn(column);
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (r != row) {
+      copy->AppendRowFrom(table, r);
+      continue;
+    }
+    std::vector<Value> cells;
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      cells.push_back(static_cast<int>(c) == col ? value : table.GetValue(r, c));
+    }
+    EXPECT_TRUE(copy->AppendRow(cells).ok());
+  }
+  return copy;
+}
+
+/// The first row of `table` whose `column` holds `value` (a string).
+size_t FirstRowWhere(const Table& table, const std::string& column,
+                     const std::string& value) {
+  const Column& col = *table.FindColumn(column);
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    if (!col.IsNull(r) && col.GetString(r) == value) return r;
+  }
+  ADD_FAILURE() << "no row with " << column << " = " << value;
+  return 0;
+}
+
+// The two-step rule on one scripted stream. After every step the counters
+// say which path served the request: a version hit when no FROM table
+// changed version, a re-validating hit when one did but the PT did not, an
+// invalidation when the PT changed. The served answer equals a fresh
+// Explainer's on the database as it then is.
+TEST_F(ServeTest, VersionHitsSkipPrepareOnlyWhileTheFromTablesAreUnchanged) {
+  ExplainServer server(&db_, &schema_graph_, BaseOptions());
+  const UserQuestion question = TwoPointQuestion();
+  struct Want {
+    size_t hits, misses, invalidations, version_hits;
+  };
+  auto serve = [&](const char* step, Want want) {
+    SCOPED_TRACE(step);
+    auto served = server.Explain(kQ1, question).ValueOrDie();
+    const ExplainServer::Counters c = server.counters();
+    EXPECT_EQ(c.result_hits, want.hits);
+    EXPECT_EQ(c.result_misses, want.misses);
+    EXPECT_EQ(c.result_invalidations, want.invalidations);
+    EXPECT_EQ(c.version_hits, want.version_hits);
+    Explainer fresh(&db_, &schema_graph_);
+    ExpectSameExplanations(fresh.Explain(kQ1, question).ValueOrDie(), *served);
+    return served;
+  };
+  auto game = [&] { return db_.GetTable("game").ValueOrDie(); };
+  auto append_game = [&](const char* winner, const char* season) {
+    ASSERT_TRUE(game()
+                    ->AppendRow({Value(int64_t{2016}), Value(int64_t{6}),
+                                 Value(int64_t{30}), Value(winner),
+                                 Value("TOR"), Value(int64_t{110}),
+                                 Value(int64_t{100}), Value(winner),
+                                 Value(season)})
+                    .ok());
+  };
+
+  auto first = serve("first request mines", {0, 1, 0, 0});
+  EXPECT_EQ(serve("repeat", {1, 1, 0, 1}), first);
+
+  append_game("CLE", "2015-16");  // filtered out by WHERE winner = 'GSW'
+  EXPECT_EQ(serve("append the WHERE drops", {2, 1, 0, 1}), first);
+  EXPECT_EQ(serve("repeat after re-validation", {3, 1, 0, 2}), first);
+
+  // Outside the question's two groups, but inside the PT, whose whole
+  // content the fingerprint folds in.
+  append_game("GSW", "2013-14");
+  auto second = serve("append that enters the PT", {3, 2, 1, 2});
+  EXPECT_NE(second, first);
+
+  // lineup_player is not in the FROM clause; the row joins nothing.
+  ASSERT_TRUE(db_.GetTable("lineup_player")
+                  .ValueOrDie()
+                  ->AppendRow({Value(int64_t{99999}), Value("Z. Nobody")})
+                  .ok());
+  EXPECT_EQ(serve("append to a table the query does not read", {4, 2, 1, 3}),
+            second);
+
+  // Copies keep the version along with the content.
+  db_.ReplaceTable(std::make_shared<Table>(*game()));
+  EXPECT_EQ(serve("replace with an identical copy", {5, 2, 1, 4}), second);
+
+  const size_t other = FirstRowWhere(*game(), "winner", "CLE");
+  db_.ReplaceTable(CopyWithCell(*game(), other, "home_pts", Value(int64_t{1})));
+  EXPECT_EQ(serve("replace with a copy whose one row changed", {6, 2, 1, 4}),
+            second);
+
+  // An in-place cell edit, then the re-stamp the contract asks for.
+  const TablePtr edited = game();
+  const size_t gsw = FirstRowWhere(*edited, "winner", "GSW");
+  const int pts = edited->schema().FindColumn("home_pts");
+  Column column(DataType::kInt64);
+  for (size_t r = 0; r < edited->num_rows(); ++r) {
+    column.AppendInt(r == gsw ? 1 : edited->column(pts).GetInt(r));
+  }
+  edited->column(pts) = std::move(column);
+  edited->MarkMutated();
+  auto third = serve("cell edited through column()", {6, 3, 2, 4});
+  EXPECT_NE(third, second);
+  EXPECT_EQ(serve("repeat", {7, 3, 2, 5}), third);
+
+  // Fails in Prepare every time, so nothing is recorded for it.
+  const UserQuestion twice =
+      UserQuestion::TwoPoint(Where({{"season", Value("2015-16")}}),
+                             Where({{"season", Value("2015-16")}}));
+  const size_t bytes = server.result_cache().bytes_in_use();
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(server.Explain(kQ1, twice).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  const ExplainServer::Counters c = server.counters();
+  EXPECT_EQ(c.requests, 12u);
+  EXPECT_EQ(c.result_hits, 7u);
+  EXPECT_EQ(c.result_misses, 3u);
+  EXPECT_EQ(c.version_hits, 5u);
+  EXPECT_EQ(server.result_cache().bytes_in_use(), bytes);
+}
+
+// With every request slot held, a version-validated hit still returns (it
+// runs no Explainer code), while a request that must run Prepare queues.
+TEST_F(ServeTest, VersionHitTakesNoRequestSlot) {
+  auto options = BaseOptions();
+  options.num_explainers = 1;
+  ExplainServer server(&db_, &schema_graph_, options);
+  auto warm = server.Explain(kQ1, TwoPointQuestion()).ValueOrDie();
+
+  ExplainServerTestPeer::Acquire(server);
+  ASSERT_EQ(ExplainServerTestPeer::IdleSlots(server), 0u);
+  EXPECT_EQ(server.Explain(kQ1, TwoPointQuestion()).ValueOrDie(), warm);
+  EXPECT_EQ(server.counters().version_hits, 1u);
+
+  // A new version of game, same content: the request re-validates.
+  db_.GetTable("game").ValueOrDie()->MarkMutated();
+  std::atomic<bool> done{false};
+  std::shared_ptr<const ExplainResult> revalidated;
+  std::thread queued([&] {
+    revalidated = server.Explain(kQ1, TwoPointQuestion()).ValueOrDie();
+    done.store(true);
+  });
+  while (ExplainServerTestPeer::WaiterCount(server) != 1 && !done.load()) {
+    std::this_thread::yield();
+  }
+  EXPECT_FALSE(done.load()) << "a request that must run Prepare took no slot";
+  ExplainServerTestPeer::Release(server);
+  queued.join();
+  EXPECT_EQ(revalidated, warm);
+  const ExplainServer::Counters c = server.counters();
+  EXPECT_EQ(c.result_hits, 2u);
+  EXPECT_EQ(c.version_hits, 1u);
+  EXPECT_EQ(c.result_misses, 1u);
+}
+
+// 8 clients mix version hits on warm keys with misses on new keys. Every
+// answer is the one cached object of its key and equals a serial run's,
+// and the counters add up: each new key is built once, every warm-key
+// request is a version hit.
+TEST_F(ServeTest, ConcurrentVersionHitsAndMissesMatchASerialRun) {
+  const std::string kGames =
+      "SELECT season, count(*) AS games FROM game g GROUP BY season";
+  struct Request {
+    std::string sql;
+    UserQuestion question;
+  };
+  const UserQuestion swapped =
+      UserQuestion::TwoPoint(Where({{"season", Value("2012-13")}}),
+                             Where({{"season", Value("2015-16")}}));
+  const std::vector<Request> warm = {{kQ1, TwoPointQuestion()},
+                                     {kQ1, SinglePointQuestion()}};
+  const std::vector<Request> cold = {{kQ1, swapped},
+                                     {kGames, TwoPointQuestion()},
+                                     {kGames, SinglePointQuestion()},
+                                     {kGames, swapped}};
+  std::vector<Request> all = warm;
+  all.insert(all.end(), cold.begin(), cold.end());
+  Explainer reference(&db_, &schema_graph_);
+  std::vector<ExplainResult> expected;
+  for (const Request& r : all) {
+    expected.push_back(reference.Explain(r.sql, r.question).ValueOrDie());
+  }
+
+  ExplainServer::Options options;
+  options.num_explainers = 4;
+  options.pool_threads = 4;
+  options.config.num_threads = 2;
+  ExplainServer server(&db_, &schema_graph_, options);
+  for (const Request& r : warm) {
+    ASSERT_TRUE(server.Explain(r.sql, r.question).ok());
+  }
+
+  constexpr size_t kClients = 8;
+  constexpr size_t kIters = 3;
+  // served[c]: (index into `all`, answer) of client c's requests.
+  std::vector<std::vector<std::pair<size_t,
+                                    std::shared_ptr<const ExplainResult>>>>
+      served(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = 0; i < kIters; ++i) {
+        for (size_t pick : {(c + i) % warm.size(),
+                            warm.size() + (c + i) % cold.size()}) {
+          auto result = server.Explain(all[pick].sql, all[pick].question);
+          served[c].emplace_back(pick, result.ok() ? result.ValueOrDie()
+                                                   : nullptr);
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  std::vector<std::shared_ptr<const ExplainResult>> object(all.size());
+  for (size_t c = 0; c < kClients; ++c) {
+    for (const auto& [pick, result] : served[c]) {
+      ASSERT_NE(result, nullptr) << "client " << c << " request " << pick;
+      if (object[pick] == nullptr) object[pick] = result;
+      EXPECT_EQ(result, object[pick]) << "request " << pick;
+    }
+  }
+  for (size_t k = 0; k < all.size(); ++k) {
+    SCOPED_TRACE(k);
+    ASSERT_NE(object[k], nullptr);
+    ExpectSameExplanations(expected[k], *object[k]);
+  }
+  const size_t requests = warm.size() + kClients * kIters * 2;
+  const ExplainServer::Counters counters = server.counters();
+  EXPECT_EQ(counters.requests, requests);
+  EXPECT_EQ(counters.result_misses, all.size());
+  EXPECT_EQ(counters.result_hits, requests - all.size());
+  EXPECT_EQ(counters.result_invalidations, 0u);
+  EXPECT_GE(counters.version_hits, kClients * kIters);
+  EXPECT_LE(counters.version_hits, counters.result_hits);
+}
+
 // Pins the request slots' FIFO grant order. With the one slot held and
 // each waiter provably queued (WaiterCount) before the next thread starts,
 // the enqueue order is exact — so the grant order must match it, every run.
@@ -484,7 +727,7 @@ TEST(ResultCacheTest, WaiterOnAFailedComputeCountsAsMiss) {
   ResultCache cache;
   LookUpWhileBuildFails<ExplainResult>(
       [&](const std::function<Result<ExplainResult>()>& compute) {
-        EXPECT_FALSE(cache.GetOrCompute("k", "fingerprint", compute).ok());
+        EXPECT_FALSE(cache.GetOrCompute("k", "fingerprint", {}, compute).ok());
       },
       [] { return Result<ExplainResult>(Status::ExecutionError("failed")); });
   EXPECT_EQ(cache.hits(), 0u);
