@@ -32,11 +32,6 @@ void WorkerPool::Submit(std::function<void()> task) {
   work_cv_.NotifyOne();
 }
 
-void WorkerPool::Wait() {
-  MutexLock lock(mu_);
-  while (!queue_.empty() || in_flight_ != 0) idle_cv_.Wait(mu_);
-}
-
 void WorkerPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
@@ -48,14 +43,8 @@ void WorkerPool::WorkerLoop() {
       if (queue_.empty()) return;
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
     task();
-    {
-      MutexLock lock(mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.NotifyAll();
-    }
   }
 }
 

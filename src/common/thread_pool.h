@@ -7,7 +7,7 @@
 //
 // Determinism contract: the pool schedules tasks in submission order but
 // completes them in any order. Callers that need reproducible output index
-// results by task id and merge after Wait()/ParallelFor() returns (see
+// results by task id and merge after ParallelFor() returns (see
 // Explainer::Explain), so the visible result never depends on the
 // schedule.
 //
@@ -16,11 +16,8 @@
 // process-wide pool). Submit is thread-safe; each ParallelFor call is its
 // own task group — a heap-owned iteration counter that workers and the
 // calling thread drain together — so two concurrent loops never exchange
-// iterations and each returns exactly when its own iterations finish.
-// Wait(), by contrast, is pool-global: it blocks until the queue is empty
-// and nothing is in flight, which under concurrent callers means "until
-// everyone's work is done" — prefer ParallelFor's per-group completion in
-// shared-pool code.
+// iterations and each returns exactly when its own iterations finish. The
+// pool has no pool-global barrier: a caller waits only for its own loop.
 //
 // Ownership: the pool owns its worker threads and the queued task closures;
 // callers own whatever state those closures capture. Locking is annotated
@@ -56,13 +53,9 @@ class WorkerPool {
   size_t num_threads() const { return threads_.size(); }
 
   /// Enqueues a task. Tasks must not throw; Status-style error handling
-  /// belongs inside the task (record the error, merge after Wait).
+  /// belongs inside the task (record the error, merge it once the
+  /// submitter's own tasks are done, as ParallelFor's callers do).
   void Submit(std::function<void()> task) EXCLUDES(mu_);
-
-  /// Blocks until every task submitted so far has finished — pool-global,
-  /// across all callers. Not a per-caller barrier: on a shared pool use
-  /// ParallelFor, whose completion is scoped to its own iterations.
-  void Wait() EXCLUDES(mu_);
 
   /// Runs fn(0) .. fn(n-1) on the pool and blocks until all calls
   /// returned. Iterations are claimed dynamically (one atomic fetch-add
@@ -88,8 +81,6 @@ class WorkerPool {
   Mutex mu_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   CondVar work_cv_;  ///< signals workers: queue non-empty/stop
-  CondVar idle_cv_;  ///< signals Wait(): everything finished
-  size_t in_flight_ GUARDED_BY(mu_) = 0;  ///< dequeued, not yet finished
   bool stop_ GUARDED_BY(mu_) = false;
 };
 

@@ -27,6 +27,13 @@ inline size_t DefaultAptShardRows() {
   return end == env ? 0 : static_cast<size_t>(v);
 }
 
+/// Default byte bound of an APT prefix-state cache: the default of
+/// CajadeConfig::apt_prefix_cache_bytes and of AptPrefixCache.
+inline constexpr size_t kDefaultAptPrefixCacheBytes = size_t{256} << 20;
+/// Default byte bound of an APT join-index cache: the default of
+/// CajadeConfig::apt_index_cache_bytes and of AptIndexCache.
+inline constexpr size_t kDefaultAptIndexCacheBytes = size_t{256} << 20;
+
 /// \brief Configuration for the explanation pipeline.
 struct CajadeConfig {
   // ---- Table 1 parameters -------------------------------------------------
@@ -101,14 +108,14 @@ struct CajadeConfig {
   /// above it), read when the Explainer is constructed. The cache lives as
   /// long as its Explainer, so this bounds resident state across calls —
   /// across requests under ExplainServer, whose one Explainer serves them
-  /// all — not per call. Also the default of AptPrefixCache.
-  size_t apt_prefix_cache_bytes = size_t{256} << 20;  // 256 MiB
+  /// all — not per call.
+  size_t apt_prefix_cache_bytes = kDefaultAptPrefixCacheBytes;  // 256 MiB
   /// Memory bound of an Explainer's APT join-index cache in bytes
   /// (build-side join indexes keyed by table content version; LRU-evicted
   /// above it), read when the Explainer is constructed. Like the prefix
   /// cache it lives as long as its Explainer and bounds resident state
-  /// across calls. Also the default of AptIndexCache.
-  size_t apt_index_cache_bytes = size_t{256} << 20;  // 256 MiB
+  /// across calls.
+  size_t apt_index_cache_bytes = kDefaultAptIndexCacheBytes;  // 256 MiB
 
   // ---- Sharded APT pipeline ------------------------------------------------
   /// Rows of the PT selection materialized per APT shard. 0 = one

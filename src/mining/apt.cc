@@ -1,7 +1,10 @@
 #include "src/mining/apt.h"
 
 #include <algorithm>
+#include <exception>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "src/common/string_util.h"
@@ -71,8 +74,9 @@ void LocateAptRows(const ShardedApt& apt, const std::vector<size_t>& rows,
 // the cache's LRU-bounded live keys (hundreds, not 2^32 — vanishing by
 // construction, unlike an unbounded accumulation). The value is
 // process-local: ContentFingerprint hashes strings with std::hash, so it
-// may differ between builds, and it only keys in-memory caches. Like the
-// caches themselves, this assumes an immutable database.
+// may differ between builds, and it only keys in-memory caches. It covers
+// only the PT; the context relations a state joined in are versioned by
+// the key pieces of its tree steps.
 std::string AptPtFingerprint(const ProvenanceTable& pt,
                              const std::vector<int64_t>& pt_rows) {
   uint64_t h = kRowKeyHashSeed;
@@ -102,206 +106,239 @@ std::string AptPtFingerprint(const ProvenanceTable& pt,
 
 namespace {
 
+Status NoSuchAttribute(const std::string& relation, const std::string& attr) {
+  return Status::BindError(Format("relation '%s' has no attribute '%s'",
+                                  relation.c_str(), attr.c_str()));
+}
+
+Status RowLimitExceeded(size_t row_limit, const JoinGraph& graph) {
+  return Status::OutOfRange(
+      Format("APT exceeds row limit %zu for join graph %s", row_limit,
+             graph.Describe().c_str()));
+}
+
+/// One materialization step with its names resolved, shared by every shard.
+struct BoundStep {
+  bool cycle = false;
+  /// A cycle step keeps the state rows whose `left_cols` equal their
+  /// `right_cols`. A tree step probes `base`'s index on `right_cols` with
+  /// the state's `left_cols`.
+  std::vector<int> left_cols;
+  std::vector<int> right_cols;
+  /// Tree steps: the context relation joined in.
+  TablePtr base;
+  /// The state's schema after the step.
+  Schema schema;
+  /// Prefix-cache key piece: '|' and the step's AptStepSignature, then, on
+  /// a tree step, the joined relation's content version, so a write to a
+  /// context relation re-keys every state built from it.
+  std::string key_piece;
+};
+
+/// A join graph bound against one PT and database.
+struct BoundGraph {
+  /// The PT's columns: the schema of every shard's initial state.
+  Schema base_schema;
+  /// The plan's steps before the first one whose names do not resolve.
+  std::vector<BoundStep> steps;
+  /// What the call returns unless a bound step trips the row limit: that
+  /// first step's error, the disconnected-graph error, or OK.
+  Status tail;
+
+  /// The schema after every bound step.
+  const Schema& schema() const {
+    return steps.empty() ? base_schema : steps.back().schema;
+  }
+};
+
+/// Resolves every name the graph's steps use, once for all shards, in the
+/// order ReferenceMaterializeApt meets them: a tree step's relation, its
+/// condition pairs, then its output columns. The oracle adds those columns
+/// only after its probe, the one ordering difference (see
+/// MaterializeAptSharded in apt.h).
+Result<BoundGraph> BindGraph(const ProvenanceTable& pt, const JoinGraph& graph,
+                             const SchemaGraph& schema_graph,
+                             const Database& db) {
+  ASSIGN_OR_RETURN(const AptPlan plan, PlanAptSteps(graph, schema_graph));
+  BoundGraph bound;
+  for (const auto& c : pt.table.schema().columns()) {
+    RETURN_NOT_OK(
+        bound.base_schema.AddColumn(c.name, c.type, c.mining_excluded));
+  }
+  // Each joined context node's relation and the state column of its first
+  // attribute.
+  std::vector<TablePtr> node_table(graph.nodes().size());
+  std::vector<int> node_offset(graph.nodes().size(), -1);
+  auto resolve = [&](int node, const std::string& pt_relation,
+                     const std::string& attr) -> Result<int> {
+    if (graph.nodes()[node].is_pt) {
+      return ResolvePtColumn(pt, pt_relation, attr);
+    }
+    const int c = node_table[node]->schema().FindColumn(attr);
+    if (c < 0) return NoSuchAttribute(graph.nodes()[node].relation, attr);
+    return node_offset[node] + c;
+  };
+  auto bind = [&](const AptStep& step, const Schema& in) -> Result<BoundStep> {
+    const JoinGraphEdge& e = graph.edges()[step.edge];
+    const JoinConditionDef& cond =
+        schema_graph.edges()[e.schema_edge].conditions[e.condition];
+    BoundStep out;
+    out.cycle = step.cycle;
+    out.schema = in;
+    out.key_piece = "|" + AptStepSignature(graph, schema_graph, step);
+    if (step.cycle) {
+      for (const auto& p : cond.pairs) {
+        ASSIGN_OR_RETURN(int ca, resolve(e.node_a, e.pt_relation,
+                                         e.a_plays_left ? p.left : p.right));
+        ASSIGN_OR_RETURN(int cb, resolve(e.node_b, e.pt_relation,
+                                         e.a_plays_left ? p.right : p.left));
+        out.left_cols.push_back(ca);
+        out.right_cols.push_back(cb);
+      }
+      return out;
+    }
+    const JoinGraphNode& nn = graph.nodes()[step.new_node];
+    ASSIGN_OR_RETURN(out.base, db.GetTable(nn.relation));
+    const bool in_is_left = (step.in_node == e.node_a) == e.a_plays_left;
+    for (const auto& p : cond.pairs) {
+      ASSIGN_OR_RETURN(int ci, resolve(step.in_node, e.pt_relation,
+                                       in_is_left ? p.left : p.right));
+      const std::string& new_attr = in_is_left ? p.right : p.left;
+      const int cn = out.base->schema().FindColumn(new_attr);
+      if (cn < 0) return NoSuchAttribute(nn.relation, new_attr);
+      out.left_cols.push_back(ci);
+      out.right_cols.push_back(cn);
+    }
+    for (const auto& c : out.base->schema().columns()) {
+      // A context copy of a query relation re-exposes the group-by
+      // attributes (e.g. game.season when grouping by season); the paper's
+      // Section 2.5 exclusion applies to them as well.
+      bool excluded = c.mining_excluded;
+      for (const auto& [rel, attr] : pt.group_by_source_attrs) {
+        if (rel == nn.relation && attr == c.name) excluded = true;
+      }
+      RETURN_NOT_OK(
+          out.schema.AddColumn(nn.label + "." + c.name, c.type, excluded));
+    }
+    out.key_piece += "@v" + std::to_string(out.base->content_version());
+    node_table[step.new_node] = out.base;
+    node_offset[step.new_node] = static_cast<int>(in.num_columns());
+    return out;
+  };
+  for (const AptStep& step : plan.steps) {
+    Result<BoundStep> next = bind(step, bound.schema());
+    if (!next.ok()) {
+      bound.tail = next.status();
+      return bound;
+    }
+    bound.steps.push_back(std::move(next).MoveValue());
+  }
+  for (size_t v = 0; v < graph.nodes().size(); ++v) {
+    if (!plan.joined[v]) {
+      bound.tail = Status::InvalidArgument(
+          "join graph is disconnected: node '" + graph.nodes()[v].label +
+          "' unreachable from PT");
+      break;
+    }
+  }
+  return bound;
+}
+
+/// `left`'s rows `lrows` beside, for a tree step, `right`'s rows `rrows`.
+Table GatherTable(const Schema& schema, const Table& left,
+                  const std::vector<int64_t>& lrows, const Table* right,
+                  const std::vector<int64_t>& rrows) {
+  std::vector<Column> cols;
+  cols.reserve(schema.num_columns());
+  for (size_t c = 0; c < left.num_columns(); ++c) {
+    cols.push_back(left.column(c).Gather(lrows));
+  }
+  if (right != nullptr) {
+    for (size_t c = 0; c < right->num_columns(); ++c) {
+      cols.push_back(right->column(c).Gather(rrows));
+    }
+  }
+  return Table("APT", schema, std::move(cols), lrows.size());
+}
+
 /// The initial state of the shard covering positions [begin, end) of
 /// pt_rows: the PT restricted to those rows. pt_row entries are GLOBAL
 /// positions, so states propagate global coverage positions through every
 /// step and per-shard coverage sets OR directly into one PT-wide bitmap.
-Result<AptJoinState> BuildBaseState(const ProvenanceTable& pt,
-                                    const std::vector<int64_t>& pt_rows,
-                                    size_t begin, size_t end) {
+AptJoinState BuildBaseState(const ProvenanceTable& pt, const Schema& schema,
+                            const std::vector<int64_t>& pt_rows, size_t begin,
+                            size_t end) {
   const std::vector<int64_t> rows(pt_rows.begin() + begin,
                                   pt_rows.begin() + end);
   AptJoinState state;
-  Schema cur_schema;
-  for (const auto& c : pt.table.schema().columns()) {
-    RETURN_NOT_OK(cur_schema.AddColumn(c.name, c.type, c.mining_excluded));
-  }
-  std::vector<Column> cur_cols;
-  cur_cols.reserve(pt.table.num_columns());
-  for (size_t c = 0; c < pt.table.num_columns(); ++c) {
-    cur_cols.push_back(pt.table.column(c).Gather(rows));
-  }
-  state.table = Table("APT", std::move(cur_schema), std::move(cur_cols),
-                      rows.size());
+  state.table = GatherTable(schema, pt.table, rows, nullptr, {});
   state.pt_row.resize(rows.size());
   std::iota(state.pt_row.begin(), state.pt_row.end(),
             static_cast<int32_t>(begin));
   return state;
 }
 
-/// Everything one materialization step needs besides its input state.
-/// `node_offset` holds the first column of every already-joined context
-/// node, maintained by the main loop as steps are applied or skipped via
-/// the prefix cache.
-struct StepContext {
-  const ProvenanceTable* pt;
-  const JoinGraph* graph;
-  const SchemaGraph* schema_graph;
-  const Database* db;
-  AptIndexCache* index_cache;
-  StatsCatalog* stats;  // nullable
-  size_t row_limit;
-  const std::vector<int>* node_offset;
-};
-
-Result<int> ResolveSide(const StepContext& ctx, int node,
-                        const std::string& pt_rel, const std::string& attr) {
-  if (ctx.graph->nodes()[node].is_pt) {
-    return ResolvePtColumn(*ctx.pt, pt_rel, attr);
-  }
-  ASSIGN_OR_RETURN(TablePtr base,
-                   ctx.db->GetTable(ctx.graph->nodes()[node].relation));
-  int c = base->schema().FindColumn(attr);
-  if (c < 0) {
-    return Status::BindError(
-        Format("relation '%s' has no attribute '%s'",
-               ctx.graph->nodes()[node].relation.c_str(), attr.c_str()));
-  }
-  return (*ctx.node_offset)[node] + c;
-}
-
-/// Applies one materialization step to `in`, producing the next state.
-/// Tree edges run through the typed kernel index (cached across graphs);
-/// cycle edges filter rows whose two sides agree. Null join keys never
+/// Applies one bound step to `in`. A tree step probes the cached typed
+/// index on its relation with the state's rows, preserving state row order;
+/// a cycle step keeps the rows whose two sides agree. Null join keys never
 /// match in either case — the guard is explicit here (and in every
 /// JoinBuildIndex layout), not delegated to hash or equality internals.
-Result<AptJoinState> ApplyAptStep(const AptJoinState& in, const AptStep& step,
-                                  const StepContext& ctx) {
-  const JoinGraphEdge& e = ctx.graph->edges()[step.edge];
-  const SchemaEdge& se = ctx.schema_graph->edges()[e.schema_edge];
-  const JoinConditionDef& cond = se.conditions[e.condition];
+/// The index is looked up here, inside the step's build, so a prefix-cache
+/// hit never touches the index cache.
+Result<AptJoinState> ApplyStep(const AptJoinState& in, const BoundStep& step,
+                               const AptMaterializeOptions& options,
+                               AptIndexCache* index_cache,
+                               const JoinGraph& graph) {
   const Table& cur = in.table;
-
+  std::vector<int64_t> lrows, rrows;
   if (step.cycle) {
-    // Cycle-closing edge: filter rows where both sides agree.
-    std::vector<int> cols_a, cols_b;
-    for (const auto& p : cond.pairs) {
-      const std::string& attr_a = e.a_plays_left ? p.left : p.right;
-      const std::string& attr_b = e.a_plays_left ? p.right : p.left;
-      ASSIGN_OR_RETURN(int ca, ResolveSide(ctx, e.node_a, e.pt_relation, attr_a));
-      ASSIGN_OR_RETURN(int cb, ResolveSide(ctx, e.node_b, e.pt_relation, attr_b));
-      cols_a.push_back(ca);
-      cols_b.push_back(cb);
-    }
-    std::vector<int64_t> keep;
     for (size_t r = 0; r < cur.num_rows(); ++r) {
       const auto row = static_cast<int64_t>(r);
       // NULL never survives a cycle edge — including NULL = NULL — matching
       // the executor's equi-join contract.
-      if (HasNullKey(cur, row, cols_a) || HasNullKey(cur, row, cols_b)) {
+      if (HasNullKey(cur, row, step.left_cols) ||
+          HasNullKey(cur, row, step.right_cols)) {
         continue;
       }
-      if (RowKeysEqual(cur, row, cols_a, cur, row, cols_b)) {
-        keep.push_back(row);
+      if (RowKeysEqual(cur, row, step.left_cols, cur, row, step.right_cols)) {
+        lrows.push_back(row);
       }
     }
-    AptJoinState next;
-    std::vector<Column> next_cols;
-    next_cols.reserve(cur.num_columns());
-    Schema next_schema;
-    for (size_t c = 0; c < cur.num_columns(); ++c) {
-      RETURN_NOT_OK(next_schema.AddColumn(cur.schema().column(c).name,
-                                          cur.schema().column(c).type,
-                                          cur.schema().column(c).mining_excluded));
-      next_cols.push_back(cur.column(c).Gather(keep));
+  } else {
+    AptIndexCache::IndexPtr index =
+        index_cache->Get(*step.base, step.right_cols, options.stats);
+    std::vector<int64_t> probe_rows(cur.num_rows());
+    std::iota(probe_rows.begin(), probe_rows.end(), 0);
+    std::vector<ProbeKeyCol> probe;
+    probe.reserve(step.left_cols.size());
+    for (int c : step.left_cols) probe.push_back({&cur.column(c), &probe_rows});
+    std::vector<std::pair<int64_t, int64_t>> matches;
+    matches.reserve(cur.num_rows());
+    if (!index->Probe(probe, cur.num_rows(), options.row_limit, &matches)) {
+      return RowLimitExceeded(options.row_limit, graph);
     }
-    next.pt_row.reserve(keep.size());
-    for (int64_t r : keep) next.pt_row.push_back(in.pt_row[r]);
-    next.table = Table("APT", std::move(next_schema), std::move(next_cols),
-                       keep.size());
-    return next;
-  }
-
-  // Tree edge: join in the new relation.
-  const JoinGraphNode& nn = ctx.graph->nodes()[step.new_node];
-  ASSIGN_OR_RETURN(TablePtr base, ctx.db->GetTable(nn.relation));
-
-  const bool in_is_left = (step.in_node == e.node_a) == e.a_plays_left;
-  JoinKeySpec keys;
-  for (const auto& p : cond.pairs) {
-    const std::string& in_attr = in_is_left ? p.left : p.right;
-    const std::string& new_attr = in_is_left ? p.right : p.left;
-    ASSIGN_OR_RETURN(int ci, ResolveSide(ctx, step.in_node, e.pt_relation, in_attr));
-    int cn = base->schema().FindColumn(new_attr);
-    if (cn < 0) {
-      return Status::BindError(Format("relation '%s' has no attribute '%s'",
-                                      nn.relation.c_str(), new_attr.c_str()));
+    lrows.reserve(matches.size());
+    rrows.reserve(matches.size());
+    for (const auto& [l, r] : matches) {
+      lrows.push_back(l);
+      rrows.push_back(r);
     }
-    keys.left_cols.push_back(ci);
-    keys.right_cols.push_back(cn);
-  }
-
-  // Probe the cached typed index on the context relation with the current
-  // state's rows, preserving state row order.
-  AptIndexCache::IndexPtr index =
-      ctx.index_cache->Get(*base, keys.right_cols, ctx.stats);
-
-  std::vector<int64_t> probe_rows(cur.num_rows());
-  std::iota(probe_rows.begin(), probe_rows.end(), 0);
-  std::vector<ProbeKeyCol> probe;
-  probe.reserve(keys.left_cols.size());
-  for (int ci : keys.left_cols) probe.push_back({&cur.column(ci), &probe_rows});
-
-  std::vector<std::pair<int64_t, int64_t>> matches;
-  matches.reserve(cur.num_rows());
-  if (!index->Probe(probe, cur.num_rows(), ctx.row_limit, &matches)) {
-    return Status::OutOfRange(
-        Format("APT exceeds row limit %zu for join graph %s", ctx.row_limit,
-               ctx.graph->Describe().c_str()));
-  }
-
-  Schema next_schema;
-  for (const auto& c : cur.schema().columns()) {
-    RETURN_NOT_OK(next_schema.AddColumn(c.name, c.type, c.mining_excluded));
-  }
-  for (const auto& c : base->schema().columns()) {
-    // A context copy of a query relation re-exposes the group-by
-    // attributes (e.g. game.season when grouping by season); the paper's
-    // Section 2.5 exclusion applies to them as well.
-    bool excluded = c.mining_excluded;
-    for (const auto& [rel, attr] : ctx.pt->group_by_source_attrs) {
-      if (rel == nn.relation && attr == c.name) excluded = true;
-    }
-    RETURN_NOT_OK(next_schema.AddColumn(nn.label + "." + c.name, c.type,
-                                        excluded));
-  }
-
-  std::vector<int64_t> lrows, rrows;
-  lrows.reserve(matches.size());
-  rrows.reserve(matches.size());
-  for (const auto& [l, r] : matches) {
-    lrows.push_back(l);
-    rrows.push_back(r);
   }
   AptJoinState next;
-  std::vector<Column> next_cols;
-  next_cols.reserve(next_schema.num_columns());
-  for (size_t c = 0; c < cur.num_columns(); ++c) {
-    next_cols.push_back(cur.column(c).Gather(lrows));
-  }
-  for (size_t c = 0; c < base->num_columns(); ++c) {
-    next_cols.push_back(base->column(c).Gather(rrows));
-  }
-  next.pt_row.reserve(matches.size());
+  next.table = GatherTable(step.schema, cur, lrows, step.base.get(), rrows);
+  next.pt_row.reserve(lrows.size());
   for (int64_t l : lrows) next.pt_row.push_back(in.pt_row[l]);
-  next.table = Table("APT", std::move(next_schema), std::move(next_cols),
-                     matches.size());
   return next;
 }
 
-/// Scalar per-edge index for the reference path: flat multimap of canonical
-/// row-key hashes over the non-null-key rows, in base-row order (the shape
-/// AptIndexCache stored before the typed kernel layer).
-FlatMultiMap BuildReferenceIndex(const Table& base, const std::vector<int>& cols) {
-  FlatMultiMap index;
-  index.Reserve(base.num_rows());
-  for (size_t r = 0; r < base.num_rows(); ++r) {
-    if (HasNullKey(base, static_cast<int64_t>(r), cols)) continue;
-    index.Insert(HashRowKey(base, static_cast<int64_t>(r), cols),
-                 static_cast<int64_t>(r));
-  }
-  index.Finalize();
-  return index;
+/// `make`'s state, shared through the prefix cache under `key` when there
+/// is a cache.
+Result<AptPrefixCache::StatePtr> HoldState(AptPrefixCache* cache,
+                                           const std::string& key,
+                                           const AptPrefixCache::BuildFn& make) {
+  if (cache != nullptr) return cache->GetOrBuild(key, make);
+  ASSIGN_OR_RETURN(AptJoinState state, make());
+  return std::make_shared<const AptJoinState>(std::move(state));
 }
 
 }  // namespace
@@ -336,74 +373,6 @@ size_t AptPrefixCache::ApproxStateBytes(const AptJoinState& state) {
 
 // ---- MaterializeAptSharded --------------------------------------------------
 
-namespace {
-
-/// Re-runs a failed multi-shard materialization serially, STEP-major and
-/// uncached, to surface the error a serial run over all rows reports
-/// (ReferenceMaterializeApt's): shard-major schedules can pass a later step
-/// on one shard before an earlier step's cross-shard row total has tripped
-/// the limit, making the first-recorded error (OutOfRange vs. a bind error)
-/// schedule-dependent. Step-major order restores the serial precedence — a
-/// step's resolution errors fire before its probes, and the row limit trips
-/// when the step's output summed across shards (== the full step output, in
-/// row order) first exceeds the cap. Only runs on the error path, so its
-/// serial cost is irrelevant.
-Status DeterministicShardedError(const ProvenanceTable& pt,
-                                 const std::vector<int64_t>& pt_rows,
-                                 const JoinGraph& graph,
-                                 const SchemaGraph& schema_graph,
-                                 const Database& db,
-                                 const AptMaterializeOptions& options,
-                                 const AptPlan& plan, size_t per,
-                                 size_t num_shards) {
-  AptIndexCache local_cache;
-  AptIndexCache* index_cache =
-      options.index_cache != nullptr ? options.index_cache : &local_cache;
-  const size_t n = pt_rows.size();
-
-  std::vector<AptJoinState> states(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    const size_t b = s * per;
-    const size_t e = std::min(n, b + per);
-    auto built = BuildBaseState(pt, pt_rows, b, e);
-    if (!built.ok()) return built.status();
-    states[s] = std::move(built).MoveValue();
-  }
-
-  std::vector<int> node_offset(graph.nodes().size(), -1);
-  StepContext ctx{&pt,         &graph,        &schema_graph,     &db,
-                  index_cache, options.stats, options.row_limit, &node_offset};
-  size_t running_cols = pt.table.num_columns();
-  for (const AptStep& step : plan.steps) {
-    size_t total = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      // Per-shard probes keep the full cap (a single shard over the limit
-      // implies the total is, and the message embeds the original limit);
-      // the cumulative check below catches totals no single shard trips.
-      auto next = ApplyAptStep(states[s], step, ctx);
-      if (!next.ok()) return next.status();
-      states[s] = std::move(next).MoveValue();
-      if (!step.cycle) {
-        total += states[s].table.num_rows();
-        if (ctx.row_limit > 0 && total > ctx.row_limit) {
-          return Status::OutOfRange(
-              Format("APT exceeds row limit %zu for join graph %s",
-                     ctx.row_limit, graph.Describe().c_str()));
-        }
-      }
-    }
-    if (!step.cycle) {
-      // Column offsets are shard-independent (identical schemas), so one
-      // shared node_offset serves every shard.
-      node_offset[step.new_node] = static_cast<int>(running_cols);
-      running_cols = states[0].table.num_columns();
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
                                          const std::vector<int64_t>& pt_rows,
                                          const JoinGraph& graph,
@@ -411,12 +380,13 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
                                          const Database& db,
                                          const AptMaterializeOptions& options,
                                          size_t shard_rows) {
-  AptIndexCache local_cache;
-  AptIndexCache* index_cache =
-      options.index_cache != nullptr ? options.index_cache : &local_cache;
+  ASSIGN_OR_RETURN(const BoundGraph bound,
+                   BindGraph(pt, graph, schema_graph, db));
+  std::optional<AptIndexCache> local_cache;
+  AptIndexCache* index_cache = options.index_cache != nullptr
+                                   ? options.index_cache
+                                   : &local_cache.emplace();
   AptPrefixCache* prefix_cache = options.prefix_cache;
-
-  ASSIGN_OR_RETURN(AptPlan plan, PlanAptSteps(graph, schema_graph));
 
   const size_t n = pt_rows.size();
   // 0 or >= |pt_rows| collapses to one full-range shard; an empty
@@ -431,129 +401,81 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
                                               : options.pt_fingerprint;
   }
 
-  std::vector<AptShard> shards(num_shards);
-  std::vector<Status> shard_status(num_shards, Status::OK());
-  std::vector<std::exception_ptr> shard_exception(num_shards);
-  // Cross-shard step-output totals: sum over shards of a tree step's rows
-  // equals the full step's output, so the limit check composes.
-  std::vector<std::atomic<size_t>> step_total(plan.steps.size());
+  // Cross-shard step-output totals: the sum over shards of a tree step's
+  // rows equals the full step's output, so the limit check composes.
+  std::vector<std::atomic<size_t>> step_total(bound.steps.size());
   for (auto& t : step_total) t.store(0, std::memory_order_relaxed);
-  std::atomic<bool> abort{false};
+  // The one failure a shard can meet: every name was bound before any
+  // shard ran, so a step fails only when the row limit trips.
+  std::atomic<bool> tripped{false};
+  auto trip = [&] { tripped.store(true, std::memory_order_relaxed); };
+  // Records state i (a shard's rows after i bound steps) and, after a tree
+  // step, adds its rows to that step's total; false once the total passes
+  // the limit. A cached state counts like a fresh one, so the trip does
+  // not depend on who built it under which limit.
+  auto admit = [&](size_t i, const AptJoinState& state) {
+    if (options.metrics != nullptr) {
+      options.metrics->RecordStateBytes(
+          AptPrefixCache::ApproxStateBytes(state));
+    }
+    if (i == 0 || bound.steps[i - 1].cycle) return true;
+    const size_t rows = state.table.num_rows();
+    const size_t total =
+        step_total[i - 1].fetch_add(rows, std::memory_order_relaxed) + rows;
+    return options.row_limit == 0 || total <= options.row_limit;
+  };
 
+  std::vector<AptShard> shards(num_shards);
+  std::vector<std::exception_ptr> shard_exception(num_shards);
   auto run_shard = [&](size_t s) {
     try {
-      if (abort.load(std::memory_order_relaxed)) return;
       const size_t b = s * per;
       const size_t e = std::min(n, b + per);
-
-      std::vector<int> node_offset(graph.nodes().size(), -1);
-      StepContext ctx{&pt,         &graph,        &schema_graph,     &db,
-                      index_cache, options.stats, options.row_limit,
-                      &node_offset};
-
-      auto fail = [&](Status st) {
-        shard_status[s] = std::move(st);
-        abort.store(true, std::memory_order_relaxed);
-      };
-
-      // Current state: shared when it came from the prefix cache, local
-      // when built fresh. Steps never mutate their input, so a shared state
-      // feeds the next step exactly like a local one.
-      AptPrefixCache::StatePtr shared_cur;
-      AptJoinState local_cur;
-      bool cur_is_local = false;
-      const AptJoinState* cur = nullptr;
-
-      std::string prefix_key;
+      std::string key;
       if (prefix_cache != nullptr) {
-        prefix_key = base_key;
-        if (!(b == 0 && e == n)) {
-          // Partial-range states must never alias full-range states (or
-          // other shard sizes'). The full-range shard uses the plain key,
-          // so every caller materializing all rows warms the same entries.
-          prefix_key += Format("|shard:%zu-%zu", b, e);
-        }
-        auto got = prefix_cache->GetOrBuild(
-            prefix_key, [&] { return BuildBaseState(pt, pt_rows, b, e); });
-        if (!got.ok()) return fail(got.status());
-        shared_cur = std::move(got).MoveValue();
-        cur = shared_cur.get();
-      } else {
-        auto built = BuildBaseState(pt, pt_rows, b, e);
-        if (!built.ok()) return fail(built.status());
-        local_cur = std::move(built).MoveValue();
-        cur_is_local = true;
-        cur = &local_cur;
+        // Partial-range states must never alias full-range states (or
+        // other shard sizes'). The full-range shard uses the plain key, so
+        // every caller materializing all rows warms the same entries.
+        key = base_key;
+        if (!(b == 0 && e == n)) key += Format("|shard:%zu-%zu", b, e);
       }
-      if (options.metrics != nullptr) {
-        options.metrics->RecordStateBytes(
-            AptPrefixCache::ApproxStateBytes(*cur));
-      }
-
-      size_t running_cols = pt.table.num_columns();
-      for (size_t si = 0; si < plan.steps.size(); ++si) {
-        if (abort.load(std::memory_order_relaxed)) return;
-        const AptStep& step = plan.steps[si];
-        const bool last = si + 1 == plan.steps.size();
-        if (prefix_cache != nullptr && !last) {
-          prefix_key += '|';
-          prefix_key += AptStepSignature(graph, schema_graph, step);
-          const AptJoinState* prev = cur;
-          auto got = prefix_cache->GetOrBuild(
-              prefix_key, [&]() -> Result<AptJoinState> {
-                return ApplyAptStep(*prev, step, ctx);
-              });
-          if (!got.ok()) return fail(got.status());
-          shared_cur = std::move(got).MoveValue();
-          cur = shared_cur.get();
-          cur_is_local = false;
-        } else {
-          auto next = ApplyAptStep(*cur, step, ctx);
-          if (!next.ok()) return fail(next.status());
-          local_cur = std::move(next).MoveValue();
-          cur_is_local = true;
-          cur = &local_cur;
+      auto build = [&](size_t i,
+                       const AptJoinState* in) -> Result<AptJoinState> {
+        if (i == 0) return BuildBaseState(pt, bound.base_schema, pt_rows, b, e);
+        return ApplyStep(*in, bound.steps[i - 1], options, index_cache, graph);
+      };
+      // The base state and every step's output but the last are held
+      // shared, through the prefix cache when there is one. Steps never
+      // mutate their input, so a cached state feeds the next step like a
+      // fresh one.
+      const size_t last = bound.steps.size();
+      AptPrefixCache::StatePtr cur;
+      for (size_t i = 0; i == 0 || i < last; ++i) {
+        if (tripped.load(std::memory_order_relaxed)) return;
+        if (i > 0 && prefix_cache != nullptr) {
+          key += bound.steps[i - 1].key_piece;
         }
-        if (options.metrics != nullptr) {
-          options.metrics->RecordStateBytes(
-              AptPrefixCache::ApproxStateBytes(*cur));
-        }
-        if (!step.cycle) {
-          // Covers both fresh builds and cache hits: a cached state may
-          // have been built under a larger (or no) cap, and the abort must
-          // not depend on who built it. Shard rows count toward the total
-          // either way.
-          const size_t rows = cur->table.num_rows();
-          const size_t total =
-              step_total[si].fetch_add(rows, std::memory_order_relaxed) +
-              rows;
-          if (ctx.row_limit > 0 && total > ctx.row_limit) {
-            return fail(Status::OutOfRange(
-                Format("APT exceeds row limit %zu for join graph %s",
-                       ctx.row_limit, graph.Describe().c_str())));
-          }
-          node_offset[step.new_node] = static_cast<int>(running_cols);
-          running_cols = cur->table.num_columns();
-        }
+        const AptJoinState* in = cur.get();
+        auto next = HoldState(prefix_cache, key, [&] { return build(i, in); });
+        if (!next.ok()) return trip();
+        cur = std::move(next).MoveValue();
+        if (!admit(i, *cur)) return trip();
       }
-
-      AptShard& out = shards[s];
-      out.pt_begin = b;
-      out.pt_end = e;
-      if (cur_is_local) {
-        out.table = std::move(local_cur.table);
-        out.pt_row = std::move(local_cur.pt_row);
-      } else {
-        // Final state shared with the cache (the edgeless PT-only graph):
-        // deep-copy out so the shard owns its table.
-        out.table = cur->table;
-        out.pt_row = cur->pt_row;
-      }
+      // The final state is this shard's alone: the last step's output moves
+      // in, and an edgeless graph's base state, which the cache may share,
+      // is copied.
+      Result<AptJoinState> out =
+          last == 0 ? Result<AptJoinState>(*cur) : build(last, cur.get());
+      if (!out.ok() || (last > 0 && !admit(last, *out))) return trip();
+      AptShard& shard = shards[s];
+      shard.table = std::move(out->table);
+      shard.pt_row = std::move(out->pt_row);
+      shard.pt_begin = b;
+      shard.pt_end = e;
     } catch (...) {
-      // WorkerPool tasks must not throw; recorded failures are re-derived
-      // (or rethrown) deterministically below.
+      // WorkerPool tasks must not throw: the exception is rethrown below.
       shard_exception[s] = std::current_exception();
-      abort.store(true, std::memory_order_relaxed);
+      trip();
     }
   };
 
@@ -563,49 +485,33 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
     for (size_t s = 0; s < num_shards; ++s) run_shard(s);
   }
 
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (shard_status[s].ok() && !shard_exception[s]) continue;
-    // A single shard ran serially, so its first error already is the
-    // serial one; only several shards need the step-major re-run.
-    if (num_shards > 1) {
-      Status st = DeterministicShardedError(
-          pt, pt_rows, graph, schema_graph, db, options, plan, per, num_shards);
-      if (!st.ok()) return st;
-    }
-    // A lone shard's record, or the backstop for failures the re-run does
-    // not reproduce (transient exceptions): the lowest failed shard's.
-    if (shard_exception[s]) std::rethrow_exception(shard_exception[s]);
-    return shard_status[s];
+  for (const std::exception_ptr& ex : shard_exception) {
+    if (ex) std::rethrow_exception(ex);
   }
-
-  for (size_t v = 0; v < graph.nodes().size(); ++v) {
-    if (!plan.joined[v]) {
-      return Status::InvalidArgument(
-          "join graph is disconnected: node '" + graph.nodes()[v].label +
-          "' unreachable from PT");
-    }
+  // The oracle stops at the first step whose output passes the limit or
+  // whose names do not resolve. Only steps before the tail ran here, so a
+  // trip came first.
+  if (tripped.load(std::memory_order_relaxed)) {
+    return RowLimitExceeded(options.row_limit, graph);
   }
+  RETURN_NOT_OK(bound.tail);
 
   ShardedApt apt;
   apt.pt_rows_used = pt_rows;
   apt.num_pt_columns = pt.table.schema().num_columns();
   apt.shards = std::move(shards);
   for (const AptShard& s : apt.shards) apt.total_rows += s.table.num_rows();
-
-  // Pattern-eligible columns from shard 0's (identical-across-shards)
-  // schema: all except the query's group-by attributes and columns flagged
-  // mining_excluded (dates, surrogate keys).
-  const Table& schema_table = apt.shards.front().table;
-  for (size_t c = 0; c < schema_table.num_columns(); ++c) {
-    if (schema_table.schema().column(c).mining_excluded) continue;
-    bool excluded = false;
-    for (int g : pt.group_by_pt_cols) {
-      if (static_cast<size_t>(g) == c) {
-        excluded = true;
-        break;
-      }
+  // Pattern-eligible columns: all except the query's group-by attributes
+  // and columns flagged mining_excluded (dates, surrogate keys).
+  const Schema& schema = bound.schema();
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    const int col = static_cast<int>(c);
+    if (schema.column(c).mining_excluded ||
+        std::find(pt.group_by_pt_cols.begin(), pt.group_by_pt_cols.end(),
+                  col) != pt.group_by_pt_cols.end()) {
+      continue;
     }
-    if (!excluded) apt.pattern_cols.push_back(static_cast<int>(c));
+    apt.pattern_cols.push_back(col);
   }
   if (options.metrics != nullptr) {
     options.metrics->shards.fetch_add(num_shards, std::memory_order_relaxed);
@@ -619,6 +525,21 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
 // HashRowKey/RowKeysEqual probes, breadth-first edge order.
 
 namespace {
+
+/// Scalar per-edge index for the reference path: flat multimap of canonical
+/// row-key hashes over the non-null-key rows, in base-row order (the shape
+/// AptIndexCache stored before the typed kernel layer).
+FlatMultiMap BuildReferenceIndex(const Table& base, const std::vector<int>& cols) {
+  FlatMultiMap index;
+  index.Reserve(base.num_rows());
+  for (size_t r = 0; r < base.num_rows(); ++r) {
+    if (HasNullKey(base, static_cast<int64_t>(r), cols)) continue;
+    index.Insert(HashRowKey(base, static_cast<int64_t>(r), cols),
+                 static_cast<int64_t>(r));
+  }
+  index.Finalize();
+  return index;
+}
 
 /// The oracle's row copy: one type dispatch and one append per cell.
 /// Production copies go through Column::Gather.

@@ -7,6 +7,16 @@
 // never concatenated. MaterializeAptSharded is the one materializer; with
 // shard_rows = 0 it produces a single full-range shard.
 //
+// A call binds the join graph once, before any shard runs: walking
+// PlanAptSteps, it resolves each step's relation, key columns, output
+// schema and prefix-cache key piece. Shards then only look up states,
+// probe and gather. A step whose names do not resolve, or a disconnected
+// graph, becomes the plan's tail status at that step: shards materialize
+// only the steps before it, and the call returns a row-limit trip among
+// those steps if one happened, else the tail status. The oracle stops at
+// whichever of the two it meets first, so both report the same error (see
+// MaterializeAptSharded for the one exception).
+//
 // Materialization runs every tree-edge join through the typed kernel layer
 // (JoinBuildIndex in src/exec/join.h) and shares work at two granularities:
 //  - AptIndexCache caches build-side join indexes per (relation, key
@@ -71,8 +81,7 @@ class AptIndexCache : public OnceLruCache<JoinBuildIndex> {
   using Index = JoinBuildIndex;
   using IndexPtr = ValuePtr;
 
-  explicit AptIndexCache(
-      size_t max_bytes = CajadeConfig().apt_index_cache_bytes)
+  explicit AptIndexCache(size_t max_bytes = kDefaultAptIndexCacheBytes)
       : OnceLruCache(max_bytes,
                      [](const Index& index) { return index.ApproxBytes(); }) {}
 
@@ -109,9 +118,9 @@ struct AptJoinState {
 /// Join graphs produced by the enumerator overwhelmingly share prefixes
 /// (PT-A-B and PT-A-C differ only in their last step), and the initial
 /// PT-subset state is shared by every graph of one user question. Keys are
-/// the PT fingerprint plus the concatenated AptStepSignature prefix, so a
-/// state built for one graph is picked up by any sibling whose leading
-/// steps match.
+/// the PT fingerprint plus one piece per step, its AptStepSignature and,
+/// on a tree step, the joined relation's content version, so a state built
+/// for one graph is picked up by any sibling whose leading steps match.
 ///
 /// GetOrBuild is OnceLruCache's: one build per key under the per-graph
 /// WorkerPool fan-out, failures reported to all waiters and not cached,
@@ -120,14 +129,15 @@ struct AptJoinState {
 /// serial/uncached path at every thread count. The cache outlives one
 /// Explain call; under the sharded pipeline its entries are per-shard
 /// states, so peak_bytes() bounds resident cache bytes at shard
-/// granularity. Assumes an immutable database (like AptIndexCache):
-/// re-loading tables under a live cache invalidates it.
+/// granularity. Like AptIndexCache, it survives writes: a write to a query
+/// relation changes the PT fingerprint, a write to a context relation
+/// changes that relation's version in the key, so no state built before a
+/// write is served after it, and superseded states age out of the LRU.
 class AptPrefixCache : public OnceLruCache<AptJoinState> {
  public:
   using StatePtr = ValuePtr;
 
-  explicit AptPrefixCache(
-      size_t max_bytes = CajadeConfig().apt_prefix_cache_bytes)
+  explicit AptPrefixCache(size_t max_bytes = kDefaultAptPrefixCacheBytes)
       : OnceLruCache(max_bytes, &ApproxStateBytes) {}
 
   /// Lookups that built a state (or received a failed build).
@@ -266,8 +276,12 @@ std::string AptPtFingerprint(const ProvenanceTable& pt,
 ///    pattern_cols;
 ///  - errors are identical too: the per-step row totals summed across
 ///    shards hit `options.row_limit` exactly when the reference's step
-///    output does, and the surfaced Status (message included) matches,
-///    regardless of shard size, thread count, or scheduling;
+///    output does, names are bound before any shard runs, and the surfaced
+///    Status (message included) matches, regardless of shard size, thread
+///    count, or scheduling. The one exception: a tree step whose output
+///    columns would repeat a name (only possible with a '.' in a relation
+///    or attribute name) reports AlreadyExists even where the reference's
+///    probe of that step trips the row limit first;
 ///  - prefix-cache states for partial ranges are keyed with a `|shard:b-e`
 ///    suffix so they never alias full-range states; the full-range single
 ///    shard uses the plain key.

@@ -8,17 +8,21 @@
 //  - one Explainer built on that pool, which runs every request: one
 //    executor and statistics catalog, and one AptIndexCache and one
 //    AptPrefixCache, so requests reuse each other's statistics, join
-//    indexes and APT prefix states (the caches are byte-bounded,
-//    LRU-evicted, and invalidation-safe via Table::content_version keys);
+//    indexes and APT prefix states (the caches are byte-bounded and
+//    LRU-evicted; index and prefix-state keys carry the content version of
+//    every relation they read, so a write re-keys them and the superseded
+//    entries age out);
 //  - one ResultCache keyed by (query, question) and validated in two
 //    steps. A repeated question whose FROM tables are all still at the
 //    versions its answer records is served without running any Explainer
 //    code; one whose tables changed costs one provenance computation,
 //    whose fingerprint either re-validates the answer or — the moment a
 //    base-table change altered the provenance it was mined from —
-//    invalidates it and mines again. The config needs no place in the key:
-//    the cache is private to this server, and the server's config is fixed
-//    at construction;
+//    invalidates it and mines again. Neither step sees a write to a
+//    context relation (one only a join graph reads), so the answer cached
+//    for a question outlives such a write. The config needs no place in
+//    the key: the cache is private to this server, and the server's config
+//    is fixed at construction;
 //  - `num_explainers` request slots, which bound how many requests run the
 //    Explainer at once; a version-validated hit takes none.
 //

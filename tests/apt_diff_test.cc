@@ -657,6 +657,43 @@ TEST(AptPrefixSharingTest, MemoryBoundIsRespectedUnderMaterialization) {
   EXPECT_EQ(prefix_cache.hits(), 0u);  // nothing survives to be hit
 }
 
+TEST(AptPrefixSharingTest, ContextWriteReKeysCachedStates) {
+  // PT-A-B caches its PT-A states. Rows appended to dima, which the query
+  // does not read, leave the PT fingerprint as it was, so only dima's
+  // content version in the key keeps the old PT-A states from being served
+  // to the same graph, through the same caches, after the write.
+  DiffFixture fx = MakeFixture({});
+  const JoinGraph pt_a_b = MakeGraphFamily(fx)[3].second;
+  AptIndexCache index_cache;
+  AptPrefixCache prefix_cache;
+  AptMaterializeOptions options;
+  options.index_cache = &index_cache;
+  options.prefix_cache = &prefix_cache;
+  const std::vector<size_t> shard_sizes = {0, 7};
+  for (size_t shard_rows : shard_sizes) {
+    ASSERT_TRUE(MaterializeAptSharded(fx.pt, fx.pt_rows, pt_a_b, fx.sg, fx.db,
+                                      options, shard_rows)
+                    .ok());
+  }
+  TablePtr dima = fx.db.GetTable("dima").ValueOrDie();
+  for (int64_t i = 0; i < 12; ++i) {
+    ASSERT_TRUE(dima->AppendRow({Value(i), Value(i % 3), Value("s1"),
+                                 Value("n9")})
+                    .ok());
+  }
+  const size_t hits_before = prefix_cache.hits();
+  const Result<ShardedApt> ref =
+      ReferenceMaterializeApt(fx.pt, fx.pt_rows, pt_a_b, fx.sg, fx.db);
+  for (size_t shard_rows : shard_sizes) {
+    SCOPED_TRACE("shard_rows=" + std::to_string(shard_rows));
+    ExpectSameOutcome(ref, MaterializeAptSharded(fx.pt, fx.pt_rows, pt_a_b,
+                                                 fx.sg, fx.db, options,
+                                                 shard_rows));
+  }
+  // The initial states do not read dima and are still shared.
+  EXPECT_GT(prefix_cache.hits(), hits_before);
+}
+
 // ---- Sharded materialization differential ----------------------------------
 
 /// Shard sizes that pin the boundary math: 0 (one full-range shard), 1, the
@@ -779,6 +816,79 @@ TEST(AptShardDiffTest, RowLimitErrorsIdenticalToReference) {
                 ref, MaterializeAptSharded(fx.pt, fx.pt_rows, graph, fx.sg,
                                            fx.db, options, shard_rows));
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(AptShardDiffTest, RowLimitTripOutranksALaterBindError) {
+  // PT-A-B over a schema graph whose dima-dimb condition names an attribute
+  // dimb lacks. The reference trips the row limit at the first step, before
+  // it meets the bad name, so a sharded call must report that trip even
+  // when every shard stays under the limit and only the cross-shard total
+  // passes it, whichever shard reaches the second step first.
+  DiffFixture fx = MakeFixture({});
+  SchemaGraph sg;
+  JoinConditionDef ka;
+  ka.pairs = {{"k", "ak"}};
+  JoinConditionDef bad;
+  bad.pairs = {{"aj", "missing_b"}};
+  ASSERT_TRUE(sg.AddCondition("fact", "dima", ka).ok());
+  ASSERT_TRUE(sg.AddCondition("dima", "dimb", bad).ok());
+  JoinGraph pt_a = JoinGraph::PtOnly();
+  const int a = pt_a.AddNode("dima");
+  pt_a.AddEdge({0, a, 0, 0, true, "fact"});
+  JoinGraph graph = pt_a;
+  const int b = graph.AddNode("dimb");
+  graph.AddEdge({a, b, 1, 0, true, ""});
+
+  const size_t first_step_rows =
+      ReferenceMaterializeApt(fx.pt, fx.pt_rows, pt_a, sg, fx.db)
+          .ValueOrDie()
+          .num_rows();
+  const size_t row_limit = first_step_rows - 1;
+  const Result<ShardedApt> ref =
+      ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph, sg, fx.db, row_limit);
+  ASSERT_EQ(ref.status().code(), StatusCode::kOutOfRange);
+  const Result<ShardedApt> ref_unlimited =
+      ReferenceMaterializeApt(fx.pt, fx.pt_rows, graph, sg, fx.db);
+  ASSERT_EQ(ref_unlimited.status().code(), StatusCode::kBindError);
+
+  const size_t n = fx.pt_rows.size();
+  Rng rng(11);
+  std::vector<size_t> sizes = ShardSizeSweep(n, &rng);
+  sizes.push_back(n / 2);
+  for (size_t shard_rows : sizes) {
+    if (shard_rows == 0 || shard_rows >= n) continue;
+    // Several shards, each under the limit on its own.
+    const ShardedApt first = MaterializeAptSharded(fx.pt, fx.pt_rows, pt_a, sg,
+                                                   fx.db, {}, shard_rows)
+                                 .ValueOrDie();
+    for (const AptShard& shard : first.shards) {
+      ASSERT_LE(shard.num_rows(), row_limit) << "shard_rows=" << shard_rows;
+    }
+  }
+  for (int threads : {1, 4, 8}) {
+    std::unique_ptr<WorkerPool> pool;
+    if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
+    for (bool with_prefix : {false, true}) {
+      AptPrefixCache prefix_cache;
+      for (size_t shard_rows : sizes) {
+        SCOPED_TRACE("shard_rows=" + std::to_string(shard_rows) +
+                     " threads=" + std::to_string(threads) +
+                     (with_prefix ? " prefix=on" : " prefix=off"));
+        AptMaterializeOptions options;
+        options.pool = pool.get();
+        if (with_prefix) options.prefix_cache = &prefix_cache;
+        ExpectSameOutcome(ref_unlimited,
+                          MaterializeAptSharded(fx.pt, fx.pt_rows, graph, sg,
+                                                fx.db, options, shard_rows));
+        options.row_limit = row_limit;
+        for (int rep = 0; rep < (threads > 1 ? 3 : 1); ++rep) {
+          ExpectSameOutcome(ref, MaterializeAptSharded(fx.pt, fx.pt_rows, graph,
+                                                       sg, fx.db, options,
+                                                       shard_rows));
         }
       }
     }

@@ -53,16 +53,6 @@ TEST(WorkerPoolTest, ParallelForRunsConcurrently) {
   EXPECT_GE(max_in_flight.load(), 2);
 }
 
-TEST(WorkerPoolTest, SubmitAndWaitDrainsAllTasks) {
-  WorkerPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 100);
-}
-
 TEST(WorkerPoolTest, DestructorDrainsOutstandingWork) {
   std::atomic<int> done{0};
   {

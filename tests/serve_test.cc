@@ -254,6 +254,35 @@ TEST_F(ServeTest, AppendOfNewStringKeepsEarlierResultAndMatchesFresh) {
   EXPECT_EQ(before->query_result.ToString(), rendered);
 }
 
+TEST_F(ServeTest, ContextWriteIsNotServedFromStalePrefixStates) {
+  // lineup_per_game_stats is a context relation of kQ1 (its FROM clause
+  // reads only game), and PT - lineup_per_game_stats - lineup_player caches
+  // its first step's state. After rows are appended to it, the mirror
+  // question misses the result cache but selects the same PT rows, so its
+  // materialization looks up the same prefix keys; it must not be served
+  // states built before the write.
+  ExplainServer server(&db_, &schema_graph_, BaseOptions());
+  const UserQuestion question = TwoPointQuestion();
+  const UserQuestion mirror = UserQuestion::TwoPoint(question.t2, question.t1);
+  (void)server.Explain(kQ1, question).ValueOrDie();
+
+  // Lineup 58420 plays long minutes in every 2012-13 game.
+  TablePtr game = db_.GetTable("game").ValueOrDie();
+  TablePtr stats = db_.GetTable("lineup_per_game_stats").ValueOrDie();
+  for (size_t r = 0; r < game->num_rows(); ++r) {
+    if (game->GetValue(r, 8).AsString() != "2012-13") continue;
+    ASSERT_TRUE(stats->AppendRow({Value(int64_t{58420}), game->GetValue(r, 0),
+                                  game->GetValue(r, 1), game->GetValue(r, 2),
+                                  game->GetValue(r, 3), Value(29.5)})
+                    .ok());
+  }
+
+  auto served = server.Explain(kQ1, mirror).ValueOrDie();
+  EXPECT_EQ(server.counters().result_hits, 0u);
+  Explainer fresh(&db_, &schema_graph_, BaseOptions().config);
+  ExpectSameExplanations(fresh.Explain(kQ1, mirror).ValueOrDie(), *served);
+}
+
 TEST_F(ServeTest, TinyByteBoundEvictsButStaysCorrect) {
   ExplainServer::Options options = BaseOptions();
   options.result_cache_bytes = 1;  // nothing fits: every insert evicts
