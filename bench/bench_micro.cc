@@ -1,5 +1,5 @@
 // Google-benchmark micro-benchmarks for the engine substrates: hash joins
-// (flat open-addressing vs. the seed's reference implementation, int64 and
+// (the typed kernels vs. the seed's verbatim multimap join, int64 and
 // dictionary-code key paths), pattern matching (scalar vs. ANDed predicate
 // masks), coverage scoring, LCA candidate generation, random-forest
 // training, APT materialization, and the result-cache hit path
@@ -9,7 +9,9 @@
 // `--json <path>` additionally writes the results as JSON (see
 // BENCH_join.json / BENCH_mining.json at the repo root). The binary also
 // counts global heap allocations so the refinement and mining benchmarks
-// can report heap allocations per evaluated pattern as a counter.
+// can report heap allocations per evaluated pattern as a counter. The
+// "before" rows of the executor and APT benchmarks run the differential
+// oracles (tests/oracles), which is why this binary links cajade_oracles.
 
 #include <benchmark/benchmark.h>
 
@@ -40,6 +42,7 @@
 #include "src/provenance/provenance.h"
 #include "src/serve/explain_server.h"
 #include "src/sql/parser.h"
+#include "tests/oracles/oracles.h"
 
 // ---- Global allocation counter ---------------------------------------------
 // Counts every operator-new call in the process; benchmarks snapshot it
@@ -154,23 +157,11 @@ void BM_HashEquiJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_HashEquiJoin)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_HashEquiJoinRef(benchmark::State& state) {
-  JoinBenchmark(state, /*string_keys=*/false,
-                [](auto&... args) { return ReferenceHashEquiJoin(args...); });
-}
-BENCHMARK(BM_HashEquiJoinRef)->Arg(1000)->Arg(10000)->Arg(100000);
-
 void BM_HashEquiJoinStr(benchmark::State& state) {
   JoinBenchmark(state, /*string_keys=*/true,
                 [](auto&... args) { return HashEquiJoin(args...); });
 }
 BENCHMARK(BM_HashEquiJoinStr)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_HashEquiJoinStrRef(benchmark::State& state) {
-  JoinBenchmark(state, /*string_keys=*/true,
-                [](auto&... args) { return ReferenceHashEquiJoin(args...); });
-}
-BENCHMARK(BM_HashEquiJoinStrRef)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_HashEquiJoinSeed(benchmark::State& state) {
   JoinBenchmark(state, /*string_keys=*/false,
@@ -186,10 +177,10 @@ BENCHMARK(BM_HashEquiJoinStrSeed)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /// End-to-end ExecuteSpj on a two-table equi-join: the kernel-routed
 /// executor (Typed) against the seed's tuple-key implementation preserved as
-/// ReferenceExecuteSpj (Seed). `heap_allocs_per_row` divides the heap
-/// allocations of one execution by the per-side row count: the typed path
-/// must stay near zero (no per-row std::vector<Value> keys), the seed path
-/// pays a key vector plus a multimap node per build row.
+/// the ReferenceExecuteSpj oracle (Seed). `heap_allocs_per_row` divides the
+/// heap allocations of one execution by the per-side row count: the typed
+/// path must stay near zero (no per-row std::vector<Value> keys), the seed
+/// path pays a key vector plus a multimap node per build row.
 template <typename ExecFn>
 void SpjBenchmark(benchmark::State& state, bool string_keys, ExecFn&& run) {
   Rng rng(2);
@@ -242,7 +233,7 @@ BENCHMARK(BM_ExecuteSpjTyped)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_ExecuteSpjSeed(benchmark::State& state) {
   SpjBenchmark(state, /*string_keys=*/false, [](const QueryExecutor& exec,
                                                 const ParsedQuery& q) {
-    return exec.ReferenceExecuteSpj(q);
+    return ReferenceExecuteSpj(*exec.db(), q);
   });
 }
 BENCHMARK(BM_ExecuteSpjSeed)->Arg(1000)->Arg(10000)->Arg(100000);
@@ -258,7 +249,7 @@ BENCHMARK(BM_ExecuteSpjTypedStr)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_ExecuteSpjSeedStr(benchmark::State& state) {
   SpjBenchmark(state, /*string_keys=*/true, [](const QueryExecutor& exec,
                                                const ParsedQuery& q) {
-    return exec.ReferenceExecuteSpj(q);
+    return ReferenceExecuteSpj(*exec.db(), q);
   });
 }
 BENCHMARK(BM_ExecuteSpjSeedStr)->Arg(1000)->Arg(10000)->Arg(100000);

@@ -15,21 +15,6 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep) 
   return out;
 }
 
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
 std::string ToLower(const std::string& s) {
   std::string out = s;
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -40,10 +25,6 @@ std::string ToUpper(const std::string& s) {
   std::string out = s;
   for (char& c : out) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   return out;
-}
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
 std::string Format(const char* fmt, ...) {

@@ -15,17 +15,11 @@ namespace cajade {
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 
-/// Splits `s` on character `sep` (no empty-trailing trimming).
-std::vector<std::string> Split(const std::string& s, char sep);
-
 /// ASCII lowercase copy.
 std::string ToLower(const std::string& s);
 
 /// ASCII uppercase copy.
 std::string ToUpper(const std::string& s);
-
-/// True if `s` starts with `prefix`.
-bool StartsWith(const std::string& s, const std::string& prefix);
 
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -10,10 +10,6 @@
 // retained: they are exactly the why-provenance the explanation engine needs
 // (paper Definition 1).
 //
-// The seed's tuple-key implementation (per-row std::vector<Value> keys into
-// an unordered_multimap) survives as ReferenceExecuteSpj, the differential-
-// testing oracle and the BM_ExecuteSpjSeed baseline.
-//
 // Ownership and thread-safety: the executor borrows the caller's Database
 // for the duration of a call and returns fresh caller-owned result tables.
 // Its only state is the statistics catalog below, which is safe for
@@ -79,12 +75,6 @@ class QueryExecutor {
   /// Working rows are emitted grouped by the first alias's selected rows in
   /// order; join matches expand in build-side selection order.
   Result<SpjOutput> ExecuteSpj(const ParsedQuery& query) const;
-
-  /// Differential-testing oracle: the seed's tuple-key implementation
-  /// (std::vector<Value> keys hashed into an unordered_multimap, first
-  /// textually-connected join order). Produces the same working-row multiset
-  /// as ExecuteSpj; row order may differ when the planner reorders joins.
-  Result<SpjOutput> ReferenceExecuteSpj(const ParsedQuery& query) const;
 
  private:
   const Database* db_;

@@ -86,16 +86,6 @@ std::vector<std::pair<int64_t, int64_t>> HashEquiJoin(
     const std::vector<int64_t>& right_rows, const JoinKeySpec& keys,
     const TableStats* right_stats = nullptr);
 
-/// Differential-testing oracle: the seed's hash-build/probe-verify algorithm
-/// restated on std::unordered_map with per-key vectors so duplicate matches
-/// come back in deterministic right_rows order (the seed's
-/// unordered_multimap left that order implementation-defined). The verbatim
-/// seed code survives as SeedMultimapJoin in bench/bench_micro.cc, the
-/// "before" side of BENCH_join.json.
-std::vector<std::pair<int64_t, int64_t>> ReferenceHashEquiJoin(
-    const Table& left, const std::vector<int64_t>& left_rows, const Table& right,
-    const std::vector<int64_t>& right_rows, const JoinKeySpec& keys);
-
 /// Seed value for folding per-cell hashes into a row-key hash.
 inline constexpr uint64_t kRowKeyHashSeed = 0x12345678;
 

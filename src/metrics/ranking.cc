@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <unordered_set>
 
 namespace cajade {
@@ -21,45 +20,6 @@ double Ndcg(const std::vector<double>& relevance) {
   std::sort(ideal.begin(), ideal.end(), std::greater<double>());
   double idcg = Dcg(ideal);
   return idcg > 0 ? dcg / idcg : 0.0;
-}
-
-double NdcgAtK(const std::vector<int>& predicted,
-               const std::vector<double>& true_relevance, size_t k) {
-  std::vector<double> gains;
-  for (size_t i = 0; i < predicted.size() && i < k; ++i) {
-    int id = predicted[i];
-    gains.push_back(id >= 0 && static_cast<size_t>(id) < true_relevance.size()
-                        ? true_relevance[id]
-                        : 0.0);
-  }
-  double dcg = Dcg(gains);
-  std::vector<double> ideal = true_relevance;
-  std::sort(ideal.begin(), ideal.end(), std::greater<double>());
-  if (ideal.size() > k) ideal.resize(k);
-  double idcg = Dcg(ideal);
-  return idcg > 0 ? dcg / idcg : 0.0;
-}
-
-double KendallTauDistance(const std::vector<std::string>& a,
-                          const std::vector<std::string>& b) {
-  // Positions of common items in both rankings.
-  std::unordered_map<std::string, size_t> pos_b;
-  for (size_t i = 0; i < b.size(); ++i) pos_b.emplace(b[i], i);
-  std::vector<size_t> mapped;  // b-positions in a's order
-  for (const auto& item : a) {
-    auto it = pos_b.find(item);
-    if (it != pos_b.end()) mapped.push_back(it->second);
-  }
-  size_t n = mapped.size();
-  if (n < 2) return 0.0;
-  size_t discordant = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (mapped[i] > mapped[j]) ++discordant;
-    }
-  }
-  return static_cast<double>(discordant) /
-         (static_cast<double>(n) * (n - 1) / 2.0);
 }
 
 double KendallTauFromScores(const std::vector<double>& scores_a,

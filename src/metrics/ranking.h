@@ -22,18 +22,6 @@ double Dcg(const std::vector<double>& relevance);
 /// relevance; in [0, 1] otherwise (0 when all relevances are 0).
 double Ndcg(const std::vector<double>& relevance);
 
-/// NDCG@k of a predicted item ranking against true relevance scores:
-/// `predicted` lists item ids best-first, `true_relevance[id]` their true
-/// gains. Items missing from `predicted` contribute nothing.
-double NdcgAtK(const std::vector<int>& predicted,
-               const std::vector<double>& true_relevance, size_t k);
-
-/// Normalized Kendall-tau rank distance between two rankings of the same
-/// item set: fraction of discordant pairs in [0, 1] (0 = identical order).
-/// Items present in only one ranking are ignored.
-double KendallTauDistance(const std::vector<std::string>& a,
-                          const std::vector<std::string>& b);
-
 /// Unnormalized count of discordant pairs between two numeric score lists
 /// over the same items (ties in either list are skipped), as used for the
 /// "Avg. Kendall tau rank distance" rows of Table 9.

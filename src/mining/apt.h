@@ -13,9 +13,9 @@
 // probe and gather. A step whose names do not resolve, or a disconnected
 // graph, becomes the plan's tail status at that step: shards materialize
 // only the steps before it, and the call returns a row-limit trip among
-// those steps if one happened, else the tail status. The oracle stops at
-// whichever of the two it meets first, so both report the same error (see
-// MaterializeAptSharded for the one exception).
+// those steps if one happened, else the tail status. The APT oracle
+// (tests/oracles) stops at whichever of the two it meets first, so both
+// report the same error (see MaterializeAptSharded for the one exception).
 //
 // Materialization runs every tree-edge join through the typed kernel layer
 // (JoinBuildIndex in src/exec/join.h) and shares work at two granularities:
@@ -24,12 +24,6 @@
 //  - AptPrefixCache caches intermediate join states per graph *prefix*, so
 //    sibling graphs (PT-A-B vs PT-A-C) start from the shared PT-A state
 //    instead of re-joining from the PT.
-// The seed's scalar implementation survives as ReferenceMaterializeApt, the
-// differential-testing oracle and bench baseline (mirroring
-// ReferenceHashEquiJoin / ReferenceExecuteSpj): concat(shards) is
-// byte-identical to its single shard at any shard size, and errors (row-limit
-// trips included) match.
-//
 // Ownership and thread-safety: APT values own their column buffers and
 // belong to the caller; their string columns share the source columns'
 // immutable dictionaries (src/storage/column.h) instead of copying them.
@@ -271,9 +265,9 @@ std::string AptPtFingerprint(const ProvenanceTable& pt,
 /// contract.
 ///
 /// Equivalence contract (the differential tests' anchor):
-///  - concat(shards) is byte-identical to ReferenceMaterializeApt's single
-///    shard — same rows in the same order, same dictionaries, same
-///    pattern_cols;
+///  - concat(shards) is byte-identical to the single shard of the APT
+///    oracle (ReferenceMaterializeApt in tests/oracles) — same rows in the
+///    same order, same dictionaries, same pattern_cols;
 ///  - errors are identical too: the per-step row totals summed across
 ///    shards hit `options.row_limit` exactly when the reference's step
 ///    output does, names are bound before any shard runs, and the surfaced
@@ -292,16 +286,6 @@ Result<ShardedApt> MaterializeAptSharded(const ProvenanceTable& pt,
                                          const Database& db,
                                          const AptMaterializeOptions& options,
                                          size_t shard_rows);
-
-/// Differential-testing oracle and bench baseline: the scalar
-/// implementation (per-row HashRowKey/RowKeysEqual probes against a local
-/// flat index per tree edge), kept verbatim. Returns one full-range shard.
-Result<ShardedApt> ReferenceMaterializeApt(const ProvenanceTable& pt,
-                                           const std::vector<int64_t>& pt_rows,
-                                           const JoinGraph& graph,
-                                           const SchemaGraph& schema_graph,
-                                           const Database& db,
-                                           size_t row_limit = 0);
 
 }  // namespace cajade
 

@@ -35,8 +35,6 @@ std::string PatternPredicate::KeyToken() const {
   return Format("%d%s%s", col, PredOpToString(op), value.ToString().c_str());
 }
 
-bool Pattern::IsFree(int col) const { return Find(col) == nullptr; }
-
 const PatternPredicate* Pattern::Find(int col) const {
   for (const auto& p : preds) {
     if (p.col == col) return &p;
@@ -53,14 +51,6 @@ Pattern Pattern::Refine(PatternPredicate pred) const {
               return static_cast<int>(a.op) < static_cast<int>(b.op);
             });
   return out;
-}
-
-int Pattern::NumNumericPreds(const Table& apt_table) const {
-  int n = 0;
-  for (const auto& p : preds) {
-    if (IsNumeric(apt_table.column(p.col).type())) ++n;
-  }
-  return n;
 }
 
 bool Pattern::Matches(const Table& apt_table, size_t row) const {

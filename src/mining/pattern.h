@@ -50,17 +50,11 @@ struct Pattern {
   bool empty() const { return preds.empty(); }
   size_t size() const { return preds.size(); }
 
-  /// True when `col` is unconstrained (*).
-  bool IsFree(int col) const;
-
   /// The predicate on `col`, or null.
   const PatternPredicate* Find(int col) const;
 
   /// Returns a copy extended with `pred` (keeps sort order).
   Pattern Refine(PatternPredicate pred) const;
-
-  /// Number of predicates on numeric APT columns.
-  int NumNumericPreds(const Table& apt_table) const;
 
   /// Row match test (Definition 5): every predicate must hold; null cells
   /// never match.

@@ -68,27 +68,9 @@ MetricsView SampledView(const ShardedApt& apt, const PtClasses& classes,
   return view;
 }
 
-void ComputeCoverage(const Pattern& pattern, const ShardedApt& apt,
-                     const MetricsView& view, std::vector<uint8_t>* covered) {
-  covered->assign(apt.pt_rows_used.size(), 0);
-  for (size_t si = 0; si < apt.shards.size(); ++si) {
-    const AptShard& shard = apt.shards[si];
-    auto visit = [&](size_t r) {
-      const int32_t p = shard.pt_row[r];
-      if ((*covered)[p]) return;  // a PT row is covered once
-      if (pattern.Matches(shard.table, r)) (*covered)[p] = 1;
-    };
-    if (view.all_rows) {
-      for (size_t r = 0; r < shard.num_rows(); ++r) visit(r);
-    } else {
-      for (int32_t r : view.rows[si]) visit(static_cast<size_t>(r));
-    }
-  }
-}
-
 namespace {
 
-/// Precision/recall/F-score from raw counts (shared by both scorers).
+/// Precision/recall/F-score from raw counts (Definition 7).
 PatternScores ScoresFromCounts(int64_t covered_primary, int64_t covered_other,
                                int64_t n_primary) {
   PatternScores s;
@@ -106,23 +88,6 @@ PatternScores ScoresFromCounts(int64_t covered_primary, int64_t covered_other,
 }
 
 }  // namespace
-
-PatternScores ScoreFromCoverage(const std::vector<uint8_t>& covered,
-                                const PtClasses& classes,
-                                const MetricsView& view, int primary) {
-  int64_t covered_primary = 0, covered_other = 0;
-  for (size_t p = 0; p < covered.size(); ++p) {
-    if (!view.pt_sampled[p] || !covered[p]) continue;
-    if (classes[p] == primary) {
-      ++covered_primary;
-    } else {
-      ++covered_other;
-    }
-  }
-  int64_t n_primary =
-      static_cast<int64_t>(primary == 0 ? view.n1 : view.n2);
-  return ScoresFromCounts(covered_primary, covered_other, n_primary);
-}
 
 void CoverageScorer::Build(const PtClasses& classes, const MetricsView& view) {
   size_t m = view.pt_sampled.size();
@@ -158,14 +123,6 @@ PatternScores CoverageScorer::Score(const uint64_t* covered_words,
       covered_words, class_mask_[1 - primary].words().data(), words));
   return ScoresFromCounts(covered_primary, covered_other,
                           static_cast<int64_t>(n_class_[primary]));
-}
-
-PatternScores ScorePattern(const Pattern& pattern, const ShardedApt& apt,
-                           const PtClasses& classes, const MetricsView& view,
-                           int primary) {
-  std::vector<uint8_t> covered;
-  ComputeCoverage(pattern, apt, view, &covered);
-  return ScoreFromCoverage(covered, classes, view, primary);
 }
 
 }  // namespace cajade

@@ -15,7 +15,6 @@
 #include "src/common/rng.h"
 #include "src/mining/apt.h"
 #include "src/mining/coverage.h"
-#include "src/mining/pattern.h"
 
 namespace cajade {
 
@@ -52,13 +51,6 @@ MetricsView FullView(const ShardedApt& apt, const PtClasses& classes);
 MetricsView SampledView(const ShardedApt& apt, const PtClasses& classes,
                         double rate, Rng* rng);
 
-/// Coverage bitmap (Definition 7a): out[p] = 1 iff some APT row of PT
-/// position p (within the view) matches the pattern. Scalar oracle: every
-/// shard row is tested with Pattern::Matches, shards in order; `view` must
-/// have been built from `apt`.
-void ComputeCoverage(const Pattern& pattern, const ShardedApt& apt,
-                     const MetricsView& view, std::vector<uint8_t>* covered);
-
 /// Metric values of a pattern for one primary tuple.
 struct PatternScores {
   int64_t tp = 0;
@@ -69,17 +61,11 @@ struct PatternScores {
   double fscore = 0.0;
 };
 
-/// Scores from a coverage bitmap with `primary` = 0 (t1) or 1 (t2).
-PatternScores ScoreFromCoverage(const std::vector<uint8_t>& covered,
-                                const PtClasses& classes,
-                                const MetricsView& view, int primary);
-
 /// \brief Popcount-based scorer over packed coverage bitmaps.
 ///
 /// Built once per mining run from the classes and view: per-class masks of
 /// sampled PT positions. Scoring a pattern is then AND + popcount against a
 /// reusable CoverageBitmap — no byte scan, no per-pattern allocation.
-/// Produces values identical to ScoreFromCoverage.
 class CoverageScorer {
  public:
   CoverageScorer() = default;
@@ -97,20 +83,12 @@ class CoverageScorer {
   /// CoverageBitmap::NumWords(num_positions()) words.
   PatternScores Score(const uint64_t* covered_words, int primary) const;
 
-  /// Fills `*covered` (Reset to num_positions()) from matched APT rows:
-  /// covered bit apt.pt_row[r] set for every r in rows.
-  static void CoverageFromRows(const std::vector<int32_t>& rows,
-                               const std::vector<int32_t>& pt_row,
-                               CoverageBitmap* covered) {
-    for (int32_t r : rows) covered->Set(static_cast<size_t>(pt_row[r]));
-  }
-
-  /// Mask-native companion: for every set bit r of `rows` (a match mask
-  /// of `num_words` words over APT rows), sets covered bit pt_row[r]. Zero
-  /// words are skipped, so cost tracks the number of matching rows, not the
-  /// APT size. When pt_row is the identity (ShardedApt::PtRowIsIdentity),
-  /// skip this and Score the match mask itself — the mask *is* the coverage
-  /// set.
+  /// For every set bit r of `rows` (a match mask of `num_words` words over
+  /// APT rows), sets covered bit pt_row[r] of `*covered` (Reset to
+  /// num_positions()). Zero words are skipped, so cost tracks the number of
+  /// matching rows, not the APT size. When pt_row is the identity
+  /// (ShardedApt::PtRowIsIdentity), skip this and Score the match mask
+  /// itself — the mask *is* the coverage set.
   static void CoverageFromMask(const uint64_t* rows, size_t num_words,
                                const std::vector<int32_t>& pt_row,
                                CoverageBitmap* covered);
@@ -121,11 +99,6 @@ class CoverageScorer {
   /// Sampled class sizes (view.n1, view.n2).
   size_t n_class_[2] = {0, 0};
 };
-
-/// Convenience: coverage + scoring in one call.
-PatternScores ScorePattern(const Pattern& pattern, const ShardedApt& apt,
-                           const PtClasses& classes, const MetricsView& view,
-                           int primary);
 
 }  // namespace cajade
 

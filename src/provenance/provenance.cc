@@ -144,15 +144,6 @@ uint64_t ProvenanceTable::ContentFingerprint() const {
   return h;
 }
 
-std::vector<int> ProvenanceTable::AliasesOfRelation(
-    const std::string& relation) const {
-  std::vector<int> out;
-  for (size_t a = 0; a < relations.size(); ++a) {
-    if (relations[a] == relation) out.push_back(static_cast<int>(a));
-  }
-  return out;
-}
-
 Result<ProvenanceTable> ComputeProvenance(const Database& db,
                                           const ParsedQuery& query) {
   QueryExecutor executor(&db);

@@ -80,9 +80,6 @@ struct ProvenanceTable {
   int FindColumnForAlias(const std::string& alias,
                          const std::string& attribute) const;
 
-  /// All alias indexes bound to `relation`.
-  std::vector<int> AliasesOfRelation(const std::string& relation) const;
-
  private:
   /// An atomic cache slot that keeps the enclosing struct copyable and
   /// movable (copies carry the cached value; concurrent stores all write

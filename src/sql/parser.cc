@@ -1,6 +1,8 @@
 #include "src/sql/parser.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "src/common/string_util.h"
@@ -9,6 +11,23 @@
 namespace cajade {
 
 namespace {
+
+/// The value of a number token. The grammar has no unary minus, so an
+/// integer literal must lie in [0, INT64_MAX] and a decimal one must be
+/// finite; a literal outside that range is an error, not a clamped
+/// constant that would make the query filter on a different value.
+Result<Value> NumberLiteral(const std::string& text) {
+  errno = 0;
+  if (text.find('.') != std::string::npos) {
+    const double v = std::strtod(text.c_str(), nullptr);
+    if (errno != ERANGE || !std::isinf(v)) return Value(v);
+  } else {
+    const long long v = std::strtoll(text.c_str(), nullptr, 10);
+    if (errno != ERANGE) return Value(static_cast<int64_t>(v));
+  }
+  return Status::InvalidArgument(
+      Format("numeric literal %s is out of range", text.c_str()));
+}
 
 /// Recursive-descent parser over a token stream.
 class Parser {
@@ -248,12 +267,8 @@ class Parser {
     const Token& t = Peek();
     if (t.type == TokenType::kNumber) {
       Advance();
-      if (t.text.find('.') != std::string::npos) {
-        return Sub{Expr::MakeLiteral(Value(std::strtod(t.text.c_str(), nullptr))), 1};
-      }
-      return Sub{Expr::MakeLiteral(Value(
-                     static_cast<int64_t>(std::strtoll(t.text.c_str(), nullptr, 10)))),
-                 1};
+      ASSIGN_OR_RETURN(Value v, NumberLiteral(t.text));
+      return Sub{Expr::MakeLiteral(std::move(v)), 1};
     }
     if (t.type == TokenType::kString) {
       Advance();

@@ -27,7 +27,9 @@ class Database {
   /// Registers an already-built table; rejects duplicates.
   Status AddTable(TablePtr table);
 
-  /// Replaces a table of the same name (used by dataset scaling).
+  /// Registers `table` under its name, replacing any table of that name:
+  /// the way to publish a rewritten relation, whose new object carries a
+  /// content version of its own.
   void ReplaceTable(TablePtr table) { tables_[table->name()] = std::move(table); }
 
   bool HasTable(const std::string& name) const { return tables_.count(name) > 0; }

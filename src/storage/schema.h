@@ -63,13 +63,6 @@ class Schema {
   void AddForeignKey(ForeignKey fk) { foreign_keys_.push_back(std::move(fk)); }
   const std::vector<ForeignKey>& foreign_keys() const { return foreign_keys_; }
 
-  std::vector<std::string> column_names() const {
-    std::vector<std::string> names;
-    names.reserve(columns_.size());
-    for (const auto& c : columns_) names.push_back(c.name);
-    return names;
-  }
-
  private:
   std::vector<ColumnDef> columns_;
   std::unordered_map<std::string, int> index_;

@@ -59,33 +59,6 @@ Status Table::AppendRow(const std::vector<Value>& row) {
   return Status::OK();
 }
 
-void Table::AppendRowFrom(const Table& src, size_t row) {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    const Column& s = src.columns_[i];
-    Column& d = columns_[i];
-    if (s.IsNull(row)) {
-      d.AppendNull();
-      continue;
-    }
-    switch (s.type()) {
-      case DataType::kInt64:
-        d.AppendInt(s.GetInt(row));
-        break;
-      case DataType::kDouble:
-        d.AppendDouble(s.GetDouble(row));
-        break;
-      case DataType::kString:
-        d.AppendString(s.GetString(row));
-        break;
-      default:
-        d.AppendNull();
-        break;
-    }
-  }
-  ++num_rows_;
-  MarkMutated();
-}
-
 std::string Table::ToString(size_t limit) const {
   size_t rows = std::min(limit, num_rows_);
   std::vector<std::vector<std::string>> cells;

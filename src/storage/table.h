@@ -52,16 +52,6 @@ class Table {
   /// Cell accessor through Value (allocates for strings).
   Value GetValue(size_t row, size_t col) const { return columns_[col].GetValue(row); }
 
-  /// Copies row `row` of `src` (identical schema) into this table.
-  void AppendRowFrom(const Table& src, size_t row);
-
-  /// Declares the row count after columns were filled directly (column-wise
-  /// builders). All columns must already hold exactly `n` cells.
-  void SetRowCount(size_t n) {
-    num_rows_ = n;
-    MarkMutated();
-  }
-
   /// Moves the columns out (the table becomes empty); used to re-label a
   /// working table as a provenance table without copying data.
   std::vector<Column> TakeColumns() {
@@ -71,10 +61,11 @@ class Table {
   }
 
   /// Process-unique content stamp: a fresh value is drawn from a global
-  /// monotonic counter at construction and after every mutating operation
-  /// (AppendRow/AppendRowFrom/SetRowCount/TakeColumns), so two observations
-  /// of equal versions on the same table imply unchanged content, and a
-  /// replaced table (Database::ReplaceTable builds a new object) never
+  /// monotonic counter at construction and after every mutation (AppendRow,
+  /// TakeColumns, and the MarkMutated call owed after writing cells through
+  /// the non-const column() accessor), so two observations of equal
+  /// versions on the same table imply unchanged content, and a replacement
+  /// published through Database::ReplaceTable, being a new object, never
   /// reuses a version either. Caches that outlive one request — the
   /// process-wide join-index cache, the statistics catalog — key on
   /// (name, content_version) to invalidate on base-table change. Copies

@@ -24,6 +24,7 @@
 #include "src/provenance/provenance.h"
 #include "src/sql/parser.h"
 #include "src/stats/table_stats.h"
+#include "tests/oracles/oracles.h"
 
 namespace cajade {
 namespace {

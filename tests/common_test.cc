@@ -177,22 +177,14 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_EQ(a, b);
 }
 
-TEST(StringUtilTest, JoinAndSplit) {
+TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
-  auto parts = Split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[2], "");
 }
 
 TEST(StringUtilTest, CaseConversion) {
   EXPECT_EQ(ToLower("AbC1"), "abc1");
   EXPECT_EQ(ToUpper("aBc1"), "ABC1");
-}
-
-TEST(StringUtilTest, StartsWith) {
-  EXPECT_TRUE(StartsWith("prov_game_x", "prov_"));
-  EXPECT_FALSE(StartsWith("pro", "prov_"));
 }
 
 TEST(StringUtilTest, Format) {

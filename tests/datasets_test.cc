@@ -1,14 +1,12 @@
 // Tests for the dataset generators: schema shape, referential integrity,
-// planted signals, determinism, and the scaling utilities.
+// planted signals, and determinism.
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <unordered_set>
 
 #include "src/datasets/mimic.h"
 #include "src/datasets/nba.h"
-#include "src/datasets/scaling.h"
 #include "src/exec/executor.h"
 #include "src/sql/parser.h"
 
@@ -183,37 +181,6 @@ TEST(MimicDatasetTest, HospitalDeathImpliesPatientExpireFlag) {
       "WHERE a.subject_id = p.subject_id AND a.hospital_expire_flag = 1 "
       "AND p.expire_flag = 0");
   EXPECT_EQ(inconsistent, 0.0);
-}
-
-TEST(ScalingTest, DownsampleKeepsDimensionsWhole) {
-  NbaOptions opt;
-  opt.scale_factor = 0.05;
-  Database db = MakeNbaDatabase(opt).ValueOrDie();
-  Database half =
-      DownsampleDatabase(db, 0.5, {"game", "player_game_stats"}).ValueOrDie();
-  EXPECT_EQ(half.GetTable("team").ValueOrDie()->num_rows(), 30u);
-  size_t full_games = db.GetTable("game").ValueOrDie()->num_rows();
-  size_t half_games = half.GetTable("game").ValueOrDie()->num_rows();
-  EXPECT_GT(half_games, full_games / 4);
-  EXPECT_LT(half_games, full_games * 3 / 4);
-}
-
-TEST(ScalingTest, ScaleUpShiftsKeysAndMultiplies) {
-  Database db;
-  Schema schema({{"id", DataType::kInt64}, {"v", DataType::kString}});
-  auto t = db.CreateTable("t", std::move(schema)).ValueOrDie();
-  ASSERT_TRUE(t->AppendRow({Value(int64_t{1}), Value("x")}).ok());
-  ASSERT_TRUE(t->AppendRow({Value(int64_t{2}), Value("y")}).ok());
-  Database scaled = ScaleUpDatabase(db, 3, {"id"}, 1000).ValueOrDie();
-  auto st = scaled.GetTable("t").ValueOrDie();
-  ASSERT_EQ(st->num_rows(), 6u);
-  std::set<int64_t> ids;
-  for (size_t r = 0; r < st->num_rows(); ++r) {
-    ids.insert(st->GetValue(r, 0).AsInt());
-  }
-  EXPECT_EQ(ids.size(), 6u);  // keys shifted per copy, no collisions
-  EXPECT_TRUE(ids.count(2001) > 0);
-  EXPECT_FALSE(ScaleUpDatabase(db, 0, {"id"}).ok());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "src/exec/join.h"
 #include "src/sql/parser.h"
 #include "src/storage/database.h"
+#include "tests/oracles/oracles.h"
 
 namespace cajade {
 namespace {
@@ -343,7 +344,7 @@ TEST(ExecutorTest, NullInMiddleColumnOfMultiColumnKey) {
   EXPECT_EQ(result.GetValue(0, 0), Value(int64_t{1}));
   // The typed path must agree with the tuple-key oracle.
   QueryOutput out = exec.ExecuteWithProvenance(q).ValueOrDie();
-  SpjOutput ref = exec.ReferenceExecuteSpj(q).ValueOrDie();
+  SpjOutput ref = ReferenceExecuteSpj(*exec.db(), q).ValueOrDie();
   EXPECT_EQ(out.spj.table.num_rows(), ref.table.num_rows());
 }
 

@@ -15,6 +15,7 @@
 #include "src/exec/join.h"
 #include "src/sql/parser.h"
 #include "src/storage/database.h"
+#include "tests/oracles/oracles.h"
 
 namespace cajade {
 namespace {
@@ -35,7 +36,7 @@ void ExpectSpjParity(const QueryExecutor& exec, const std::string& sql,
                      int expect_rows = -1) {
   auto q = ParseQuery(sql).ValueOrDie();
   SpjOutput typed = exec.ExecuteSpj(q).ValueOrDie();
-  SpjOutput ref = exec.ReferenceExecuteSpj(q).ValueOrDie();
+  SpjOutput ref = ReferenceExecuteSpj(*exec.db(), q).ValueOrDie();
   EXPECT_EQ(RowTuples(typed), RowTuples(ref)) << sql;
   if (expect_rows >= 0) {
     EXPECT_EQ(typed.table.num_rows(), static_cast<size_t>(expect_rows)) << sql;
@@ -74,7 +75,7 @@ TEST(ExecutorDiffTest, CrossTypeKeysBeyondDoublePrecision) {
   // to double — so it (wrongly) also matches kBig+1 against double(kBig).
   // This collapse is exactly the bug class the typed path fixes; the oracle
   // documents the seed behavior rather than the correct one here.
-  SpjOutput ref = exec.ReferenceExecuteSpj(q).ValueOrDie();
+  SpjOutput ref = ReferenceExecuteSpj(*exec.db(), q).ValueOrDie();
   EXPECT_EQ(ref.table.num_rows(), 4u);
 }
 

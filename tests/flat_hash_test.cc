@@ -16,6 +16,7 @@
 #include "src/exec/join.h"
 #include "src/stats/table_stats.h"
 #include "src/storage/table.h"
+#include "tests/oracles/oracles.h"
 
 namespace cajade {
 namespace {

@@ -16,6 +16,7 @@
 #include "src/mining/pattern_kernel.h"
 #include "src/mining/quality.h"
 #include "src/storage/table.h"
+#include "tests/oracles/oracles.h"
 
 namespace cajade {
 namespace {
@@ -280,11 +281,11 @@ TEST(CoverageScorerTest, CoverageFromRowsMapsAptRowsToPtPositions) {
   // Three APT rows extending PT positions {0, 1, 1}.
   std::vector<int32_t> pt_row = {0, 1, 1};
   CoverageBitmap covered(2);
-  CoverageScorer::CoverageFromRows({0, 2}, pt_row, &covered);
+  CoverageFromRows({0, 2}, pt_row, &covered);
   EXPECT_TRUE(covered.Test(0));
   EXPECT_TRUE(covered.Test(1));
   covered.Reset(2);
-  CoverageScorer::CoverageFromRows({1}, pt_row, &covered);
+  CoverageFromRows({1}, pt_row, &covered);
   EXPECT_FALSE(covered.Test(0));
   EXPECT_TRUE(covered.Test(1));
 }
@@ -305,7 +306,7 @@ TEST(CoverageScorerTest, CoverageFromMaskEqualsCoverageFromRows) {
       }
     }
     CoverageBitmap from_rows(positions), from_mask(positions);
-    CoverageScorer::CoverageFromRows(matched, pt_row, &from_rows);
+    CoverageFromRows(matched, pt_row, &from_rows);
     CoverageScorer::CoverageFromMask(mask.words().data(), mask.num_words(),
                                      pt_row, &from_mask);
     ASSERT_EQ(from_rows.words(), from_mask.words()) << "trial " << trial;

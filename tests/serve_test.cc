@@ -433,13 +433,10 @@ TablePtr CopyWithCell(const Table& table, size_t row, const std::string& column,
   auto copy = std::make_shared<Table>(table.name(), table.schema());
   const int col = table.schema().FindColumn(column);
   for (size_t r = 0; r < table.num_rows(); ++r) {
-    if (r != row) {
-      copy->AppendRowFrom(table, r);
-      continue;
-    }
     std::vector<Value> cells;
     for (size_t c = 0; c < table.num_columns(); ++c) {
-      cells.push_back(static_cast<int>(c) == col ? value : table.GetValue(r, c));
+      const bool replaced = r == row && static_cast<int>(c) == col;
+      cells.push_back(replaced ? value : table.GetValue(r, c));
     }
     EXPECT_TRUE(copy->AppendRow(cells).ok());
   }

@@ -188,6 +188,32 @@ TEST(ParserTest, MissingFromFails) {
   EXPECT_FALSE(ParseQuery("SELECT a").ok());
 }
 
+TEST(ParserTest, LiteralsAtTheirRangeLimitsParse) {
+  auto q = ParseQuery("SELECT a FROM t WHERE a = 9223372036854775807")
+               .ValueOrDie();
+  EXPECT_EQ(q.where->right->literal, Value(int64_t{9223372036854775807}));
+  q = ParseQuery("SELECT a FROM t WHERE a = " + std::string(300, '9') + ".5")
+          .ValueOrDie();
+  EXPECT_DOUBLE_EQ(q.where->right->literal.AsDouble(), 1e300);
+}
+
+TEST(ParserTest, OutOfRangeLiteralsAreRejected) {
+  // Clamped, an integer literal past INT64_MAX would read as INT64_MAX and
+  // a decimal one past DBL_MAX (about 1.8e308, 309 integer digits) as inf,
+  // and the query would filter on a different constant.
+  const std::string past_dbl_max = std::string(400, '9') + ".5";
+  for (const std::string& literal :
+       {std::string("99999999999999999999"),
+        std::string("9223372036854775808"), past_dbl_max}) {
+    SCOPED_TRACE(literal.substr(0, 24));
+    auto q = ParseQuery("SELECT a FROM t WHERE a = " + literal);
+    EXPECT_FALSE(q.ok());
+    if (q.ok()) continue;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(q.status().message().find(literal), std::string::npos);
+  }
+}
+
 TEST(ParserTest, RoundTripToString) {
   auto q = ParseQuery(
                "SELECT a, count(*) AS c FROM t x WHERE a >= 3 GROUP BY a")

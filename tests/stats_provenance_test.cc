@@ -200,17 +200,6 @@ TEST_F(ProvenanceFixture, MiningExclusionFlagsSurviveRenaming) {
   EXPECT_FALSE(pt.table.schema().column(home_pts).mining_excluded);
 }
 
-TEST_F(ProvenanceFixture, AliasesOfRelationFindsAll) {
-  auto query =
-      ParseQuery("SELECT season, count(*) AS n FROM game g GROUP BY season")
-          .ValueOrDie();
-  auto pt = ComputeProvenance(db_, query).ValueOrDie();
-  auto aliases = pt.AliasesOfRelation("game");
-  ASSERT_EQ(aliases.size(), 1u);
-  EXPECT_EQ(pt.aliases[aliases[0]], "g");
-  EXPECT_TRUE(pt.AliasesOfRelation("nope").empty());
-}
-
 using Rows = std::vector<std::vector<Value>>;
 
 /// Ten distinct rows over (INT64, DOUBLE, STRING), NULLs in every column.

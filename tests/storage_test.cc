@@ -374,20 +374,6 @@ TEST(TableTest, FindColumn) {
   EXPECT_EQ(t.FindColumn("zz"), nullptr);
 }
 
-TEST(TableTest, AppendRowFromCopiesAllTypes) {
-  Schema schema({{"i", DataType::kInt64},
-                 {"d", DataType::kDouble},
-                 {"s", DataType::kString}});
-  Table src("src", schema);
-  ASSERT_TRUE(src.AppendRow({Value(int64_t{1}), Value(0.5), Value("v")}).ok());
-  ASSERT_TRUE(src.AppendRow({Value::Null(), Value::Null(), Value::Null()}).ok());
-  Table dst("dst", schema);
-  dst.AppendRowFrom(src, 0);
-  dst.AppendRowFrom(src, 1);
-  EXPECT_EQ(dst.GetValue(0, 2), Value("v"));
-  EXPECT_TRUE(dst.GetValue(1, 0).is_null());
-}
-
 TEST(TableTest, ToStringRendersAndTruncates) {
   Table t("t", Schema({{"a", DataType::kInt64}}));
   for (int i = 0; i < 30; ++i) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-contract lint: enforces conventions the compiler cannot see.
 
-Six checks, each meant to stop a specific silent-rot failure mode:
+Seven checks, each meant to stop a specific silent-rot failure mode:
 
 1. naked-primitives — no `std::mutex` / `std::lock_guard` / `std::unique_lock`
    / `std::scoped_lock` / `std::shared_lock` / `std::condition_variable*` /
@@ -27,17 +27,25 @@ Six checks, each meant to stop a specific silent-rot failure mode:
    bit the sharded-APT work (`apt_shard_rows` gates a whole pipeline), so
    the contract is enforced for all knobs.
 
-5. oracle-calls — no file under src/ may call a differential-testing oracle
-   (ReferenceMaterializeApt, ReferenceExecuteSpj, ReferenceHashEquiJoin)
-   outside the header/source pair that declares and defines it. The
-   oracles are compiled into the library only so tests and bench_micro can
-   reach them; a production caller would silently put the slow scalar path
-   back into the engine.
+5. oracle-boundary — no file under src/ includes a header from tests/, and
+   no function named Reference* is declared (or called) under src/. The
+   differential-testing oracles live in tests/oracles, a library only the
+   tests and bench_micro link; an oracle declared in src/ would be compiled
+   into the engine again, and a src/ include of a tests/ header would make
+   the engine depend on test code.
 
 6. once-protocol — `std::promise` / `std::shared_future` appear under src/
    only in src/common/once_lru_cache.h. The build-once protocol (one build
    per key behind a shared_future, failures to every waiter) is written and
    tested once there; hand-rolled copies of it drift apart.
+
+7. dead-api — every free function declared at namespace scope in a src/
+   header must be referenced by code outside tests/ (src/, bench/,
+   bench_e2e/, examples/) other than by its own declarations and
+   definitions, or be on DEAD_API_ALLOWLIST with a reason. Any mention
+   counts, so taking a function's address is a use. Otherwise a function
+   only tests call keeps growing in the engine library. Member functions
+   are out of reach of this check.
 
 Usage:
   python3 tools/lint_contracts.py [root]     lint the tree (root defaults to
@@ -281,33 +289,39 @@ def check_config_knobs(root):
     return errors
 
 
-# Each oracle and the src/ path stem of the header/source pair that
-# declares and defines it.
-ORACLES = {
-    "ReferenceMaterializeApt": os.path.join("src", "mining", "apt"),
-    "ReferenceExecuteSpj": os.path.join("src", "exec", "executor"),
-    "ReferenceHashEquiJoin": os.path.join("src", "exec", "join"),
-}
+TEST_INCLUDE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*[<"](tests/[^>"]*)[>"]',
+                          re.MULTILINE)
 
-ORACLE_CALL = re.compile(r"\b(" + "|".join(ORACLES) + r")\s*\(")
+ORACLE_NAME = re.compile(r"\b(Reference[A-Z_]\w*)\s*\(")
 
 
-def check_oracle_calls(root):
-    """src/ never calls a Reference* oracle outside its own .h/.cc pair."""
+def strip_comments(text):
+    """Remove comments but keep string literals (include paths)."""
+    return re.sub(r"//[^\n]*|/\*.*?\*/",
+                  lambda m: "\n" * m.group(0).count("\n"), text,
+                  flags=re.DOTALL)
+
+
+def check_oracle_boundary(root):
+    """src/ neither includes tests/ headers nor declares Reference* oracles."""
     errors = []
     for path in cxx_files(root, ["src"]):
         rel = os.path.relpath(path, root)
-        stem = os.path.splitext(rel)[0]
         with open(path, encoding="utf-8") as f:
-            code = strip_comments_and_strings(f.read())
+            raw = f.read()
+        no_comments = strip_comments(raw)
+        for m in TEST_INCLUDE.finditer(no_comments):
+            lineno = no_comments.count("\n", 0, m.start()) + 1
+            errors.append(
+                f"{rel}:{lineno}: includes the test header {m.group(1)} — "
+                f"the engine must not depend on test code")
+        code = strip_comments_and_strings(raw)
         for lineno, line in enumerate(code.splitlines(), start=1):
-            for name in ORACLE_CALL.findall(line):
-                if stem == ORACLES[name]:
-                    continue
+            for name in ORACLE_NAME.findall(line):
                 errors.append(
-                    f"{rel}:{lineno}: calls the test oracle {name} — "
-                    f"production code must use the kernel path; oracles "
-                    f"are for tests and bench_micro only")
+                    f"{rel}:{lineno}: {name} under src/ — differential "
+                    f"oracles live in tests/oracles (the cajade_oracles "
+                    f"library), not in the engine")
     return errors
 
 
@@ -335,13 +349,149 @@ def check_once_protocol(root):
     return errors
 
 
+# Free functions in src/ headers that may stay without a caller outside
+# tests/, each with the reason it stays.
+DEAD_API_ALLOWLIST = {
+    "ParseExpression": "the parser's expression entry point; sql_test and "
+                       "exec_test use it as a seam",
+}
+
+# Directories whose code counts as a use of an engine function.
+NON_TEST_DIRS = ["src", "bench", "bench_e2e", "examples"]
+
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def strip_preprocessor(code):
+    """Blank out preprocessor directives, continuation lines included, so a
+    function-like macro is not read as a declaration."""
+    out, continued = [], False
+    for line in code.split("\n"):
+        directive = continued or line.lstrip().startswith("#")
+        continued = directive and line.rstrip().endswith("\\")
+        out.append("" if directive else line)
+    return "\n".join(out)
+
+
+def skip_template_header(stmt):
+    """Drop a leading `template <...>` (angle brackets balanced)."""
+    m = re.match(r"\s*template\s*<", stmt)
+    if not m:
+        return stmt
+    depth, i = 1, m.end()
+    while i < len(stmt) and depth:
+        depth += {"<": 1, ">": -1}.get(stmt[i], 0)
+        i += 1
+    return skip_template_header(stmt[i:])
+
+
+NOT_A_FUNCTION = re.compile(
+    r"\s*(using|typedef|class|struct|union|enum|namespace|friend|"
+    r"static_assert|extern)\b")
+
+
+def declared_function(stmt):
+    """The name of the free function a namespace-scope statement declares or
+    defines, or None (types, variables, macro calls, member definitions,
+    operators)."""
+    stmt = skip_template_header(stmt)
+    if NOT_A_FUNCTION.match(stmt):
+        return None
+    paren = stmt.find("(")
+    if paren < 0:
+        return None
+    head = stmt[:paren].rstrip()
+    if "=" in head:
+        return None  # a variable initialized by a call
+    m = re.search(r"([A-Za-z_]\w*)$", head)
+    if not m:
+        return None  # operator overloads end in punctuation
+    before = head[:m.start()].rstrip()
+    if not before or before.endswith("::") or m.group(1) == "operator":
+        return None  # a macro call (no return type) or a member definition
+    return m.group(1)
+
+
+def namespace_scope_functions(code):
+    """Names of the free functions declared or defined at namespace scope in
+    `code` (comments, strings and preprocessor lines already stripped), one
+    entry per declaration or definition."""
+    names = []
+    stack = []  # one entry per open brace: True for a namespace body
+    start, parens = 0, 0
+
+    def at_namespace_scope():
+        return all(stack) and parens == 0
+
+    for i, c in enumerate(code):
+        if c == "(":
+            parens += 1 if all(stack) else 0
+        elif c == ")":
+            parens -= 1 if all(stack) and parens else 0
+        elif c == "{":
+            if at_namespace_scope():
+                stmt = code[start:i]
+                is_namespace = re.search(r"\bnamespace\b", stmt) is not None
+                if not is_namespace:
+                    name = declared_function(stmt)
+                    if name:
+                        names.append(name)
+                stack.append(is_namespace)
+                start = i + 1
+            else:
+                stack.append(False)
+        elif c == "}":
+            if stack:
+                stack.pop()
+            if at_namespace_scope():
+                start = i + 1
+        elif c == ";" and at_namespace_scope():
+            name = declared_function(code[start:i])
+            if name:
+                names.append(name)
+            start = i + 1
+    return names
+
+
+def check_dead_api(root):
+    """Every free function of a src/ header has a use outside tests/."""
+    declared = {}  # name -> header declaring it
+    for path in cxx_files(root, ["src"]):
+        if not path.endswith(".h"):
+            continue
+        with open(path, encoding="utf-8") as f:
+            code = strip_preprocessor(strip_comments_and_strings(f.read()))
+        for name in namespace_scope_functions(code):
+            declared.setdefault(name, os.path.relpath(path, root))
+    uses = dict.fromkeys(declared, 0)
+    for path in cxx_files(root, NON_TEST_DIRS):
+        with open(path, encoding="utf-8") as f:
+            code = strip_comments_and_strings(f.read())
+        for token in IDENTIFIER.findall(code):
+            if token in uses:
+                uses[token] += 1
+        for name in namespace_scope_functions(strip_preprocessor(code)):
+            if name in uses:
+                uses[name] -= 1  # its own declaration or definition
+    errors = []
+    for name in sorted(declared):
+        if uses[name] > 0 or name in DEAD_API_ALLOWLIST:
+            continue
+        errors.append(
+            f"{declared[name]}: {name} is declared for the engine but "
+            f"nothing outside tests/ uses it — delete it, move it to the "
+            f"test-only code, or add it to DEAD_API_ALLOWLIST with a reason")
+    return errors
+
+
 CHECKS = [
     ("naked-primitives", check_naked_primitives),
     ("bench-names", check_bench_names),
     ("header-contracts", check_header_contracts),
     ("config-knobs", check_config_knobs),
-    ("oracle-calls", check_oracle_calls),
+    ("oracle-boundary", check_oracle_boundary),
     ("once-protocol", check_once_protocol),
+    ("dead-api", check_dead_api),
 ]
 
 
@@ -415,29 +565,45 @@ CLEAN_SERVING = """\
 | `shard_rows` | 0 | rows per shard (0 = one full-range shard) |
 """
 
-# An oracle's own header/source pair: the declaration, the definition, and
-# an internal call all stay legal; a mention in a comment or string is not a
-# call.
+# The oracles live under tests/: their declarations, definitions and calls
+# are all legal there.
 CLEAN_ORACLE_HEADER = """\
-// Widget materializer.
-//
-// Ownership and thread-safety: stateless free functions.
-#ifndef MINI_SRC_MINING_APT_H_
-#define MINI_SRC_MINING_APT_H_
+// Widget oracles.
+#ifndef MINI_TESTS_ORACLES_ORACLES_H_
+#define MINI_TESTS_ORACLES_ORACLES_H_
 int ReferenceMaterializeApt(int rows);
 #endif
 """
 
 CLEAN_ORACLE_SOURCE = """\
-#include "src/mining/apt.h"
+#include "tests/oracles/oracles.h"
 int ReferenceMaterializeApt(int rows) { return rows; }
 int Twice(int rows) { return 2 * ReferenceMaterializeApt(rows); }
 """
 
+# An engine header whose one free function production code calls.
+CLEAN_API_HEADER = """\
+// Widget counting.
+//
+// Ownership and thread-safety: stateless free functions.
+#ifndef MINI_SRC_WIDGET_API_H_
+#define MINI_SRC_WIDGET_API_H_
+namespace mini {
+int CountWidgets(int rows);
+}  // namespace mini
+#endif
+"""
+
+# Production code: a mention of an oracle in a comment or string is not a
+# call, and the engine function has its caller here.
 CLEAN_CALLER = """\
+#include "src/widget_api.h"
 // Unlike ReferenceMaterializeApt(rows), the kernel path is production code.
 const char* kNote = "ReferenceExecuteSpj(query) is test-only";
-int Explain(int rows) { return rows; }
+namespace mini {
+int CountWidgets(int rows) { return rows; }
+int Explain(int rows) { return CountWidgets(rows); }
+}  // namespace mini
 """
 
 # The one home of the build-once protocol: its promise/shared_future are
@@ -472,10 +638,12 @@ def make_clean_tree(root):
     write_fixture(root, "BENCH_widget.json", CLEAN_JSON)
     write_fixture(root, CONFIG_HEADER, CLEAN_CONFIG)
     write_fixture(root, KNOBS_DOC, CLEAN_SERVING)
-    write_fixture(root, os.path.join("src", "mining", "apt.h"),
+    write_fixture(root, os.path.join("tests", "oracles", "oracles.h"),
                   CLEAN_ORACLE_HEADER)
-    write_fixture(root, os.path.join("src", "mining", "apt.cc"),
+    write_fixture(root, os.path.join("tests", "oracles", "apt_oracle.cc"),
                   CLEAN_ORACLE_SOURCE)
+    write_fixture(root, os.path.join("src", "widget_api.h"),
+                  CLEAN_API_HEADER)
     write_fixture(root, os.path.join("src", "core", "explainer.cc"),
                   CLEAN_CALLER)
     write_fixture(root, ONCE_HEADER, CLEAN_ONCE_HEADER)
@@ -553,14 +721,95 @@ def self_test():
     case("oracle called from tests/ NOT flagged",
          lambda root: write_fixture(
              root, os.path.join("tests", "apt_diff_test.cc"),
+             '#include "tests/oracles/oracles.h"\n'
              "int Diff(int rows) { return ReferenceMaterializeApt(rows); }\n"),
          False)
+    case("tests/ header included from src/ caught",
+         lambda root: write_fixture(
+             root, os.path.join("src", "core", "explainer.cc"),
+             '#include "tests/oracles/oracles.h"  // seeded\n' +
+             CLEAN_CALLER),
+         True)
+    case("tests/ include inside a src/ comment NOT flagged",
+         lambda root: write_fixture(
+             root, os.path.join("src", "core", "explainer.cc"),
+             '// #include "tests/oracles/oracles.h" is not allowed here\n' +
+             CLEAN_CALLER),
+         False)
+    case("Reference* oracle declared under src/ caught",
+         lambda root: write_fixture(
+             root, os.path.join("src", "widget_api.h"),
+             CLEAN_API_HEADER.replace(
+                 "int CountWidgets(int rows);",
+                 "int CountWidgets(int rows);\n"
+                 "int ReferenceCountWidgets(int rows);  // seeded")),
+         True)
     case("oracle called from production code caught",
          lambda root: write_fixture(
              root, os.path.join("src", "core", "explainer.cc"),
              CLEAN_CALLER + "int Build(int rows) {\n"
              "  return ReferenceMaterializeApt (rows);  // seeded\n}\n"),
          True)
+    case("engine function only tests call caught",
+         lambda root: write_fixture(
+             root, os.path.join("src", "widget_api.h"),
+             CLEAN_API_HEADER.replace(
+                 "int CountWidgets(int rows);",
+                 "int CountWidgets(int rows);\n"
+                 "int RetiredWidgets(int rows);  // seeded")) or
+         write_fixture(
+             root, os.path.join("src", "widget_api.cc"),
+             '#include "src/widget_api.h"\n'
+             "namespace mini {\n"
+             "int RetiredWidgets(int rows) { return rows; }\n"
+             "}  // namespace mini\n") or
+         write_fixture(
+             root, os.path.join("tests", "widget_test.cc"),
+             "int Check() { return mini::RetiredWidgets(1); }\n"),
+         True)
+    case("engine function used only through its address NOT flagged",
+         lambda root: write_fixture(
+             root, os.path.join("src", "core", "explainer.cc"),
+             CLEAN_CALLER.replace("return CountWidgets(rows);",
+                                  "auto* count = &CountWidgets;\n"
+                                  "  return count(rows);")),
+         False)
+    case("engine function used in its own header's initializer NOT flagged",
+         lambda root: write_fixture(
+             root, os.path.join("src", "widget_api.h"),
+             CLEAN_API_HEADER.replace(
+                 "int CountWidgets(int rows);",
+                 "int CountWidgets(int rows);\n"
+                 "inline int DefaultRows() { return 3; }\n"
+                 "struct WidgetOptions {\n"
+                 "  int rows = DefaultRows();\n"
+                 "};")),
+         False)
+    case("function-like macro NOT read as a declaration",
+         lambda root: write_fixture(
+             root, os.path.join("src", "widget_api.h"),
+             CLEAN_API_HEADER.replace(
+                 "int CountWidgets(int rows);",
+                 "#define CAPABILITY(x) \\\n"
+                 "  __attribute__((capability(x)))\n"
+                 "int CountWidgets(int rows);")),
+         False)
+    case("engine function declared after a multi-line macro still caught",
+         lambda root: write_fixture(
+             root, os.path.join("src", "widget_api.h"),
+             CLEAN_API_HEADER.replace(
+                 "int CountWidgets(int rows);",
+                 "#define CAPABILITY(x) \\\n"
+                 "  __attribute__((capability(x)))\n"
+                 "int RetiredWidgets(int rows);  // seeded\n"
+                 "int CountWidgets(int rows);")),
+         True)
+    case("allowlisted engine function without a caller NOT flagged",
+         lambda root: write_fixture(
+             root, os.path.join("src", "sql", "parser.h"),
+             "// Parser.\n//\n// Ownership and thread-safety: stateless.\n"
+             "int ParseExpression(const char* text);\n"),
+         False)
     case("once_lru_cache.h's own promise/shared_future NOT flagged",
          lambda root: None, False)
     case("shared_future outside once_lru_cache.h caught",
